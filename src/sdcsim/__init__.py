@@ -12,22 +12,21 @@ from .capacity import (
     SymbolCounts,
     capacity_from_counts,
     expected_accounting,
-    expected_discard_fraction,
     total_variation_distance,
     uniform_alphabet,
 )
-from .elements import ElementKind, ElementSpec, beam_splitter, hwp, pbs, polarizer_monitor
+from .elements import beam_splitter, hwp, pbs, polarizer_monitor
 from .fock import (
     CoverageError,
     ModeLabel,
     ModeRegistry,
     ModeUnitary,
     NonUnitaryError,
+    OutcomeTable,
     PureState,
     RegistryError,
     apply_element,
     branch_on_modes,
-    detect,
     make_state,
     outcome_distribution,
     sample_outcome,
@@ -48,7 +47,6 @@ from .protocol import (
     default_bench,
 )
 from .session import (
-    ClassicalChannel,
     InvalidConfigError,
     Note,
     NoteKind,

@@ -7,6 +7,9 @@ side: the exact value and a coarse display-rounded reference (effective
 alphabet rounded to one decimal before taking the log), since rounding
 2/3 -> 0.67 -> 2.7 shifts the uniform four-message capacity from 1.4150 to
 1.4330 bits and the exact number should never silently absorb that.
+
+The analytic expectations are computed from the optics: branch probabilities
+and retry costs come from the default bench's encoder.
 """
 
 from __future__ import annotations
@@ -15,27 +18,10 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
-from .protocol import ALPHABET, MessageSymbol, Scenario
+from .protocol import ALPHABET, MessageSymbol, Scenario, default_bench
 
 DENSE_CODING_BITS = math.log2(3)  # three distinguishable messages per pair
 IDEAL_BITS = math.log2(4)
-
-# Expected pairs consumed per delivered message, per symbol, when failed
-# attempts are retried: Bell-state actions never fail; product-state actions
-# succeed with probability 1/2, so the geometric retry costs 2 on average.
-_PAIRS_PER_MESSAGE_RETRY = {
-    MessageSymbol.PSI_PLUS: 1.0,
-    MessageSymbol.PSI_MINUS: 1.0,
-    MessageSymbol.HH: 2.0,
-    MessageSymbol.VV: 2.0,
-}
-_WRONG_BRANCH_PROBABILITY = {
-    MessageSymbol.PSI_PLUS: 0.0,
-    MessageSymbol.PSI_MINUS: 0.0,
-    MessageSymbol.HH: 0.5,
-    MessageSymbol.VV: 0.5,
-}
-
 
 @dataclass(frozen=True)
 class SymbolCounts:
@@ -158,22 +144,29 @@ def expected_accounting(
 ) -> ExpectedAccounting:
     """Exact expected capacity accounting for a message distribution.
 
-    Scenarios a and c pay the geometric retry cost on product-state messages;
-    scenario b consumes exactly one pair per message.
+    Each symbol's wrong-branch probability comes from the bench's encoder.
+    Scenarios a and c retry a failed attempt on a fresh pair, a geometric cost
+    of 1/p_controlled pairs per message; scenario b consumes exactly one pair
+    per message.
     """
     dist = dict(distribution or uniform_alphabet())
     total = sum(dist.values())
     if abs(total - 1.0) > 1e-9 or any(p < 0 for p in dist.values()):
         raise ValueError("message distribution must be a probability vector")
     retries = scenario in (Scenario.A, Scenario.C)
+    bench = default_bench()
     per_symbol = {}
     pairs_per_delivery = 0.0
     uncontrolled_weight = 0.0
     for symbol in ALPHABET:
         p = dist.get(symbol, 0.0)
-        cost = _PAIRS_PER_MESSAGE_RETRY[symbol] if retries else 1.0
+        branches = bench.encode_branches(symbol)
+        # a message that never branches costs exactly one pair and never goes
+        # wrong; its p_controlled is only within rounding of 1
+        branching = branches.wrong_symbol is not None
+        wrong = branches.wrong_probability if branching else 0.0
+        cost = 1.0 / branches.controlled_probability if retries and branching else 1.0
         pairs_per_delivery += p * cost
-        wrong = _WRONG_BRANCH_PROBABILITY[symbol]
         # expected wrong-branch attempts per message: cost-1 when retrying,
         # else the single attempt goes wrong with probability `wrong`
         uncontrolled_weight += p * ((cost - 1.0) if retries else wrong)
@@ -201,13 +194,6 @@ def expected_accounting(
         rounded_reference=_rounded_reference(effective_alphabet),
         per_symbol=shares,
     )
-
-
-def expected_discard_fraction(
-    scenario: Scenario, distribution: Mapping[MessageSymbol, float] | None = None
-) -> float:
-    """Expected fraction of source pairs that never deliver a message."""
-    return expected_accounting(scenario, distribution).discard_fraction
 
 
 def total_variation_distance(dist_1: Mapping, dist_2: Mapping) -> float:

@@ -7,8 +7,10 @@ failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -103,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--clone-policy", choices=[c.value for c in ClonePolicy],
                      default=ClonePolicy.SEND_AS_IS.value,
                      help="scenario b: polarization carried by the re-emitted photon")
-    sim.add_argument("--delay", type=int, default=0,
-                     help="classical-channel delivery delay in trials")
     sim.add_argument("--erase-notes", action="store_true",
                      help="scenario c: send Erase notes over the classical channel")
     sim.add_argument("--out", default="report.json", help="capacity report path")
@@ -194,7 +194,6 @@ def _build_config(args) -> RunConfig:
         n_messages=n,
         seed=args.seed,
         clone_policy=ClonePolicy(args.clone_policy),
-        classical_delay=args.delay,
         erase_notes=args.erase_notes,
     )
 
@@ -209,7 +208,6 @@ def _config_dict(config: RunConfig) -> dict:
         "n_messages": config.n_messages,
         "seed": config.seed,
         "clone_policy": config.clone_policy.value,
-        "classical_delay": config.classical_delay,
         "erase_notes": config.erase_notes,
     }
 
@@ -241,11 +239,13 @@ def cmd_simulate(args) -> int:
         "uncontrolled_fraction": expected.uncontrolled_fraction,
         "bits_per_pair": expected.bits_per_pair,
     }
+    # rename into place only once both files are written: no partial output
+    report_tmp, log_tmp = f"{args.out}.tmp", f"{args.log}.tmp"
     try:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with open(report_tmp, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        with open(args.log, "w", encoding="utf-8", newline="") as handle:
+        with open(log_tmp, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(
                 ["trial", "intended", "branch", "action", "pattern", "decoded", "note"]
@@ -262,7 +262,12 @@ def cmd_simulate(args) -> int:
                         str(r.note) if r.note else "",
                     ]
                 )
+        os.replace(report_tmp, args.out)
+        os.replace(log_tmp, args.log)
     except OSError as exc:
+        for tmp in (report_tmp, log_tmp):
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         print(f"sdcsim: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
 

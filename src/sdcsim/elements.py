@@ -8,8 +8,6 @@ a† -> (a† + i b†)/sqrt(2); any unitary gauge gives the same count statisti
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -91,49 +89,3 @@ def polarizer_monitor(
         registry, targets, matrix, name=f"pol({orientation},{path}->{monitor_path})"
     )
 
-
-class ElementKind(Enum):
-    BEAM_SPLITTER = "beam_splitter"
-    PBS = "pbs"
-    HALF_WAVE_PLATE = "hwp"
-    POLARIZER_MONITOR = "polarizer_monitor"
-
-
-@dataclass(frozen=True)
-class ElementSpec:
-    """Declarative description of one element, buildable against a registry."""
-
-    kind: ElementKind
-    paths: tuple[str, ...]
-    angle_degrees: float | None = None
-    orientation: str | None = None
-    monitor_path: str | None = None
-
-    def __post_init__(self):
-        two_path = (ElementKind.BEAM_SPLITTER, ElementKind.PBS)
-        if self.kind in two_path:
-            if len(self.paths) != 2:
-                raise ValueError(f"{self.kind.value} takes exactly 2 paths")
-        elif len(self.paths) != 1:
-            raise ValueError(f"{self.kind.value} takes exactly 1 input path")
-        if self.kind is ElementKind.HALF_WAVE_PLATE:
-            if self.angle_degrees is None or not 0.0 <= self.angle_degrees < 180.0:
-                raise ValueError("wave-plate angle must lie in [0, 180) degrees")
-        elif self.angle_degrees is not None:
-            raise ValueError("angle is only defined for a half-wave plate")
-        if self.kind is ElementKind.POLARIZER_MONITOR:
-            if self.orientation is None or self.monitor_path is None:
-                raise ValueError("polarizer needs an orientation and a monitor path")
-        elif self.orientation is not None or self.monitor_path is not None:
-            raise ValueError("orientation/monitor only apply to a polarizer")
-
-    def build(self, registry: ModeRegistry) -> ModeUnitary:
-        if self.kind is ElementKind.BEAM_SPLITTER:
-            return beam_splitter(registry, *self.paths)
-        if self.kind is ElementKind.PBS:
-            return pbs(registry, *self.paths)
-        if self.kind is ElementKind.HALF_WAVE_PLATE:
-            return hwp(registry, self.angle_degrees, self.paths[0])
-        return polarizer_monitor(
-            registry, self.paths[0], self.orientation, self.monitor_path
-        )

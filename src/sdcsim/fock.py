@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -304,21 +305,27 @@ def outcome_distribution(
     return dist
 
 
-def sample_outcome(distribution: Mapping, rng: np.random.Generator):
-    """Draw one outcome by inverse CDF over the sorted outcome keys."""
-    if not distribution:
-        raise ValueError("cannot sample from an empty distribution")
-    total = sum(distribution.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"distribution sums to {total}, not 1")
+class OutcomeTable:
+    """Inverse-CDF table of a validated distribution: sorted outcomes, running sums."""
+
+    __slots__ = ("outcomes", "cumulative")
+
+    def __init__(self, distribution: Mapping):
+        if not distribution:
+            raise ValueError("cannot sample from an empty distribution")
+        self.outcomes = sorted(distribution)
+        self.cumulative = list(accumulate(distribution[key] for key in self.outcomes))
+        if abs(self.cumulative[-1] - 1.0) > 1e-9:
+            raise ValueError(f"distribution sums to {self.cumulative[-1]}, not 1")
+
+
+def sample_outcome(table: OutcomeTable, rng: np.random.Generator):
+    """Draw one outcome: the first key whose running sum exceeds a uniform draw."""
     u = rng.random()
-    acc = 0.0
-    ordered = sorted(distribution)
-    for key in ordered:
-        acc += distribution[key]
-        if u < acc:
+    for key, c in zip(table.outcomes, table.cumulative):
+        if u < c:
             return key
-    return ordered[-1]
+    return table.outcomes[-1]
 
 
 def branch_on_modes(
@@ -349,12 +356,3 @@ def branch_on_modes(
         branches[key] = (prob, PureState(registry, collapsed))
     return branches
 
-
-def detect(
-    state: PureState, modes: Sequence[ModeLabel], rng: np.random.Generator
-) -> tuple[Occupation, PureState]:
-    """Measure photon counts on a subset of modes, absorbing what is detected."""
-    branches = branch_on_modes(state, modes)
-    marginal = {key: prob for key, (prob, _) in branches.items()}
-    counts = sample_outcome(marginal, rng)
-    return counts, branches[counts][1]

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-import numpy as np
-
 from .elements import beam_splitter, hwp, pbs, polarizer_monitor
 from .fock import (
     ModeLabel,
@@ -25,7 +23,6 @@ from .fock import (
     PureState,
     apply_element,
     branch_on_modes,
-    detect,
     make_state,
     outcome_distribution,
     superpose,
@@ -264,7 +261,8 @@ class OpticalBench:
 
     # ---- encoder -----------------------------------------------------------
 
-    def _routed_state(self, message: MessageSymbol, state: PureState) -> PureState:
+    def _routed_state(self, message: MessageSymbol) -> PureState:
+        state = self.source_emit()
         action = ACTION_FOR[message]
         if action is EncoderAction.NOTHING:
             return state
@@ -278,7 +276,7 @@ class OpticalBench:
         )
         return apply_element(swapped, pol)
 
-    def encode_branches(self, message: MessageSymbol, state: PureState | None = None) -> EncodeBranches:
+    def encode_branches(self, message: MessageSymbol) -> EncodeBranches:
         """Exact branch split of the encoder on a fresh source pair.
 
         The controlled branch is the transmitted pair after post-selecting on
@@ -288,7 +286,7 @@ class OpticalBench:
         """
         if not isinstance(message, MessageSymbol):
             raise ValueError(f"cannot encode non-alphabet symbol {message!r}")
-        routed = self._routed_state(message, state or self.source_emit())
+        routed = self._routed_state(message)
         branches = branch_on_modes(routed, self.monitor_modes)
         silent = tuple([0] * len(self.monitor_modes))
         p_controlled = 0.0
@@ -306,25 +304,6 @@ class OpticalBench:
                 p_controlled, controlled, _COMPLEMENT[message], self._complement_pair(message)
             )
         return EncodeBranches(p_controlled, controlled, None, None)
-
-    def encode(
-        self, message: MessageSymbol, state: PureState, rng: np.random.Generator
-    ) -> tuple[PureState, Branch]:
-        """Run the sender's encoder once, measuring her monitor detector.
-
-        Returns the resulting pair state and which branch the polarizer took.
-        Bell-state messages never branch; the product-state messages transmit
-        with probability 1/2 and otherwise leave the complementary pair.
-        """
-        if not isinstance(message, MessageSymbol):
-            raise ValueError(f"cannot encode non-alphabet symbol {message!r}")
-        routed = self._routed_state(message, state)
-        if message not in _COMPLEMENT:
-            return routed, Branch.CONTROLLED
-        counts, remaining = detect(routed, self.monitor_modes, rng)
-        if sum(counts) == 0:
-            return remaining, Branch.CONTROLLED
-        return self._complement_pair(message), Branch.WRONG
 
     # ---- analyzer ----------------------------------------------------------
 

@@ -13,6 +13,10 @@ reject-port detector clicks on a product-state message:
   c  the sender owns both photons and silently stops the whole pair; the
      receiver never learns the pair existed; the message is retried.
 
+A sent note (CorrectTo in b, Erase in c) arrives classical_delay trials after
+the trial it concerns, at Note.delivered_at; one delay for all notes makes
+send order the delivery order.
+
 Randomness: each trial uses its own numpy PCG64 generator seeded with
 SeedSequence((seed, 0, trial_index)); the i.i.d. message stream uses
 (seed, 1). Streams are independent, so sessions are reproducible and trials
@@ -21,7 +25,6 @@ could be evaluated in parallel.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -29,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import capacity
+from .fock import OutcomeTable, sample_outcome
 from .protocol import (
     ALLOWED_OWNERS,
     ALPHABET,
@@ -65,42 +69,22 @@ class NoteKind(Enum):
     ERASE = "Erase"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Note:
-    """One classical-channel message, tied to the trial it talks about."""
+    """One classical-channel message, tied to the trial it talks about.
+
+    ``delivered_at`` is the trial it reaches the receiver, None if never sent.
+    """
 
     trial: int
     kind: NoteKind
     symbol: MessageSymbol | None = None
+    delivered_at: int | None = None
 
     def __str__(self):
         if self.kind is NoteKind.CORRECT_TO:
             return f"CorrectTo({self.symbol.value})"
         return self.kind.value
-
-
-class ClassicalChannel:
-    """FIFO note queue delivered a fixed number of trials after sending."""
-
-    def __init__(self, delay: int):
-        if delay < 0:
-            raise InvalidConfigError("classical delay must be >= 0 trials")
-        self.delay = delay
-        self._pending: deque[tuple[int, Note]] = deque()
-
-    def send(self, note: Note, current_trial: int) -> None:
-        self._pending.append((current_trial + self.delay, note))
-
-    def deliver_due(self, current_trial: int) -> list[Note]:
-        out = []
-        while self._pending and self._pending[0][0] <= current_trial:
-            out.append(self._pending.popleft()[1])
-        return out
-
-    def flush(self) -> list[Note]:
-        out = [note for _, note in self._pending]
-        self._pending.clear()
-        return out
 
 
 @dataclass(frozen=True)
@@ -167,34 +151,12 @@ def intended_stream(config: RunConfig) -> list[MessageSymbol]:
     return [seq[i % len(seq)] for i in range(config.n_messages)]
 
 
-class _PatternSampler:
-    """Inverse-CDF sampler over a fixed detector-pattern distribution."""
-
-    __slots__ = ("patterns", "cumulative")
-
-    def __init__(self, dist: dict[DetectionPattern, float]):
-        items = sorted(dist.items(), key=lambda kv: kv[0].counts)
-        self.patterns = [p for p, _ in items]
-        acc = 0.0
-        self.cumulative = []
-        for _, prob in items:
-            acc += prob
-            self.cumulative.append(acc)
-
-    def sample(self, rng: np.random.Generator) -> DetectionPattern:
-        u = rng.random()
-        for pattern, c in zip(self.patterns, self.cumulative):
-            if u < c:
-                return pattern
-        return self.patterns[-1]
-
-
 @dataclass(frozen=True)
 class _SymbolPlan:
     p_controlled: float
-    controlled: _PatternSampler
+    controlled: OutcomeTable
     wrong_symbol: MessageSymbol | None
-    wrong_single: _PatternSampler | None  # receiver's lone photon, scenario a
+    wrong_single: OutcomeTable | None  # receiver's lone photon, scenario a
 
 
 class Session:
@@ -208,9 +170,8 @@ class Session:
     def __init__(self, config: RunConfig, bench: OpticalBench | None = None):
         self.config = config
         self.bench = bench or default_bench()
-        self.channel = ClassicalChannel(config.classical_delay)
         self.records: list[TrialRecord] = []
-        self.delivered_notes: list[Note] = []
+        self.notes: list[Note] = []  # sent notes, in send (= delivery) order
         self._trial = 0
         self._plans = self._build_plans()
 
@@ -218,7 +179,7 @@ class Session:
         bench = self.bench
         split = {symbol: bench.encode_branches(symbol) for symbol in ALPHABET}
         lone = {
-            pol: _PatternSampler(bench.analyze(bench.bob_photon(pol)))
+            pol: OutcomeTable(bench.analyze(bench.bob_photon(pol)))
             for pol in ("H", "V")
         }
         plans = {}
@@ -226,7 +187,7 @@ class Session:
             wrong = branches.wrong_symbol
             plans[symbol] = _SymbolPlan(
                 p_controlled=branches.controlled_probability,
-                controlled=_PatternSampler(bench.analyze(branches.controlled_state)),
+                controlled=OutcomeTable(bench.analyze(branches.controlled_state)),
                 wrong_symbol=wrong,
                 wrong_single=lone["H" if wrong is MessageSymbol.HH else "V"]
                 if wrong
@@ -242,7 +203,7 @@ class Session:
         plan = self._plans[message]
 
         if plan.wrong_symbol is None or rng.random() < plan.p_controlled:
-            pattern = plan.controlled.sample(rng)
+            pattern = sample_outcome(plan.controlled, rng)
             record = TrialRecord(
                 trial=trial,
                 intended=message,
@@ -256,13 +217,17 @@ class Session:
             record = self._wrong_branch(trial, message, plan, rng)
 
         self.records.append(record)
-        self.delivered_notes.extend(self.channel.deliver_due(trial))
         return record
+
+    def _send(self, trial: int, kind: NoteKind, symbol: MessageSymbol | None = None) -> Note:
+        note = Note(trial, kind, symbol, trial + self.config.classical_delay)
+        self.notes.append(note)
+        return note
 
     def _wrong_branch(self, trial, message, plan, rng) -> TrialRecord:
         scenario = self.config.scenario
         if scenario is Scenario.A:
-            pattern = plan.wrong_single.sample(rng)
+            pattern = sample_outcome(plan.wrong_single, rng)
             return TrialRecord(
                 trial=trial,
                 intended=message,
@@ -274,8 +239,7 @@ class Session:
             )
         if scenario is Scenario.C:
             if self.config.erase_notes:
-                note = Note(trial, NoteKind.ERASE)
-                self.channel.send(note, trial)
+                note = self._send(trial, NoteKind.ERASE)
             else:
                 note = Note(trial, NoteKind.REPEAT)
             return TrialRecord(
@@ -293,9 +257,8 @@ class Session:
             note = None
         else:
             transmitted = plan.wrong_symbol
-            note = Note(trial, NoteKind.CORRECT_TO, message)
-            self.channel.send(note, trial)
-        pattern = self._plans[transmitted].controlled.sample(rng)
+            note = self._send(trial, NoteKind.CORRECT_TO, message)
+        pattern = sample_outcome(self._plans[transmitted].controlled, rng)
         return TrialRecord(
             trial=trial,
             intended=message,
@@ -306,15 +269,12 @@ class Session:
             note=note,
         )
 
-    def finish(self) -> None:
-        self.delivered_notes.extend(self.channel.flush())
-
 
 @dataclass(frozen=True)
 class SessionResult:
     config: RunConfig
     records: list[TrialRecord]
-    notes: list[Note]
+    notes: list[Note]  # sent notes in send order, which is also delivery order
     report: "capacity.CapacityReport"
 
 
@@ -334,9 +294,8 @@ def run_session(config: RunConfig, bench: OpticalBench | None = None) -> Session
             record = session.scenario_step(message)
             if record.action in _DELIVERING:
                 break
-    session.finish()
     report = build_report(config, session.records)
-    return SessionResult(config, session.records, session.delivered_notes, report)
+    return SessionResult(config, session.records, session.notes, report)
 
 
 def build_report(config: RunConfig, records: Sequence[TrialRecord]) -> "capacity.CapacityReport":

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import capacity
 from .elements import hwp
-from .fock import ModeLabel, apply_element, make_state, sample_outcome, unitarity_defect
+from .fock import ModeLabel, OutcomeTable, apply_element, make_state, sample_outcome, unitarity_defect
 from .protocol import (
     ALICE,
     ALPHABET,
@@ -181,15 +181,15 @@ def check_branch_statistics(bench, seed: int, trials: int) -> CheckResult:
 
 def check_sampling_consistency(bench, seed: int, draws: int = 100_000) -> CheckResult:
     dist = bench.analyze(bench.source_emit())
-    keyed = {p.counts: prob for p, prob in dist.items()}
+    table = OutcomeTable(dist)
     rng = np.random.default_rng(seed)
-    counts: dict[tuple, int] = {}
+    counts: dict = {}
     for _ in range(draws):
-        got = sample_outcome(keyed, rng)
+        got = sample_outcome(table, rng)
         counts[got] = counts.get(got, 0) + 1
     worst = 0.0
     ok = True
-    for key, prob in keyed.items():
+    for key, prob in dist.items():
         freq = counts.get(key, 0) / draws
         sigma = math.sqrt(prob * (1 - prob) / draws)
         worst = max(worst, abs(freq - prob))

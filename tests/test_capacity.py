@@ -2,17 +2,18 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdcsim.capacity import (
     CapacityReport,
     SymbolCounts,
     capacity_from_counts,
     expected_accounting,
-    expected_discard_fraction,
     total_variation_distance,
     uniform_alphabet,
 )
-from sdcsim.protocol import MessageSymbol, Scenario
+from sdcsim.protocol import ALPHABET, MessageSymbol, Scenario, default_bench
 
 
 class TestCapacityFromCounts:
@@ -81,14 +82,33 @@ class TestExpectedAccounting:
 
     def test_product_only_stream(self):
         dist = {MessageSymbol.HH: 1.0}
-        assert expected_discard_fraction(Scenario.A, dist) == pytest.approx(0.5)
+        assert expected_accounting(Scenario.A, dist).discard_fraction == pytest.approx(0.5)
         acc_b = expected_accounting(Scenario.B, dist)
         assert acc_b.uncontrolled_fraction == pytest.approx(0.5)
 
     def test_bell_only_stream_has_no_waste(self):
         dist = {MessageSymbol.PSI_PLUS: 0.5, MessageSymbol.PSI_MINUS: 0.5}
         for scenario in Scenario:
-            assert expected_discard_fraction(scenario, dist) == 0.0
+            assert expected_accounting(scenario, dist).discard_fraction == 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        weights=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+            lambda w: sum(w) > 1e-3
+        ),
+        scenario=st.sampled_from(list(Scenario)),
+    )
+    def test_efficiency_follows_the_bench(self, weights, scenario):
+        total = sum(weights)
+        dist = {symbol: w / total for symbol, w in zip(ALPHABET, weights)}
+        bench = default_bench()
+        pairs = 0.0
+        for symbol, p in dist.items():
+            branches = bench.encode_branches(symbol)
+            retried = scenario is not Scenario.B and branches.wrong_symbol is not None
+            pairs += p * (1.0 / branches.controlled_probability if retried else 1.0)
+        efficiency = expected_accounting(scenario, dist).efficiency
+        assert efficiency == pytest.approx(1.0 / pairs, abs=1e-12)
 
     def test_bad_distribution_rejected(self):
         with pytest.raises(ValueError):

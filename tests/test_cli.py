@@ -160,6 +160,19 @@ class TestSimulate:
         )
         assert code == 3
 
+    def test_failed_log_write_leaves_no_report(self, tmp_path, capsys):
+        code = run(
+            [
+                "simulate",
+                "--scenario", "a",
+                "--n", "10",
+                "--out", str(tmp_path / "r.json"),
+                "--log", str(tmp_path / "missing_dir" / "x.csv"),
+            ]
+        )
+        assert code == 3
+        assert list(tmp_path.iterdir()) == []
+
     def test_json_summary_matches_report_file(self, tmp_path, capsys):
         report_path = tmp_path / "r.json"
         code = run(
@@ -190,7 +203,6 @@ class TestDeterminism:
                     "--scenario", "b",
                     "--n", "400",
                     "--seed", "77",
-                    "--delay", "2",
                     "--out", str(out),
                     "--log", str(log),
                 ]

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sdcsim.elements import (
-    ElementKind,
-    ElementSpec,
-    beam_splitter,
-    hwp,
-    pbs,
-    polarizer_monitor,
-)
+from sdcsim.elements import beam_splitter, hwp, pbs, polarizer_monitor
 from sdcsim.fock import (
     ModeLabel,
     ModeRegistry,
@@ -190,35 +183,3 @@ class TestPolarizerMonitor:
         with pytest.raises(ValueError):
             polarizer_monitor(reg, "alice", "X", "monitor")
 
-
-class TestElementSpec:
-    def test_build_dispatches(self, reg):
-        spec = ElementSpec(ElementKind.BEAM_SPLITTER, ("alice", "bob"))
-        assert spec.build(reg).name == "BS(alice,bob)"
-        spec = ElementSpec(ElementKind.HALF_WAVE_PLATE, ("alice",), angle_degrees=45.0)
-        assert "HWP" in spec.build(reg).name
-        spec = ElementSpec(
-            ElementKind.POLARIZER_MONITOR,
-            ("alice",),
-            orientation="H",
-            monitor_path="monitor",
-        )
-        assert "pol" in spec.build(reg).name
-
-    def test_angle_range_enforced(self):
-        with pytest.raises(ValueError):
-            ElementSpec(ElementKind.HALF_WAVE_PLATE, ("alice",), angle_degrees=180.0)
-        with pytest.raises(ValueError):
-            ElementSpec(ElementKind.HALF_WAVE_PLATE, ("alice",), angle_degrees=-1.0)
-
-    def test_path_counts_enforced(self):
-        with pytest.raises(ValueError):
-            ElementSpec(ElementKind.BEAM_SPLITTER, ("alice",))
-        with pytest.raises(ValueError):
-            ElementSpec(ElementKind.PBS, ("alice", "bob", "monitor"))
-
-    def test_orientation_only_for_polarizer(self):
-        with pytest.raises(ValueError):
-            ElementSpec(ElementKind.PBS, ("alice", "bob"), orientation="H")
-        with pytest.raises(ValueError):
-            ElementSpec(ElementKind.POLARIZER_MONITOR, ("alice",))

@@ -9,11 +9,11 @@ from sdcsim.fock import (
     ModeRegistry,
     ModeUnitary,
     NonUnitaryError,
+    OutcomeTable,
     PureState,
     RegistryError,
     apply_element,
     branch_on_modes,
-    detect,
     make_state,
     outcome_distribution,
     sample_outcome,
@@ -228,28 +228,42 @@ class TestOutcomeDistribution:
 class TestSampleOutcome:
     def test_point_distribution(self):
         rng = np.random.default_rng(0)
-        assert sample_outcome({"p": 1.0}, rng) == "p"
+        assert sample_outcome(OutcomeTable({"p": 1.0}), rng) == "p"
 
     def test_empirical_frequency_matches(self):
         rng = np.random.default_rng(42)
+        table = OutcomeTable({"x": 0.5, "y": 0.5})
         n = 100_000
-        hits = sum(sample_outcome({"x": 0.5, "y": 0.5}, rng) == "x" for _ in range(n))
+        hits = sum(sample_outcome(table, rng) == "x" for _ in range(n))
         assert abs(hits / n - 0.5) < 0.01
 
     def test_fixed_seed_reproducible(self):
-        draws = lambda: [
-            sample_outcome({"x": 0.3, "y": 0.7}, np.random.default_rng(7))
-            for _ in range(5)
-        ]
+        table = OutcomeTable({"x": 0.3, "y": 0.7})
+        draws = lambda: [sample_outcome(table, np.random.default_rng(7)) for _ in range(5)]
         assert draws() == draws()
 
     def test_empty_distribution_rejected(self):
         with pytest.raises(ValueError):
-            sample_outcome({}, np.random.default_rng(0))
+            OutcomeTable({})
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
-            sample_outcome({"x": 0.4}, np.random.default_rng(0))
+            OutcomeTable({"x": 0.4})
+
+    def test_inverse_cdf_over_sorted_keys(self):
+        class FixedDraw:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        # the sum falls short of 1 by less than the tolerance: the last key
+        # takes the remainder
+        table = OutcomeTable({"z": 0.5 - 1e-10, "x": 0.25, "y": 0.25})
+        assert table.outcomes == ["x", "y", "z"]
+        for u, expected in ((0.0, "x"), (0.25, "y"), (0.7, "z"), (1.0 - 1e-11, "z")):
+            assert sample_outcome(table, FixedDraw(u)) == expected
 
 
 class TestDetect:
@@ -265,7 +279,9 @@ class TestDetect:
 
     def test_detect_absorbs_photons(self, reg):
         state = make_state(reg, [ModeLabel("a", "H"), ModeLabel("b", "V")])
-        counts, remaining = detect(state, [ModeLabel("a", "H")], np.random.default_rng(0))
-        assert counts == (1,)
+        branches = branch_on_modes(state, [ModeLabel("a", "H")])
+        assert list(branches) == [(1,)]
+        prob, remaining = branches[(1,)]
+        assert prob == pytest.approx(1.0, abs=1e-12)
         assert remaining.photon_number == 1
         assert amp(remaining, **{"b.V": 1}) == pytest.approx(1.0)

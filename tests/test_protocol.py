@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 import oracle
@@ -15,9 +14,11 @@ from sdcsim.protocol import (
     MessageSymbol,
     OpticalBench,
     ReferenceState,
+    Scenario,
     Verdict,
     default_bench,
 )
+from sdcsim.session import RunConfig, run_session
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -134,21 +135,18 @@ class TestAnalyze:
 
 class TestEncoder:
     def test_psi_plus_is_identity(self, bench):
-        state, branch = bench.encode(
-            MessageSymbol.PSI_PLUS, bench.source_emit(), np.random.default_rng(0)
-        )
-        assert branch is Branch.CONTROLLED
-        assert state.fidelity(bench.source_emit()) == pytest.approx(1.0, abs=1e-12)
+        branches = bench.encode_branches(MessageSymbol.PSI_PLUS)
+        assert branches.controlled_probability == pytest.approx(1.0, abs=1e-12)
+        assert branches.controlled_state.fidelity(
+            bench.source_emit()
+        ) == pytest.approx(1.0, abs=1e-12)
 
     def test_psi_minus_always_controlled(self, bench):
-        for seed in range(5):
-            state, branch = bench.encode(
-                MessageSymbol.PSI_MINUS, bench.source_emit(), np.random.default_rng(seed)
-            )
-            assert branch is Branch.CONTROLLED
-            assert state.fidelity(
-                bench.state_for(MessageSymbol.PSI_MINUS)
-            ) == pytest.approx(1.0, abs=1e-12)
+        branches = bench.encode_branches(MessageSymbol.PSI_MINUS)
+        assert branches.wrong_symbol is None
+        assert branches.controlled_state.fidelity(
+            bench.state_for(MessageSymbol.PSI_MINUS)
+        ) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "symbol,complement",
@@ -172,23 +170,17 @@ class TestEncoder:
             assert branches.wrong_symbol is None and branches.wrong_state is None
 
     def test_encode_realizes_both_branches(self, bench):
-        seen = set()
-        for seed in range(32):
-            state, branch = bench.encode(
-                MessageSymbol.HH, bench.source_emit(), np.random.default_rng(seed)
-            )
-            seen.add(branch)
-            target = (
-                MessageSymbol.HH if branch is Branch.CONTROLLED else MessageSymbol.VV
-            )
-            assert state.fidelity(bench.state_for(target)) == pytest.approx(1.0, abs=1e-12)
-        assert seen == {Branch.CONTROLLED, Branch.WRONG}
+        # a scenario-b session passes on whichever pair the encoder left
+        config = RunConfig(Scenario.B, 32, 0, messages=(MessageSymbol.HH,))
+        records = run_session(config, bench).records
+        assert {r.branch for r in records} == {Branch.CONTROLLED, Branch.WRONG}
+        for r in records:
+            target = MessageSymbol.HH if r.branch is Branch.CONTROLLED else MessageSymbol.VV
+            assert r.decoded.symbol is target
 
     def test_reference_states_not_encodable(self, bench):
         with pytest.raises(ValueError):
-            bench.encode(
-                ReferenceState.PHI_PLUS, bench.source_emit(), np.random.default_rng(0)
-            )
+            bench.encode_branches(ReferenceState.PHI_PLUS)
 
 
 class TestSignaturesAndClassify:

@@ -11,9 +11,7 @@ from sdcsim.protocol import (
     Verdict,
 )
 from sdcsim.session import (
-    ClassicalChannel,
     InvalidConfigError,
-    Note,
     NoteKind,
     RunConfig,
     ScenarioAction,
@@ -85,30 +83,40 @@ class TestIntendedStream:
         assert set(stream) == {PSI_PLUS, PSI_MINUS, HH, VV}
 
 
+# The two configurations that send notes: send-as-is corrections in scenario b
+# and Erase notes in scenario c.
+NOTE_SENDERS = (
+    dict(scenario=Scenario.B, clone_policy=ClonePolicy.SEND_AS_IS),
+    dict(scenario=Scenario.C, erase_notes=True),
+)
+
+
+def _check_delivery(delay: int) -> None:
+    for fields in NOTE_SENDERS:
+        config = RunConfig(n_messages=200, seed=3, classical_delay=delay, **fields)
+        result = run_session(config)
+        sent = [r.note for r in result.records if r.note and r.note.kind is not NoteKind.REPEAT]
+        assert result.notes and result.notes == sent
+        assert all(n.delivered_at == n.trial + delay for n in result.notes)
+        arrivals = [n.delivered_at for n in result.notes]
+        assert arrivals == sorted(arrivals)
+
+
 class TestClassicalChannel:
     def test_in_order_delivery_with_delay(self):
-        channel = ClassicalChannel(delay=2)
-        first = Note(0, NoteKind.CORRECT_TO, HH)
-        second = Note(1, NoteKind.CORRECT_TO, VV)
-        channel.send(first, 0)
-        channel.send(second, 1)
-        assert channel.deliver_due(1) == []
-        assert channel.deliver_due(2) == [first]
-        assert channel.deliver_due(3) == [second]
+        _check_delivery(delay=5)
 
     def test_zero_delay_delivers_immediately(self):
-        channel = ClassicalChannel(delay=0)
-        note = Note(4, NoteKind.ERASE)
-        channel.send(note, 4)
-        assert channel.deliver_due(4) == [note]
+        _check_delivery(delay=0)
 
     def test_flush_returns_pending_in_order(self):
-        channel = ClassicalChannel(delay=10)
-        notes = [Note(i, NoteKind.REPEAT) for i in range(3)]
-        for i, note in enumerate(notes):
-            channel.send(note, i)
-        assert channel.flush() == notes
-        assert channel.flush() == []
+        # notes due after the session's last trial are still listed, in order
+        config = RunConfig(Scenario.B, 50, 11, messages=(HH,), classical_delay=1000)
+        result = run_session(config)
+        assert result.notes
+        assert all(n.delivered_at >= len(result.records) for n in result.notes)
+        assert [n.trial for n in result.notes] == sorted(n.trial for n in result.notes)
+        assert bob_reconstruction(result.records, result.notes) == intended_stream(config)
 
 
 class TestScenarioA:
@@ -128,7 +136,8 @@ class TestScenarioA:
             assert r.action is ScenarioAction.DISCARDED_BY_ALICE
             assert r.decoded.verdict is Verdict.SINGLE_PHOTON
             assert r.bob_pattern.total == 1
-            assert r.note.kind is NoteKind.REPEAT
+            assert r.note.kind is NoteKind.REPEAT and r.note.delivered_at is None
+        assert result.notes == []  # Repeat notes only label records; none is sent
 
     def test_delivered_equals_intended(self):
         config = RunConfig(Scenario.A, 500, 11)
