@@ -55,6 +55,7 @@ from .session import (
     Session,
     SessionResult,
     TrialRecord,
+    Trials,
     bob_records,
     bob_reconstruction,
     delivered_sequence,

@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import capacity, verify
+from . import capacity, session, verify
 from .protocol import (
     ALPHABET,
     ClonePolicy,
@@ -25,7 +26,7 @@ from .protocol import (
     Scenario,
     default_bench,
 )
-from .session import InvalidConfigError, RunConfig, run_session
+from .session import InvalidConfigError, RunConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -213,12 +214,53 @@ def _config_dict(config: RunConfig) -> dict:
 
 
 def _intended_distribution(config: RunConfig):
+    """Symbol frequencies of the stream of n_messages, the list cycled to length."""
     if config.messages == "uniform":
         return None  # uniform default
+    cycles, rest = divmod(config.n_messages, len(config.messages))
     weights = {}
-    for m in config.messages:
-        weights[m] = weights.get(m, 0) + 1
-    return {m: w / len(config.messages) for m, w in weights.items()}
+    for i, m in enumerate(config.messages):
+        weights[m] = weights.get(m, 0) + cycles + (i < rest)
+    return {m: w / config.n_messages for m, w in weights.items()}
+
+
+EVENT_HEADER = ["trial", "intended", "branch", "action", "pattern", "decoded", "note"]
+
+
+def _event_suffix(record) -> str:
+    """A record's event-log line after the trial number, rendered by csv."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(
+        [
+            record.intended.value,
+            record.branch.value,
+            record.action.value,
+            record.bob_pattern.to_string() if record.bob_pattern else "",
+            record.decoded.label if record.decoded else "",
+            str(record.note) if record.note else "",
+        ]
+    )
+    return buffer.getvalue()
+
+
+def _write_events(handle, run: session.Session) -> np.ndarray:
+    """Stream the session's event log chunk by chunk; return its summed tally.
+
+    Each distinct row after the trial number is rendered once per chunk.
+    """
+    csv.writer(handle).writerow(EVENT_HEADER)
+    tally = 0
+    for trials in run.chunks():
+        tally = tally + trials.tally()
+        _, first, inverse = np.unique(
+            trials.row_codes(), return_index=True, return_inverse=True
+        )
+        records = trials.records(run.config.classical_delay, first)
+        suffix = np.array([_event_suffix(r) for r in records], dtype=object)[inverse]
+        handle.write(
+            "".join([f"{t},{s}" for t, s in zip(trials.trial.tolist(), suffix.tolist())])
+        )
+    return tally
 
 
 def cmd_simulate(args) -> int:
@@ -227,41 +269,27 @@ def cmd_simulate(args) -> int:
     except InvalidConfigError as exc:
         print(f"sdcsim: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    result = run_session(config)
+    run = session.Session(config)
     expected = capacity.expected_accounting(
         config.scenario, _intended_distribution(config)
     )
-    payload = result.report.to_dict()
-    payload["config"] = _config_dict(config)
-    payload["expected"] = {
-        "efficiency": expected.efficiency,
-        "discard_fraction": expected.discard_fraction,
-        "uncontrolled_fraction": expected.uncontrolled_fraction,
-        "bits_per_pair": expected.bits_per_pair,
-    }
     # rename into place only once both files are written: no partial output
     report_tmp, log_tmp = f"{args.out}.tmp", f"{args.log}.tmp"
     try:
+        with open(log_tmp, "w", encoding="utf-8", newline="") as handle:
+            report = session.build_report(config, _write_events(handle, run))
+        payload = report.to_dict()
+        payload["config"] = _config_dict(config)
+        payload["expected"] = {
+            "efficiency": expected.efficiency,
+            "discard_fraction": expected.discard_fraction,
+            "uncontrolled_fraction": expected.uncontrolled_fraction,
+            "bits_per_pair": expected.bits_per_pair,
+        }
+        payload["rng"] = session.RNG_SCHEME
         with open(report_tmp, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        with open(log_tmp, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["trial", "intended", "branch", "action", "pattern", "decoded", "note"]
-            )
-            for r in result.records:
-                writer.writerow(
-                    [
-                        r.trial,
-                        r.intended.value,
-                        r.branch.value,
-                        r.action.value,
-                        r.bob_pattern.to_string() if r.bob_pattern else "",
-                        r.decoded.label if r.decoded else "",
-                        str(r.note) if r.note else "",
-                    ]
-                )
         os.replace(report_tmp, args.out)
         os.replace(log_tmp, args.log)
     except OSError as exc:
@@ -271,7 +299,6 @@ def cmd_simulate(args) -> int:
         print(f"sdcsim: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    report = result.report
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

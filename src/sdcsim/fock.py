@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -314,18 +313,22 @@ class OutcomeTable:
         if not distribution:
             raise ValueError("cannot sample from an empty distribution")
         self.outcomes = sorted(distribution)
-        self.cumulative = list(accumulate(distribution[key] for key in self.outcomes))
+        self.cumulative = np.cumsum([distribution[key] for key in self.outcomes])
         if abs(self.cumulative[-1] - 1.0) > 1e-9:
             raise ValueError(f"distribution sums to {self.cumulative[-1]}, not 1")
 
+    def locate(self, u):
+        """The sampling rule, for a uniform draw or an array of them: the index of
+        the first outcome whose running sum exceeds u, else the last outcome's."""
+        last = len(self.outcomes) - 1
+        return np.minimum(np.searchsorted(self.cumulative, u, side="right"), last)
 
-def sample_outcome(table: OutcomeTable, rng: np.random.Generator):
-    """Draw one outcome: the first key whose running sum exceeds a uniform draw."""
-    u = rng.random()
-    for key, c in zip(table.outcomes, table.cumulative):
-        if u < c:
-            return key
-    return table.outcomes[-1]
+
+def sample_outcome(table: OutcomeTable, rng: np.random.Generator, size: int | None = None):
+    """Draw one outcome, or with `size` an array of `size` indices into table.outcomes."""
+    if size is None:
+        return table.outcomes[table.locate(rng.random())]
+    return table.locate(rng.random(size))
 
 
 def branch_on_modes(

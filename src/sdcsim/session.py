@@ -17,22 +17,34 @@ A sent note (CorrectTo in b, Erase in c) arrives classical_delay trials after
 the trial it concerns, at Note.delivered_at; one delay for all notes makes
 send order the delivery order.
 
-Randomness: each trial uses its own numpy PCG64 generator seeded with
-SeedSequence((seed, 0, trial_index)); the i.i.d. message stream uses
-(seed, 1). Streams are independent, so sessions are reproducible and trials
-could be evaluated in parallel.
+The kernel is columnar. `Session` compiles the bench once into numpy tables;
+`Session.scenario_step` then draws CHUNK_MESSAGES messages at a time as
+`Trials` columns of small integer codes. `TrialRecord` and `Note` objects are
+built from the columns only when `SessionResult.records`/`.notes` is read.
+
+Randomness (RNG_SCHEME): chunk k of a session draws its uniform messages from
+stream 1 and its trials from stream 0, each a numpy Philox generator seeded
+with SeedSequence((seed, stream, k)), the counter-based keyed scheme of
+Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11). A chunk's
+trial stream draws, per message, its wrong-branch retries as
+geometric(p_controlled) - 1 (scenarios a, c) or one uniform for its branch
+(b), then one uniform per trial for the receiver's detector pattern. Chunks
+are independent, so sessions are reproducible and chunks could be drawn in
+parallel.
 """
 
 from __future__ import annotations
 
+from collections import UserList
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import capacity
-from .fock import OutcomeTable, sample_outcome
+from .fock import OutcomeTable
 from .protocol import (
     ALLOWED_OWNERS,
     ALPHABET,
@@ -48,8 +60,16 @@ from .protocol import (
     default_bench,
 )
 
+CHUNK_MESSAGES = 1 << 16
+
 _STREAM_TRIAL = 0
 _STREAM_MESSAGES = 1
+
+RNG_SCHEME = (
+    f"philox4x64 per chunk of {CHUNK_MESSAGES} messages, seeded "
+    f"SeedSequence((seed, stream, chunk)); stream {_STREAM_TRIAL} trials, "
+    f"stream {_STREAM_MESSAGES} uniform messages"
+)
 
 
 class InvalidConfigError(ValueError):
@@ -136,149 +156,250 @@ class RunConfig:
             object.__setattr__(self, "messages", msgs)
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent per-trial stream derived from (seed, trial index)."""
-    return np.random.default_rng((seed, _STREAM_TRIAL, trial))
+# Column codes index these tuples; a code of -1 means "none" and picks the
+# trailing None of the tuples that have one.
+BRANCHES = (Branch.CONTROLLED, Branch.WRONG)
+ACTIONS = tuple(ScenarioAction)
+NOTE_KINDS = (*NoteKind, None)
+_SENT = ACTIONS.index(ScenarioAction.SENT)
+_DELIVERING = (ScenarioAction.SENT, ScenarioAction.CLONED_RESEND)
+_WRONG_ACTION = {
+    Scenario.A: ScenarioAction.DISCARDED_BY_ALICE,
+    Scenario.B: ScenarioAction.CLONED_RESEND,
+    Scenario.C: ScenarioAction.PAIR_STOPPED,
+}
+
+
+def _generator(seed: int, stream: int, chunk: int) -> np.random.Generator:
+    key = np.random.SeedSequence((seed, stream, chunk))
+    return np.random.Generator(np.random.Philox(key))
+
+
+def trial_rng(seed: int, chunk: int) -> np.random.Generator:
+    """Independent trial stream of one chunk, keyed by (seed, chunk index)."""
+    return _generator(seed, _STREAM_TRIAL, chunk)
+
+
+def _chunk_count(config: RunConfig) -> int:
+    return -(-config.n_messages // CHUNK_MESSAGES)
+
+
+def _chunk_messages(config: RunConfig, chunk: int) -> np.ndarray:
+    """ALPHABET codes of chunk `chunk` of the sender's message sequence."""
+    start = chunk * CHUNK_MESSAGES
+    size = min(CHUNK_MESSAGES, config.n_messages - start)
+    if config.messages == "uniform":
+        rng = _generator(config.seed, _STREAM_MESSAGES, chunk)
+        return rng.integers(0, len(ALPHABET), size=size, dtype=np.int8)
+    cycle = np.array([ALPHABET.index(m) for m in config.messages], dtype=np.int8)
+    return cycle[np.arange(start, start + size) % len(cycle)]
 
 
 def intended_stream(config: RunConfig) -> list[MessageSymbol]:
     """The sender's message sequence: i.i.d. uniform draws or a cycled list."""
-    if config.messages == "uniform":
-        rng = np.random.default_rng((config.seed, _STREAM_MESSAGES))
-        picks = rng.integers(0, len(ALPHABET), size=config.n_messages)
-        return [ALPHABET[i] for i in picks]
-    seq = config.messages
-    return [seq[i % len(seq)] for i in range(config.n_messages)]
+    return [
+        ALPHABET[code]
+        for chunk in range(_chunk_count(config))
+        for code in _chunk_messages(config, chunk).tolist()
+    ]
 
 
-@dataclass(frozen=True)
-class _SymbolPlan:
-    p_controlled: float
-    controlled: OutcomeTable
-    wrong_symbol: MessageSymbol | None
-    wrong_single: OutcomeTable | None  # receiver's lone photon, scenario a
+@dataclass(frozen=True, eq=False)
+class Trials:
+    """Consecutive trials of one session as numpy columns of codes.
+
+    `intended` indexes ALPHABET, `branch` BRANCHES, `action` ACTIONS, `note`
+    NOTE_KINDS, `pattern` the `patterns` tuple and `decoded` the `outcomes`
+    tuple; -1 means none (no photon reached the receiver, or no note).
+    """
+
+    trial: np.ndarray
+    intended: np.ndarray
+    branch: np.ndarray
+    action: np.ndarray
+    pattern: np.ndarray
+    decoded: np.ndarray
+    note: np.ndarray
+    patterns: tuple[DetectionPattern | None, ...]
+    outcomes: tuple[ClassifiedOutcome | None, ...]
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return (self.trial, self.intended, self.branch, self.action, self.pattern,
+                self.decoded, self.note)
+
+    def __len__(self):
+        return len(self.trial)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Trials)
+            and (self.patterns, self.outcomes) == (other.patterns, other.outcomes)
+            and all(map(np.array_equal, self.columns, other.columns))
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["Trials"]) -> "Trials":
+        if len(parts) == 1:
+            return parts[0]
+        columns = (np.concatenate(col) for col in zip(*(p.columns for p in parts)))
+        return cls(*columns, parts[0].patterns, parts[0].outcomes)
+
+    def tally(self) -> np.ndarray:
+        """Trial counts per (message, action), a len(ALPHABET) x len(ACTIONS) matrix."""
+        cell = self.intended.astype(np.intp) * len(ACTIONS) + self.action
+        counts = np.bincount(cell, minlength=len(ALPHABET) * len(ACTIONS))
+        return counts.reshape(len(ALPHABET), len(ACTIONS))
+
+    def row_codes(self) -> np.ndarray:
+        """One integer per trial naming its (intended, branch, action, pattern, decoded, note)."""
+        sizes = (len(ALPHABET), len(BRANCHES), len(ACTIONS), len(self.patterns),
+                 len(self.outcomes), len(NOTE_KINDS))
+        return np.ravel_multi_index(self.columns[1:], sizes, mode="wrap")  # -1: the last
+
+    def records(self, classical_delay: int, rows=slice(None)) -> list[TrialRecord]:
+        """The `rows` of these trials as TrialRecords, sent notes stamped with their arrival."""
+        out = []
+        columns = (col[rows].tolist() for col in self.columns)
+        for t, i, b, a, p, d, k in zip(*columns):
+            symbol, kind = ALPHABET[i], NOTE_KINDS[k]
+            if kind is None:
+                note = None
+            elif kind is NoteKind.REPEAT:  # labels the record, never sent
+                note = Note(t, kind)
+            else:
+                corrects = symbol if kind is NoteKind.CORRECT_TO else None
+                note = Note(t, kind, corrects, t + classical_delay)
+            out.append(
+                TrialRecord(
+                    t, symbol, BRANCHES[b], ACTIONS[a], self.patterns[p], self.outcomes[d], note
+                )
+            )
+        return out
 
 
 class Session:
-    """One protocol run: precomputed exact statistics plus per-trial sampling.
+    """One protocol run: exact tables compiled once, then columnar sampling.
 
     All quantum evolution happens once up front through the optics engine;
-    each trial then draws its encoder branch and detector pattern from those
-    exact distributions with its own random stream.
+    each chunk then draws its branches and detector patterns from those exact
+    distributions with its own random stream.
     """
 
     def __init__(self, config: RunConfig, bench: OpticalBench | None = None):
         self.config = config
-        self.bench = bench or default_bench()
-        self.records: list[TrialRecord] = []
-        self.notes: list[Note] = []  # sent notes, in send (= delivery) order
-        self._trial = 0
-        self._plans = self._build_plans()
+        self.bench = bench = bench or default_bench()
+        self._next_trial = 0
+        split = [bench.encode_branches(symbol) for symbol in ALPHABET]
+        # tables 0-3: each message's controlled pair; 4, 5: a lone H, V photon
+        dists = [bench.analyze(b.controlled_state) for b in split]
+        dists += [bench.analyze(bench.bob_photon(pol)) for pol in ("H", "V")]
+        patterns = sorted(set().union(*dists))
+        position = {p: i for i, p in enumerate(patterns)}
+        self._tables = []
+        for dist in dists:
+            table = OutcomeTable(dist)
+            codes = np.array([position[p] for p in table.outcomes], dtype=np.int16)
+            self._tables.append((table, codes))
+        classified = [bench.classify(p) for p in patterns]
+        outcomes = list(dict.fromkeys(classified))
+        self.patterns = (*patterns, None)
+        self.outcomes = (*outcomes, None)
+        # pattern code -> decoded code; pattern -1 reads the trailing -1
+        self._decoded = np.array([outcomes.index(c) for c in classified] + [-1], dtype=np.int8)
 
-    def _build_plans(self) -> dict[MessageSymbol, _SymbolPlan]:
-        bench = self.bench
-        split = {symbol: bench.encode_branches(symbol) for symbol in ALPHABET}
-        lone = {
-            pol: OutcomeTable(bench.analyze(bench.bob_photon(pol)))
-            for pol in ("H", "V")
-        }
-        plans = {}
-        for symbol, branches in split.items():
-            wrong = branches.wrong_symbol
-            plans[symbol] = _SymbolPlan(
-                p_controlled=branches.controlled_probability,
-                controlled=OutcomeTable(bench.analyze(branches.controlled_state)),
-                wrong_symbol=wrong,
-                wrong_single=lone["H" if wrong is MessageSymbol.HH else "V"]
-                if wrong
-                else None,
-            )
-        return plans
-
-    def scenario_step(self, message: MessageSymbol) -> TrialRecord:
-        """Consume one source pair for `message` and log what happened."""
-        trial = self._trial
-        self._trial += 1
-        rng = trial_rng(self.config.seed, trial)
-        plan = self._plans[message]
-
-        if plan.wrong_symbol is None or rng.random() < plan.p_controlled:
-            pattern = sample_outcome(plan.controlled, rng)
-            record = TrialRecord(
-                trial=trial,
-                intended=message,
-                branch=Branch.CONTROLLED,
-                action=ScenarioAction.SENT,
-                bob_pattern=pattern,
-                decoded=self.bench.classify(pattern),
-                note=None,
-            )
-        else:
-            record = self._wrong_branch(trial, message, plan, rng)
-
-        self.records.append(record)
-        return record
-
-    def _send(self, trial: int, kind: NoteKind, symbol: MessageSymbol | None = None) -> Note:
-        note = Note(trial, kind, symbol, trial + self.config.classical_delay)
-        self.notes.append(note)
-        return note
-
-    def _wrong_branch(self, trial, message, plan, rng) -> TrialRecord:
-        scenario = self.config.scenario
-        if scenario is Scenario.A:
-            pattern = sample_outcome(plan.wrong_single, rng)
-            return TrialRecord(
-                trial=trial,
-                intended=message,
-                branch=Branch.WRONG,
-                action=ScenarioAction.DISCARDED_BY_ALICE,
-                bob_pattern=pattern,
-                decoded=self.bench.classify(pattern),
-                note=Note(trial, NoteKind.REPEAT),
-            )
-        if scenario is Scenario.C:
-            if self.config.erase_notes:
-                note = self._send(trial, NoteKind.ERASE)
-            else:
-                note = Note(trial, NoteKind.REPEAT)
-            return TrialRecord(
-                trial=trial,
-                intended=message,
-                branch=Branch.WRONG,
-                action=ScenarioAction.PAIR_STOPPED,
-                bob_pattern=None,
-                decoded=None,
-                note=note,
-            )
-        # scenario b: the pair is always used
-        if self.config.clone_policy is ClonePolicy.CLONE_INTENDED:
-            transmitted = message
-            note = None
-        else:
-            transmitted = plan.wrong_symbol
-            note = self._send(trial, NoteKind.CORRECT_TO, message)
-        pattern = sample_outcome(self._plans[transmitted].controlled, rng)
-        return TrialRecord(
-            trial=trial,
-            intended=message,
-            branch=Branch.WRONG,
-            action=ScenarioAction.CLONED_RESEND,
-            bob_pattern=pattern,
-            decoded=self.bench.classify(pattern),
-            note=note,
+        # a message that never branches never goes wrong; its p_controlled
+        # is only within rounding of 1
+        self._p_controlled = np.array(
+            [b.controlled_probability if b.wrong_symbol else 1.0 for b in split]
         )
+        # what a wrong branch does, per message: the receiver's table (-1: the
+        # pair is stopped), and for the scenario its action and note
+        scenario = config.scenario
+        send_as_is = config.clone_policy is ClonePolicy.SEND_AS_IS
+        wrong_table = []
+        for code, b in enumerate(split):
+            if scenario is Scenario.A:  # the receiver's lone photon
+                wrong_table.append(4 if b.wrong_symbol is MessageSymbol.HH else 5)
+            elif scenario is Scenario.C:
+                wrong_table.append(-1)
+            elif send_as_is and b.wrong_symbol:
+                wrong_table.append(ALPHABET.index(b.wrong_symbol))
+            else:  # cloned to carry the intended message
+                wrong_table.append(code)
+        self._wrong_table = np.array(wrong_table, dtype=np.int8)
+        self._wrong_action = ACTIONS.index(_WRONG_ACTION[scenario])
+        if scenario is Scenario.B:
+            wrong_note = NoteKind.CORRECT_TO if send_as_is else None
+        elif scenario is Scenario.C and config.erase_notes:
+            wrong_note = NoteKind.ERASE
+        else:
+            wrong_note = NoteKind.REPEAT
+        self._wrong_note = NOTE_KINDS.index(wrong_note)
+
+    def scenario_step(self, chunk: int) -> Trials:
+        """Drive chunk `chunk`'s messages to delivery; chunks are drawn in order, once."""
+        messages = _chunk_messages(self.config, chunk)
+        rng = trial_rng(self.config.seed, chunk)
+        p_controlled = self._p_controlled[messages]
+        if self.config.scenario is Scenario.B:  # one pair per message
+            intended = messages
+            wrong = rng.random(len(messages)) >= p_controlled
+        else:  # retry on fresh pairs until the controlled branch
+            attempts = rng.geometric(p_controlled)
+            intended = np.repeat(messages, attempts)
+            wrong = np.ones(len(intended), dtype=bool)
+            wrong[np.cumsum(attempts) - 1] = False
+        table_of = np.where(wrong, self._wrong_table[intended], intended)
+        u = rng.random(len(intended))
+        pattern = np.full(len(intended), -1, dtype=np.int16)
+        for t, (table, codes) in enumerate(self._tables):
+            rows = np.flatnonzero(table_of == t)
+            pattern[rows] = codes[table.locate(u[rows])]
+        start = self._next_trial
+        self._next_trial += len(intended)
+        return Trials(
+            trial=np.arange(start, self._next_trial),
+            intended=intended,
+            branch=wrong.astype(np.int8),  # BRANCHES: 0 controlled, 1 wrong
+            action=np.where(wrong, self._wrong_action, _SENT).astype(np.int8),
+            pattern=pattern,
+            decoded=self._decoded[pattern],
+            note=np.where(wrong, self._wrong_note, -1).astype(np.int8),
+            patterns=self.patterns,
+            outcomes=self.outcomes,
+        )
+
+    def chunks(self) -> Iterator[Trials]:
+        """Every chunk of the session, in order."""
+        for chunk in range(_chunk_count(self.config)):
+            yield self.scenario_step(chunk)
+
+
+class _LazyList(UserList):
+    """A list built by `build()` the first time it is read.
+
+    `initlist` is there because UserList makes slices and copies through it.
+    """
+
+    def __init__(self, initlist=None, build=None):
+        if build is None:
+            super().__init__(initlist)
+        else:
+            self._build = build
+
+    @cached_property
+    def data(self):
+        return self._build()
 
 
 @dataclass(frozen=True)
 class SessionResult:
     config: RunConfig
-    records: list[TrialRecord]
-    notes: list[Note]  # sent notes in send order, which is also delivery order
+    records: Sequence[TrialRecord]  # built from `trials` on first read
+    notes: Sequence[Note]  # sent notes in send order, which is also delivery order
     report: "capacity.CapacityReport"
-
-
-_DELIVERING = (ScenarioAction.SENT, ScenarioAction.CLONED_RESEND)
+    trials: Trials
 
 
 def run_session(config: RunConfig, bench: OpticalBench | None = None) -> SessionResult:
@@ -288,43 +409,38 @@ def run_session(config: RunConfig, bench: OpticalBench | None = None) -> Session
     until it gets through; scenario b consumes exactly one pair per message.
     Deterministic for a fixed config.
     """
-    session = Session(config, bench)
-    for message in intended_stream(config):
-        while True:
-            record = session.scenario_step(message)
-            if record.action in _DELIVERING:
-                break
-    report = build_report(config, session.records)
-    return SessionResult(config, session.records, session.notes, report)
+    trials = Trials.concat(list(Session(config, bench).chunks()))
+    records = _LazyList(build=lambda: trials.records(config.classical_delay))
+    notes = _LazyList(
+        build=lambda: [r.note for r in records if r.note and r.note.delivered_at is not None]
+    )
+    return SessionResult(config, records, notes, build_report(config, trials.tally()), trials)
 
 
-def build_report(config: RunConfig, records: Sequence[TrialRecord]) -> "capacity.CapacityReport":
-    """Aggregate a trial log into the capacity report."""
+def build_report(config: RunConfig, tally: np.ndarray) -> "capacity.CapacityReport":
+    """The capacity report of a session from its summed `Trials.tally()` matrix."""
+    sent, discarded, stopped, cloned = tally.T.tolist()  # ACTIONS order
     per_symbol = {}
-    for symbol in ALPHABET:
-        rows = [r for r in records if r.intended is symbol]
-        wrong = [r for r in rows if r.branch is Branch.WRONG]
-        delivered = [r for r in rows if r.action in _DELIVERING]
-        # every intended message is driven to delivery, so the two counts agree
+    for i, symbol in enumerate(ALPHABET):
+        # every intended message is driven to delivery, so the two counts
+        # agree; every wrong-branch pair is either repeated (a, c) or cloned (b)
+        delivered = sent[i] + cloned[i]
+        repeats = discarded[i] + stopped[i]
+        rows = delivered + repeats
         per_symbol[symbol.value] = capacity.SymbolCounts(
-            intended=len(delivered),
-            delivered=len(delivered),
-            repeats=sum(
-                1
-                for r in wrong
-                if r.action
-                in (ScenarioAction.DISCARDED_BY_ALICE, ScenarioAction.PAIR_STOPPED)
-            ),
-            discarded=sum(1 for r in wrong if r.action is not ScenarioAction.CLONED_RESEND),
-            cloned=sum(1 for r in wrong if r.action is ScenarioAction.CLONED_RESEND),
-            uncontrolled_fraction=len(wrong) / len(rows) if rows else 0.0,
+            intended=delivered,
+            delivered=delivered,
+            repeats=repeats,
+            discarded=repeats,
+            cloned=cloned[i],
+            uncontrolled_fraction=(repeats + cloned[i]) / rows if rows else 0.0,
         )
-    wrong_total = sum(1 for r in records if r.branch is Branch.WRONG)
+    pairs = int(tally.sum())
     return capacity.capacity_from_counts(
-        pairs_consumed=len(records),
-        messages_delivered=sum(1 for r in records if r.action in _DELIVERING),
+        pairs_consumed=pairs,
+        messages_delivered=sum(sent) + sum(cloned),
         per_symbol=per_symbol,
-        uncontrolled_fraction=wrong_total / len(records) if records else 0.0,
+        uncontrolled_fraction=(pairs - sum(sent)) / pairs if pairs else 0.0,
     )
 
 

@@ -27,7 +27,7 @@ from .protocol import (
     Scenario,
     default_bench,
 )
-from .session import RunConfig, run_session
+from .session import BRANCHES, RunConfig, run_session
 
 EXACT_TOL = 1e-12
 
@@ -169,7 +169,7 @@ def check_branch_statistics(bench, seed: int, trials: int) -> CheckResult:
         messages=(MessageSymbol.HH,),
     )
     result = run_session(config, bench)
-    wrong = sum(1 for r in result.records if r.branch is Branch.WRONG)
+    wrong = int(np.count_nonzero(result.trials.branch == BRANCHES.index(Branch.WRONG)))
     freq = wrong / trials
     sigma = math.sqrt(0.25 / trials)
     return _check(
@@ -182,15 +182,13 @@ def check_branch_statistics(bench, seed: int, trials: int) -> CheckResult:
 def check_sampling_consistency(bench, seed: int, draws: int = 100_000) -> CheckResult:
     dist = bench.analyze(bench.source_emit())
     table = OutcomeTable(dist)
-    rng = np.random.default_rng(seed)
-    counts: dict = {}
-    for _ in range(draws):
-        got = sample_outcome(table, rng)
-        counts[got] = counts.get(got, 0) + 1
+    drawn = sample_outcome(table, np.random.default_rng(seed), draws)
+    counts = np.bincount(drawn, minlength=len(table.outcomes)).tolist()
     worst = 0.0
     ok = True
-    for key, prob in dist.items():
-        freq = counts.get(key, 0) / draws
+    for key, count in zip(table.outcomes, counts):
+        prob = dist[key]
+        freq = count / draws
         sigma = math.sqrt(prob * (1 - prob) / draws)
         worst = max(worst, abs(freq - prob))
         ok = ok and abs(freq - prob) <= 3 * sigma
@@ -227,8 +225,8 @@ def check_seed_determinism(bench, seed: int) -> CheckResult:
     config = RunConfig(scenario=Scenario.A, n_messages=200, seed=seed)
     first = run_session(config, bench)
     second = run_session(config, bench)
-    same = first.records == second.records and first.report == second.report
-    return _check("seed_determinism", same, f"{len(first.records)} trials reproduced")
+    same = first.trials == second.trials and first.report == second.report
+    return _check("seed_determinism", same, f"{len(first.trials)} trials reproduced")
 
 
 def run_verification(
@@ -236,7 +234,11 @@ def run_verification(
     branch_trials: int = 100_000,
     extra_matrices: Mapping[str, np.ndarray] | None = None,
 ) -> list[CheckResult]:
-    """Run every invariant check; `extra_matrices` join the unitarity sweep."""
+    """Run every invariant check; `extra_matrices` join the unitarity sweep.
+
+    `branch_trials` sizes both statistical checks: the branch-statistics
+    session and the sampling-consistency draws.
+    """
     bench = default_bench()
     return [
         check_unitarity(bench, extra_matrices),
@@ -248,7 +250,7 @@ def run_verification(
         check_phi_indistinguishable(bench),
         check_branch_probability(bench),
         check_branch_statistics(bench, seed, branch_trials),
-        check_sampling_consistency(bench, seed),
+        check_sampling_consistency(bench, seed, branch_trials),
         check_capacity_references(bench),
         check_seed_determinism(bench, seed),
     ]

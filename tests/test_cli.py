@@ -6,6 +6,7 @@ import pytest
 
 from sdcsim.capacity import CapacityReport
 from sdcsim.cli import main
+from sdcsim.session import CHUNK_MESSAGES
 
 
 def run(args):
@@ -173,6 +174,31 @@ class TestSimulate:
         assert code == 3
         assert list(tmp_path.iterdir()) == []
 
+    def test_expected_block_weights_the_cycled_stream(self, tmp_path):
+        # the stream is hh,psi+,vv,hh: 4 messages over an expected 7 pairs
+        report_path = tmp_path / "r.json"
+        code = run(
+            [
+                "simulate",
+                "--scenario", "a",
+                "--messages", "hh,psi+,vv",
+                "--n", "4",
+                "--out", str(report_path),
+                "--log", str(tmp_path / "l.csv"),
+            ]
+        )
+        assert code == 0
+        expected = json.loads(report_path.read_text())["expected"]
+        assert expected["efficiency"] == pytest.approx(4 / 7, abs=1e-12)
+
+    def test_report_names_the_rng_scheme(self, tmp_path):
+        report_path = tmp_path / "r.json"
+        argv = ["simulate", "--scenario", "b", "--n", "5", "--out", str(report_path),
+                "--log", str(tmp_path / "l.csv")]
+        assert run(argv) == 0
+        rng = json.loads(report_path.read_text())["rng"]
+        assert "philox" in rng and str(CHUNK_MESSAGES) in rng
+
     def test_json_summary_matches_report_file(self, tmp_path, capsys):
         report_path = tmp_path / "r.json"
         code = run(
@@ -225,3 +251,9 @@ class TestVerify:
         assert run(["verify", "--trials", "5000", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert all(entry["passed"] for entry in payload)
+
+    def test_trials_sizes_both_statistical_checks(self, capsys):
+        assert run(["verify", "--trials", "2000", "--format", "json"]) == 0
+        detail = {entry["name"]: entry["detail"] for entry in json.loads(capsys.readouterr().out)}
+        assert detail["branch_statistics"].endswith("over 2000 trials (3σ = 0.0335)")
+        assert detail["sampling_consistency"].endswith("over 2000 draws")

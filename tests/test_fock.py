@@ -265,6 +265,30 @@ class TestSampleOutcome:
         for u, expected in ((0.0, "x"), (0.25, "y"), (0.7, "z"), (1.0 - 1e-11, "z")):
             assert sample_outcome(table, FixedDraw(u)) == expected
 
+        def scalar_rule(u):
+            for key, c in zip(table.outcomes, table.cumulative):
+                if u < c:
+                    return key
+            return table.outcomes[-1]
+
+        # every running sum, the floats either side of it, and u >= the last sum
+        sums = [float(c) for c in table.cumulative]
+        probes = [0.0, 1.0 - 1e-11, 1.0, *sums]
+        probes += [np.nextafter(c, side) for c in sums for side in (0.0, 2.0)]
+        located = table.locate(np.array(probes))
+        assert [table.outcomes[i] for i in located] == [scalar_rule(u) for u in probes]
+        assert [sample_outcome(table, FixedDraw(u)) for u in probes] == [
+            scalar_rule(u) for u in probes
+        ]
+
+    def test_batched_draws_match_scalar_draws(self):
+        table = OutcomeTable({"x": 0.3, "y": 0.7 - 1e-12, "z": 1e-12})
+        drawn = sample_outcome(table, np.random.default_rng(3), 1000)
+        rng = np.random.default_rng(3)
+        assert [table.outcomes[i] for i in drawn] == [
+            sample_outcome(table, rng) for _ in range(1000)
+        ]
+
 
 class TestDetect:
     def test_branches_cover_probability(self, reg, bs):
