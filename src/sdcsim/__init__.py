@@ -37,7 +37,6 @@ from .protocol import (
     ClassifiedOutcome,
     ClonePolicy,
     DetectionPattern,
-    EncoderAction,
     MessageSymbol,
     OpticalBench,
     Owner,

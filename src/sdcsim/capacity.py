@@ -9,7 +9,7 @@ alphabet rounded to one decimal before taking the log), since rounding
 1.4330 bits and the exact number should never silently absorb that.
 
 The analytic expectations are computed from the optics: branch probabilities
-and retry costs come from the default bench's encoder.
+and retry costs come from the default bench's compiled encoder splits.
 """
 
 from __future__ import annotations
@@ -154,18 +154,13 @@ def expected_accounting(
     if abs(total - 1.0) > 1e-9 or any(p < 0 for p in dist.values()):
         raise ValueError("message distribution must be a probability vector")
     retries = scenario in (Scenario.A, Scenario.C)
-    bench = default_bench()
     per_symbol = {}
     pairs_per_delivery = 0.0
     uncontrolled_weight = 0.0
-    for symbol in ALPHABET:
+    for symbol, branches in zip(ALPHABET, default_bench().compiled.branches):
         p = dist.get(symbol, 0.0)
-        branches = bench.encode_branches(symbol)
-        # a message that never branches costs exactly one pair and never goes
-        # wrong; its p_controlled is only within rounding of 1
-        branching = branches.wrong_symbol is not None
-        wrong = branches.wrong_probability if branching else 0.0
-        cost = 1.0 / branches.controlled_probability if retries and branching else 1.0
+        wrong = branches.wrong_probability
+        cost = 1.0 / branches.controlled_probability if retries else 1.0
         pairs_per_delivery += p * cost
         # expected wrong-branch attempts per message: cost-1 when retrying,
         # else the single attempt goes wrong with probability `wrong`

@@ -269,12 +269,20 @@ def cmd_simulate(args) -> int:
     except InvalidConfigError as exc:
         print(f"sdcsim: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # check both destinations before anything is written: no partial output
+    report_tmp, log_tmp = f"{args.out}.tmp", f"{args.log}.tmp"
+    if len({os.path.realpath(p) for p in (args.out, args.log, report_tmp, log_tmp)}) < 4:
+        print(f"sdcsim: invalid configuration: --out {args.out} and --log {args.log} "
+              "share a file or its temporary <path>.tmp", file=sys.stderr)
+        return EXIT_CONFIG
+    for path in filter(os.path.isdir, (args.out, args.log)):
+        print(f"sdcsim: cannot write output: {path} is a directory", file=sys.stderr)
+        return EXIT_IO
     run = session.Session(config)
     expected = capacity.expected_accounting(
         config.scenario, _intended_distribution(config)
     )
-    # rename into place only once both files are written: no partial output
-    report_tmp, log_tmp = f"{args.out}.tmp", f"{args.log}.tmp"
+    # rename into place only once both files are written
     try:
         with open(log_tmp, "w", encoding="utf-8", newline="") as handle:
             report = session.build_report(config, _write_events(handle, run))

@@ -14,13 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .elements import beam_splitter, hwp, pbs, polarizer_monitor
 from .fock import (
     ModeLabel,
     ModeRegistry,
     PureState,
+    OutcomeTable,
     apply_element,
     branch_on_modes,
     make_state,
@@ -63,21 +66,15 @@ ALPHABET = (
 
 _COMPLEMENT = {MessageSymbol.HH: MessageSymbol.VV, MessageSymbol.VV: MessageSymbol.HH}
 
-
-class EncoderAction(Enum):
-    """What the sender puts in her photon's path, one action per message."""
-
-    NOTHING = "nothing"
-    HWP0 = "hwp0"
-    HWP45_POL_PASS_H = "hwp45+pol_pass_h"
-    HWP45_POL_PASS_V = "hwp45+pol_pass_v"
-
-
-ACTION_FOR = {
-    MessageSymbol.PSI_PLUS: EncoderAction.NOTHING,
-    MessageSymbol.PSI_MINUS: EncoderAction.HWP0,
-    MessageSymbol.HH: EncoderAction.HWP45_POL_PASS_H,
-    MessageSymbol.VV: EncoderAction.HWP45_POL_PASS_V,
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# each ideal pair state as terms (amplitude, alice's and bob's polarization)
+_TERMS = {
+    MessageSymbol.PSI_PLUS: ((_INV_SQRT2, "HV"), (_INV_SQRT2, "VH")),
+    MessageSymbol.PSI_MINUS: ((_INV_SQRT2, "HV"), (-_INV_SQRT2, "VH")),
+    MessageSymbol.HH: ((1.0, "HH"),),
+    MessageSymbol.VV: ((1.0, "VV"),),
+    ReferenceState.PHI_PLUS: ((_INV_SQRT2, "HH"), (_INV_SQRT2, "VV")),
+    ReferenceState.PHI_MINUS: ((_INV_SQRT2, "HH"), (-_INV_SQRT2, "VV")),
 }
 
 
@@ -188,6 +185,37 @@ class EncodeBranches:
         return 1.0 - self.controlled_probability
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledBench:
+    """The bench's exact laws, computed once per bench by `OpticalBench.compiled`.
+
+    `branches` holds each message's encoder split, in ALPHABET order. `tables`
+    holds every analyzer law a trial can draw from, as an OutcomeTable over
+    `patterns` codes: first the controlled pair of each message, then the
+    receiver's lone photon after a reject-port click, which `lone_table`
+    indexes per message (-1 for a message that never goes wrong).
+    """
+
+    branches: tuple[EncodeBranches, ...]
+    signatures: dict[MessageSymbol, frozenset[DetectionPattern]]
+    patterns: tuple[DetectionPattern, ...]  # every pattern a law yields, sorted
+    outcomes: tuple[ClassifiedOutcome, ...]  # the distinct classifications
+    decoded: np.ndarray  # pattern code -> `outcomes` code
+    tables: tuple[OutcomeTable, ...]
+    lone_table: tuple[int, ...]
+
+
+def _classify(
+    signatures: dict[MessageSymbol, frozenset[DetectionPattern]], pattern: DetectionPattern
+) -> ClassifiedOutcome:
+    for symbol, support in signatures.items():
+        if pattern in support:
+            return ClassifiedOutcome.decoded(symbol)
+    if pattern.total == 1:
+        return ClassifiedOutcome(Verdict.SINGLE_PHOTON)
+    return ClassifiedOutcome(Verdict.AMBIGUOUS)
+
+
 class OpticalBench:
     """Mode registry plus the fixed element layout of the whole experiment.
 
@@ -216,65 +244,34 @@ class OpticalBench:
             ModeLabel(BOB, "H"),
             ModeLabel(REFLECT_B, "V"),
         )
-        self._signature_table: dict[MessageSymbol, frozenset[DetectionPattern]] | None = None
+        # what the sender puts in her photon's path, per message
+        self.encoder = {
+            MessageSymbol.PSI_PLUS: (),
+            MessageSymbol.PSI_MINUS: (self.hwp0,),
+            MessageSymbol.HH: (self.hwp45, self.pol_pass_h),
+            MessageSymbol.VV: (self.hwp45, self.pol_pass_v),
+        }
 
     # ---- state preparation -------------------------------------------------
 
     def source_emit(self) -> PureState:
         """Fresh pair from the source: psi+ on (alice, bob)."""
-        reg = self.registry
-        hv = make_state(reg, [ModeLabel(ALICE, "H"), ModeLabel(BOB, "V")])
-        vh = make_state(reg, [ModeLabel(ALICE, "V"), ModeLabel(BOB, "H")])
-        inv = 1.0 / math.sqrt(2.0)
-        return superpose([(inv, hv), (inv, vh)])
-
-    def product_pair(self, pol: str) -> PureState:
-        return make_state(
-            self.registry, [ModeLabel(ALICE, pol), ModeLabel(BOB, pol)]
-        )
+        return self.state_for(MessageSymbol.PSI_PLUS)
 
     def bob_photon(self, pol: str) -> PureState:
         return make_state(self.registry, [ModeLabel(BOB, pol)])
 
-    def _complement_pair(self, message: MessageSymbol) -> PureState:
-        return self.product_pair("H" if _COMPLEMENT[message] is MessageSymbol.HH else "V")
-
     def state_for(self, symbol) -> PureState:
         """Ideal pair state for a message symbol or reference state."""
-        inv = 1.0 / math.sqrt(2.0)
-        if symbol is MessageSymbol.PSI_PLUS:
-            return self.source_emit()
-        if symbol is MessageSymbol.PSI_MINUS:
-            reg = self.registry
-            hv = make_state(reg, [ModeLabel(ALICE, "H"), ModeLabel(BOB, "V")])
-            vh = make_state(reg, [ModeLabel(ALICE, "V"), ModeLabel(BOB, "H")])
-            return superpose([(inv, hv), (-inv, vh)])
-        if symbol is MessageSymbol.HH:
-            return self.product_pair("H")
-        if symbol is MessageSymbol.VV:
-            return self.product_pair("V")
-        if symbol is ReferenceState.PHI_PLUS:
-            return superpose([(inv, self.product_pair("H")), (inv, self.product_pair("V"))])
-        if symbol is ReferenceState.PHI_MINUS:
-            return superpose([(inv, self.product_pair("H")), (-inv, self.product_pair("V"))])
-        raise ValueError(f"unknown symbol {symbol!r}")
+        if symbol not in _TERMS:
+            raise ValueError(f"unknown symbol {symbol!r}")
+        reg = self.registry
+        return superpose([
+            (amp, make_state(reg, [ModeLabel(ALICE, pols[0]), ModeLabel(BOB, pols[1])]))
+            for amp, pols in _TERMS[symbol]
+        ])
 
     # ---- encoder -----------------------------------------------------------
-
-    def _routed_state(self, message: MessageSymbol) -> PureState:
-        state = self.source_emit()
-        action = ACTION_FOR[message]
-        if action is EncoderAction.NOTHING:
-            return state
-        if action is EncoderAction.HWP0:
-            return apply_element(state, self.hwp0)
-        swapped = apply_element(state, self.hwp45)
-        pol = (
-            self.pol_pass_h
-            if action is EncoderAction.HWP45_POL_PASS_H
-            else self.pol_pass_v
-        )
-        return apply_element(swapped, pol)
 
     def encode_branches(self, message: MessageSymbol) -> EncodeBranches:
         """Exact branch split of the encoder on a fresh source pair.
@@ -286,69 +283,79 @@ class OpticalBench:
         """
         if not isinstance(message, MessageSymbol):
             raise ValueError(f"cannot encode non-alphabet symbol {message!r}")
-        routed = self._routed_state(message)
+        routed = self.source_emit()
+        for element in self.encoder[message]:
+            routed = apply_element(routed, element)
         branches = branch_on_modes(routed, self.monitor_modes)
-        silent = tuple([0] * len(self.monitor_modes))
-        p_controlled = 0.0
-        controlled = None
-        p_wrong = 0.0
-        for counts, (prob, post) in branches.items():
-            if counts == silent:
-                p_controlled, controlled = prob, post
-            else:
-                p_wrong += prob
-        if controlled is None:
+        silent = (0,) * len(self.monitor_modes)
+        if silent not in branches:
             raise ProtocolError(f"encoder for {message} never transmits")
-        if p_wrong > 1e-12:
-            return EncodeBranches(
-                p_controlled, controlled, _COMPLEMENT[message], self._complement_pair(message)
-            )
-        return EncodeBranches(p_controlled, controlled, None, None)
+        p_controlled, controlled = branches[silent]
+        if p_controlled < 1.0 - 1e-12:
+            wrong = _COMPLEMENT[message]
+            return EncodeBranches(p_controlled, controlled, wrong, self.state_for(wrong))
+        # never goes wrong: exactly 1, not the 1 within rounding the optics give
+        return EncodeBranches(1.0, controlled, None, None)
 
     # ---- analyzer ----------------------------------------------------------
 
     def analyze(self, state: PureState) -> dict[DetectionPattern, float]:
         """Exact detector statistics of the beam-splitter + PBS analyzer."""
-        out = apply_element(state, self.bs)
-        out = apply_element(out, self.pbs_a)
-        out = apply_element(out, self.pbs_b)
-        mode_dist = outcome_distribution(out, self.analyzer_detectors)
+        for element in (self.bs, self.pbs_a, self.pbs_b):
+            state = apply_element(state, element)
+        mode_dist = outcome_distribution(state, self.analyzer_detectors)
         return {
             DetectionPattern((ah, av, bh, bv, 0)): p
             for (ah, av, bh, bv), p in mode_dist.items()
         }
 
-    def signature_table(self) -> dict[MessageSymbol, frozenset[DetectionPattern]]:
-        """Detector signatures per message, computed from the optics.
+    # ---- compiled model ----------------------------------------------------
 
-        The four support sets must come out pairwise disjoint; anything else
-        is an internal inconsistency and raises.
+    @cached_property
+    def compiled(self) -> CompiledBench:
+        """Every law the protocol samples or decodes with, computed once.
+
+        The four signatures must come out pairwise disjoint; anything else is
+        an internal inconsistency and raises ProtocolError.
         """
-        if self._signature_table is None:
-            table = {}
-            for symbol in ALPHABET:
-                branches = self.encode_branches(symbol)
-                support = frozenset(self.analyze(branches.controlled_state))
-                table[symbol] = support
-            for i, a in enumerate(ALPHABET):
-                for b in ALPHABET[i + 1 :]:
-                    overlap = table[a] & table[b]
-                    if overlap:
-                        raise ProtocolError(
-                            f"signatures of {a.value} and {b.value} overlap: "
-                            f"{sorted(str(p) for p in overlap)}"
-                        )
-            self._signature_table = table
-        return self._signature_table
+        branches = tuple(self.encode_branches(symbol) for symbol in ALPHABET)
+        laws = [self.analyze(b.controlled_state) for b in branches]
+        signatures = {symbol: frozenset(law) for symbol, law in zip(ALPHABET, laws)}
+        for i, a in enumerate(ALPHABET):
+            for b in ALPHABET[i + 1 :]:
+                overlap = signatures[a] & signatures[b]
+                if overlap:
+                    raise ProtocolError(
+                        f"signatures of {a.value} and {b.value} overlap: "
+                        f"{sorted(str(p) for p in overlap)}"
+                    )
+        # on a reject-port click the sender's photon is detected and the
+        # receiver's arrives alone
+        sender = self.registry.modes_on_path(ALICE)
+        lone_table = []
+        for b in branches:
+            if b.wrong_state is None:
+                lone_table.append(-1)
+                continue
+            ((_, lone),) = branch_on_modes(b.wrong_state, sender).values()
+            lone_table.append(len(laws))
+            laws.append(self.analyze(lone))
+        patterns = sorted(set().union(*laws))
+        code = {p: i for i, p in enumerate(patterns)}  # sorted, so tables keep their order
+        tables = tuple(OutcomeTable({code[p]: prob for p, prob in law.items()}) for law in laws)
+        classified = [_classify(signatures, p) for p in patterns]
+        outcomes = tuple(dict.fromkeys(classified))
+        decoded = np.array([outcomes.index(c) for c in classified], dtype=np.int8)
+        return CompiledBench(branches, signatures, tuple(patterns), outcomes, decoded, tables,
+                             tuple(lone_table))
+
+    def signature_table(self) -> dict[MessageSymbol, frozenset[DetectionPattern]]:
+        """Detector signatures per message, computed from the optics."""
+        return self.compiled.signatures
 
     def classify(self, pattern: DetectionPattern) -> ClassifiedOutcome:
         """Decode one detector pattern against the computed signature table."""
-        for symbol, support in self.signature_table().items():
-            if pattern in support:
-                return ClassifiedOutcome.decoded(symbol)
-        if pattern.total == 1:
-            return ClassifiedOutcome(Verdict.SINGLE_PHOTON)
-        return ClassifiedOutcome(Verdict.AMBIGUOUS)
+        return _classify(self.compiled.signatures, pattern)
 
 
 @lru_cache(maxsize=1)

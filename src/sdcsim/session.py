@@ -17,10 +17,12 @@ A sent note (CorrectTo in b, Erase in c) arrives classical_delay trials after
 the trial it concerns, at Note.delivered_at; one delay for all notes makes
 send order the delivery order.
 
-The kernel is columnar. `Session` compiles the bench once into numpy tables;
-`Session.scenario_step` then draws CHUNK_MESSAGES messages at a time as
-`Trials` columns of small integer codes. `TrialRecord` and `Note` objects are
-built from the columns only when `SessionResult.records`/`.notes` is read.
+The kernel is columnar. A `Session` samples the bench's compiled tables
+(`OpticalBench.compiled`, computed once per bench) and only wires in what its
+scenario does on a wrong branch; `Session.scenario_step` draws CHUNK_MESSAGES
+messages at a time as `Trials` columns of small integer codes. `TrialRecord`
+and `Note` objects are built from the columns only when
+`SessionResult.records`/`.notes` is read.
 
 Randomness (RNG_SCHEME): chunk k of a session draws its uniform messages from
 stream 1 and its trials from stream 0, each a numpy Philox generator seeded
@@ -44,7 +46,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import capacity
-from .fock import OutcomeTable
 from .protocol import (
     ALLOWED_OWNERS,
     ALPHABET,
@@ -279,54 +280,37 @@ class Trials:
 
 
 class Session:
-    """One protocol run: exact tables compiled once, then columnar sampling.
+    """One protocol run: columnar sampling from the bench's compiled tables.
 
-    All quantum evolution happens once up front through the optics engine;
-    each chunk then draws its branches and detector patterns from those exact
+    All quantum evolution happens once per bench, in `OpticalBench.compiled`;
+    each chunk draws its branches and detector patterns from those exact
     distributions with its own random stream.
     """
 
     def __init__(self, config: RunConfig, bench: OpticalBench | None = None):
         self.config = config
-        self.bench = bench = bench or default_bench()
         self._next_trial = 0
-        split = [bench.encode_branches(symbol) for symbol in ALPHABET]
-        # tables 0-3: each message's controlled pair; 4, 5: a lone H, V photon
-        dists = [bench.analyze(b.controlled_state) for b in split]
-        dists += [bench.analyze(bench.bob_photon(pol)) for pol in ("H", "V")]
-        patterns = sorted(set().union(*dists))
-        position = {p: i for i, p in enumerate(patterns)}
-        self._tables = []
-        for dist in dists:
-            table = OutcomeTable(dist)
-            codes = np.array([position[p] for p in table.outcomes], dtype=np.int16)
-            self._tables.append((table, codes))
-        classified = [bench.classify(p) for p in patterns]
-        outcomes = list(dict.fromkeys(classified))
-        self.patterns = (*patterns, None)
-        self.outcomes = (*outcomes, None)
+        compiled = (bench or default_bench()).compiled
+        self._tables = compiled.tables
+        self.patterns = (*compiled.patterns, None)
+        self.outcomes = (*compiled.outcomes, None)
         # pattern code -> decoded code; pattern -1 reads the trailing -1
-        self._decoded = np.array([outcomes.index(c) for c in classified] + [-1], dtype=np.int8)
+        self._decoded = np.append(compiled.decoded, np.int8(-1))
+        self._p_controlled = np.array([b.controlled_probability for b in compiled.branches])
 
-        # a message that never branches never goes wrong; its p_controlled
-        # is only within rounding of 1
-        self._p_controlled = np.array(
-            [b.controlled_probability if b.wrong_symbol else 1.0 for b in split]
-        )
         # what a wrong branch does, per message: the receiver's table (-1: the
         # pair is stopped), and for the scenario its action and note
         scenario = config.scenario
         send_as_is = config.clone_policy is ClonePolicy.SEND_AS_IS
-        wrong_table = []
-        for code, b in enumerate(split):
-            if scenario is Scenario.A:  # the receiver's lone photon
-                wrong_table.append(4 if b.wrong_symbol is MessageSymbol.HH else 5)
-            elif scenario is Scenario.C:
-                wrong_table.append(-1)
-            elif send_as_is and b.wrong_symbol:
-                wrong_table.append(ALPHABET.index(b.wrong_symbol))
-            else:  # cloned to carry the intended message
-                wrong_table.append(code)
+        if scenario is Scenario.A:  # the receiver's lone photon
+            wrong_table = compiled.lone_table
+        elif scenario is Scenario.C:
+            wrong_table = [-1] * len(ALPHABET)
+        else:  # the complementary pair as is, or cloned to carry the intended message
+            wrong_table = [
+                ALPHABET.index(b.wrong_symbol) if send_as_is and b.wrong_symbol else code
+                for code, b in enumerate(compiled.branches)
+            ]
         self._wrong_table = np.array(wrong_table, dtype=np.int8)
         self._wrong_action = ACTIONS.index(_WRONG_ACTION[scenario])
         if scenario is Scenario.B:
@@ -353,9 +337,9 @@ class Session:
         table_of = np.where(wrong, self._wrong_table[intended], intended)
         u = rng.random(len(intended))
         pattern = np.full(len(intended), -1, dtype=np.int16)
-        for t, (table, codes) in enumerate(self._tables):
+        for t, table in enumerate(self._tables):
             rows = np.flatnonzero(table_of == t)
-            pattern[rows] = codes[table.locate(u[rows])]
+            pattern[rows] = np.take(table.outcomes, table.locate(u[rows]))
         start = self._next_trial
         self._next_trial += len(intended)
         return Trials(

@@ -174,6 +174,41 @@ class TestSimulate:
         assert code == 3
         assert list(tmp_path.iterdir()) == []
 
+    def test_log_directory_exits_3_before_writing(self, tmp_path, capsys):
+        log_dir = tmp_path / "logs"
+        log_dir.mkdir()
+        code = run(
+            [
+                "simulate",
+                "--scenario", "a",
+                "--n", "10",
+                "--out", str(tmp_path / "r.json"),
+                "--log", str(log_dir),
+            ]
+        )
+        assert code == 3
+        assert list(tmp_path.iterdir()) == [log_dir]
+        assert list(log_dir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "out,log",
+        [("same.txt", "./same.txt"), ("same.txt.tmp", "same.txt")],
+        ids=["same-path", "report-on-log-temporary"],
+    )
+    def test_colliding_report_and_log_paths_exit_1(self, tmp_path, capsys, out, log):
+        code = run(
+            [
+                "simulate",
+                "--scenario", "a",
+                "--n", "10",
+                "--out", str(tmp_path / out),
+                "--log", str(tmp_path / log),
+            ]
+        )
+        assert code == 1
+        assert list(tmp_path.iterdir()) == []
+        assert "invalid configuration" in capsys.readouterr().err
+
     def test_expected_block_weights_the_cycled_stream(self, tmp_path):
         # the stream is hh,psi+,vv,hh: 4 messages over an expected 7 pairs
         report_path = tmp_path / "r.json"

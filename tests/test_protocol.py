@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 import oracle
@@ -18,6 +20,7 @@ from sdcsim.protocol import (
     Verdict,
     default_bench,
 )
+from sdcsim.capacity import expected_accounting
 from sdcsim.session import RunConfig, run_session
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -166,7 +169,7 @@ class TestEncoder:
     def test_bell_messages_never_branch(self, bench):
         for symbol in (MessageSymbol.PSI_PLUS, MessageSymbol.PSI_MINUS):
             branches = bench.encode_branches(symbol)
-            assert branches.controlled_probability == pytest.approx(1.0, abs=1e-12)
+            assert branches.controlled_probability == 1.0
             assert branches.wrong_symbol is None and branches.wrong_state is None
 
     def test_encode_realizes_both_branches(self, bench):
@@ -218,6 +221,56 @@ class TestSignaturesAndClassify:
     def test_unknown_two_photon_pattern_is_ambiguous(self, bench):
         assert bench.classify(DetectionPattern.of(aH=1, bH=1)).verdict is Verdict.AMBIGUOUS
         assert bench.classify(DetectionPattern.of()).verdict is Verdict.AMBIGUOUS
+
+
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """Counts of OpticalBench.encode_branches and .analyze calls from here on."""
+    calls = Counter()
+    for name in ("encode_branches", "analyze"):
+        original = getattr(OpticalBench, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(OpticalBench, name, counted)
+    return calls
+
+
+class TestCompiledBench:
+    def test_fresh_bench_compiles_once(self, compile_calls):
+        bench = OpticalBench()
+        # one split per message; one law per controlled pair and per lone photon
+        run_session(RunConfig(Scenario.A, 20, 0), bench)
+        assert compile_calls == {"encode_branches": 4, "analyze": 6}
+        run_session(RunConfig(Scenario.B, 20, 1), bench)
+        bench.signature_table()
+        bench.classify(DetectionPattern.of(aH=2))
+        assert compile_calls == {"encode_branches": 4, "analyze": 6}
+        assert bench.compiled is bench.compiled
+
+    def test_expected_accounting_reuses_the_default_bench(self, compile_calls):
+        expected_accounting(Scenario.A)
+        compile_calls.clear()
+        for scenario in (*Scenario, *Scenario):
+            expected_accounting(scenario)
+        assert compile_calls == {}
+
+    @pytest.mark.parametrize("symbol,lone", [(MessageSymbol.HH, "V"), (MessageSymbol.VV, "H")])
+    def test_lone_photon_follows_the_complement(self, bench, symbol, lone):
+        # the wrong branch leaves the complementary pair; the receiver keeps
+        # its photon when the sender's is detected
+        compiled = bench.compiled
+        table = compiled.tables[compiled.lone_table[ALPHABET.index(symbol)]]
+        law = bench.analyze(bench.bob_photon(lone))
+        assert [compiled.patterns[c] for c in table.outcomes] == sorted(law)
+        assert table.cumulative.tolist() == np.cumsum([law[p] for p in sorted(law)]).tolist()
+
+    def test_bell_messages_have_no_lone_photon(self, bench):
+        lone = bench.compiled.lone_table
+        assert lone[ALPHABET.index(MessageSymbol.PSI_PLUS)] == -1
+        assert lone[ALPHABET.index(MessageSymbol.PSI_MINUS)] == -1
 
 
 class TestDetectionPattern:

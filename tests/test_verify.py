@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sdcsim.verify import all_passed, run_verification
+from sdcsim.protocol import MessageSymbol, OpticalBench
+from sdcsim.verify import all_passed, check_signatures, run_verification
 
 
 @pytest.fixture(scope="module")
@@ -36,3 +37,23 @@ def test_injected_non_unitary_fails_loudly():
 def test_seed_does_not_change_outcomes():
     for seed in (1, 999):
         assert all_passed(run_verification(seed=seed, branch_trials=20_000))
+
+
+def test_overlapping_signatures_fail_the_check(monkeypatch):
+    bench = OpticalBench()
+    # psi- encoded like psi+ shares its detector patterns
+    monkeypatch.setitem(bench.encoder, MessageSymbol.PSI_MINUS, ())
+    result = check_signatures(bench)
+    assert not result.passed
+    assert "psi+ and psi- overlap" in result.detail and "aH:1,aV:1" in result.detail
+
+
+def test_signature_check_does_not_hide_other_errors(monkeypatch):
+    bench = OpticalBench()
+
+    def broken(state):
+        raise TypeError("analyzer bug")
+
+    monkeypatch.setattr(bench, "analyze", broken)
+    with pytest.raises(TypeError, match="analyzer bug"):
+        check_signatures(bench)
