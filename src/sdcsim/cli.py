@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -33,18 +34,7 @@ EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 EXIT_IO = 3
 
-_STATE_ALIASES = {
-    "psi+": MessageSymbol.PSI_PLUS,
-    "psiplus": MessageSymbol.PSI_PLUS,
-    "psi-": MessageSymbol.PSI_MINUS,
-    "psiminus": MessageSymbol.PSI_MINUS,
-    "hh": MessageSymbol.HH,
-    "vv": MessageSymbol.VV,
-    "phi+": ReferenceState.PHI_PLUS,
-    "phiplus": ReferenceState.PHI_PLUS,
-    "phi-": ReferenceState.PHI_MINUS,
-    "phiminus": ReferenceState.PHI_MINUS,
-}
+_STATES = (*MessageSymbol, *ReferenceState)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,12 +47,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_state(text: str):
-    key = text.strip().lower().replace("_", "")
-    if key not in _STATE_ALIASES:
-        raise argparse.ArgumentTypeError(
-            f"unknown state {text!r}; choose from psi+ psi- hh vv phi+ phi-"
-        )
-    return _STATE_ALIASES[key]
+    """A state by its value, any case, `_` ignored, `+`/`-` also spelt plus/minus."""
+    key = text.strip().lower().replace("_", "").replace("plus", "+").replace("minus", "-")
+    for state in _STATES:
+        if state.value == key:
+            return state
+    raise argparse.ArgumentTypeError(
+        f"unknown state {text!r}; choose from {' '.join(s.value for s in _STATES)}"
+    )
 
 
 def _parse_messages(text: str):
@@ -118,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trials", type=int, default=100_000,
                      help="sample size for the statistical checks")
     ver.add_argument("--format", choices=("text", "json"), default="text")
-    ver.add_argument("--inject-defect", action="store_true", help=argparse.SUPPRESS)
 
     return parser
 
@@ -130,27 +121,55 @@ def _distribution_json(dist) -> dict:
     }
 
 
-def _write_text(path: str | None, text: str) -> None:
-    print(text, end="")
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+@contextlib.contextmanager
+def _written(*paths: str):
+    """Yield a handle on `<path>.tmp` for each path; once every one is written,
+    rename them all into place.
+
+    Every destination is checked before anything is written: paths that
+    collide, counting each `<path>.tmp`, are an invalid configuration, and a
+    directory is an I/O error. A failed write leaves none of the files behind.
+    """
+    tmps = [f"{path}.tmp" for path in paths]
+    if len({os.path.realpath(p) for p in (*paths, *tmps)}) < 2 * len(paths):
+        raise InvalidConfigError(
+            f"{' and '.join(paths)} share a file or its temporary <path>.tmp"
+        )
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, "cannot write output to a directory", path)
+    try:
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(t, "w", encoding="utf-8", newline="")) for t in tmps]
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
 
 
 def cmd_signatures(args) -> int:
-    bench = default_bench()
+    text = _signatures_text(default_bench(), args)
+    if args.out is not None:
+        with _written(args.out) as (handle,):
+            handle.write(text)
+    print(text, end="")
+    return EXIT_OK
+
+
+def _signatures_text(bench, args) -> str:
     if args.state is not None:
         dist = bench.analyze(bench.state_for(args.state))
         name = args.state.value
         if args.format == "json":
             payload = {"state": name, "distribution": _distribution_json(dist)}
-            _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        else:
-            lines = [f"analyzer distribution of {name}:"]
-            for pattern, prob in sorted(dist.items(), key=lambda kv: kv[0].counts):
-                lines.append(f"  {pattern.to_string():<16} {prob:.6f}")
-            _write_text(args.out, "\n".join(lines) + "\n")
-        return EXIT_OK
+            return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        lines = [f"analyzer distribution of {name}:"]
+        for pattern, prob in sorted(dist.items(), key=lambda kv: kv[0].counts):
+            lines.append(f"  {pattern.to_string():<16} {prob:.6f}")
+        return "\n".join(lines) + "\n"
 
     table = bench.signature_table()
     phi_plus = bench.analyze(bench.state_for(ReferenceState.PHI_PLUS))
@@ -166,8 +185,7 @@ def cmd_signatures(args) -> int:
             "phi-": _distribution_json(phi_minus),
             "phi_tvd": tvd,
         }
-        _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return EXIT_OK
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     lines = ["message signatures (disjoint detector patterns):"]
     for symbol in ALPHABET:
         pats = " | ".join(sorted(p.to_string() for p in table[symbol]))
@@ -180,8 +198,7 @@ def cmd_signatures(args) -> int:
         )
         lines.append(f"  {name:<5} -> {pats}")
     lines.append(f"  total variation distance = {tvd:.3e} (indistinguishable)")
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 def _build_config(args) -> RunConfig:
@@ -264,28 +281,13 @@ def _write_events(handle, run: session.Session) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = _build_config(args)
-    except InvalidConfigError as exc:
-        print(f"sdcsim: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    # check both destinations before anything is written: no partial output
-    report_tmp, log_tmp = f"{args.out}.tmp", f"{args.log}.tmp"
-    if len({os.path.realpath(p) for p in (args.out, args.log, report_tmp, log_tmp)}) < 4:
-        print(f"sdcsim: invalid configuration: --out {args.out} and --log {args.log} "
-              "share a file or its temporary <path>.tmp", file=sys.stderr)
-        return EXIT_CONFIG
-    for path in filter(os.path.isdir, (args.out, args.log)):
-        print(f"sdcsim: cannot write output: {path} is a directory", file=sys.stderr)
-        return EXIT_IO
+    config = _build_config(args)
     run = session.Session(config)
     expected = capacity.expected_accounting(
         config.scenario, _intended_distribution(config)
     )
-    # rename into place only once both files are written
-    try:
-        with open(log_tmp, "w", encoding="utf-8", newline="") as handle:
-            report = session.build_report(config, _write_events(handle, run))
+    with _written(args.out, args.log) as (report_handle, log_handle):
+        report = session.build_report(config, _write_events(log_handle, run))
         payload = report.to_dict()
         payload["config"] = _config_dict(config)
         payload["expected"] = {
@@ -295,17 +297,8 @@ def cmd_simulate(args) -> int:
             "bits_per_pair": expected.bits_per_pair,
         }
         payload["rng"] = session.RNG_SCHEME
-        with open(report_tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(report_tmp, args.out)
-        os.replace(log_tmp, args.log)
-    except OSError as exc:
-        for tmp in (report_tmp, log_tmp):
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-        print(f"sdcsim: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+        json.dump(payload, report_handle, indent=2, sort_keys=True)
+        report_handle.write("\n")
 
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -326,12 +319,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    extra = None
-    if args.inject_defect:
-        extra = {"injected_defect": np.array([[1.0, 0.1], [0.0, 1.0]])}
-    results = verify.run_verification(
-        seed=args.seed, branch_trials=args.trials, extra_matrices=extra
-    )
+    results = verify.run_verification(seed=args.seed, branch_trials=args.trials)
     if args.format == "json":
         print(
             json.dumps(

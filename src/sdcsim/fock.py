@@ -7,7 +7,7 @@ so photon number is conserved and interference (e.g. the Hong-Ou-Mandel dip)
 comes out of the amplitude algebra with no approximation.
 
 All objects are immutable values; every operation returns a new state.
-Randomness enters only through explicit numpy Generator arguments.
+This module draws no randomness: a sampler's caller passes the uniforms.
 """
 
 from __future__ import annotations
@@ -317,18 +317,13 @@ class OutcomeTable:
         if abs(self.cumulative[-1] - 1.0) > 1e-9:
             raise ValueError(f"distribution sums to {self.cumulative[-1]}, not 1")
 
-    def locate(self, u):
-        """The sampling rule, for a uniform draw or an array of them: the index of
-        the first outcome whose running sum exceeds u, else the last outcome's."""
-        last = len(self.outcomes) - 1
-        return np.minimum(np.searchsorted(self.cumulative, u, side="right"), last)
 
-
-def sample_outcome(table: OutcomeTable, rng: np.random.Generator, size: int | None = None):
-    """Draw one outcome, or with `size` an array of `size` indices into table.outcomes."""
-    if size is None:
-        return table.outcomes[table.locate(rng.random())]
-    return table.locate(rng.random(size))
+def sample_outcome(table: OutcomeTable, u):
+    """The sampling rule, for a uniform or an array of them: the index into
+    table.outcomes of the first outcome whose running sum exceeds u, else the
+    last outcome's."""
+    last = len(table.outcomes) - 1
+    return np.minimum(np.searchsorted(table.cumulative, u, side="right"), last)
 
 
 def branch_on_modes(

@@ -46,6 +46,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import capacity
+from .fock import sample_outcome
 from .protocol import (
     ALLOWED_OWNERS,
     ALPHABET,
@@ -339,7 +340,7 @@ class Session:
         pattern = np.full(len(intended), -1, dtype=np.int16)
         for t, table in enumerate(self._tables):
             rows = np.flatnonzero(table_of == t)
-            pattern[rows] = np.take(table.outcomes, table.locate(u[rows]))
+            pattern[rows] = np.take(table.outcomes, sample_outcome(table, u[rows]))
         start = self._next_trial
         self._next_trial += len(intended)
         return Trials(

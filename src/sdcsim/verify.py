@@ -5,23 +5,25 @@ print one line per invariant. Everything here is either exact (tolerance
 1e-12 on amplitudes and probabilities) or a seeded statistical bound, so at a
 fixed seed the result is deterministic and does not flap across runs.
 
-The two statistical checks (branch_statistics, sampling_consistency) each
-test a two-sided 3-sigma binomial band. Under the normal approximation a
-correct program fails one with probability about 0.27%, so at a fresh seed
-the suite raises a false alarm about 0.5% of the time.
+The two statistical checks (branch_statistics, and sampling_consistency on
+the kernel's own compiled psi+ table) share one rule, `in_band`: a two-sided
+3-sigma binomial band. A correct program fails one with probability about
+0.27%, so at a fresh seed the suite raises a false alarm about 0.5% of the
+time. Both test probability 1/2; below `band_minimum(0.5)` trials no count
+can leave the band, so `run_verification` refuses fewer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from . import capacity
 from .elements import hwp
-from .fock import ModeLabel, OutcomeTable, apply_element, make_state, sample_outcome, unitarity_defect
+from .fock import ModeLabel, apply_element, make_state, sample_outcome, unitarity_defect
 from .protocol import (
     ALICE,
     ALPHABET,
@@ -33,9 +35,10 @@ from .protocol import (
     Scenario,
     default_bench,
 )
-from .session import BRANCHES, RunConfig, run_session
+from .session import BRANCHES, InvalidConfigError, RunConfig, run_session
 
 EXACT_TOL = 1e-12
+BAND_SIGMAS = 3
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,16 @@ class CheckResult:
 
 def _check(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
+
+
+def in_band(count: int, n: int, p: float) -> bool:
+    """Whether `count` of `n` lies within BAND_SIGMAS binomial sigmas of n*p, edge included."""
+    return (count - n * p) ** 2 <= BAND_SIGMAS**2 * n * p * (1 - p)
+
+
+def band_minimum(p: float) -> int:
+    """The fewest trials at which a count (none or all) can leave the band of p."""
+    return next(n for n in itertools.count(1) if not in_band(0, n, p) or not in_band(n, n, p))
 
 
 def _element_suite(bench):
@@ -63,12 +76,9 @@ def _element_suite(bench):
     }
 
 
-def check_unitarity(bench, extra_matrices: Mapping[str, np.ndarray] | None = None) -> CheckResult:
-    elements = dict(_element_suite(bench))
-    if extra_matrices:
-        elements.update(extra_matrices)
+def check_unitarity(bench) -> CheckResult:
     worst_name, worst = max(
-        ((name, unitarity_defect(m)) for name, m in elements.items()),
+        ((name, unitarity_defect(m)) for name, m in _element_suite(bench).items()),
         key=lambda kv: kv[1],
     )
     return _check(
@@ -180,24 +190,24 @@ def check_branch_statistics(bench, seed: int, trials: int) -> CheckResult:
     sigma = math.sqrt(0.25 / trials)
     return _check(
         "branch_statistics",
-        abs(freq - 0.5) < 3 * sigma,
-        f"wrong-branch freq {freq:.4f} over {trials} trials (3σ = {3 * sigma:.4f})",
+        in_band(wrong, trials, 0.5),
+        f"wrong-branch freq {freq:.4f} over {trials} trials (3σ = {BAND_SIGMAS * sigma:.4f})",
     )
 
 
-def check_sampling_consistency(bench, seed: int, draws: int = 100_000) -> CheckResult:
-    dist = bench.analyze(bench.source_emit())
-    table = OutcomeTable(dist)
-    drawn = sample_outcome(table, np.random.default_rng(seed), draws)
+def check_sampling_consistency(bench, seed: int, draws: int) -> CheckResult:
+    compiled = bench.compiled
+    table = compiled.tables[ALPHABET.index(MessageSymbol.PSI_PLUS)]
+    drawn = sample_outcome(table, np.random.default_rng(seed).random(draws))
     counts = np.bincount(drawn, minlength=len(table.outcomes)).tolist()
+    counted = {compiled.patterns[code]: n for code, n in zip(table.outcomes, counts)}
+    dist = bench.analyze(bench.source_emit())
     worst = 0.0
     ok = True
-    for key, count in zip(table.outcomes, counts):
-        prob = dist[key]
-        freq = count / draws
-        sigma = math.sqrt(prob * (1 - prob) / draws)
-        worst = max(worst, abs(freq - prob))
-        ok = ok and abs(freq - prob) <= 3 * sigma
+    for key in counted.keys() | dist.keys():
+        count, prob = counted.get(key, 0), dist.get(key, 0.0)
+        worst = max(worst, abs(count / draws - prob))
+        ok = ok and in_band(count, draws, prob)
     return _check(
         "sampling_consistency",
         ok,
@@ -211,8 +221,8 @@ def check_capacity_references(bench) -> CheckResult:
     expected = capacity.expected_accounting(Scenario.A)
     share = expected.per_symbol[MessageSymbol.HH.value].delivered_share
     checks = [
-        abs(dense.bits_per_pair - 1.585) < 1e-3,
-        abs(ideal.bits_per_pair - 2.0) < EXACT_TOL,
+        abs(dense.bits_per_pair - capacity.DENSE_CODING_BITS) < EXACT_TOL,
+        abs(ideal.bits_per_pair - capacity.IDEAL_BITS) < EXACT_TOL,
         abs(expected.efficiency - 2.0 / 3.0) < EXACT_TOL,
         abs(expected.discard_fraction - 1.0 / 3.0) < EXACT_TOL,
         abs(share - 1.0 / 6.0) < EXACT_TOL,
@@ -235,19 +245,22 @@ def check_seed_determinism(bench, seed: int) -> CheckResult:
     return _check("seed_determinism", same, f"{len(first.trials)} trials reproduced")
 
 
-def run_verification(
-    seed: int = 20_260_810,
-    branch_trials: int = 100_000,
-    extra_matrices: Mapping[str, np.ndarray] | None = None,
-) -> list[CheckResult]:
-    """Run every invariant check; `extra_matrices` join the unitarity sweep.
+def run_verification(seed: int = 20_260_810, branch_trials: int = 100_000) -> list[CheckResult]:
+    """Run every invariant check.
 
     `branch_trials` sizes both statistical checks: the branch-statistics
-    session and the sampling-consistency draws.
+    session and the sampling-consistency draws. Fewer than the band's
+    minimum for probability 1/2 raises InvalidConfigError.
     """
+    minimum = band_minimum(0.5)
+    if branch_trials < minimum:
+        raise InvalidConfigError(
+            f"{branch_trials} trials is below {minimum}, the fewest at which a count "
+            f"can leave the {BAND_SIGMAS}σ band of the statistical checks"
+        )
     bench = default_bench()
     return [
-        check_unitarity(bench, extra_matrices),
+        check_unitarity(bench),
         check_composition(bench),
         check_hom_dip(bench),
         check_perpendicular_split(bench),

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from sdcsim import verify
 from sdcsim.capacity import CapacityReport
 from sdcsim.cli import main
 from sdcsim.session import CHUNK_MESSAGES
@@ -38,6 +39,16 @@ class TestSignatures:
             "bV:2": 0.25,
         }
 
+    @pytest.mark.parametrize(
+        "spelling,value",
+        [("psi+", "psi+"), ("PsiPlus", "psi+"), ("psi-", "psi-"), ("PSI_MINUS", "psi-"),
+         ("hh", "hh"), ("VV", "vv"), ("phi+", "phi+"), ("phi_plus", "phi+"),
+         ("phi-", "phi-"), ("phiminus", "phi-")],
+    )
+    def test_state_spellings(self, capsys, spelling, value):
+        assert run(["signatures", "--state", spelling, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["state"] == value
+
     def test_unknown_state_exits_config_error(self, capsys):
         assert run(["signatures", "--state", "bogus"]) == 1
 
@@ -45,6 +56,20 @@ class TestSignatures:
         target = tmp_path / "table.json"
         assert run(["signatures", "--format", "json", "--out", str(target)]) == 0
         assert json.loads(target.read_text())["phi_tvd"] < 1e-12
+
+    @pytest.mark.parametrize("state", [[], ["--state", "phi+"]], ids=["table", "state"])
+    @pytest.mark.parametrize("dest", ["dir", "missing/x.json"])
+    def test_unwritable_out_exits_3_and_prints_nothing(self, tmp_path, capsys, state, dest):
+        (tmp_path / "dir").mkdir()
+        assert run(["signatures", *state, "--out", str(tmp_path / dest)]) == 3
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
+
+    def test_out_file_matches_stdout(self, tmp_path, capsys):
+        target = tmp_path / "table.txt"
+        assert run(["signatures", "--state", "psi-", "--out", str(target)]) == 0
+        assert capsys.readouterr().out == target.read_text()
+        assert [p.name for p in tmp_path.iterdir()] == ["table.txt"]
 
 
 class TestSimulate:
@@ -278,9 +303,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_injected_defect_exits_two(self, capsys):
-        assert run(["verify", "--trials", "5000", "--inject-defect"]) == 2
-        assert "FAIL" in capsys.readouterr().out
+    def test_injected_defect_exits_two(self, capsys, monkeypatch):
+        failed = verify.CheckResult("hom_dip", False, "injected")
+        monkeypatch.setattr(verify, "check_hom_dip", lambda bench: failed)
+        assert run(["verify", "--trials", "5000"]) == 2
+        assert "FAIL  hom_dip" in capsys.readouterr().out
+
+    def test_too_few_trials_exits_1_and_the_minimum_runs(self, capsys):
+        minimum = verify.band_minimum(0.5)
+        assert run(["verify", "--trials", "1"]) == 1
+        assert run(["verify", "--trials", str(minimum - 1)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"below {minimum}" in captured.err
+        assert run(["verify", "--trials", str(minimum)]) in (0, 2)
+        assert "checks passed" in capsys.readouterr().out
 
     def test_json_format(self, capsys):
         assert run(["verify", "--trials", "5000", "--format", "json"]) == 0
