@@ -128,7 +128,8 @@ def _written(*paths: str):
 
     Every destination is checked before anything is written: paths that
     collide, counting each `<path>.tmp`, are an invalid configuration, and a
-    directory is an I/O error. A failed write leaves none of the files behind.
+    directory is an I/O error. A failed write leaves none of the files behind,
+    and an I/O error on a temporary names the path it stands for.
     """
     tmps = [f"{path}.tmp" for path in paths]
     if len({os.path.realpath(p) for p in (*paths, *tmps)}) < 2 * len(paths):
@@ -143,10 +144,13 @@ def _written(*paths: str):
             yield [stack.enter_context(open(t, "w", encoding="utf-8", newline="")) for t in tmps]
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         for tmp in tmps:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename in tmps:
+            path = paths[tmps.index(exc.filename)]
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -3,11 +3,16 @@
 All elements are polarization-preserving except the half-wave plate, which
 mixes H and V on one path. The symmetric beam-splitter convention is
 a† -> (a† + i b†)/sqrt(2); any unitary gauge gives the same count statistics.
+
+Elements are immutable values (frozen, read-only matrix), so each
+constructor is memoized by its arguments: equal arguments return the one
+element, validated when it was first built.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,7 +21,10 @@ from .fock import ModeLabel, ModeRegistry, ModeUnitary
 # 2x2 symmetric 50/50 splitter, applied per polarization.
 _BS_BLOCK = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
 
+_memoized = lru_cache(maxsize=256)
 
+
+@_memoized
 def beam_splitter(registry: ModeRegistry, path_a: str, path_b: str) -> ModeUnitary:
     """50/50 polarization-preserving beam splitter between two paths."""
     if path_a == path_b:
@@ -33,6 +41,7 @@ def beam_splitter(registry: ModeRegistry, path_a: str, path_b: str) -> ModeUnita
     return ModeUnitary(registry, targets, matrix, name=f"BS({path_a},{path_b})")
 
 
+@_memoized
 def pbs(registry: ModeRegistry, path_1: str, path_2: str) -> ModeUnitary:
     """Polarizing beam splitter: H transmits (stays on path), V swaps paths."""
     if path_1 == path_2:
@@ -55,6 +64,7 @@ def pbs(registry: ModeRegistry, path_1: str, path_2: str) -> ModeUnitary:
     return ModeUnitary(registry, targets, matrix, name=f"PBS({path_1},{path_2})")
 
 
+@_memoized
 def hwp(registry: ModeRegistry, theta_degrees: float, path: str) -> ModeUnitary:
     """Half-wave plate at angle theta on one path.
 
@@ -68,6 +78,7 @@ def hwp(registry: ModeRegistry, theta_degrees: float, path: str) -> ModeUnitary:
     return ModeUnitary(registry, targets, matrix, name=f"HWP({theta_degrees:g},{path})")
 
 
+@_memoized
 def polarizer_monitor(
     registry: ModeRegistry, path: str, orientation: str, monitor_path: str
 ) -> ModeUnitary:

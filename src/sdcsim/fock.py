@@ -7,13 +7,16 @@ so photon number is conserved and interference (e.g. the Hong-Ou-Mandel dip)
 comes out of the amplitude algebra with no approximation.
 
 All objects are immutable values; every operation returns a new state.
-This module draws no randomness: a sampler's caller passes the uniforms.
+`compose` folds a sequence of elements into one element that evolves a state
+like the sequence does. This module draws no randomness: a sampler's caller
+passes the uniforms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -59,11 +62,15 @@ class ModeRegistry:
         if len(set(self._labels)) != len(self._labels):
             raise RegistryError("duplicate mode labels in registry")
         self._index = {label: i for i, label in enumerate(self._labels)}
+        self._hash = hash(self._labels)
 
     @classmethod
     def for_paths(cls, paths: Sequence[str]) -> "ModeRegistry":
-        """Registry with an H and a V mode for every path, in path order."""
-        return cls(ModeLabel(p, pol) for p in paths for pol in ("H", "V"))
+        """Registry with an H and a V mode for every path, in path order.
+
+        Registries are values: equal path lists share one instance.
+        """
+        return _registry_for_paths(cls, tuple(paths))
 
     @property
     def labels(self) -> tuple[ModeLabel, ...]:
@@ -91,13 +98,20 @@ class ModeRegistry:
         return isinstance(other, ModeRegistry) and self._labels == other._labels
 
     def __hash__(self):
-        return hash(self._labels)
+        return self._hash
 
     def __repr__(self):
         return f"ModeRegistry({', '.join(map(str, self._labels))})"
 
 
+@lru_cache(maxsize=64)
+def _registry_for_paths(cls, paths: tuple[str, ...]) -> ModeRegistry:
+    return cls(ModeLabel(p, pol) for p in paths for pol in ("H", "V"))
+
+
 def _sqrt_factorial(occ: Occupation) -> float:
+    if max(occ) < 2:
+        return 1.0
     out = 1.0
     for n in occ:
         if n > 1:
@@ -117,14 +131,13 @@ class PureState:
     def __init__(self, registry: ModeRegistry, amplitudes: Mapping[Occupation, complex]):
         pruned: dict[Occupation, complex] = {}
         numbers = set()
+        size = len(registry)
         for occ, amp in amplitudes.items():
             if abs(amp) < AMPLITUDE_PRUNE:
                 continue
-            if len(occ) != len(registry):
-                raise RegistryError(
-                    f"occupation length {len(occ)} != registry size {len(registry)}"
-                )
-            if any(n < 0 for n in occ):
+            if len(occ) != size:
+                raise RegistryError(f"occupation length {len(occ)} != registry size {size}")
+            if min(occ) < 0:
                 raise ValueError("negative occupation number")
             numbers.add(sum(occ))
             pruned[occ] = complex(amp)
@@ -175,18 +188,22 @@ class ModeUnitary:
 
     ``matrix[k, j]`` is the amplitude for a photon entering target mode j to
     leave in target mode k; modes outside ``target_modes`` are untouched.
+    Validated once at construction; ``indices`` holds the registry index of
+    each target mode and ``columns[j]`` the ``(registry index, amplitude)``
+    pairs of column j's nonzero entries, in row order.
     """
 
     registry: ModeRegistry
     target_modes: tuple[ModeLabel, ...]
     matrix: np.ndarray
     name: str = ""
+    indices: tuple[int, ...] = field(init=False, repr=False)
+    columns: tuple[tuple[tuple[int, complex], ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.target_modes)) != len(self.target_modes):
             raise RegistryError("target modes must be distinct")
-        for m in self.target_modes:
-            self.registry.index(m)
+        indices = tuple(self.registry.index(m) for m in self.target_modes)
         mat = np.asarray(self.matrix, dtype=complex)
         n = len(self.target_modes)
         if mat.shape != (n, n):
@@ -197,6 +214,12 @@ class ModeUnitary:
             )
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "indices", indices)
+        columns = tuple(
+            tuple((i, complex(u)) for i, u in zip(indices, mat[:, col].tolist()) if u != 0)
+            for col in range(n)
+        )
+        object.__setattr__(self, "columns", columns)
 
     def dagger(self) -> "ModeUnitary":
         return ModeUnitary(
@@ -205,6 +228,29 @@ class ModeUnitary:
             self.matrix.conjugate().T,
             name=f"{self.name}†" if self.name else "",
         )
+
+
+@lru_cache(maxsize=64)
+def compose(elements: tuple[ModeUnitary, ...]) -> ModeUnitary:
+    """One element that acts like ``elements`` applied in order, first first.
+
+    Its target modes are the union of theirs, in order of first appearance,
+    and its matrix is the product of their matrices on that union: each
+    element mixes only the rows of its own target modes. Memoized by the
+    elements' identities, so elements from memoized constructors compose once.
+    """
+    if not elements:
+        raise ValueError("compose needs at least one element")
+    registry = elements[0].registry
+    targets = tuple(dict.fromkeys(m for e in elements for m in e.target_modes))
+    position = {m: k for k, m in enumerate(targets)}
+    total = np.eye(len(targets), dtype=complex)
+    for element in elements:
+        if element.registry != registry:
+            raise RegistryError("compose across different registries")
+        at = [position[m] for m in element.target_modes]
+        total[at] = element.matrix @ total[at]
+    return ModeUnitary(registry, targets, total, name=" > ".join(e.name for e in elements))
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
@@ -251,9 +297,7 @@ def apply_element(state: PureState, element: ModeUnitary) -> PureState:
     """
     if element.registry != state.registry:
         raise RegistryError("element built for a different registry")
-    registry = state.registry
-    idxs = [registry.index(m) for m in element.target_modes]
-    mat = element.matrix
+    idxs, columns = element.indices, element.columns
     out: dict[Occupation, complex] = {}
     for occ, amp in state.amplitudes.items():
         coeff = amp / _sqrt_factorial(occ)
@@ -263,14 +307,11 @@ def apply_element(state: PureState, element: ModeUnitary) -> PureState:
             counts.append(base[i])
             base[i] = 0
         poly: dict[Occupation, complex] = {tuple(base): coeff}
-        for col, count in enumerate(counts):
+        for column, count in zip(columns, counts):
             for _ in range(count):
                 grown: dict[Occupation, complex] = {}
                 for mono, c in poly.items():
-                    for row, i_out in enumerate(idxs):
-                        u = mat[row, col]
-                        if u == 0:
-                            continue
+                    for i_out, u in column:
                         lifted = list(mono)
                         lifted[i_out] += 1
                         key = tuple(lifted)
@@ -278,7 +319,7 @@ def apply_element(state: PureState, element: ModeUnitary) -> PureState:
                 poly = grown
         for mono, c in poly.items():
             out[mono] = out.get(mono, 0j) + c * _sqrt_factorial(mono)
-    return PureState(registry, out)
+    return PureState(state.registry, out)
 
 
 def outcome_distribution(

@@ -7,6 +7,11 @@ splitter followed by a polarizing beam splitter on each output side, read out
 with photon-number-resolving detectors. That analyzer separates all four
 alphabet states unambiguously, while the unused Bell pair phi+/phi- stays
 indistinguishable (the linear-optics limitation the alphabet routes around).
+
+A bench takes its registry and elements from memoized constructors, so they
+are shared values; the analyzer applies the beam splitter and both PBSs as
+one composed element. Each bench compiles its own laws once
+(`OpticalBench.compiled`); no compiled model is shared between benches.
 """
 
 from __future__ import annotations
@@ -22,10 +27,12 @@ from .elements import beam_splitter, hwp, pbs, polarizer_monitor
 from .fock import (
     ModeLabel,
     ModeRegistry,
+    ModeUnitary,
     PureState,
     OutcomeTable,
     apply_element,
     branch_on_modes,
+    compose,
     make_state,
     outcome_distribution,
     superpose,
@@ -223,6 +230,10 @@ class OpticalBench:
     goes to (monitor); the analyzer PBSs reflect V onto (analyzer_out_a/b).
     Detector map: aH/bH are the transmitted H ports, aV/bV the reflected V
     ports, d is the sender's monitor detector.
+
+    The registry and the elements are memoized values shared by every bench;
+    what a bench owns is its `encoder` map and what it derives lazily: the
+    ideal pair states, the composed analyzer element and `compiled`.
     """
 
     def __init__(self):
@@ -251,6 +262,7 @@ class OpticalBench:
             MessageSymbol.HH: (self.hwp45, self.pol_pass_h),
             MessageSymbol.VV: (self.hwp45, self.pol_pass_v),
         }
+        self._ideal_states: dict[object, PureState] = {}
 
     # ---- state preparation -------------------------------------------------
 
@@ -262,14 +274,17 @@ class OpticalBench:
         return make_state(self.registry, [ModeLabel(BOB, pol)])
 
     def state_for(self, symbol) -> PureState:
-        """Ideal pair state for a message symbol or reference state."""
-        if symbol not in _TERMS:
-            raise ValueError(f"unknown symbol {symbol!r}")
-        reg = self.registry
-        return superpose([
-            (amp, make_state(reg, [ModeLabel(ALICE, pols[0]), ModeLabel(BOB, pols[1])]))
-            for amp, pols in _TERMS[symbol]
-        ])
+        """Ideal pair state for a message symbol or reference state, built once."""
+        state = self._ideal_states.get(symbol)
+        if state is None:
+            if symbol not in _TERMS:
+                raise ValueError(f"unknown symbol {symbol!r}")
+            reg = self.registry
+            state = self._ideal_states[symbol] = superpose([
+                (amp, make_state(reg, [ModeLabel(ALICE, pols[0]), ModeLabel(BOB, pols[1])]))
+                for amp, pols in _TERMS[symbol]
+            ])
+        return state
 
     # ---- encoder -----------------------------------------------------------
 
@@ -299,11 +314,16 @@ class OpticalBench:
 
     # ---- analyzer ----------------------------------------------------------
 
+    @cached_property
+    def analyzer(self) -> ModeUnitary:
+        """The beam splitter then both PBSs, composed into one element."""
+        return compose((self.bs, self.pbs_a, self.pbs_b))
+
     def analyze(self, state: PureState) -> dict[DetectionPattern, float]:
         """Exact detector statistics of the beam-splitter + PBS analyzer."""
-        for element in (self.bs, self.pbs_a, self.pbs_b):
-            state = apply_element(state, element)
-        mode_dist = outcome_distribution(state, self.analyzer_detectors)
+        mode_dist = outcome_distribution(
+            apply_element(state, self.analyzer), self.analyzer_detectors
+        )
         return {
             DetectionPattern((ah, av, bh, bv, 0)): p
             for (ah, av, bh, bv), p in mode_dist.items()

@@ -148,6 +148,16 @@ class RunConfig:
                 f"{'/'.join(o.value for o in allowed)}, not {owner.value}"
             )
         object.__setattr__(self, "owner", owner)
+        # a knob that the scenario ignores would be recorded with no effect
+        if self.erase_notes and self.scenario is not Scenario.C:
+            raise InvalidConfigError(
+                f"erase notes apply to scenario (c) only, not ({self.scenario.value})"
+            )
+        if self.clone_policy is ClonePolicy.CLONE_INTENDED and self.scenario is not Scenario.B:
+            raise InvalidConfigError(
+                f"clone policy {self.clone_policy.value} applies to scenario (b) only, "
+                f"not ({self.scenario.value})"
+            )
         if self.messages != "uniform":
             msgs = tuple(self.messages)
             if not msgs:

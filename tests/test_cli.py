@@ -62,7 +62,11 @@ class TestSignatures:
     def test_unwritable_out_exits_3_and_prints_nothing(self, tmp_path, capsys, state, dest):
         (tmp_path / "dir").mkdir()
         assert run(["signatures", *state, "--out", str(tmp_path / dest)]) == 3
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the error names the path given, not its temporary
+        assert str(tmp_path / dest) in captured.err
+        assert ".tmp" not in captured.err.replace(str(tmp_path), "")
         assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
@@ -171,6 +175,19 @@ class TestSimulate:
         assert code == 1
         assert "invalid configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "knob",
+        [["--scenario", "b", "--erase-notes"], ["--scenario", "a", "--clone-policy", "clone-intended"]],
+        ids=["erase-notes-in-b", "clone-intended-in-a"],
+    )
+    def test_knob_the_scenario_ignores_exits_1(self, tmp_path, capsys, knob):
+        code = run(
+            ["simulate", *knob, "--out", str(tmp_path / "r.json"), "--log", str(tmp_path / "l.csv")]
+        )
+        assert code == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_flag_exits_1(self, capsys):
         assert run(["simulate", "--scenario", "z"]) == 1
 
@@ -197,6 +214,23 @@ class TestSimulate:
             ]
         )
         assert code == 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_log_directory_names_the_given_path(self, tmp_path, capsys):
+        log = tmp_path / "missing" / "e.csv"
+        code = run(
+            [
+                "simulate",
+                "--scenario", "a",
+                "--n", "10",
+                "--out", str(tmp_path / "r.json"),
+                "--log", str(log),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("sdcsim: I/O error: ") and str(log) in err
+        assert ".tmp" not in err.replace(str(tmp_path), "")
         assert list(tmp_path.iterdir()) == []
 
     def test_log_directory_exits_3_before_writing(self, tmp_path, capsys):

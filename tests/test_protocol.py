@@ -6,7 +6,8 @@ import pytest
 
 import oracle
 from sdcsim.capacity import total_variation_distance
-from sdcsim.fock import ModeLabel, make_state, superpose
+from sdcsim.elements import hwp
+from sdcsim.fock import ModeLabel, ModeUnitary, make_state, superpose
 from sdcsim.protocol import (
     ALICE,
     ALPHABET,
@@ -15,6 +16,7 @@ from sdcsim.protocol import (
     DetectionPattern,
     MessageSymbol,
     OpticalBench,
+    ProtocolError,
     ReferenceState,
     Scenario,
     Verdict,
@@ -271,6 +273,91 @@ class TestCompiledBench:
         lone = bench.compiled.lone_table
         assert lone[ALPHABET.index(MessageSymbol.PSI_PLUS)] == -1
         assert lone[ALPHABET.index(MessageSymbol.PSI_MINUS)] == -1
+
+
+# The ideal bench's compiled model, as float.hex literals: any drift of one
+# ulp in a branch probability or a table's running sums fails here.
+PINNED_P_CONTROLLED = [
+    "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    "0x1.0000000000001p-1", "0x1.0000000000001p-1",
+]
+PINNED_TABLES = [
+    ([3, 10], ["0x1.ffffffffffffep-2", "0x1.ffffffffffffep-1"]),
+    ([6, 9], ["0x1.ffffffffffffep-2", "0x1.ffffffffffffep-1"]),
+    ([4, 11], ["0x1.ffffffffffffep-2", "0x1.ffffffffffffep-1"]),
+    ([1, 7], ["0x1.ffffffffffffep-2", "0x1.ffffffffffffep-1"]),
+    ([0, 5], ["0x1.ffffffffffffep-2", "0x1.ffffffffffffep-1"]),
+    ([2, 8], ["0x1.ffffffffffffep-2", "0x1.ffffffffffffep-1"]),
+]
+PINNED_PATTERNS = [
+    "bV:1", "bV:2", "bH:1", "bH:1,bV:1", "bH:2", "aV:1",
+    "aV:1,bH:1", "aV:2", "aH:1", "aH:1,bV:1", "aH:1,aV:1", "aH:2",
+]
+PINNED_OUTCOMES = ["single_photon", "vv", "psi+", "hh", "psi-"]
+PINNED_DECODED = [0, 1, 0, 2, 3, 0, 4, 1, 0, 4, 2, 3]
+PINNED_LONE_TABLE = (-1, -1, 4, 5)
+
+
+def test_ideal_compiled_model_is_pinned():
+    compiled = OpticalBench().compiled
+    assert [float(b.controlled_probability).hex() for b in compiled.branches] == (
+        PINNED_P_CONTROLLED
+    )
+    assert [
+        ([int(o) for o in t.outcomes], [float(c).hex() for c in t.cumulative])
+        for t in compiled.tables
+    ] == PINNED_TABLES
+    assert [p.to_string() for p in compiled.patterns] == PINNED_PATTERNS
+    assert [o.label for o in compiled.outcomes] == PINNED_OUTCOMES
+    assert compiled.decoded.tolist() == PINNED_DECODED
+    assert compiled.lone_table == PINNED_LONE_TABLE
+
+
+class TestMemoizedElements:
+    def test_fresh_benches_share_their_elements(self):
+        first, second = OpticalBench(), OpticalBench()
+        assert first.registry is second.registry
+        for name in ("bs", "pbs_a", "pbs_b", "hwp0", "hwp45", "pol_pass_h", "pol_pass_v"):
+            assert getattr(first, name) is getattr(second, name)
+        assert first.analyzer is second.analyzer
+
+    def test_elements_are_keyed_by_every_argument(self, bench):
+        other = hwp(bench.registry, 22.5, ALICE)
+        assert other is not bench.hwp45
+        assert not np.array_equal(other.matrix, bench.hwp45.matrix)
+        assert hwp(bench.registry, 45.0, ALICE) is bench.hwp45
+        assert hwp(bench.registry, 45.0, BOB) is not bench.hwp45
+
+    def test_elements_are_immutable(self, bench):
+        assert not bench.bs.matrix.flags.writeable
+        with pytest.raises(AttributeError):
+            bench.bs.name = "other"
+
+    def test_second_fresh_bench_constructs_no_element(self, monkeypatch):
+        OpticalBench().compiled
+        built = []
+        original = ModeUnitary.__post_init__
+
+        def counted(self):
+            built.append(self.name)
+            original(self)
+
+        monkeypatch.setattr(ModeUnitary, "__post_init__", counted)
+        bench = OpticalBench()
+        bench.compiled
+        assert built == []
+
+    def test_a_patched_encoder_stays_on_its_bench(self, monkeypatch):
+        patched = OpticalBench()
+        # psi- encoded like psi+ shares its detector patterns
+        monkeypatch.setitem(patched.encoder, MessageSymbol.PSI_MINUS, ())
+        with pytest.raises(ProtocolError, match="overlap"):
+            patched.compiled
+        fresh = OpticalBench()
+        assert fresh.encoder[MessageSymbol.PSI_MINUS] == (fresh.hwp0,)
+        assert {s: sorted(map(str, p)) for s, p in fresh.signature_table().items()} == {
+            symbol: sorted(EXPECTED_ANALYZE[symbol]) for symbol in ALPHABET
+        }
 
 
 class TestDetectionPattern:

@@ -58,6 +58,20 @@ class TestRunConfig:
         with pytest.raises(InvalidConfigError):
             RunConfig(Scenario.A, 10, 0, classical_delay=-1)
 
+    @pytest.mark.parametrize(
+        "scenario,knob,home",
+        [
+            (Scenario.A, dict(erase_notes=True), "c"),
+            (Scenario.B, dict(erase_notes=True), "c"),
+            (Scenario.A, dict(clone_policy=ClonePolicy.CLONE_INTENDED), "b"),
+            (Scenario.C, dict(clone_policy=ClonePolicy.CLONE_INTENDED), "b"),
+        ],
+    )
+    def test_knob_outside_its_scenario_rejected(self, scenario, knob, home):
+        message = rf"scenario \({home}\) only, not \({scenario.value}\)"
+        with pytest.raises(InvalidConfigError, match=message):
+            RunConfig(scenario, 10, 0, **knob)
+
     def test_empty_message_sequence_rejected(self):
         with pytest.raises(InvalidConfigError):
             RunConfig(Scenario.A, 10, 0, messages=())
