@@ -11,12 +11,15 @@ indistinguishable (the linear-optics limitation the alphabet routes around).
 A bench takes its registry and elements from memoized constructors, so they
 are shared values; the analyzer applies the beam splitter and both PBSs as
 one composed element. Each bench compiles its own laws once
-(`OpticalBench.compiled`); no compiled model is shared between benches.
+(`OpticalBench.compiled`); no compiled model is shared between benches. The
+compiled laws decode: a pattern reads as its likeliest message, and `verify`
+checks that the ideal bench's signatures are disjoint, so none is misread.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -123,7 +126,7 @@ class ClonePolicy(Enum):
 
 
 class ProtocolError(RuntimeError):
-    """Internal consistency failure, e.g. overlapping decoder signatures."""
+    """An encoder that never transmits: its monitor always clicks."""
 
 
 @dataclass(frozen=True, order=True)
@@ -180,12 +183,13 @@ class ClassifiedOutcome:
 
 @dataclass(frozen=True)
 class EncodeBranches:
-    """Exact encoder outcome split: pair states and probabilities per branch."""
+    """Exact encoder outcome split: the pair on a silent monitor and, on a click,
+    the receiver's lone photon (None for a message that never goes wrong)."""
 
     controlled_probability: float
     controlled_state: PureState
     wrong_symbol: MessageSymbol | None  # complementary message, None if p=0
-    wrong_state: PureState | None
+    lone_state: PureState | None
 
     @property
     def wrong_probability(self) -> float:
@@ -200,7 +204,9 @@ class CompiledBench:
     holds every analyzer law a trial can draw from, as an OutcomeTable over
     `patterns` codes: first the controlled pair of each message, then the
     receiver's lone photon after a reject-port click, which `lone_table`
-    indexes per message (-1 for a message that never goes wrong).
+    indexes per message (-1 for a message that never goes wrong). `decoded`
+    maps each pattern to the message whose controlled law gives it the unique
+    largest positive probability, or else to SINGLE_PHOTON or AMBIGUOUS.
     """
 
     branches: tuple[EncodeBranches, ...]
@@ -212,15 +218,14 @@ class CompiledBench:
     lone_table: tuple[int, ...]
 
 
-def _classify(
-    signatures: dict[MessageSymbol, frozenset[DetectionPattern]], pattern: DetectionPattern
-) -> ClassifiedOutcome:
-    for symbol, support in signatures.items():
-        if pattern in support:
-            return ClassifiedOutcome.decoded(symbol)
-    if pattern.total == 1:
-        return ClassifiedOutcome(Verdict.SINGLE_PHOTON)
-    return ClassifiedOutcome(Verdict.AMBIGUOUS)
+def _likeliest(laws: list[dict], pattern: DetectionPattern) -> ClassifiedOutcome:
+    """The message whose controlled law (in ALPHABET order) gives `pattern` the
+    unique largest positive probability, else SINGLE_PHOTON or AMBIGUOUS."""
+    probs = [law.get(pattern, 0.0) for law in laws]
+    best = max(probs, default=0.0)
+    if best > 0.0 and probs.count(best) == 1:
+        return ClassifiedOutcome.decoded(ALPHABET[probs.index(best)])
+    return ClassifiedOutcome(Verdict.SINGLE_PHOTON if pattern.total == 1 else Verdict.AMBIGUOUS)
 
 
 class OpticalBench:
@@ -292,9 +297,8 @@ class OpticalBench:
         """Exact branch split of the encoder on a fresh source pair.
 
         The controlled branch is the transmitted pair after post-selecting on
-        a silent monitor. On a monitor click the sender's photon is detected
-        at her reject port and the pair is left in the complementary product
-        state, which is what the wrong branch carries.
+        a silent monitor. On a monitor click the sender's photon is absorbed
+        at her reject port and the receiver's is left alone.
         """
         if not isinstance(message, MessageSymbol):
             raise ValueError(f"cannot encode non-alphabet symbol {message!r}")
@@ -305,10 +309,10 @@ class OpticalBench:
         silent = (0,) * len(self.monitor_modes)
         if silent not in branches:
             raise ProtocolError(f"encoder for {message} never transmits")
-        p_controlled, controlled = branches[silent]
+        p_controlled, controlled = branches.pop(silent)
         if p_controlled < 1.0 - 1e-12:
-            wrong = _COMPLEMENT[message]
-            return EncodeBranches(p_controlled, controlled, wrong, self.state_for(wrong))
+            ((_, lone),) = branches.values()
+            return EncodeBranches(p_controlled, controlled, _COMPLEMENT[message], lone)
         # never goes wrong: exactly 1, not the 1 within rounding the optics give
         return EncodeBranches(1.0, controlled, None, None)
 
@@ -333,37 +337,22 @@ class OpticalBench:
 
     @cached_property
     def compiled(self) -> CompiledBench:
-        """Every law the protocol samples or decodes with, computed once.
-
-        The four signatures must come out pairwise disjoint; anything else is
-        an internal inconsistency and raises ProtocolError.
-        """
+        """Every law the protocol samples or decodes with, computed once."""
         branches = tuple(self.encode_branches(symbol) for symbol in ALPHABET)
         laws = [self.analyze(b.controlled_state) for b in branches]
         signatures = {symbol: frozenset(law) for symbol, law in zip(ALPHABET, laws)}
-        for i, a in enumerate(ALPHABET):
-            for b in ALPHABET[i + 1 :]:
-                overlap = signatures[a] & signatures[b]
-                if overlap:
-                    raise ProtocolError(
-                        f"signatures of {a.value} and {b.value} overlap: "
-                        f"{sorted(str(p) for p in overlap)}"
-                    )
-        # on a reject-port click the sender's photon is detected and the
-        # receiver's arrives alone
-        sender = self.registry.modes_on_path(ALICE)
+        controlled = laws[:]
         lone_table = []
         for b in branches:
-            if b.wrong_state is None:
+            if b.lone_state is None:
                 lone_table.append(-1)
                 continue
-            ((_, lone),) = branch_on_modes(b.wrong_state, sender).values()
             lone_table.append(len(laws))
-            laws.append(self.analyze(lone))
+            laws.append(self.analyze(b.lone_state))
         patterns = sorted(set().union(*laws))
         code = {p: i for i, p in enumerate(patterns)}  # sorted, so tables keep their order
         tables = tuple(OutcomeTable({code[p]: prob for p, prob in law.items()}) for law in laws)
-        classified = [_classify(signatures, p) for p in patterns]
+        classified = [_likeliest(controlled, p) for p in patterns]
         outcomes = tuple(dict.fromkeys(classified))
         decoded = np.array([outcomes.index(c) for c in classified], dtype=np.int8)
         return CompiledBench(branches, signatures, tuple(patterns), outcomes, decoded, tables,
@@ -374,8 +363,12 @@ class OpticalBench:
         return self.compiled.signatures
 
     def classify(self, pattern: DetectionPattern) -> ClassifiedOutcome:
-        """Decode one detector pattern against the computed signature table."""
-        return _classify(self.compiled.signatures, pattern)
+        """Decode one detector pattern by the compiled `decoded` table."""
+        compiled = self.compiled
+        i = bisect_left(compiled.patterns, pattern)
+        if i < len(compiled.patterns) and compiled.patterns[i] == pattern:
+            return compiled.outcomes[compiled.decoded[i]]
+        return _likeliest([], pattern)  # a pattern no law produces
 
 
 @lru_cache(maxsize=1)

@@ -30,7 +30,6 @@ from .protocol import (
     BOB,
     Branch,
     MessageSymbol,
-    ProtocolError,
     ReferenceState,
     Scenario,
     default_bench,
@@ -131,10 +130,15 @@ def check_composition(bench) -> CheckResult:
 
 
 def check_signatures(bench) -> CheckResult:
-    try:
-        table = bench.signature_table()
-    except ProtocolError as exc:  # disjointness violation raises
-        return _check("signature_disjointness", False, str(exc))
+    table = bench.signature_table()
+    for a, b in itertools.combinations(ALPHABET, 2):
+        overlap = table[a] & table[b]
+        if overlap:
+            return _check(
+                "signature_disjointness",
+                False,
+                f"signatures of {a.value} and {b.value} overlap: {sorted(map(str, overlap))}",
+            )
     n_patterns = sum(len(s) for s in table.values())
     return _check(
         "signature_disjointness",

@@ -79,7 +79,9 @@ def exact_cells(scenario, clone_policy):
     """Per message: (P(wrong branch), pattern law on the controlled branch, on the wrong one).
 
     Computed from the bench's encoder and analyzer; a wrong-branch law of
-    None means no photon reaches the receiver.
+    None means no photon reaches the receiver. A click's laws come from the
+    ideal complementary pair, not from the encoder's own click branch, so they
+    check that branch too.
     """
     bench = default_bench()
     cells = {}
@@ -88,16 +90,17 @@ def exact_cells(scenario, clone_policy):
         if split.wrong_symbol is None:
             cells[symbol] = (0.0, bench.analyze(split.controlled_state), {})
             continue
+        complement = bench.state_for(split.wrong_symbol)
         if scenario is Scenario.A:  # the sender's photon is detected, the receiver's is alone
             alice = bench.registry.modes_on_path(ALICE)
-            ((_, lone),) = branch_on_modes(split.wrong_state, alice).values()
+            ((_, lone),) = branch_on_modes(complement, alice).values()
             wrong = bench.analyze(lone)
         elif scenario is Scenario.C:
             wrong = None
         elif clone_policy is ClonePolicy.SEND_AS_IS:
-            wrong = bench.analyze(split.wrong_state)
+            wrong = bench.analyze(complement)
         else:
-            wrong = bench.analyze(bench.state_for(symbol))
+            wrong = bench.analyze(split.controlled_state)
         cells[symbol] = (split.wrong_probability, bench.analyze(split.controlled_state), wrong)
     return cells
 

@@ -7,7 +7,8 @@ import pytest
 import oracle
 from sdcsim.capacity import total_variation_distance
 from sdcsim.elements import hwp
-from sdcsim.fock import ModeLabel, ModeUnitary, make_state, superpose
+from sdcsim import protocol
+from sdcsim.fock import ModeLabel, ModeUnitary, branch_on_modes, make_state, superpose
 from sdcsim.protocol import (
     ALICE,
     ALPHABET,
@@ -16,7 +17,6 @@ from sdcsim.protocol import (
     DetectionPattern,
     MessageSymbol,
     OpticalBench,
-    ProtocolError,
     ReferenceState,
     Scenario,
     Verdict,
@@ -164,15 +164,15 @@ class TestEncoder:
         assert branches.controlled_state.fidelity(
             bench.state_for(symbol)
         ) == pytest.approx(1.0, abs=1e-12)
-        assert branches.wrong_state.fidelity(
-            bench.state_for(complement)
-        ) == pytest.approx(1.0, abs=1e-12)
+        # the click absorbed the sender's photon: one photon is left, on bob's path
+        lone = bench.bob_photon({MessageSymbol.HH: "V", MessageSymbol.VV: "H"}[symbol])
+        assert branches.lone_state.fidelity(lone) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_messages_never_branch(self, bench):
         for symbol in (MessageSymbol.PSI_PLUS, MessageSymbol.PSI_MINUS):
             branches = bench.encode_branches(symbol)
             assert branches.controlled_probability == 1.0
-            assert branches.wrong_symbol is None and branches.wrong_state is None
+            assert branches.wrong_symbol is None and branches.lone_state is None
 
     def test_encode_realizes_both_branches(self, bench):
         # a scenario-b session passes on whichever pair the encoder left
@@ -224,6 +224,25 @@ class TestSignaturesAndClassify:
         assert bench.classify(DetectionPattern.of(aH=1, bH=1)).verdict is Verdict.AMBIGUOUS
         assert bench.classify(DetectionPattern.of()).verdict is Verdict.AMBIGUOUS
 
+    @pytest.mark.parametrize("psi_minus", ["psi+", "hwp22.5"])
+    def test_overlapping_laws_decode_by_likelihood(self, psi_minus):
+        patched = OpticalBench()
+        encoder = () if psi_minus == "psi+" else (hwp(patched.registry, 22.5, ALICE),)
+        patched.encoder[MessageSymbol.PSI_MINUS] = encoder
+        laws = [patched.analyze(patched.encode_branches(s).controlled_state) for s in ALPHABET]
+        for pattern in patched.compiled.patterns:
+            probs = [law.get(pattern, 0.0) for law in laws]
+            best = max(probs)
+            if best > 0.0 and probs.count(best) == 1:
+                assert patched.classify(pattern).symbol is ALPHABET[probs.index(best)]
+            else:
+                undecoded = Verdict.SINGLE_PHOTON if pattern.total == 1 else Verdict.AMBIGUOUS
+                assert patched.classify(pattern).verdict is undecoded
+        if psi_minus == "hwp22.5":  # psi- reaches hh's and vv's patterns with 1/8 against 1/2
+            assert laws[1][DetectionPattern.of(aH=2)] == pytest.approx(0.125, abs=1e-12)
+            assert patched.classify(DetectionPattern.of(aH=2)).symbol is MessageSymbol.HH
+            assert patched.classify(DetectionPattern.of(aH=1, bV=1)).symbol is MessageSymbol.PSI_MINUS
+
 
 @pytest.fixture
 def compile_calls(monkeypatch):
@@ -268,6 +287,18 @@ class TestCompiledBench:
         law = bench.analyze(bench.bob_photon(lone))
         assert [compiled.patterns[c] for c in table.outcomes] == sorted(law)
         assert table.cumulative.tolist() == np.cumsum([law[p] for p in sorted(law)]).tolist()
+
+    def test_fresh_compile_branches_once_per_message(self, monkeypatch):
+        calls = []
+
+        def counted(state, modes):
+            calls.append(modes)
+            return branch_on_modes(state, modes)
+
+        monkeypatch.setattr(protocol, "branch_on_modes", counted)
+        bench = OpticalBench()
+        bench.compiled
+        assert calls == [bench.monitor_modes] * len(ALPHABET)
 
     def test_bell_messages_have_no_lone_photon(self, bench):
         lone = bench.compiled.lone_table
@@ -349,10 +380,11 @@ class TestMemoizedElements:
 
     def test_a_patched_encoder_stays_on_its_bench(self, monkeypatch):
         patched = OpticalBench()
-        # psi- encoded like psi+ shares its detector patterns
+        # psi- encoded like psi+ shares its detector patterns, equally likely
         monkeypatch.setitem(patched.encoder, MessageSymbol.PSI_MINUS, ())
-        with pytest.raises(ProtocolError, match="overlap"):
-            patched.compiled
+        for pattern in (DetectionPattern.of(aH=1, aV=1), DetectionPattern.of(bH=1, bV=1)):
+            assert patched.classify(pattern).verdict is Verdict.AMBIGUOUS
+        assert patched.classify(DetectionPattern.of(aH=2)).symbol is MessageSymbol.HH
         fresh = OpticalBench()
         assert fresh.encoder[MessageSymbol.PSI_MINUS] == (fresh.hwp0,)
         assert {s: sorted(map(str, p)) for s, p in fresh.signature_table().items()} == {

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from sdcsim import session, verify
+from sdcsim.elements import hwp
 from sdcsim.fock import sample_outcome
-from sdcsim.protocol import ALPHABET, MessageSymbol, OpticalBench, Scenario
+from sdcsim.protocol import ALICE, ALPHABET, MessageSymbol, OpticalBench, Scenario
 from sdcsim.session import CHUNK_MESSAGES, InvalidConfigError, RunConfig, run_session
 from sdcsim.verify import (
     all_passed,
@@ -86,13 +87,19 @@ def test_seed_does_not_change_outcomes():
         assert all_passed(run_verification(seed=seed, branch_trials=20_000))
 
 
-def test_overlapping_signatures_fail_the_check(monkeypatch):
-    bench = OpticalBench()
-    # psi- encoded like psi+ shares its detector patterns
-    monkeypatch.setitem(bench.encoder, MessageSymbol.PSI_MINUS, ())
-    result = check_signatures(bench)
-    assert not result.passed
-    assert "psi+ and psi- overlap" in result.detail and "aH:1,aV:1" in result.detail
+def test_overlapping_signatures_fail_the_check():
+    for half_waves, detail in [
+        # psi- encoded like psi+ shares its detector patterns
+        ((), "signatures of psi+ and psi- overlap: ['aH:1,aV:1', 'bH:1,bV:1']"),
+        # a 22.5 degree plate sends psi- onto hh's and vv's patterns too
+        ((22.5,), "signatures of psi- and hh overlap: ['aH:2', 'bH:2']"),
+    ]:
+        bench = OpticalBench()
+        encoder = tuple(hwp(bench.registry, angle, ALICE) for angle in half_waves)
+        bench.encoder[MessageSymbol.PSI_MINUS] = encoder
+        result = check_signatures(bench)
+        assert not result.passed
+        assert result.detail == detail
 
 
 def test_signature_check_does_not_hide_other_errors(monkeypatch):
