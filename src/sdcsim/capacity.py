@@ -55,25 +55,6 @@ class CapacityReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CapacityReport":
-        per_symbol = {
-            key: SymbolCounts(**counts)
-            for key, counts in data["per_symbol_counts"].items()
-        }
-        return cls(
-            per_symbol_counts=per_symbol,
-            pairs_consumed=data["pairs_consumed"],
-            messages_delivered=data["messages_delivered"],
-            efficiency=data["efficiency"],
-            effective_alphabet=data["effective_alphabet"],
-            bits_per_pair=data["bits_per_pair"],
-            bits_per_received_message=data["bits_per_received_message"],
-            uncontrolled_fraction=data["uncontrolled_fraction"],
-            alphabet_size=data["alphabet_size"],
-            rounded_reference=RoundedReference(**data["rounded_reference"]),
-        )
-
 
 def _rounded_reference(effective_alphabet: float) -> RoundedReference:
     rounded = round(effective_alphabet, 1)

@@ -291,7 +291,7 @@ def cmd_simulate(args) -> int:
         config.scenario, _intended_distribution(config)
     )
     with _written(args.out, args.log) as (report_handle, log_handle):
-        report = session.build_report(config, _write_events(log_handle, run))
+        report = session.build_report(_write_events(log_handle, run))
         payload = report.to_dict()
         payload["config"] = _config_dict(config)
         payload["expected"] = {

@@ -14,6 +14,11 @@ one composed element. Each bench compiles its own laws once
 (`OpticalBench.compiled`); no compiled model is shared between benches. The
 compiled laws decode: a pattern reads as its likeliest message, and `verify`
 checks that the ideal bench's signatures are disjoint, so none is misread.
+
+Every law a reject-port click leads to comes from the encoder's own click
+branch: the receiver's lone photon, and the pair the sender makes by
+re-emitting a photon of the polarization her monitor detected
+(`EncodeBranches.lone_state`, `.resent_state`).
 """
 
 from __future__ import annotations
@@ -73,8 +78,6 @@ ALPHABET = (
     MessageSymbol.HH,
     MessageSymbol.VV,
 )
-
-_COMPLEMENT = {MessageSymbol.HH: MessageSymbol.VV, MessageSymbol.VV: MessageSymbol.HH}
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # each ideal pair state as terms (amplitude, alice's and bob's polarization)
@@ -184,12 +187,14 @@ class ClassifiedOutcome:
 @dataclass(frozen=True)
 class EncodeBranches:
     """Exact encoder outcome split: the pair on a silent monitor and, on a click,
-    the receiver's lone photon (None for a message that never goes wrong)."""
+    the receiver's lone photon and the pair the sender makes by re-emitting the
+    polarization her monitor detected (both None for a message that never goes
+    wrong)."""
 
     controlled_probability: float
     controlled_state: PureState
-    wrong_symbol: MessageSymbol | None  # complementary message, None if p=0
     lone_state: PureState | None
+    resent_state: PureState | None
 
     @property
     def wrong_probability(self) -> float:
@@ -204,7 +209,11 @@ class CompiledBench:
     holds every analyzer law a trial can draw from, as an OutcomeTable over
     `patterns` codes: first the controlled pair of each message, then the
     receiver's lone photon after a reject-port click, which `lone_table`
-    indexes per message (-1 for a message that never goes wrong). `decoded`
+    indexes per message (-1 for a message that never goes wrong).
+    `resent_table` indexes the law of each message's re-emitted pair the same
+    way. A click state with the exact amplitudes of a state already analyzed
+    reuses that state's table; the controlled tables stay one per message, at
+    the message's ALPHABET code. `decoded`
     maps each pattern to the message whose controlled law gives it the unique
     largest positive probability, or else to SINGLE_PHOTON or AMBIGUOUS.
     """
@@ -216,6 +225,7 @@ class CompiledBench:
     decoded: np.ndarray  # pattern code -> `outcomes` code
     tables: tuple[OutcomeTable, ...]
     lone_table: tuple[int, ...]
+    resent_table: tuple[int, ...]
 
 
 def _likeliest(laws: list[dict], pattern: DetectionPattern) -> ClassifiedOutcome:
@@ -298,7 +308,8 @@ class OpticalBench:
 
         The controlled branch is the transmitted pair after post-selecting on
         a silent monitor. On a monitor click the sender's photon is absorbed
-        at her reject port and the receiver's is left alone.
+        at her reject port and the receiver's is left alone; re-emitting her
+        photon in the polarization that clicked makes the resent pair.
         """
         if not isinstance(message, MessageSymbol):
             raise ValueError(f"cannot encode non-alphabet symbol {message!r}")
@@ -311,8 +322,14 @@ class OpticalBench:
             raise ProtocolError(f"encoder for {message} never transmits")
         p_controlled, controlled = branches.pop(silent)
         if p_controlled < 1.0 - 1e-12:
-            ((_, lone),) = branches.values()
-            return EncodeBranches(p_controlled, controlled, _COMPLEMENT[message], lone)
+            ((clicks, (_, lone)),) = branches.items()
+            (clicked,) = (m for m, n in zip(self.monitor_modes, clicks) if n)
+            i = self.registry.index(ModeLabel(ALICE, clicked.pol))
+            # her path is empty after the click, so the new photon adds no bosonic factor
+            resent = PureState(self.registry, {
+                occ[:i] + (occ[i] + 1,) + occ[i + 1:]: amp for occ, amp in lone.amplitudes.items()
+            })
+            return EncodeBranches(p_controlled, controlled, lone, resent)
         # never goes wrong: exactly 1, not the 1 within rounding the optics give
         return EncodeBranches(1.0, controlled, None, None)
 
@@ -342,13 +359,21 @@ class OpticalBench:
         laws = [self.analyze(b.controlled_state) for b in branches]
         signatures = {symbol: frozenset(law) for symbol, law in zip(ALPHABET, laws)}
         controlled = laws[:]
-        lone_table = []
-        for b in branches:
-            if b.lone_state is None:
-                lone_table.append(-1)
-                continue
-            lone_table.append(len(laws))
-            laws.append(self.analyze(b.lone_state))
+        # a click state reuses the table of an analyzed state with its exact amplitudes
+        analyzed = {frozenset(b.controlled_state.amplitudes.items()): code
+                    for code, b in enumerate(branches)}
+
+        def table_of(state: PureState | None) -> int:
+            if state is None:
+                return -1
+            key = frozenset(state.amplitudes.items())
+            if key not in analyzed:
+                analyzed[key] = len(laws)
+                laws.append(self.analyze(state))
+            return analyzed[key]
+
+        lone_table = tuple(table_of(b.lone_state) for b in branches)
+        resent_table = tuple(table_of(b.resent_state) for b in branches)
         patterns = sorted(set().union(*laws))
         code = {p: i for i, p in enumerate(patterns)}  # sorted, so tables keep their order
         tables = tuple(OutcomeTable({code[p]: prob for p, prob in law.items()}) for law in laws)
@@ -356,7 +381,7 @@ class OpticalBench:
         outcomes = tuple(dict.fromkeys(classified))
         decoded = np.array([outcomes.index(c) for c in classified], dtype=np.int8)
         return CompiledBench(branches, signatures, tuple(patterns), outcomes, decoded, tables,
-                             tuple(lone_table))
+                             lone_table, resent_table)
 
     def signature_table(self) -> dict[MessageSymbol, frozenset[DetectionPattern]]:
         """Detector signatures per message, computed from the optics."""

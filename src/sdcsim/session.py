@@ -5,11 +5,12 @@ reject-port detector clicks on a product-state message:
 
   a  the sender discards her attempt; the receiver sees a lone photon and
      discards too; the message is retried on a fresh pair.
-  b  every pair is used: the sender re-emits (clones) a photon of known
-     polarization, so the receiver always gets a decodable pair. Under the
-     send-as-is policy the clone matches the wrong branch and a delayed
-     correction note travels over the classical channel; under clone-intended
-     the pair is idealized to carry the intended message and no note is sent.
+  b  every pair is used: the sender re-emits (clones) a photon of the
+     polarization her monitor detected, so the receiver always gets a pair.
+     Under the send-as-is policy he gets whatever the optics make of that
+     photon and his own, and a delayed correction note travels over the
+     classical channel; under clone-intended the pair is idealized to carry
+     the intended message and no note is sent.
   c  the sender owns both photons and silently stops the whole pair; the
      receiver never learns the pair existed; the message is retried.
 
@@ -175,11 +176,6 @@ ACTIONS = tuple(ScenarioAction)
 NOTE_KINDS = (*NoteKind, None)
 _SENT = ACTIONS.index(ScenarioAction.SENT)
 _DELIVERING = (ScenarioAction.SENT, ScenarioAction.CLONED_RESEND)
-_WRONG_ACTION = {
-    Scenario.A: ScenarioAction.DISCARDED_BY_ALICE,
-    Scenario.B: ScenarioAction.CLONED_RESEND,
-    Scenario.C: ScenarioAction.PAIR_STOPPED,
-}
 
 
 def _generator(seed: int, stream: int, chunk: int) -> np.random.Generator:
@@ -309,27 +305,19 @@ class Session:
         self._decoded = np.append(compiled.decoded, np.int8(-1))
         self._p_controlled = np.array([b.controlled_probability for b in compiled.branches])
 
-        # what a wrong branch does, per message: the receiver's table (-1: the
-        # pair is stopped), and for the scenario its action and note
-        scenario = config.scenario
+        # what a wrong branch does, per scenario: the receiver's table per
+        # message (-1: the pair is stopped), the action and the note
         send_as_is = config.clone_policy is ClonePolicy.SEND_AS_IS
-        if scenario is Scenario.A:  # the receiver's lone photon
-            wrong_table = compiled.lone_table
-        elif scenario is Scenario.C:
-            wrong_table = [-1] * len(ALPHABET)
-        else:  # the complementary pair as is, or cloned to carry the intended message
-            wrong_table = [
-                ALPHABET.index(b.wrong_symbol) if send_as_is and b.wrong_symbol else code
-                for code, b in enumerate(compiled.branches)
-            ]
+        wrong_table, wrong_action, wrong_note = {
+            Scenario.A: (compiled.lone_table, ScenarioAction.DISCARDED_BY_ALICE, NoteKind.REPEAT),
+            # the re-emitted pair as the optics make it, or cloned to carry the intended message
+            Scenario.B: (compiled.resent_table if send_as_is else range(len(ALPHABET)),
+                         ScenarioAction.CLONED_RESEND, NoteKind.CORRECT_TO if send_as_is else None),
+            Scenario.C: ((-1,) * len(ALPHABET), ScenarioAction.PAIR_STOPPED,
+                         NoteKind.ERASE if config.erase_notes else NoteKind.REPEAT),
+        }[config.scenario]
         self._wrong_table = np.array(wrong_table, dtype=np.int8)
-        self._wrong_action = ACTIONS.index(_WRONG_ACTION[scenario])
-        if scenario is Scenario.B:
-            wrong_note = NoteKind.CORRECT_TO if send_as_is else None
-        elif scenario is Scenario.C and config.erase_notes:
-            wrong_note = NoteKind.ERASE
-        else:
-            wrong_note = NoteKind.REPEAT
+        self._wrong_action = ACTIONS.index(wrong_action)
         self._wrong_note = NOTE_KINDS.index(wrong_note)
 
     def scenario_step(self, chunk: int) -> Trials:
@@ -409,10 +397,10 @@ def run_session(config: RunConfig, bench: OpticalBench | None = None) -> Session
     notes = _LazyList(
         build=lambda: [r.note for r in records if r.note and r.note.delivered_at is not None]
     )
-    return SessionResult(config, records, notes, build_report(config, trials.tally()), trials)
+    return SessionResult(config, records, notes, build_report(trials.tally()), trials)
 
 
-def build_report(config: RunConfig, tally: np.ndarray) -> "capacity.CapacityReport":
+def build_report(tally: np.ndarray) -> "capacity.CapacityReport":
     """The capacity report of a session from its summed `Trials.tally()` matrix."""
     sent, discarded, stopped, cloned = tally.T.tolist()  # ACTIONS order
     per_symbol = {}

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from sdcsim import verify
-from sdcsim.capacity import CapacityReport
 from sdcsim.cli import main
 from sdcsim.session import CHUNK_MESSAGES
 
@@ -92,17 +91,16 @@ class TestSimulate:
         )
         assert code == 0
         payload = json.loads(report_path.read_text())
-        report = CapacityReport.from_dict(payload)
-        assert 0.63 < report.efficiency < 0.70
+        assert 0.63 < payload["efficiency"] < 0.70
         assert payload["config"]["scenario"] == "a"
         assert payload["expected"]["efficiency"] == pytest.approx(2 / 3)
 
         with log_path.open(newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["trial", "intended", "branch", "action", "pattern", "decoded", "note"]
-        assert len(rows) - 1 == report.pairs_consumed
+        assert len(rows) - 1 == payload["pairs_consumed"]
         # trial indices are dense and ordered
-        assert [int(r[0]) for r in rows[1:]] == list(range(report.pairs_consumed))
+        assert [int(r[0]) for r in rows[1:]] == list(range(payload["pairs_consumed"]))
 
     def test_scenario_b_send_as_is_corrections(self, tmp_path):
         report_path = tmp_path / "r.json"
@@ -120,8 +118,7 @@ class TestSimulate:
             ]
         )
         assert code == 0
-        report = CapacityReport.from_dict(json.loads(report_path.read_text()))
-        assert report.pairs_consumed == 1000
+        assert json.loads(report_path.read_text())["pairs_consumed"] == 1000
         with log_path.open(newline="") as handle:
             rows = list(csv.DictReader(handle))
         corrections = [r for r in rows if r["note"].startswith("CorrectTo")]
@@ -159,8 +156,7 @@ class TestSimulate:
             ]
         )
         assert code == 0
-        report = CapacityReport.from_dict(json.loads((tmp_path / "r.json").read_text()))
-        assert report.pairs_consumed == 3
+        assert json.loads((tmp_path / "r.json").read_text())["pairs_consumed"] == 3
 
     def test_invalid_owner_combination_exits_1(self, tmp_path, capsys):
         code = run(

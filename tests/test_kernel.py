@@ -75,6 +75,10 @@ def negbin_tails(w: int, m: int, p: float) -> tuple[float, float]:
     return lower, upper
 
 
+# per product message, the ideal pair the oracle derives a click's laws from
+COMPLEMENT = {MessageSymbol.HH: MessageSymbol.VV, MessageSymbol.VV: MessageSymbol.HH}
+
+
 def exact_cells(scenario, clone_policy):
     """Per message: (P(wrong branch), pattern law on the controlled branch, on the wrong one).
 
@@ -87,10 +91,10 @@ def exact_cells(scenario, clone_policy):
     cells = {}
     for symbol in ALPHABET:
         split = bench.encode_branches(symbol)
-        if split.wrong_symbol is None:
+        if symbol not in COMPLEMENT:  # a Bell message never goes wrong
             cells[symbol] = (0.0, bench.analyze(split.controlled_state), {})
             continue
-        complement = bench.state_for(split.wrong_symbol)
+        complement = bench.state_for(COMPLEMENT[symbol])
         if scenario is Scenario.A:  # the sender's photon is detected, the receiver's is alone
             alice = bench.registry.modes_on_path(ALICE)
             ((_, lone),) = branch_on_modes(complement, alice).values()

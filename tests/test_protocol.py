@@ -148,7 +148,7 @@ class TestEncoder:
 
     def test_psi_minus_always_controlled(self, bench):
         branches = bench.encode_branches(MessageSymbol.PSI_MINUS)
-        assert branches.wrong_symbol is None
+        assert branches.resent_state is None
         assert branches.controlled_state.fidelity(
             bench.state_for(MessageSymbol.PSI_MINUS)
         ) == pytest.approx(1.0, abs=1e-12)
@@ -159,7 +159,6 @@ class TestEncoder:
     )
     def test_product_messages_branch_at_one_half(self, bench, symbol, complement):
         branches = bench.encode_branches(symbol)
-        assert branches.wrong_symbol is complement
         assert branches.controlled_probability == pytest.approx(0.5, abs=1e-12)
         assert branches.controlled_state.fidelity(
             bench.state_for(symbol)
@@ -167,12 +166,16 @@ class TestEncoder:
         # the click absorbed the sender's photon: one photon is left, on bob's path
         lone = bench.bob_photon({MessageSymbol.HH: "V", MessageSymbol.VV: "H"}[symbol])
         assert branches.lone_state.fidelity(lone) == pytest.approx(1.0, abs=1e-12)
+        # re-emitting her photon in the polarization that clicked makes the complement
+        assert branches.resent_state.fidelity(
+            bench.state_for(complement)
+        ) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_messages_never_branch(self, bench):
         for symbol in (MessageSymbol.PSI_PLUS, MessageSymbol.PSI_MINUS):
             branches = bench.encode_branches(symbol)
             assert branches.controlled_probability == 1.0
-            assert branches.wrong_symbol is None and branches.lone_state is None
+            assert branches.lone_state is None and branches.resent_state is None
 
     def test_encode_realizes_both_branches(self, bench):
         # a scenario-b session passes on whichever pair the encoder left
@@ -300,6 +303,35 @@ class TestCompiledBench:
         bench.compiled
         assert calls == [bench.monitor_modes] * len(ALPHABET)
 
+    def test_resent_pair_follows_the_click_branch(self):
+        # an HH encoder whose plate sits at 22.5 degrees: on a click the monitor
+        # detects V and the receiver's photon is left in (V - H)/sqrt(2)
+        tilted = OpticalBench()
+        reg = tilted.registry
+        tilted.encoder[MessageSymbol.HH] = (hwp(reg, 22.5, ALICE), tilted.pol_pass_h)
+        by_hand = superpose([
+            (INV_SQRT2, make_state(reg, [ModeLabel(ALICE, "V"), ModeLabel(BOB, "V")])),
+            (-INV_SQRT2, make_state(reg, [ModeLabel(ALICE, "V"), ModeLabel(BOB, "H")])),
+        ])
+        law = tilted.analyze(by_hand)
+        assert as_strings(law) == {
+            "aV:2": pytest.approx(0.25, abs=1e-12),
+            "bV:2": pytest.approx(0.25, abs=1e-12),
+            **{p: pytest.approx(0.125, abs=1e-12)
+               for p in ("aH:1,aV:1", "aH:1,bV:1", "aV:1,bH:1", "bH:1,bV:1")},
+        }
+        compiled = tilted.compiled
+        table = compiled.tables[compiled.resent_table[ALPHABET.index(MessageSymbol.HH)]]
+        assert [compiled.patterns[c] for c in table.outcomes] == sorted(law)
+        assert table.cumulative == pytest.approx(np.cumsum([law[p] for p in sorted(law)]),
+                                                 abs=1e-12)
+        # the receiver decodes what the optics give him, not the ideal complement
+        config = RunConfig(Scenario.B, 400, 3, messages=(MessageSymbol.HH,))
+        trials = run_session(config, tilted).trials
+        wrong = {str(trials.patterns[p]) for p in trials.pattern[trials.branch == 1].tolist()}
+        assert wrong - {"aV:2", "bV:2"}
+        assert wrong <= set(as_strings(law))
+
     def test_bell_messages_have_no_lone_photon(self, bench):
         lone = bench.compiled.lone_table
         assert lone[ALPHABET.index(MessageSymbol.PSI_PLUS)] == -1
@@ -327,6 +359,7 @@ PINNED_PATTERNS = [
 PINNED_OUTCOMES = ["single_photon", "vv", "psi+", "hh", "psi-"]
 PINNED_DECODED = [0, 1, 0, 2, 3, 0, 4, 1, 0, 4, 2, 3]
 PINNED_LONE_TABLE = (-1, -1, 4, 5)
+PINNED_RESENT_TABLE = (-1, -1, 3, 2)
 
 
 def test_ideal_compiled_model_is_pinned():
@@ -342,6 +375,7 @@ def test_ideal_compiled_model_is_pinned():
     assert [o.label for o in compiled.outcomes] == PINNED_OUTCOMES
     assert compiled.decoded.tolist() == PINNED_DECODED
     assert compiled.lone_table == PINNED_LONE_TABLE
+    assert compiled.resent_table == PINNED_RESENT_TABLE
 
 
 class TestMemoizedElements:
