@@ -6,11 +6,10 @@ print one line per invariant. Everything here is either exact (tolerance
 fixed seed the result is deterministic and does not flap across runs.
 
 The two statistical checks (branch_statistics, and sampling_consistency on
-the kernel's own compiled psi+ table) share one rule, `in_band`: a two-sided
-3-sigma binomial band. A correct program fails one with probability about
-0.27%, so at a fresh seed the suite raises a false alarm about 0.5% of the
-time. Both test probability 1/2; below `band_minimum(0.5)` trials no count
-can leave the band, so `run_verification` refuses fewer.
+the kernel's compiled psi+ table) share one rule, `consistent`: neither exact
+binomial tail of a count may lie below half its false-alarm rate. They split
+FALSE_ALARM evenly, sampling_consistency its half again over its patterns, so
+a correct program fails the suite at most 1e-6 of the time, at any seed.
 """
 
 from __future__ import annotations
@@ -37,7 +36,8 @@ from .protocol import (
 from .session import BRANCHES, InvalidConfigError, RunConfig, run_session
 
 EXACT_TOL = 1e-12
-BAND_SIGMAS = 3
+FALSE_ALARM = 1e-6
+CHECK_ALARM = FALSE_ALARM / 2  # each statistical check's share
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,52 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
-def in_band(count: int, n: int, p: float) -> bool:
-    """Whether `count` of `n` lies within BAND_SIGMAS binomial sigmas of n*p, edge included."""
-    return (count - n * p) ** 2 <= BAND_SIGMAS**2 * n * p * (1 - p)
+def binomial_tails(k: int, n: int, p: float) -> tuple[float, float]:
+    """(P(X <= k), P(X >= k)) for X ~ Bin(n, p).
+
+    The tail on k's side of the mean is summed outward from k, each term from the last by
+    their ratio, until the terms stop mattering; the other side is its complement.
+    """
+    if k < 0 or k > n:
+        return (0.0, 1.0) if k < 0 else (1.0, 0.0)
+    if p in (0.0, 1.0):
+        return float(k >= n * p), float(k <= n * p)
+    mirrored = k < n * p  # the lower tail of X is the upper tail of n - X ~ Bin(n, 1 - p)
+    if mirrored:
+        k, p = n - k, 1.0 - p
+    log_choose = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    first = math.exp(log_choose + k * math.log(p) + (n - k) * math.log1p(-p))
+    odds = p / (1.0 - p)
+    upper, term, j = first, first, k
+    while term > upper * 1e-17 and j < n:
+        term *= (n - j) * odds / (j + 1)
+        j += 1
+        upper += term
+    tails = min(1.0, 1.0 - upper + first), upper
+    return tails[::-1] if mirrored else tails
+
+
+def _tail_test(count: int, n: int, p: float, alpha: float) -> tuple[bool, str]:
+    """Whether neither binomial tail of `count` of `n` lies below alpha / 2, and the figures."""
+    smaller, bound = min(binomial_tails(count, n, p)), alpha / 2
+    held = ">=" if smaller >= bound else "<"
+    detail = f"{count} of {n} (p = {p:.6g}), smaller tail {smaller:.2g} {held} {bound:.3g}"
+    return smaller >= bound, detail
+
+
+def consistent(count: int, n: int, p: float, alpha: float) -> bool:
+    """Whether `count` of `n` is consistent with Bin(n, p) at false-alarm rate alpha."""
+    return _tail_test(count, n, p, alpha)[0]
 
 
 def band_minimum(p: float) -> int:
-    """The fewest trials at which a count (none or all) can leave the band of p."""
-    return next(n for n in itertools.count(1) if not in_band(0, n, p) or not in_band(n, n, p))
+    """The fewest trials at which each statistical check can fail a count of probability p."""
+
+    def can_fail(n, alpha):
+        return not (consistent(0, n, p, alpha) and consistent(n, n, p, alpha))
+
+    alphas = (CHECK_ALARM, CHECK_ALARM / 2)  # one wrong-branch count; two psi+ patterns
+    return next(n for n in itertools.count(1) if all(can_fail(n, a) for a in alphas))
 
 
 def _element_suite(bench):
@@ -190,13 +228,8 @@ def check_branch_statistics(bench, seed: int, trials: int) -> CheckResult:
     )
     result = run_session(config, bench)
     wrong = int(np.count_nonzero(result.trials.branch == BRANCHES.index(Branch.WRONG)))
-    freq = wrong / trials
-    sigma = math.sqrt(0.25 / trials)
-    return _check(
-        "branch_statistics",
-        in_band(wrong, trials, 0.5),
-        f"wrong-branch freq {freq:.4f} over {trials} trials (3σ = {BAND_SIGMAS * sigma:.4f})",
-    )
+    passed, measured = _tail_test(wrong, trials, 0.5, CHECK_ALARM)
+    return _check("branch_statistics", passed, f"wrong {measured}")
 
 
 def check_sampling_consistency(bench, seed: int, draws: int) -> CheckResult:
@@ -206,16 +239,13 @@ def check_sampling_consistency(bench, seed: int, draws: int) -> CheckResult:
     counts = np.bincount(drawn, minlength=len(table.outcomes)).tolist()
     counted = {compiled.patterns[code]: n for code, n in zip(table.outcomes, counts)}
     dist = bench.analyze(bench.source_emit())
-    worst = 0.0
-    ok = True
-    for key in counted.keys() | dist.keys():
-        count, prob = counted.get(key, 0), dist.get(key, 0.0)
-        worst = max(worst, abs(count / draws - prob))
-        ok = ok and in_band(count, draws, prob)
+    keys = sorted(counted.keys() | dist.keys(), key=str)
+    alpha = CHECK_ALARM / len(keys)
+    tests = [_tail_test(counted.get(key, 0), draws, dist.get(key, 0.0), alpha) for key in keys]
     return _check(
         "sampling_consistency",
-        ok,
-        f"max |freq - p| = {worst:.4f} over {draws} draws",
+        all(passed for passed, _ in tests),
+        "; ".join(f"{key} {measured}" for key, (_, measured) in zip(keys, tests)),
     )
 
 
@@ -230,8 +260,8 @@ def check_capacity_references(bench) -> CheckResult:
         abs(expected.efficiency - 2.0 / 3.0) < EXACT_TOL,
         abs(expected.discard_fraction - 1.0 / 3.0) < EXACT_TOL,
         abs(share - 1.0 / 6.0) < EXACT_TOL,
-        abs(expected.bits_per_pair - 1.4150) < 5e-4,
-        abs(expected.rounded_reference.bits_per_pair - 1.433) < 5e-4,
+        abs(expected.bits_per_pair - math.log2(8 / 3)) < EXACT_TOL,
+        abs(expected.rounded_reference.bits_per_pair - math.log2(2.7)) < EXACT_TOL,
     ]
     return _check(
         "capacity_references",
@@ -253,14 +283,14 @@ def run_verification(seed: int = 20_260_810, branch_trials: int = 100_000) -> li
     """Run every invariant check.
 
     `branch_trials` sizes both statistical checks: the branch-statistics
-    session and the sampling-consistency draws. Fewer than the band's
-    minimum for probability 1/2 raises InvalidConfigError.
+    session and the sampling-consistency draws. Fewer than
+    `band_minimum(0.5)` raises InvalidConfigError.
     """
     minimum = band_minimum(0.5)
     if branch_trials < minimum:
         raise InvalidConfigError(
-            f"{branch_trials} trials is below {minimum}, the fewest at which a count "
-            f"can leave the {BAND_SIGMAS}σ band of the statistical checks"
+            f"{branch_trials} trials is below {minimum}, the fewest at which each "
+            f"statistical check can fail at a false-alarm rate of {FALSE_ALARM:g}"
         )
     bench = default_bench()
     return [

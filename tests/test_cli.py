@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
@@ -356,5 +357,11 @@ class TestVerify:
     def test_trials_sizes_both_statistical_checks(self, capsys):
         assert run(["verify", "--trials", "2000", "--format", "json"]) == 0
         detail = {entry["name"]: entry["detail"] for entry in json.loads(capsys.readouterr().out)}
-        assert detail["branch_statistics"].endswith("over 2000 trials (3σ = 0.0335)")
-        assert detail["sampling_consistency"].endswith("over 2000 draws")
+        assert re.fullmatch(
+            r"wrong \d+ of 2000 \(p = 0\.5\), smaller tail \S+ >= 2\.5e-07",
+            detail["branch_statistics"],
+        )
+        patterns = detail["sampling_consistency"].split("; ")
+        assert len(patterns) == 2
+        for pattern in patterns:
+            assert re.search(r" of 2000 \(p = 0\.5\), smaller tail \S+ >= 1\.25e-07$", pattern)

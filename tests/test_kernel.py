@@ -8,7 +8,6 @@ compiled tables, and compare each count with an exact binomial band.
 import contextlib
 import csv
 import io
-import math
 import tracemalloc
 from collections import Counter
 
@@ -28,6 +27,7 @@ from sdcsim.protocol import (
     default_bench,
 )
 from sdcsim.session import BRANCHES, NoteKind, RunConfig, Session, run_session
+from sdcsim.verify import binomial_tails
 
 # Total false-alarm rate of the differential tests, split evenly (Bonferroni)
 # over the configurations and, within one, over every count it checks.
@@ -38,34 +38,6 @@ DIFFERENTIAL_CONFIGS = {
     "b-clone-intended": dict(scenario=Scenario.B, clone_policy=ClonePolicy.CLONE_INTENDED),
     "c-erase-notes": dict(scenario=Scenario.C, erase_notes=True),
 }
-
-
-def binomial_tails(k: int, n: int, p: float) -> tuple[float, float]:
-    """(P(X <= k), P(X >= k)) for X ~ Bin(n, p).
-
-    The tail on k's side of the mean is summed term by term, outward from k,
-    until the terms stop mattering; the other side is its complement.
-    """
-    if k < 0 or k > n:
-        return (0.0, 1.0) if k < 0 else (1.0, 0.0)
-    if p in (0.0, 1.0):
-        return float(k >= n * p), float(k <= n * p)
-    log_n, lp, lq = math.lgamma(n + 1), math.log(p), math.log1p(-p)
-
-    def pmf(j):
-        log_choose = log_n - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-        return math.exp(log_choose + j * lp + (n - j) * lq)
-
-    step = -1 if k <= n * p else 1
-    far, j = 0.0, k
-    while 0 <= j <= n:
-        term = pmf(j)
-        far += term
-        if term <= far * 1e-17:
-            break
-        j += step
-    near = min(1.0, 1.0 - far + pmf(k))
-    return (far, near) if step < 0 else (near, far)
 
 
 def negbin_tails(w: int, m: int, p: float) -> tuple[float, float]:

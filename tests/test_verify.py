@@ -1,17 +1,24 @@
+import dataclasses
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from sdcsim import session, verify
+from sdcsim import capacity, session, verify
 from sdcsim.elements import hwp
 from sdcsim.fock import sample_outcome
 from sdcsim.protocol import ALICE, ALPHABET, MessageSymbol, OpticalBench, Scenario
 from sdcsim.session import CHUNK_MESSAGES, InvalidConfigError, RunConfig, run_session
 from sdcsim.verify import (
+    CHECK_ALARM,
     all_passed,
     band_minimum,
+    binomial_tails,
+    check_capacity_references,
     check_sampling_consistency,
     check_signatures,
-    in_band,
+    consistent,
     run_verification,
 )
 
@@ -71,9 +78,51 @@ def test_kernel_and_verify_draw_through_one_sampler(monkeypatch):
 
 @pytest.mark.parametrize("p", [0.5, 0.25, 0.01])
 def test_band_minimum_is_the_first_size_a_count_can_leave(p):
+    # the branch check's rate, and each of the sampling check's two patterns'
+    alphas = (CHECK_ALARM, CHECK_ALARM / 2)
+
+    def can_fail(m, alpha):
+        return any(not consistent(k, m, p, alpha) for k in range(m + 1))
+
     n = band_minimum(p)
-    assert not (in_band(0, n, p) and in_band(n, n, p))
-    assert all(in_band(k, m, p) for m in range(1, n) for k in range(m + 1))
+    assert all(can_fail(n, alpha) for alpha in alphas)
+    assert not any(all(can_fail(m, alpha) for alpha in alphas) for m in range(1, n))
+
+
+def test_band_minimum_of_the_suite():
+    assert band_minimum(0.5) == 23  # 22 for the branch check alone
+
+
+@pytest.mark.parametrize("p", [0.5, 1 / 3, 1 / 100, 99 / 100])
+def test_binomial_tails_match_exact_sums(p):
+    a, b = p.as_integer_ratio()  # p exactly, as the float it is
+    for n in range(61):
+        # b**n * pmf(j), an integer, so each tail below is one exact division
+        weights = [math.comb(n, j) * a**j * (b - a) ** (n - j) for j in range(n + 1)]
+        for k in range(-1, n + 2):
+            lower, upper = sum(weights[: max(k + 1, 0)]), sum(weights[max(k, 0) :])
+            exact = (Fraction(lower, b**n), Fraction(upper, b**n))
+            for got, want in zip(binomial_tails(k, n, p), exact):
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0), (k, n, got, want)
+
+
+@pytest.mark.parametrize("seed", [218, 579])
+def test_statistical_checks_hold_at_seeds_the_normal_band_failed(seed):
+    # a two-sided 3-sigma band failed branch_statistics at 218, sampling_consistency at 579
+    results = run_verification(seed=seed, branch_trials=5_000)
+    assert [r.name for r in results if not r.passed] == []
+
+
+def test_capacity_references_are_exact(monkeypatch):
+    bench = OpticalBench()
+    assert check_capacity_references(bench).passed
+    expected = capacity.expected_accounting
+
+    def off_by_3e_4(scenario):
+        return dataclasses.replace(expected(scenario), bits_per_pair=1.4153)
+
+    monkeypatch.setattr(capacity, "expected_accounting", off_by_3e_4)
+    assert not check_capacity_references(bench).passed
 
 
 def test_too_few_trials_for_the_band_is_an_invalid_configuration():
