@@ -9,7 +9,7 @@ alphabet rounded to one decimal before taking the log), since rounding
 1.4330 bits and the exact number should never silently absorb that.
 
 The analytic expectations are computed from the optics: branch probabilities
-and retry costs come from the default bench's compiled encoder splits.
+and retry costs come from a bench's compiled encoder splits.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
-from .protocol import ALPHABET, MessageSymbol, Scenario, default_bench
+from .protocol import ALPHABET, MessageSymbol, OpticalBench, Scenario, default_bench
 
 DENSE_CODING_BITS = math.log2(3)  # three distinguishable messages per pair
 IDEAL_BITS = math.log2(4)
@@ -121,14 +121,16 @@ def uniform_alphabet() -> dict[MessageSymbol, float]:
 
 
 def expected_accounting(
-    scenario: Scenario, distribution: Mapping[MessageSymbol, float] | None = None
+    scenario: Scenario,
+    distribution: Mapping[MessageSymbol, float] | None = None,
+    bench: OpticalBench | None = None,
 ) -> ExpectedAccounting:
     """Exact expected capacity accounting for a message distribution.
 
-    Each symbol's wrong-branch probability comes from the bench's encoder.
-    Scenarios a and c retry a failed attempt on a fresh pair, a geometric cost
-    of 1/p_controlled pairs per message; scenario b consumes exactly one pair
-    per message.
+    Each symbol's wrong-branch probability comes from the encoder of `bench`
+    (the default bench if None). Scenarios a and c retry a failed attempt on a
+    fresh pair, a geometric cost of 1/p_controlled pairs per message; scenario
+    b consumes exactly one pair per message.
     """
     dist = dict(distribution or uniform_alphabet())
     total = sum(dist.values())
@@ -138,7 +140,7 @@ def expected_accounting(
     per_symbol = {}
     pairs_per_delivery = 0.0
     uncontrolled_weight = 0.0
-    for symbol, branches in zip(ALPHABET, default_bench().compiled.branches):
+    for symbol, branches in zip(ALPHABET, (bench or default_bench()).compiled.branches):
         p = dist.get(symbol, 0.0)
         wrong = branches.wrong_probability
         cost = 1.0 / branches.controlled_probability if retries else 1.0

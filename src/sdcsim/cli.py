@@ -264,31 +264,60 @@ def _event_suffix(record) -> str:
     return buffer.getvalue()
 
 
+_TWO_DIGITS = tuple(f"{r:02d}," for r in range(100))
+
+
+def _event_lines(first: int, suffixes: list[str]) -> str:
+    """The log lines of trials first, first + 1, ... with these suffixes.
+
+    Trial 100·q + r is written as str(q) (empty for q = 0), then r from
+    _TWO_DIGITS (unpadded for q = 0), then its suffix, so only one trial
+    number in a hundred is formatted and no string is built per line.
+    """
+    n = len(suffixes)
+    q_first, r_first = divmod(first, 100)
+    highs = []
+    for q in range(q_first, (first + n - 1) // 100 + 1):
+        highs += [str(q) if q else ""] * 100
+    lows = list(_TWO_DIGITS) * (len(highs) // 100)
+    if first < 100:  # q = 0: no hundreds, no padding
+        lows[first:100] = [f"{t}," for t in range(first, 100)]
+    pieces = [""] * (3 * n)
+    pieces[0::3] = highs[r_first:r_first + n]
+    pieces[1::3] = lows[r_first:r_first + n]
+    pieces[2::3] = suffixes
+    return "".join(pieces)
+
+
 def _write_events(handle, run: session.Session) -> np.ndarray:
     """Stream the session's event log chunk by chunk; return its summed tally.
 
-    Each distinct row after the trial number is rendered once per chunk.
+    The line of a trial is its number, then the csv rendering of its other
+    columns. That suffix carries no trial number, so each chunk renders it
+    once per distinct `Trials.row_codes()` value, from any trial with that
+    code, and `_event_lines` joins the lines from strings that already exist.
     """
     csv.writer(handle).writerow(EVENT_HEADER)
     tally = 0
     for trials in run.chunks():
         tally = tally + trials.tally()
-        _, first, inverse = np.unique(
-            trials.row_codes(), return_index=True, return_inverse=True
-        )
-        records = trials.records(run.config.classical_delay, first)
-        suffix = np.array([_event_suffix(r) for r in records], dtype=object)[inverse]
-        handle.write(
-            "".join([f"{t},{s}" for t, s in zip(trials.trial.tolist(), suffix.tolist())])
-        )
+        codes = trials.row_codes()
+        some_trial = np.full(codes.max() + 1, -1)  # row code -> a trial with it
+        some_trial[codes] = np.arange(len(codes))
+        distinct = np.flatnonzero(some_trial >= 0)
+        records = trials.records(run.config.classical_delay, some_trial[distinct])
+        suffix_of = np.empty(len(some_trial), dtype=object)
+        suffix_of[distinct] = [_event_suffix(r) for r in records]
+        handle.write(_event_lines(int(trials.trial[0]), suffix_of[codes].tolist()))
     return tally
 
 
 def cmd_simulate(args) -> int:
     config = _build_config(args)
-    run = session.Session(config)
+    bench = default_bench()
+    run = session.Session(config, bench)
     expected = capacity.expected_accounting(
-        config.scenario, _intended_distribution(config)
+        config.scenario, _intended_distribution(config), bench
     )
     with _written(args.out, args.log) as (report_handle, log_handle):
         report = session.build_report(_write_events(log_handle, run))

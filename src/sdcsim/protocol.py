@@ -53,7 +53,7 @@ REFLECT_A = "analyzer_out_a"
 REFLECT_B = "analyzer_out_b"
 
 # Fixed detector order; also the canonical key order in serialized patterns.
-DETECTOR_NAMES = ("aH", "aV", "bH", "bV", "d")
+DETECTOR_NAMES = ("aH", "aV", "bH", "bV")
 
 
 class MessageSymbol(Enum):
@@ -134,9 +134,9 @@ class ProtocolError(RuntimeError):
 
 @dataclass(frozen=True, order=True)
 class DetectionPattern:
-    """Photon counts on the named detectors (aH, aV, bH, bV, d)."""
+    """Photon counts on the named detectors (aH, aV, bH, bV)."""
 
-    counts: tuple[int, int, int, int, int]
+    counts: tuple[int, int, int, int]
 
     @classmethod
     def of(cls, **named: int) -> "DetectionPattern":
@@ -153,7 +153,7 @@ class DetectionPattern:
         return sum(self.counts)
 
     def to_string(self) -> str:
-        """Canonical form 'aH:n,aV:n,bH:n,bV:n,d:n' with zero entries omitted."""
+        """Canonical form 'aH:n,aV:n,bH:n,bV:n' with zero entries omitted."""
         return ",".join(
             f"{name}:{n}" for name, n in zip(DETECTOR_NAMES, self.counts) if n
         )
@@ -244,7 +244,7 @@ class OpticalBench:
     Paths: the pair lives on (alice, bob); the encoder's polarizer reject port
     goes to (monitor); the analyzer PBSs reflect V onto (analyzer_out_a/b).
     Detector map: aH/bH are the transmitted H ports, aV/bV the reflected V
-    ports, d is the sender's monitor detector.
+    ports; the sender's monitor is read by `encode_branches`, not the analyzer.
 
     The registry and the elements are memoized values shared by every bench;
     what a bench owns is its `encoder` map and what it derives lazily: the
@@ -345,10 +345,7 @@ class OpticalBench:
         mode_dist = outcome_distribution(
             apply_element(state, self.analyzer), self.analyzer_detectors
         )
-        return {
-            DetectionPattern((ah, av, bh, bv, 0)): p
-            for (ah, av, bh, bv), p in mode_dist.items()
-        }
+        return {DetectionPattern(counts): p for counts, p in mode_dist.items()}
 
     # ---- compiled model ----------------------------------------------------
 

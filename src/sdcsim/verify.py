@@ -252,7 +252,7 @@ def check_sampling_consistency(bench, seed: int, draws: int) -> CheckResult:
 def check_capacity_references(bench) -> CheckResult:
     dense = capacity.capacity_from_counts(1000, 1000, alphabet_size=3)
     ideal = capacity.capacity_from_counts(1000, 1000, alphabet_size=4)
-    expected = capacity.expected_accounting(Scenario.A)
+    expected = capacity.expected_accounting(Scenario.A, bench=bench)
     share = expected.per_symbol[MessageSymbol.HH.value].delivered_share
     checks = [
         abs(dense.bits_per_pair - capacity.DENSE_CODING_BITS) < EXACT_TOL,

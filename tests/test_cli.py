@@ -5,8 +5,9 @@ import re
 
 import pytest
 
-from sdcsim import verify
+from sdcsim import cli, verify
 from sdcsim.cli import main
+from sdcsim.protocol import MessageSymbol, OpticalBench
 from sdcsim.session import CHUNK_MESSAGES
 
 
@@ -281,6 +282,18 @@ class TestSimulate:
         assert code == 0
         expected = json.loads(report_path.read_text())["expected"]
         assert expected["efficiency"] == pytest.approx(4 / 7, abs=1e-12)
+
+    def test_expected_block_comes_from_the_session_bench(self, tmp_path, monkeypatch):
+        bench = OpticalBench()
+        bench.encoder[MessageSymbol.HH] = ()  # hh never branches: 5 pairs per 4 messages
+        monkeypatch.setattr(cli, "default_bench", lambda: bench)
+        report_path = tmp_path / "r.json"
+        argv = ["simulate", "--scenario", "a", "--n", "400", "--out", str(report_path),
+                "--log", str(tmp_path / "l.csv")]
+        assert run(argv) == 0
+        report = json.loads(report_path.read_text())
+        assert report["expected"]["efficiency"] == 0.8
+        assert report["per_symbol_counts"]["hh"]["repeats"] == 0
 
     def test_report_names_the_rng_scheme(self, tmp_path):
         report_path = tmp_path / "r.json"

@@ -13,9 +13,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdcsim import session
-from sdcsim.cli import main
+from sdcsim.cli import _event_lines, main
 from sdcsim.fock import branch_on_modes
 from sdcsim.protocol import (
     ALICE,
@@ -151,9 +153,10 @@ def _log_rows(records):
     ],
 )
 def test_streamed_log_runs_on_across_chunks(argv, fields, tmp_path, monkeypatch):
-    # small chunks, so that a short session spans several of them
-    monkeypatch.setattr(session, "CHUNK_MESSAGES", 300)
-    n, delay = 1000, 3
+    # small chunks, so that a short session spans several of them, one starting
+    # off a multiple of 100 and one running from trial 999 to 1000
+    monkeypatch.setattr(session, "CHUNK_MESSAGES", 330)
+    n, delay = 1100, 3
     log = tmp_path / "events.csv"
     out = ["--n", str(n), "--seed", "8", "--out", str(tmp_path / "r.json"), "--log", str(log)]
     with contextlib.redirect_stdout(io.StringIO()):
@@ -165,12 +168,41 @@ def test_streamed_log_runs_on_across_chunks(argv, fields, tmp_path, monkeypatch)
 
     starts = np.cumsum([0] + [len(c) for c in Session(config).chunks()])[1:-1].tolist()
     assert len(starts) >= 3
+    assert any(start % 100 for start in starts)
+    assert 1000 not in starts and len(records) > 1000
     notes = run_session(RunConfig(n_messages=n, seed=8, classical_delay=delay, **fields)).notes
     assert all(note.delivered_at == note.trial + delay for note in notes)
     assert all(note.kind is not NoteKind.REPEAT for note in notes)
     for start in starts:  # notes are sent on both sides of every boundary
         assert any(start - 30 <= note.trial < start for note in notes)
         assert any(start <= note.trial < start + 30 for note in notes)
+
+
+_SUFFIXES = (
+    "psi+,controlled,sent,aH:1,aV:1,psi+,\r\n",
+    'hh,wrong,cloned_resend,"aH:1,bH:1",x,y\r\n',
+    "\r\n",
+)
+
+
+def _lines(first, suffixes):
+    return "".join(f"{t},{s}" for t, s in zip(range(first, first + len(suffixes)), suffixes))
+
+
+@pytest.mark.parametrize("first", [0, 1, 57, 99, 100, 101, 999, 1000, 9_950, 65_536, 999_999,
+                                   10**12 - 3])
+def test_event_lines_number_every_trial(first):
+    rng = np.random.default_rng(first)
+    for n in (1, 2, 43, 99, 100, 101, 1000):
+        suffixes = [_SUFFIXES[i] for i in rng.integers(0, len(_SUFFIXES), n)]
+        assert _event_lines(first, suffixes) == _lines(first, suffixes), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(first=st.integers(0, 10**15),
+       suffixes=st.lists(st.sampled_from(_SUFFIXES), min_size=1, max_size=2000))
+def test_event_lines_match_formatted_trials(first, suffixes):
+    assert _event_lines(first, suffixes) == _lines(first, suffixes)
 
 
 def _simulate_peak(n: int, tmp_path) -> int:

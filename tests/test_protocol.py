@@ -429,14 +429,15 @@ class TestMemoizedElements:
 class TestDetectionPattern:
     def test_canonical_string_omits_zeros(self):
         assert DetectionPattern.of(aH=1, bV=1).to_string() == "aH:1,bV:1"
-        assert DetectionPattern.of(d=1).to_string() == "d:1"
+        assert DetectionPattern.of(bV=1).to_string() == "bV:1"
 
     def test_key_order_fixed(self):
-        assert DetectionPattern.of(d=1, aH=1).to_string() == "aH:1,d:1"
+        assert DetectionPattern.of(bV=1, aH=1).to_string() == "aH:1,bV:1"
 
     def test_unknown_detector_rejected(self):
-        with pytest.raises(ValueError):
-            DetectionPattern.of(zz=1)
+        for name in ("zz", "d"):  # the analyzer has no detector d
+            with pytest.raises(ValueError, match="unknown detector"):
+                DetectionPattern.of(**{name: 1})
 
     def test_total(self):
         assert DetectionPattern.of(aH=2).total == 2

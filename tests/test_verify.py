@@ -118,11 +118,20 @@ def test_capacity_references_are_exact(monkeypatch):
     assert check_capacity_references(bench).passed
     expected = capacity.expected_accounting
 
-    def off_by_3e_4(scenario):
-        return dataclasses.replace(expected(scenario), bits_per_pair=1.4153)
+    def off_by_3e_4(scenario, distribution=None, bench=None):
+        return dataclasses.replace(expected(scenario, distribution, bench), bits_per_pair=1.4153)
 
     monkeypatch.setattr(capacity, "expected_accounting", off_by_3e_4)
     assert not check_capacity_references(bench).passed
+
+
+def test_capacity_references_read_the_bench_they_check():
+    bench = OpticalBench()
+    bench.encoder[MessageSymbol.HH] = ()  # hh is sent as psi+ and never branches
+    assert capacity.expected_accounting(Scenario.A, bench=bench).efficiency == 0.8
+    result = check_capacity_references(bench)
+    assert not result.passed
+    assert "bits/pair=1.6781" in result.detail
 
 
 def test_too_few_trials_for_the_band_is_an_invalid_configuration():
