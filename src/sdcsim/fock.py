@@ -359,12 +359,22 @@ class OutcomeTable:
             raise ValueError(f"distribution sums to {self.cumulative[-1]}, not 1")
 
 
-def sample_outcome(table: OutcomeTable, u):
-    """The sampling rule, for a uniform or an array of them: the index into
-    table.outcomes of the first outcome whose running sum exceeds u, else the
-    last outcome's."""
-    last = len(table.outcomes) - 1
-    return np.minimum(np.searchsorted(table.cumulative, u, side="right"), last)
+def sample_outcome(table, u):
+    """The sampling rule, for a uniform or an array of them: the number of
+    running sums, the last excluded, that lie at or below u.
+
+    That is the index of the first outcome whose running sum exceeds u, else
+    the last outcome's. `table` is an OutcomeTable, one table's running sums,
+    or running sums gathered per uniform from a stack of tables: an array
+    whose first axis runs over the outcomes and whose other axes match u's.
+    A stacked table narrower than the stack sets its last sum and its padding
+    to +inf, so that no uniform counts them.
+    """
+    cumulative = table.cumulative if isinstance(table, OutcomeTable) else table
+    drawn = np.zeros(np.shape(u), dtype=np.intp)
+    for c in cumulative[:-1]:  # one comparison per outcome boundary
+        drawn += u >= c
+    return drawn[()]
 
 
 def branch_on_modes(

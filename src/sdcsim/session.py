@@ -21,9 +21,13 @@ send order the delivery order.
 The kernel is columnar. A `Session` samples the bench's compiled tables
 (`OpticalBench.compiled`, computed once per bench) and only wires in what its
 scenario does on a wrong branch; `Session.scenario_step` draws CHUNK_MESSAGES
-messages at a time as `Trials` columns of small integer codes. `TrialRecord`
-and `Note` objects are built from the columns only when
-`SessionResult.records`/`.notes` is read.
+messages at a time as `Trials` columns of small integer codes. Each trial
+falls in a cell, 2 * message + wrong branch, and the session builds once the
+arrays that map a cell to the running sums of the table it draws from
+(stacked, padded to the widest table), its patterns, its action and its
+note; a chunk gathers from them by cell and samples all its trials in one
+`sample_outcome` call. `TrialRecord` and `Note` objects are built from the
+columns only when `SessionResult.records`/`.notes` is read.
 
 Randomness (RNG_SCHEME): chunk k of a session draws its uniform messages from
 stream 1 and its trials from stream 0, each a numpy Philox generator seeded
@@ -200,7 +204,13 @@ def _chunk_messages(config: RunConfig, chunk: int) -> np.ndarray:
         rng = _generator(config.seed, _STREAM_MESSAGES, chunk)
         return rng.integers(0, len(ALPHABET), size=size, dtype=np.int8)
     cycle = np.array([ALPHABET.index(m) for m in config.messages], dtype=np.int8)
-    return cycle[np.arange(start, start + size) % len(cycle)]
+    return _cycled(cycle, start, size)
+
+
+def _cycled(cycle: np.ndarray, start: int, size: int) -> np.ndarray:
+    """Items start, ..., start + size - 1 of `cycle` repeated without end."""
+    rotated = np.roll(cycle, -(start % len(cycle)))
+    return np.tile(rotated, -(-size // len(cycle)))[:size]
 
 
 def intended_stream(config: RunConfig) -> list[MessageSymbol]:
@@ -263,7 +273,13 @@ class Trials:
         """One integer per trial naming its (intended, branch, action, pattern, decoded, note)."""
         sizes = (len(ALPHABET), len(BRANCHES), len(ACTIONS), len(self.patterns),
                  len(self.outcomes), len(NOTE_KINDS))
-        return np.ravel_multi_index(self.columns[1:], sizes, mode="wrap")  # -1: the last
+        code = np.zeros(len(self), dtype=np.intp)
+        for col, size in zip(self.columns[1:], sizes):
+            code *= size
+            # numbered as np.ravel_multi_index(..., mode="wrap") does, so -1 is
+            # the last code: the sign bit shifted down is -1 there and 0 elsewhere
+            code += col - (col >> (8 * col.itemsize - 1)) * size
+        return code
 
     def records(self, classical_delay: int, rows=slice(None)) -> list[TrialRecord]:
         """The `rows` of these trials as TrialRecords, sent notes stamped with their arrival."""
@@ -298,11 +314,8 @@ class Session:
         self.config = config
         self._next_trial = 0
         compiled = (bench or default_bench()).compiled
-        self._tables = compiled.tables
         self.patterns = (*compiled.patterns, None)
         self.outcomes = (*compiled.outcomes, None)
-        # pattern code -> decoded code; pattern -1 reads the trailing -1
-        self._decoded = np.append(compiled.decoded, np.int8(-1))
         self._p_controlled = np.array([b.controlled_probability for b in compiled.branches])
 
         # what a wrong branch does, per scenario: the receiver's table per
@@ -316,39 +329,55 @@ class Session:
             Scenario.C: ((-1,) * len(ALPHABET), ScenarioAction.PAIR_STOPPED,
                          NoteKind.ERASE if config.erase_notes else NoteKind.REPEAT),
         }[config.scenario]
-        self._wrong_table = np.array(wrong_table, dtype=np.int8)
-        self._wrong_action = ACTIONS.index(wrong_action)
-        self._wrong_note = NOTE_KINDS.index(wrong_note)
+
+        # per cell, 2 * message + wrong branch: the table drawn from, the action and the note
+        cell_table = [t for m, wrong in enumerate(wrong_table) for t in (m, wrong)]
+        self._cell_action = np.array([_SENT, ACTIONS.index(wrong_action)] * len(ALPHABET),
+                                     dtype=np.int8)
+        self._cell_note = np.array([-1, NOTE_KINDS.index(wrong_note)] * len(ALPHABET),
+                                   dtype=np.int8)
+
+        # each table as its running sums and pattern codes, padded to the
+        # widest table: a table's last sum and its padding are +inf, so no
+        # uniform counts them; table -1, a stopped pair, reads pattern -1
+        tables = [(t.cumulative[:-1].tolist(), t.outcomes) for t in compiled.tables]
+        tables.append(([], [-1]))
+        self._width = width = max(len(outcomes) for _, outcomes in tables)
+        cells = [tables[t] for t in cell_table]
+        sums = [row + [np.inf] * (width - len(row)) for row, _ in cells]
+        self._cell_sums = np.array(sums).T.copy()  # (index, cell) -> running sum
+        codes = [code for _, outcomes in cells
+                 for code in outcomes + [-1] * (width - len(outcomes))]
+        decoded = [*compiled.decoded.tolist(), -1]
+        # (cell, index), flattened, -> pattern code and its decoded code
+        self._cell_pattern = np.array(codes, dtype=np.int16)
+        self._cell_decoded = np.array([decoded[code] for code in codes], dtype=np.int8)
 
     def scenario_step(self, chunk: int) -> Trials:
         """Drive chunk `chunk`'s messages to delivery; chunks are drawn in order, once."""
         messages = _chunk_messages(self.config, chunk)
         rng = trial_rng(self.config.seed, chunk)
-        p_controlled = self._p_controlled[messages]
         if self.config.scenario is Scenario.B:  # one pair per message
             intended = messages
-            wrong = rng.random(len(messages)) >= p_controlled
+            wrong = rng.random(len(messages)) >= self._p_controlled[messages]
         else:  # retry on fresh pairs until the controlled branch
-            attempts = rng.geometric(p_controlled)
+            attempts = rng.geometric(self._p_controlled[messages])
             intended = np.repeat(messages, attempts)
             wrong = np.ones(len(intended), dtype=bool)
             wrong[np.cumsum(attempts) - 1] = False
-        table_of = np.where(wrong, self._wrong_table[intended], intended)
-        u = rng.random(len(intended))
-        pattern = np.full(len(intended), -1, dtype=np.int16)
-        for t, table in enumerate(self._tables):
-            rows = np.flatnonzero(table_of == t)
-            pattern[rows] = np.take(table.outcomes, sample_outcome(table, u[rows]))
+        cell = 2 * intended.astype(np.int16) + wrong
+        row = sample_outcome(np.take(self._cell_sums, cell, axis=1), rng.random(len(intended)))
+        row += cell * self._width  # the index into the cell's table -> its (cell, index) row
         start = self._next_trial
         self._next_trial += len(intended)
         return Trials(
             trial=np.arange(start, self._next_trial),
             intended=intended,
             branch=wrong.astype(np.int8),  # BRANCHES: 0 controlled, 1 wrong
-            action=np.where(wrong, self._wrong_action, _SENT).astype(np.int8),
-            pattern=pattern,
-            decoded=self._decoded[pattern],
-            note=np.where(wrong, self._wrong_note, -1).astype(np.int8),
+            action=self._cell_action[cell],
+            pattern=self._cell_pattern[row],
+            decoded=self._cell_decoded[row],
+            note=self._cell_note[cell],
             patterns=self.patterns,
             outcomes=self.outcomes,
         )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdcsim.fock import (
     CoverageError,
@@ -277,6 +279,60 @@ class TestSampleOutcome:
         table = OutcomeTable({"x": 0.3, "y": 0.7 - 1e-12, "z": 1e-12})
         u = np.random.default_rng(3).random(1000)
         assert sample_outcome(table, u).tolist() == [sample_outcome(table, x) for x in u]
+
+
+def searchsorted_rule(cumulative, u):
+    """The sampling rule as a binary search, the oracle of the running-sum count."""
+    last = len(cumulative) - 1
+    return np.minimum(np.searchsorted(cumulative, u, side="right"), last)
+
+
+@st.composite
+def outcome_tables(draw):
+    """1-12 outcomes, some of probability 0, summing to 1 or short of it by under 1e-9."""
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)
+                   .filter(lambda w: sum(w) > 0.0))
+    shortfall = draw(st.sampled_from([0.0, 1e-12, 5e-10, 9.9e-10]))
+    total = sum(weights)
+    return OutcomeTable({i: w / total * (1.0 - shortfall) for i, w in enumerate(weights)})
+
+
+def probes(cumulative):
+    """0, the largest uniform below 1, every running sum and the floats either side of it."""
+    sums = [float(c) for c in cumulative]
+    near = [np.nextafter(c, side) for c in sums for side in (0.0, 2.0)]
+    return np.array([0.0, 1.0 - 1e-16, *sums, *near])
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=outcome_tables(), seed=st.integers(0, 2**32 - 1))
+def test_sampler_counts_running_sums_as_a_binary_search_would(table, seed):
+    u = np.concatenate([probes(table.cumulative), np.random.default_rng(seed).random(64)])
+    expected = searchsorted_rule(table.cumulative, u).tolist()
+    assert sample_outcome(table, u).tolist() == expected
+    assert sample_outcome(table.cumulative, u).tolist() == expected
+    assert [int(sample_outcome(table, x)) for x in u] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables=st.lists(outcome_tables(), min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1))
+def test_stacked_tables_each_draw_their_own(tables, seed):
+    # one column of running sums per table, padded to the widest; each
+    # table's last sum and its padding are +inf
+    width = max(len(t.outcomes) for t in tables)
+    stack = np.full((width, len(tables)), np.inf)
+    for j, t in enumerate(tables):
+        stack[: len(t.outcomes) - 1, j] = t.cumulative[:-1]
+    rng = np.random.default_rng(seed)
+    probed = [probes(t.cumulative) for t in tables]
+    which = np.concatenate([np.full(len(p), j) for j, p in enumerate(probed)]
+                           + [rng.integers(0, len(tables), 64)])
+    u = np.concatenate([*probed, rng.random(64)])
+    order = rng.permutation(len(u))
+    which, u = which[order], u[order]
+    drawn = sample_outcome(stack[:, which], u)
+    expected = [int(searchsorted_rule(tables[j].cumulative, x)) for j, x in zip(which, u)]
+    assert drawn.tolist() == expected
 
 
 class TestDetect:

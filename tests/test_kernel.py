@@ -7,6 +7,7 @@ compiled tables, and compare each count with an exact binomial band.
 
 import contextlib
 import csv
+import hashlib
 import io
 import tracemalloc
 from collections import Counter
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from sdcsim import session
 from sdcsim.cli import _event_lines, main
+from sdcsim.elements import hwp
 from sdcsim.fock import branch_on_modes
 from sdcsim.protocol import (
     ALICE,
@@ -25,10 +27,21 @@ from sdcsim.protocol import (
     Branch,
     ClonePolicy,
     MessageSymbol,
+    OpticalBench,
     Scenario,
     default_bench,
 )
-from sdcsim.session import BRANCHES, NoteKind, RunConfig, Session, run_session
+from sdcsim.session import (
+    ACTIONS,
+    BRANCHES,
+    NOTE_KINDS,
+    NoteKind,
+    RunConfig,
+    Session,
+    Trials,
+    _cycled,
+    run_session,
+)
 from sdcsim.verify import binomial_tails
 
 # Total false-alarm rate of the differential tests, split evenly (Bonferroni)
@@ -121,6 +134,147 @@ def test_counts_match_the_optics(name):
     alpha = FALSE_ALARM / len(DIFFERENTIAL_CONFIGS) / len(tails)
     outside = {cell: t for cell, t in tails.items() if min(t) < alpha / 2}
     assert not outside, outside
+
+
+def _tilted_hh():
+    bench = OpticalBench()
+    bench.encoder[MessageSymbol.HH] = (hwp(bench.registry, 22.5, ALICE), bench.pol_pass_h)
+    return bench
+
+
+def _tilted_psi_minus():
+    bench = OpticalBench()
+    bench.encoder[MessageSymbol.PSI_MINUS] = (hwp(bench.registry, 22.5, ALICE),)
+    return bench
+
+
+PINNED_CONFIGS = {**DIFFERENTIAL_CONFIGS, "c": dict(scenario=Scenario.C)}
+PINNED_STREAMS = {
+    "uniform": "uniform",
+    "list": (MessageSymbol.HH, MessageSymbol.PSI_MINUS, MessageSymbol.VV, MessageSymbol.PSI_PLUS,
+             MessageSymbol.HH, MessageSymbol.VV, MessageSymbol.PSI_MINUS),
+}
+PINNED_DTYPES = ["<i8", "|i1", "|i1", "|i1", "<i2", "|i1", "|i1"]
+# sha256 over every Trials column (dtype string, then values) of a
+# 70,000-message session at seed 31: (bench, config, stream) -> (digest, trials)
+PINNED_KERNEL = {
+    ("hh", "a", "uniform"):
+        ("e10e096d90ecccfef1250345cad5212c4021b6de5c91351ce04e08d1d50c7776", 105189),
+    ("hh", "a", "list"):
+        ("a141214026b4383a73b2b75f3150378afa2197f2dc3989082a6e00a9486a05f1", 110295),
+    ("hh", "b-send-as-is", "uniform"):
+        ("9cc6dfe1f1c80819ab981ce21ada6a0a23adb9286759d614b9b73ce3fd3054df", 70000),
+    ("hh", "b-send-as-is", "list"):
+        ("4755f1f217eb4493554bc3223b16d0458ea84220ac1a28016927991693599f6c", 70000),
+    ("hh", "b-clone-intended", "uniform"):
+        ("64958ad06472d062465af15360449ff9acd1161f7b360ecf1e38392587d32ab6", 70000),
+    ("hh", "b-clone-intended", "list"):
+        ("213b8c2b0aa78c1137d7b6f93a24907e75f059b4ff011476559bef0ba60afaf6", 70000),
+    ("hh", "c", "uniform"):
+        ("fede6e90503a8128e21cea31a79c167da97bbd674c7327f7962e0ee09caf0cb7", 105189),
+    ("hh", "c", "list"):
+        ("2a20715e52a9cc779cdcd5812e45e06c5ab24fc71e9c6ce4202a18a3cadbc603", 110295),
+    ("hh", "c-erase-notes", "uniform"):
+        ("75afc4955aa2d6f2954e96edb7a96b59e2400a4af7d6749b1dc6ce44105f358a", 105189),
+    ("hh", "c-erase-notes", "list"):
+        ("47e0805872754c0249c62b1202e92ae03961b4722aba9e1026355f19757d3783", 110295),
+    ("psi-", "a", "uniform"):
+        ("a2bb341bac27affb35a9b39919f79b5d77c0576a0d3db5b7ff4e9768b7640007", 105189),
+    ("psi-", "a", "list"):
+        ("7dc947650afdd2fbe63fdd12051e4c85b25f177b51d2f96adfe51a5da26214e5", 110295),
+    ("psi-", "b-send-as-is", "uniform"):
+        ("95c885f3ed9ec19eb67a84ba4b0117556575dc91c964996bf5c174c5e093ef8b", 70000),
+    ("psi-", "b-send-as-is", "list"):
+        ("0cac45c9ff39ff21903e564b8faa27f0c5fcde319e0e0b6028bebe56b1b7f15b", 70000),
+    ("psi-", "b-clone-intended", "uniform"):
+        ("9ec5c140b12c05c5de314407a2a81751c0f0324ce061cf824416eef368510235", 70000),
+    ("psi-", "b-clone-intended", "list"):
+        ("e02b243bcae3c8989a1badb776cc3ab78c27d825a1e8a073aa80503ececc6dac", 70000),
+    ("psi-", "c", "uniform"):
+        ("2ed9d7dc948be79c41e8453327c7678e287838cb5bc8e1eda15eb2d9cd71c183", 105189),
+    ("psi-", "c", "list"):
+        ("a6e643b82826684ecc7bfccfdb6b1d479a36e683c5513fb013939f748e98045a", 110295),
+    ("psi-", "c-erase-notes", "uniform"):
+        ("eda1af2636b75818843eb26c70777b6a25b25796d2a961249be3ba724cb0e832", 105189),
+    ("psi-", "c-erase-notes", "list"):
+        ("69ed953aab648ee21bd1f27514f75f75aa444db79b265763168458ab51bf39f7", 110295),
+}
+
+
+@pytest.mark.parametrize("bench_name,make_bench", [("hh", _tilted_hh), ("psi-", _tilted_psi_minus)])
+def test_kernel_columns_are_pinned_on_perturbed_benches(bench_name, make_bench):
+    # tables of unequal widths (2 to 6 outcomes), so a stacked draw that let a
+    # narrow table's last running sum count would change these digests
+    bench = make_bench()
+    widths = {len(t.outcomes) for t in bench.compiled.tables}
+    assert len(widths) > 1, widths
+    for name, fields in PINNED_CONFIGS.items():
+        for stream, messages in PINNED_STREAMS.items():
+            config = RunConfig(n_messages=70_000, seed=31, messages=messages, **fields)
+            trials = run_session(config, bench).trials
+            assert [col.dtype.str for col in trials.columns] == PINNED_DTYPES
+            digest = hashlib.sha256()
+            for col in trials.columns:
+                digest.update(col.dtype.str.encode())
+                digest.update(col.tobytes())
+            key = (bench_name, name, stream)
+            assert (digest.hexdigest(), len(trials)) == PINNED_KERNEL[key], key
+
+
+class _TopUniforms:
+    """A trial stream whose every uniform is the largest float below 1."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def geometric(self, p):
+        return self._rng.geometric(p)
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("make_bench", [_tilted_hh, _tilted_psi_minus])
+@pytest.mark.parametrize("scenario", [Scenario.A, Scenario.B])
+def test_the_top_uniform_draws_each_tables_last_outcome(make_bench, scenario, monkeypatch):
+    # the tables' last running sums lie below that uniform, so a stacked draw
+    # that counted a narrow table's last sum would land in the padding
+    real = session.trial_rng
+    monkeypatch.setattr(session, "trial_rng", lambda seed, chunk: _TopUniforms(real(seed, chunk)))
+    bench = make_bench()
+    compiled = bench.compiled
+    trials = run_session(RunConfig(scenario, 2_000, 4), bench).trials
+    wrong_table = compiled.lone_table if scenario is Scenario.A else compiled.resent_table
+    drawn_from = [wrong_table[m] if b else m
+                  for m, b in zip(trials.intended.tolist(), trials.branch.tolist())]
+    assert trials.pattern.tolist() == [compiled.tables[t].outcomes[-1] for t in drawn_from]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 500), patterns=st.integers(1, 20), outcomes=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_row_codes_number_rows_as_ravel_multi_index(n, patterns, outcomes, seed):
+    rng = np.random.default_rng(seed)
+    sizes = (len(ALPHABET), len(BRANCHES), len(ACTIONS), patterns, outcomes, len(NOTE_KINDS))
+    dtypes = (np.int8, np.int8, np.int8, np.int16, np.int8, np.int8)
+    # pattern, decoded and note may be -1, which numbers as the last code
+    lows = (0, 0, 0, -1, -1, -1)
+    columns = [rng.integers(low, size, n).astype(dtype)
+               for low, size, dtype in zip(lows, sizes, dtypes)]
+    trials = Trials(np.arange(n), *columns, (None,) * patterns, (None,) * outcomes)
+    expected = np.ravel_multi_index(columns, sizes, mode="wrap")
+    assert np.array_equal(trials.row_codes(), expected)
+
+
+@pytest.mark.parametrize("length", range(1, 8))
+def test_cycled_messages_match_the_modulo_form(length):
+    cycle = np.arange(length, dtype=np.int8)
+    for start in (0, 5, 65_536):
+        for size in (1, 17, 65_536):
+            cycled = _cycled(cycle, start, size)
+            expected = cycle[np.arange(start, start + size) % length]
+            assert cycled.dtype == expected.dtype
+            assert np.array_equal(cycled, expected), (start, size)
 
 
 def _log_rows(records):

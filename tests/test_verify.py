@@ -61,19 +61,19 @@ def test_kernel_and_verify_draw_through_one_sampler(monkeypatch):
     calls = []
 
     def counting(table, u):
-        calls.append(table)
+        calls.append((table, len(u)))
         return sample_outcome(table, u)
 
     monkeypatch.setattr(session, "sample_outcome", counting)
     monkeypatch.setattr(verify, "sample_outcome", counting)
     bench = OpticalBench()
-    tables = bench.compiled.tables
     config = RunConfig(scenario=Scenario.B, n_messages=CHUNK_MESSAGES + 1, seed=3)
     run_session(config, bench)
-    assert calls == [*tables, *tables]  # once per table per chunk
+    # once per chunk, for every trial of it (one per message in scenario b)
+    assert [n for _, n in calls] == [CHUNK_MESSAGES, 1]
     calls.clear()
     check_sampling_consistency(bench, seed=3, draws=1_000)
-    assert calls == [tables[ALPHABET.index(MessageSymbol.PSI_PLUS)]]
+    assert calls == [(bench.compiled.tables[ALPHABET.index(MessageSymbol.PSI_PLUS)], 1_000)]
 
 
 @pytest.mark.parametrize("p", [0.5, 0.25, 0.01])
