@@ -293,22 +293,18 @@ def _write_events(handle, run: session.Session) -> np.ndarray:
     """Stream the session's event log chunk by chunk; return its summed tally.
 
     The line of a trial is its number, then the csv rendering of its other
-    columns. That suffix carries no trial number, so each chunk renders it
-    once per distinct `Trials.row_codes()` value, from any trial with that
-    code, and `_event_lines` joins the lines from strings that already exist.
+    columns. That suffix carries no trial number and depends only on the
+    trial's row, so it is rendered once per row of the session's table, and
+    `_event_lines` joins each chunk's lines from strings that already exist.
     """
     csv.writer(handle).writerow(EVENT_HEADER)
+    every_row = session.Trials(np.arange(len(run.table)), 0, run.table)
+    suffixes = [_event_suffix(r) for r in every_row.records(run.config.classical_delay)]
+    suffix_of = np.array(suffixes, dtype=object)
     tally = 0
     for trials in run.chunks():
         tally = tally + trials.tally()
-        codes = trials.row_codes()
-        some_trial = np.full(codes.max() + 1, -1)  # row code -> a trial with it
-        some_trial[codes] = np.arange(len(codes))
-        distinct = np.flatnonzero(some_trial >= 0)
-        records = trials.records(run.config.classical_delay, some_trial[distinct])
-        suffix_of = np.empty(len(some_trial), dtype=object)
-        suffix_of[distinct] = [_event_suffix(r) for r in records]
-        handle.write(_event_lines(int(trials.trial[0]), suffix_of[codes].tolist()))
+        handle.write(_event_lines(trials.first, suffix_of[trials.row].tolist()))
     return tally
 
 

@@ -21,13 +21,15 @@ send order the delivery order.
 The kernel is columnar. A `Session` samples the bench's compiled tables
 (`OpticalBench.compiled`, computed once per bench) and only wires in what its
 scenario does on a wrong branch; `Session.scenario_step` draws CHUNK_MESSAGES
-messages at a time as `Trials` columns of small integer codes. Each trial
-falls in a cell, 2 * message + wrong branch, and the session builds once the
-arrays that map a cell to the running sums of the table it draws from
-(stacked, padded to the widest table), its patterns, its action and its
-note; a chunk gathers from them by cell and samples all its trials in one
-`sample_outcome` call. `TrialRecord` and `Note` objects are built from the
-columns only when `SessionResult.records`/`.notes` is read.
+messages at a time. Each trial falls in a cell, 2 * message + wrong branch,
+and the session builds once the running sums of the table each cell draws
+from (stacked, padded to the widest table) and its `RowTable`: row
+cell * width + i is outcome i of the cell's table, with its message, branch,
+action, pattern, decoding and note. A chunk gathers the running sums by
+cell, samples all its trials in one `sample_outcome` call and keeps one
+int16 row code per trial (`Trials.row`). Every other column, the report's
+tally and the `TrialRecord` and `Note` objects, which are built only when
+`SessionResult.records`/`.notes` is read, are looked up by row.
 
 Randomness (RNG_SCHEME): chunk k of a session draws its uniform messages from
 stream 1 and its trials from stream 0, each a numpy Philox generator seeded
@@ -45,7 +47,7 @@ from __future__ import annotations
 from collections import UserList
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -127,6 +129,12 @@ class TrialRecord:
     note: Note | None
 
 
+def check_seed(seed: int) -> None:
+    """Raise InvalidConfigError unless `seed` is an unsigned 64-bit integer."""
+    if not 0 <= seed < 2**64:
+        raise InvalidConfigError("seed must be an unsigned 64-bit integer")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     scenario: Scenario
@@ -141,8 +149,7 @@ class RunConfig:
     def __post_init__(self):
         if self.n_messages < 1:
             raise InvalidConfigError("n_messages must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidConfigError("seed must be an unsigned 64-bit integer")
+        check_seed(self.seed)
         if self.classical_delay < 0:
             raise InvalidConfigError("classical delay must be >= 0")
         allowed = ALLOWED_OWNERS[self.scenario]
@@ -223,15 +230,14 @@ def intended_stream(config: RunConfig) -> list[MessageSymbol]:
 
 
 @dataclass(frozen=True, eq=False)
-class Trials:
-    """Consecutive trials of one session as numpy columns of codes.
+class RowTable:
+    """What each row code of one session names, as the `Trials` columns' codes.
 
-    `intended` indexes ALPHABET, `branch` BRANCHES, `action` ACTIONS, `note`
-    NOTE_KINDS, `pattern` the `patterns` tuple and `decoded` the `outcomes`
-    tuple; -1 means none (no photon reached the receiver, or no note).
+    Row cell * width + i is outcome i of the table that cell, 2 * message +
+    wrong branch, draws from; past a table's last outcome, and for a stopped
+    pair, its pattern and decoded codes are -1.
     """
 
-    trial: np.ndarray
     intended: np.ndarray
     branch: np.ndarray
     action: np.ndarray
@@ -241,65 +247,122 @@ class Trials:
     patterns: tuple[DetectionPattern | None, ...]
     outcomes: tuple[ClassifiedOutcome | None, ...]
 
+    def __len__(self):
+        return len(self.pattern)
+
+    @cached_property
+    def fields(self) -> list[tuple]:
+        """Per row: its intended symbol, branch, action, pattern, decoding and note kind."""
+        codes = (self.intended, self.branch, self.action, self.pattern, self.decoded, self.note)
+        return [
+            (ALPHABET[i], BRANCHES[b], ACTIONS[a], self.patterns[p], self.outcomes[d],
+             NOTE_KINDS[k])
+            for i, b, a, p, d, k in zip(*(col.tolist() for col in codes))
+        ]
+
+
+def _looked_up(column: str) -> property:
+    return property(lambda self: getattr(self.table, column)[self.row],
+                    doc=f"Each trial's {column} code, looked up by its row.")
+
+
+def _note(trial: int, symbol: MessageSymbol, kind: NoteKind | None,
+          classical_delay: int) -> Note | None:
+    """Trial `trial`'s note of this kind, if any; a sent one is stamped with its arrival."""
+    if kind is None:
+        return None
+    if kind is NoteKind.REPEAT:  # labels the record, never sent
+        return Note(trial, kind)
+    corrects = symbol if kind is NoteKind.CORRECT_TO else None
+    return Note(trial, kind, corrects, trial + classical_delay)
+
+
+_SENT_NOTES = [NOTE_KINDS.index(NoteKind.CORRECT_TO), NOTE_KINDS.index(NoteKind.ERASE)]
+
+
+@dataclass(frozen=True, eq=False)
+class Trials:
+    """Consecutive trials of one session: trial `first + i` drew row `row[i]` of `table`.
+
+    Every other column is looked up from the row: `intended` indexes
+    ALPHABET, `branch` BRANCHES, `action` ACTIONS, `note` NOTE_KINDS,
+    `pattern` the table's `patterns` and `decoded` its `outcomes`; -1 means
+    none (no photon reached the receiver, or no note).
+    """
+
+    row: np.ndarray  # int16
+    first: int
+    table: RowTable
+
+    intended = _looked_up("intended")
+    branch = _looked_up("branch")
+    action = _looked_up("action")
+    pattern = _looked_up("pattern")
+    decoded = _looked_up("decoded")
+    note = _looked_up("note")
+
+    @property
+    def trial(self) -> np.ndarray:
+        return np.arange(self.first, self.first + len(self.row))
+
     @property
     def columns(self) -> tuple[np.ndarray, ...]:
         return (self.trial, self.intended, self.branch, self.action, self.pattern,
                 self.decoded, self.note)
 
     def __len__(self):
-        return len(self.trial)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Trials)
-            and (self.patterns, self.outcomes) == (other.patterns, other.outcomes)
-            and all(map(np.array_equal, self.columns, other.columns))
-        )
+        return len(self.row)
 
     @classmethod
     def concat(cls, parts: Sequence["Trials"]) -> "Trials":
         if len(parts) == 1:
             return parts[0]
-        columns = (np.concatenate(col) for col in zip(*(p.columns for p in parts)))
-        return cls(*columns, parts[0].patterns, parts[0].outcomes)
+        return cls(np.concatenate([p.row for p in parts]), parts[0].first, parts[0].table)
+
+    def row_counts(self) -> np.ndarray:
+        """Trial counts per row of the table."""
+        return np.bincount(self.row, minlength=len(self.table))
 
     def tally(self) -> np.ndarray:
         """Trial counts per (message, action), a len(ALPHABET) x len(ACTIONS) matrix."""
-        cell = self.intended.astype(np.intp) * len(ACTIONS) + self.action
-        counts = np.bincount(cell, minlength=len(ALPHABET) * len(ACTIONS))
-        return counts.reshape(len(ALPHABET), len(ACTIONS))
+        counts = np.zeros((len(ALPHABET), len(ACTIONS)), dtype=np.intp)
+        np.add.at(counts, (self.table.intended, self.table.action), self.row_counts())
+        return counts
 
-    def row_codes(self) -> np.ndarray:
-        """One integer per trial naming its (intended, branch, action, pattern, decoded, note)."""
-        sizes = (len(ALPHABET), len(BRANCHES), len(ACTIONS), len(self.patterns),
-                 len(self.outcomes), len(NOTE_KINDS))
-        code = np.zeros(len(self), dtype=np.intp)
-        for col, size in zip(self.columns[1:], sizes):
-            code *= size
-            # numbered as np.ravel_multi_index(..., mode="wrap") does, so -1 is
-            # the last code: the sign bit shifted down is -1 there and 0 elsewhere
-            code += col - (col >> (8 * col.itemsize - 1)) * size
-        return code
-
-    def records(self, classical_delay: int, rows=slice(None)) -> list[TrialRecord]:
-        """The `rows` of these trials as TrialRecords, sent notes stamped with their arrival."""
+    def records(self, classical_delay: int) -> list[TrialRecord]:
+        """These trials as TrialRecords, sent notes stamped with their arrival."""
         out = []
-        columns = (col[rows].tolist() for col in self.columns)
-        for t, i, b, a, p, d, k in zip(*columns):
-            symbol, kind = ALPHABET[i], NOTE_KINDS[k]
-            if kind is None:
-                note = None
-            elif kind is NoteKind.REPEAT:  # labels the record, never sent
-                note = Note(t, kind)
-            else:
-                corrects = symbol if kind is NoteKind.CORRECT_TO else None
-                note = Note(t, kind, corrects, t + classical_delay)
-            out.append(
-                TrialRecord(
-                    t, symbol, BRANCHES[b], ACTIONS[a], self.patterns[p], self.outcomes[d], note
-                )
-            )
+        fields = self.table.fields
+        for t, r in enumerate(self.row.tolist(), self.first):
+            symbol, branch, action, pattern, decoded, kind = fields[r]
+            note = _note(t, symbol, kind, classical_delay)
+            out.append(TrialRecord(t, symbol, branch, action, pattern, decoded, note))
         return out
+
+    def notes(self, classical_delay: int) -> list[Note]:
+        """The notes these trials send, in send order, stamped with their arrival."""
+        sent = np.flatnonzero(np.isin(self.table.note, _SENT_NOTES)[self.row])
+        fields = self.table.fields
+        return [
+            _note(t, fields[r][0], fields[r][-1], classical_delay)
+            for t, r in zip((sent + self.first).tolist(), self.row[sent].tolist())
+        ]
+
+
+@cache
+def _cell_columns(width: int, wrong_action: int, wrong_note: int) -> tuple[np.ndarray, ...]:
+    """The intended, branch, action and note codes of each row, `width` rows per cell.
+
+    A row's cell alone decides them, so sessions with the same wrong-branch
+    action and note share these (read-only) arrays.
+    """
+    cell = np.arange(2 * len(ALPHABET), dtype=np.int8).repeat(width)
+    branch = cell & 1  # BRANCHES: 0 controlled, 1 wrong
+    columns = (cell >> 1, branch, np.array([_SENT, wrong_action], dtype=np.int8)[branch],
+               np.array([-1, wrong_note], dtype=np.int8)[branch])
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 class Session:
@@ -314,8 +377,6 @@ class Session:
         self.config = config
         self._next_trial = 0
         compiled = (bench or default_bench()).compiled
-        self.patterns = (*compiled.patterns, None)
-        self.outcomes = (*compiled.outcomes, None)
         self._p_controlled = np.array([b.controlled_probability for b in compiled.branches])
 
         # what a wrong branch does, per scenario: the receiver's table per
@@ -330,28 +391,29 @@ class Session:
                          NoteKind.ERASE if config.erase_notes else NoteKind.REPEAT),
         }[config.scenario]
 
-        # per cell, 2 * message + wrong branch: the table drawn from, the action and the note
-        cell_table = [t for m, wrong in enumerate(wrong_table) for t in (m, wrong)]
-        self._cell_action = np.array([_SENT, ACTIONS.index(wrong_action)] * len(ALPHABET),
-                                     dtype=np.int8)
-        self._cell_note = np.array([-1, NOTE_KINDS.index(wrong_note)] * len(ALPHABET),
-                                   dtype=np.int8)
-
         # each table as its running sums and pattern codes, padded to the
         # widest table: a table's last sum and its padding are +inf, so no
         # uniform counts them; table -1, a stopped pair, reads pattern -1
         tables = [(t.cumulative[:-1].tolist(), t.outcomes) for t in compiled.tables]
         tables.append(([], [-1]))
         self._width = width = max(len(outcomes) for _, outcomes in tables)
-        cells = [tables[t] for t in cell_table]
+        # per cell, 2 * message + wrong branch: the table drawn from
+        cells = [tables[t] for m, wrong in enumerate(wrong_table) for t in (m, wrong)]
         sums = [row + [np.inf] * (width - len(row)) for row, _ in cells]
         self._cell_sums = np.array(sums).T.copy()  # (index, cell) -> running sum
         codes = [code for _, outcomes in cells
                  for code in outcomes + [-1] * (width - len(outcomes))]
         decoded = [*compiled.decoded.tolist(), -1]
-        # (cell, index), flattened, -> pattern code and its decoded code
-        self._cell_pattern = np.array(codes, dtype=np.int16)
-        self._cell_decoded = np.array([decoded[code] for code in codes], dtype=np.int8)
+        intended, branch, action, note = _cell_columns(
+            width, ACTIONS.index(wrong_action), NOTE_KINDS.index(wrong_note))
+        self.table = RowTable(
+            intended, branch, action,
+            pattern=np.array(codes, dtype=np.int16),
+            decoded=np.array([decoded[code] for code in codes], dtype=np.int8),
+            note=note,
+            patterns=(*compiled.patterns, None),
+            outcomes=(*compiled.outcomes, None),
+        )
 
     def scenario_step(self, chunk: int) -> Trials:
         """Drive chunk `chunk`'s messages to delivery; chunks are drawn in order, once."""
@@ -366,21 +428,11 @@ class Session:
             wrong = np.ones(len(intended), dtype=bool)
             wrong[np.cumsum(attempts) - 1] = False
         cell = 2 * intended.astype(np.int16) + wrong
-        row = sample_outcome(np.take(self._cell_sums, cell, axis=1), rng.random(len(intended)))
-        row += cell * self._width  # the index into the cell's table -> its (cell, index) row
+        row = cell * np.int16(self._width)  # the cell's first row, then the drawn index
+        row += sample_outcome(np.take(self._cell_sums, cell, axis=1), rng.random(len(intended)))
         start = self._next_trial
         self._next_trial += len(intended)
-        return Trials(
-            trial=np.arange(start, self._next_trial),
-            intended=intended,
-            branch=wrong.astype(np.int8),  # BRANCHES: 0 controlled, 1 wrong
-            action=self._cell_action[cell],
-            pattern=self._cell_pattern[row],
-            decoded=self._cell_decoded[row],
-            note=self._cell_note[cell],
-            patterns=self.patterns,
-            outcomes=self.outcomes,
-        )
+        return Trials(row, start, self.table)
 
     def chunks(self) -> Iterator[Trials]:
         """Every chunk of the session, in order."""
@@ -421,12 +473,12 @@ def run_session(config: RunConfig, bench: OpticalBench | None = None) -> Session
     until it gets through; scenario b consumes exactly one pair per message.
     Deterministic for a fixed config.
     """
-    trials = Trials.concat(list(Session(config, bench).chunks()))
+    chunks = list(Session(config, bench).chunks())
+    trials = Trials.concat(chunks)
     records = _LazyList(build=lambda: trials.records(config.classical_delay))
-    notes = _LazyList(
-        build=lambda: [r.note for r in records if r.note and r.note.delivered_at is not None]
-    )
-    return SessionResult(config, records, notes, build_report(trials.tally()), trials)
+    notes = _LazyList(build=lambda: trials.notes(config.classical_delay))
+    report = build_report(sum(chunk.tally() for chunk in chunks))
+    return SessionResult(config, records, notes, report, trials)
 
 
 def build_report(tally: np.ndarray) -> "capacity.CapacityReport":

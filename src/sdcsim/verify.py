@@ -33,7 +33,7 @@ from .protocol import (
     Scenario,
     default_bench,
 )
-from .session import BRANCHES, InvalidConfigError, RunConfig, run_session
+from .session import BRANCHES, InvalidConfigError, RunConfig, check_seed, run_session
 
 EXACT_TOL = 1e-12
 FALSE_ALARM = 1e-6
@@ -226,8 +226,9 @@ def check_branch_statistics(bench, seed: int, trials: int) -> CheckResult:
         seed=seed,
         messages=(MessageSymbol.HH,),
     )
-    result = run_session(config, bench)
-    wrong = int(np.count_nonzero(result.trials.branch == BRANCHES.index(Branch.WRONG)))
+    drawn = run_session(config, bench).trials
+    wrong_rows = drawn.table.branch == BRANCHES.index(Branch.WRONG)
+    wrong = int(drawn.row_counts()[wrong_rows].sum())
     passed, measured = _tail_test(wrong, trials, 0.5, CHECK_ALARM)
     return _check("branch_statistics", passed, f"wrong {measured}")
 
@@ -275,7 +276,7 @@ def check_seed_determinism(bench, seed: int) -> CheckResult:
     config = RunConfig(scenario=Scenario.A, n_messages=200, seed=seed)
     first = run_session(config, bench)
     second = run_session(config, bench)
-    same = first.trials == second.trials and first.report == second.report
+    same = np.array_equal(first.trials.row, second.trials.row) and first.report == second.report
     return _check("seed_determinism", same, f"{len(first.trials)} trials reproduced")
 
 
@@ -283,9 +284,11 @@ def run_verification(seed: int = 20_260_810, branch_trials: int = 100_000) -> li
     """Run every invariant check.
 
     `branch_trials` sizes both statistical checks: the branch-statistics
-    session and the sampling-consistency draws. Fewer than
-    `band_minimum(0.5)` raises InvalidConfigError.
+    session and the sampling-consistency draws. A seed that is not an
+    unsigned 64-bit integer, or fewer than `band_minimum(0.5)` trials, raises
+    InvalidConfigError before any check runs.
     """
+    check_seed(seed)
     minimum = band_minimum(0.5)
     if branch_trials < minimum:
         raise InvalidConfigError(

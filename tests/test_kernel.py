@@ -7,6 +7,8 @@ compiled tables, and compare each count with an exact binomial band.
 
 import contextlib
 import csv
+import dataclasses
+import functools
 import hashlib
 import io
 import tracemalloc
@@ -34,7 +36,6 @@ from sdcsim.protocol import (
 from sdcsim.session import (
     ACTIONS,
     BRANCHES,
-    NOTE_KINDS,
     NoteKind,
     RunConfig,
     Session,
@@ -106,7 +107,7 @@ def test_counts_match_the_optics(name):
         zip(
             (ALPHABET[i] for i in trials.intended.tolist()),
             (BRANCHES[b] for b in trials.branch.tolist()),
-            (trials.patterns[p] for p in trials.pattern.tolist()),
+            (trials.table.patterns[p] for p in trials.pattern.tolist()),
         )
     )
     per_branch = Counter((s, b) for s, b, _ in counts.elements())
@@ -250,20 +251,80 @@ def test_the_top_uniform_draws_each_tables_last_outcome(make_bench, scenario, mo
     assert trials.pattern.tolist() == [compiled.tables[t].outcomes[-1] for t in drawn_from]
 
 
+BENCHES = {"ideal": OpticalBench, "hh": _tilted_hh, "psi-": _tilted_psi_minus}
+
+
+@functools.cache
+def _bench(name):
+    return BENCHES[name]()
+
+
+def _drawable_rows(config, bench):
+    """The rows a session can draw: row cell * width + i for each outcome i of the
+    table that cell, 2 * message + wrong branch, draws from (one row for a stopped pair)."""
+    compiled = bench.compiled
+    wrong_table = {
+        Scenario.A: compiled.lone_table,
+        Scenario.B: compiled.resent_table if config.clone_policy is ClonePolicy.SEND_AS_IS
+        else range(len(ALPHABET)),
+        Scenario.C: (-1,) * len(ALPHABET),
+    }[config.scenario]
+    width = len(Session(config, bench).table) // (2 * len(ALPHABET))
+    rows = {}
+    for m, wrong in enumerate(wrong_table):
+        for branch, table in enumerate((m, wrong)):
+            outcomes = compiled.tables[table].outcomes if table >= 0 else [-1]
+            for i, pattern in enumerate(outcomes):
+                rows[(2 * m + branch) * width + i] = (m, branch, pattern)
+    return rows
+
+
+@pytest.mark.parametrize("bench_name", BENCHES)
+def test_drawable_rows_name_distinct_trials(bench_name):
+    bench = _bench(bench_name)
+    for name, fields in PINNED_CONFIGS.items():
+        config = RunConfig(n_messages=5_000, seed=31, **fields)
+        table = Session(config, bench).table
+        rows = _drawable_rows(config, bench)
+        named = [(table.intended[r], table.branch[r], table.action[r], table.pattern[r],
+                  table.decoded[r], table.note[r]) for r in rows]
+        assert len(set(named)) == len(named), name
+        assert [t[:2] + t[3:4] for t in named] == list(rows.values()), name
+        drawn = set(np.unique(run_session(config, bench).trials.row).tolist())
+        assert drawn <= rows.keys(), (name, drawn - rows.keys())
+
+
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 500), patterns=st.integers(1, 20), outcomes=st.integers(1, 8),
-       seed=st.integers(0, 2**32 - 1))
-def test_row_codes_number_rows_as_ravel_multi_index(n, patterns, outcomes, seed):
-    rng = np.random.default_rng(seed)
-    sizes = (len(ALPHABET), len(BRANCHES), len(ACTIONS), patterns, outcomes, len(NOTE_KINDS))
-    dtypes = (np.int8, np.int8, np.int8, np.int16, np.int8, np.int8)
-    # pattern, decoded and note may be -1, which numbers as the last code
-    lows = (0, 0, 0, -1, -1, -1)
-    columns = [rng.integers(low, size, n).astype(dtype)
-               for low, size, dtype in zip(lows, sizes, dtypes)]
-    trials = Trials(np.arange(n), *columns, (None,) * patterns, (None,) * outcomes)
-    expected = np.ravel_multi_index(columns, sizes, mode="wrap")
-    assert np.array_equal(trials.row_codes(), expected)
+@given(bench_name=st.sampled_from(list(BENCHES)), config=st.sampled_from(list(PINNED_CONFIGS)),
+       n=st.integers(0, 500), seed=st.integers(0, 2**32 - 1))
+def test_tally_counts_each_message_and_action(bench_name, config, n, seed):
+    table = Session(RunConfig(n_messages=1, seed=0, **PINNED_CONFIGS[config]),
+                    _bench(bench_name)).table
+    row = np.random.default_rng(seed).integers(0, len(table), n).astype(np.int16)
+    trials = Trials(row, 0, table)
+    cell = trials.intended.astype(np.intp) * len(ACTIONS) + trials.action
+    expected = np.bincount(cell, minlength=len(ALPHABET) * len(ACTIONS))
+    assert np.array_equal(trials.tally(), expected.reshape(len(ALPHABET), len(ACTIONS)))
+
+
+def test_trials_keep_one_int16_row_per_trial():
+    trials = run_session(RunConfig(Scenario.A, 70_000, 31)).trials
+    assert trials.row.dtype == np.int16
+    assert trials.row.nbytes == 2 * len(trials)
+    arrays = [f.name for f in dataclasses.fields(trials)
+              if isinstance(getattr(trials, f.name), np.ndarray)]
+    assert arrays == ["row"]
+
+
+@pytest.mark.parametrize(
+    "fields", [dict(scenario=Scenario.B), dict(scenario=Scenario.C, erase_notes=True)]
+)
+def test_notes_are_read_without_building_records(fields):
+    result = run_session(RunConfig(n_messages=3_000, seed=12, classical_delay=4, **fields))
+    notes = list(result.notes)
+    assert "data" not in vars(result.records)  # records still unbuilt
+    sent = [r.note for r in result.records if r.note and r.note.delivered_at is not None]
+    assert notes and notes == sent
 
 
 @pytest.mark.parametrize("length", range(1, 8))

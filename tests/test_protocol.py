@@ -328,7 +328,7 @@ class TestCompiledBench:
         # the receiver decodes what the optics give him, not the ideal complement
         config = RunConfig(Scenario.B, 400, 3, messages=(MessageSymbol.HH,))
         trials = run_session(config, tilted).trials
-        wrong = {str(trials.patterns[p]) for p in trials.pattern[trials.branch == 1].tolist()}
+        wrong = {str(trials.table.patterns[p]) for p in trials.pattern[trials.branch == 1].tolist()}
         assert wrong - {"aV:2", "bV:2"}
         assert wrong <= set(as_strings(law))
 

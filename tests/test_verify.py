@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import math
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from sdcsim import capacity, session, verify
+from sdcsim.cli import EXIT_CONFIG, main
 from sdcsim.elements import hwp
 from sdcsim.fock import sample_outcome
 from sdcsim.protocol import ALICE, ALPHABET, MessageSymbol, OpticalBench, Scenario
@@ -138,6 +141,18 @@ def test_too_few_trials_for_the_band_is_an_invalid_configuration():
     minimum = band_minimum(0.5)
     with pytest.raises(InvalidConfigError, match=f"below {minimum}"):
         run_verification(branch_trials=minimum - 1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_bad_seed_is_rejected_before_any_check_runs(seed, monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "check_unitarity", lambda bench: calls.append(bench))
+    with pytest.raises(InvalidConfigError, match="seed must be an unsigned 64-bit integer"):
+        run_verification(seed=seed)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["verify", "--seed", str(seed)]) == EXIT_CONFIG
+    assert "seed must be an unsigned 64-bit integer" in err.getvalue()
+    assert calls == []
 
 
 def test_seed_does_not_change_outcomes():
