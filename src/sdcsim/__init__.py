@@ -22,7 +22,6 @@ from .fock import (
     ModeRegistry,
     ModeUnitary,
     NonUnitaryError,
-    OutcomeTable,
     PureState,
     RegistryError,
     apply_element,

@@ -8,8 +8,9 @@ comes out of the amplitude algebra with no approximation.
 
 All objects are immutable values; every operation returns a new state.
 `compose` folds a sequence of elements into one element that evolves a state
-like the sequence does. This module draws no randomness: a sampler's caller
-passes the uniforms.
+like the sequence does. `sample_outcome` is the one sampling rule, over
+running sums laid out along an array's first axis. This module draws no
+randomness: the sampler's caller passes the uniforms.
 """
 
 from __future__ import annotations
@@ -345,32 +346,17 @@ def outcome_distribution(
     return dist
 
 
-class OutcomeTable:
-    """Inverse-CDF table of a validated distribution: sorted outcomes, running sums."""
-
-    __slots__ = ("outcomes", "cumulative")
-
-    def __init__(self, distribution: Mapping):
-        if not distribution:
-            raise ValueError("cannot sample from an empty distribution")
-        self.outcomes = sorted(distribution)
-        self.cumulative = np.cumsum([distribution[key] for key in self.outcomes])
-        if abs(self.cumulative[-1] - 1.0) > 1e-9:
-            raise ValueError(f"distribution sums to {self.cumulative[-1]}, not 1")
-
-
-def sample_outcome(table, u):
+def sample_outcome(cumulative, u):
     """The sampling rule, for a uniform or an array of them: the number of
     running sums, the last excluded, that lie at or below u.
 
     That is the index of the first outcome whose running sum exceeds u, else
-    the last outcome's. `table` is an OutcomeTable, one table's running sums,
-    or running sums gathered per uniform from a stack of tables: an array
-    whose first axis runs over the outcomes and whose other axes match u's.
-    A stacked table narrower than the stack sets its last sum and its padding
-    to +inf, so that no uniform counts them.
+    the last outcome's. `cumulative` runs over the outcomes along its first
+    axis; its other axes, if any, match u's, so running sums gathered per
+    uniform from a stack of laws each draw their own. A law narrower than the
+    stack sets its last sum and its padding to +inf, so that no uniform counts
+    them.
     """
-    cumulative = table.cumulative if isinstance(table, OutcomeTable) else table
     drawn = np.zeros(np.shape(u), dtype=np.intp)
     for c in cumulative[:-1]:  # one comparison per outcome boundary
         drawn += u >= c

@@ -28,6 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .fock import (
     ModeRegistry,
     ModeUnitary,
     PureState,
-    OutcomeTable,
     apply_element,
     branch_on_modes,
     compose,
@@ -205,17 +205,19 @@ class EncodeBranches:
 class CompiledBench:
     """The bench's exact laws, computed once per bench by `OpticalBench.compiled`.
 
-    `branches` holds each message's encoder split, in ALPHABET order. `tables`
-    holds every analyzer law a trial can draw from, as an OutcomeTable over
-    `patterns` codes: first the controlled pair of each message, then the
+    `branches` holds each message's encoder split, in ALPHABET order. Column t
+    of `sums` and `codes` lays out analyzer law t for sampling: its running
+    sums over `patterns` codes without the last, then +inf, and its pattern
+    codes in order, then -1; both are as deep as the widest law. The laws are
+    first the controlled pair of each message, at its ALPHABET code, then the
     receiver's lone photon after a reject-port click, which `lone_table`
-    indexes per message (-1 for a message that never goes wrong).
-    `resent_table` indexes the law of each message's re-emitted pair the same
-    way. A click state with the exact amplitudes of a state already analyzed
-    reuses that state's table; the controlled tables stay one per message, at
-    the message's ALPHABET code. `decoded`
-    maps each pattern to the message whose controlled law gives it the unique
-    largest positive probability, or else to SINGLE_PHOTON or AMBIGUOUS.
+    indexes per message, and the re-emitted pair, which `resent_table`
+    indexes. A click state with the exact amplitudes of a state already
+    analyzed reuses that state's law. The extra last column, all +inf and -1,
+    is a stopped pair: index -1, as for a message that never goes wrong.
+    `decoded` maps each pattern to the message whose controlled law gives it
+    the unique largest positive probability, or else to SINGLE_PHOTON or
+    AMBIGUOUS.
     """
 
     branches: tuple[EncodeBranches, ...]
@@ -223,7 +225,8 @@ class CompiledBench:
     patterns: tuple[DetectionPattern, ...]  # every pattern a law yields, sorted
     outcomes: tuple[ClassifiedOutcome, ...]  # the distinct classifications
     decoded: np.ndarray  # pattern code -> `outcomes` code
-    tables: tuple[OutcomeTable, ...]
+    sums: np.ndarray  # float64, widest law x (laws + 1), read-only
+    codes: np.ndarray  # int16, widest law x (laws + 1), read-only
     lone_table: tuple[int, ...]
     resent_table: tuple[int, ...]
 
@@ -356,11 +359,11 @@ class OpticalBench:
         laws = [self.analyze(b.controlled_state) for b in branches]
         signatures = {symbol: frozenset(law) for symbol, law in zip(ALPHABET, laws)}
         controlled = laws[:]
-        # a click state reuses the table of an analyzed state with its exact amplitudes
+        # a click state reuses the law of an analyzed state with its exact amplitudes
         analyzed = {frozenset(b.controlled_state.amplitudes.items()): code
                     for code, b in enumerate(branches)}
 
-        def table_of(state: PureState | None) -> int:
+        def law_of(state: PureState | None) -> int:
             if state is None:
                 return -1
             key = frozenset(state.amplitudes.items())
@@ -369,16 +372,28 @@ class OpticalBench:
                 laws.append(self.analyze(state))
             return analyzed[key]
 
-        lone_table = tuple(table_of(b.lone_state) for b in branches)
-        resent_table = tuple(table_of(b.resent_state) for b in branches)
+        lone_table = tuple(law_of(b.lone_state) for b in branches)
+        resent_table = tuple(law_of(b.resent_state) for b in branches)
         patterns = sorted(set().union(*laws))
-        code = {p: i for i, p in enumerate(patterns)}  # sorted, so tables keep their order
-        tables = tuple(OutcomeTable({code[p]: prob for p, prob in law.items()}) for law in laws)
+        code = {p: i for i, p in enumerate(patterns)}  # sorted, so each law keeps its order
+        width = max(map(len, laws))
+        sums, codes = [], []
+        for t, law in enumerate(laws):
+            keys = sorted(law)
+            running = list(accumulate(law[p] for p in keys))
+            total = running[-1] if keys else 0.0
+            if abs(total - 1.0) > 1e-9:
+                raise ValueError(f"law {t} sums to {total}, not 1")
+            sums.append(running[:-1] + [np.inf] * (width - len(keys) + 1))
+            codes.append([code[p] for p in keys] + [-1] * (width - len(keys)))
+        sums = np.array([*sums, [np.inf] * width]).T  # the last column: a stopped pair
+        codes = np.array([*codes, [-1] * width], dtype=np.int16).T
+        sums.flags.writeable = codes.flags.writeable = False
         classified = [_likeliest(controlled, p) for p in patterns]
         outcomes = tuple(dict.fromkeys(classified))
         decoded = np.array([outcomes.index(c) for c in classified], dtype=np.int8)
-        return CompiledBench(branches, signatures, tuple(patterns), outcomes, decoded, tables,
-                             lone_table, resent_table)
+        return CompiledBench(branches, signatures, tuple(patterns), outcomes, decoded, sums,
+                             codes, lone_table, resent_table)
 
     def signature_table(self) -> dict[MessageSymbol, frozenset[DetectionPattern]]:
         """Detector signatures per message, computed from the optics."""

@@ -18,18 +18,18 @@ A sent note (CorrectTo in b, Erase in c) arrives classical_delay trials after
 the trial it concerns, at Note.delivered_at; one delay for all notes makes
 send order the delivery order.
 
-The kernel is columnar. A `Session` samples the bench's compiled tables
-(`OpticalBench.compiled`, computed once per bench) and only wires in what its
-scenario does on a wrong branch; `Session.scenario_step` draws CHUNK_MESSAGES
-messages at a time. Each trial falls in a cell, 2 * message + wrong branch,
-and the session builds once the running sums of the table each cell draws
-from (stacked, padded to the widest table) and its `RowTable`: row
-cell * width + i is outcome i of the cell's table, with its message, branch,
-action, pattern, decoding and note. A chunk gathers the running sums by
-cell, samples all its trials in one `sample_outcome` call and keeps one
-int16 row code per trial (`Trials.row`). Every other column, the report's
-tally and the `TrialRecord` and `Note` objects, which are built only when
-`SessionResult.records`/`.notes` is read, are looked up by row.
+The kernel is columnar. A `Session` samples the bench's compiled laws
+(`OpticalBench.compiled`, computed once per bench and laid out for sampling
+as the columns of `sums` and `codes`) and only wires in what its scenario
+does on a wrong branch; `Session.scenario_step` draws CHUNK_MESSAGES messages
+at a time. Each trial falls in a cell, 2 * message + wrong branch. The
+session picks once the compiled column of the law each cell draws from and
+builds its `RowTable`: row cell * width + i is outcome i of the cell's law,
+with its message, branch, action, pattern, decoding and note. A chunk gathers
+the running sums by cell, samples all its trials in one `sample_outcome` call
+and keeps one int16 row code per trial (`Trials.row`). Every other column,
+the report's tally and the `TrialRecord` and `Note` objects, which are built
+only when `SessionResult.records`/`.notes` is read, are looked up by row.
 
 Randomness (RNG_SCHEME): chunk k of a session draws its uniform messages from
 stream 1 and its trials from stream 0, each a numpy Philox generator seeded
@@ -233,8 +233,8 @@ def intended_stream(config: RunConfig) -> list[MessageSymbol]:
 class RowTable:
     """What each row code of one session names, as the `Trials` columns' codes.
 
-    Row cell * width + i is outcome i of the table that cell, 2 * message +
-    wrong branch, draws from; past a table's last outcome, and for a stopped
+    Row cell * width + i is outcome i of the law that cell, 2 * message +
+    wrong branch, draws from; past a law's last outcome, and for a stopped
     pair, its pattern and decoded codes are -1.
     """
 
@@ -366,7 +366,7 @@ def _cell_columns(width: int, wrong_action: int, wrong_note: int) -> tuple[np.nd
 
 
 class Session:
-    """One protocol run: columnar sampling from the bench's compiled tables.
+    """One protocol run: columnar sampling from the bench's compiled laws.
 
     All quantum evolution happens once per bench, in `OpticalBench.compiled`;
     each chunk draws its branches and detector patterns from those exact
@@ -379,10 +379,10 @@ class Session:
         compiled = (bench or default_bench()).compiled
         self._p_controlled = np.array([b.controlled_probability for b in compiled.branches])
 
-        # what a wrong branch does, per scenario: the receiver's table per
+        # what a wrong branch does, per scenario: the receiver's law per
         # message (-1: the pair is stopped), the action and the note
         send_as_is = config.clone_policy is ClonePolicy.SEND_AS_IS
-        wrong_table, wrong_action, wrong_note = {
+        wrong_law, wrong_action, wrong_note = {
             Scenario.A: (compiled.lone_table, ScenarioAction.DISCARDED_BY_ALICE, NoteKind.REPEAT),
             # the re-emitted pair as the optics make it, or cloned to carry the intended message
             Scenario.B: (compiled.resent_table if send_as_is else range(len(ALPHABET)),
@@ -391,25 +391,16 @@ class Session:
                          NoteKind.ERASE if config.erase_notes else NoteKind.REPEAT),
         }[config.scenario]
 
-        # each table as its running sums and pattern codes, padded to the
-        # widest table: a table's last sum and its padding are +inf, so no
-        # uniform counts them; table -1, a stopped pair, reads pattern -1
-        tables = [(t.cumulative[:-1].tolist(), t.outcomes) for t in compiled.tables]
-        tables.append(([], [-1]))
-        self._width = width = max(len(outcomes) for _, outcomes in tables)
-        # per cell, 2 * message + wrong branch: the table drawn from
-        cells = [tables[t] for m, wrong in enumerate(wrong_table) for t in (m, wrong)]
-        sums = [row + [np.inf] * (width - len(row)) for row, _ in cells]
-        self._cell_sums = np.array(sums).T.copy()  # (index, cell) -> running sum
-        codes = [code for _, outcomes in cells
-                 for code in outcomes + [-1] * (width - len(outcomes))]
-        decoded = [*compiled.decoded.tolist(), -1]
+        # per cell, 2 * message + wrong branch: the compiled law it draws from
+        law = [t for m, wrong in enumerate(wrong_law) for t in (m, wrong)]
+        self._width = len(compiled.sums)
+        self._cell_sums = compiled.sums[:, law]  # (index, cell) -> running sum
+        pattern = compiled.codes[:, law].T.ravel()
         intended, branch, action, note = _cell_columns(
-            width, ACTIONS.index(wrong_action), NOTE_KINDS.index(wrong_note))
+            self._width, ACTIONS.index(wrong_action), NOTE_KINDS.index(wrong_note))
         self.table = RowTable(
-            intended, branch, action,
-            pattern=np.array(codes, dtype=np.int16),
-            decoded=np.array([decoded[code] for code in codes], dtype=np.int8),
+            intended, branch, action, pattern,
+            decoded=np.append(compiled.decoded, np.int8(-1))[pattern],
             note=note,
             patterns=(*compiled.patterns, None),
             outcomes=(*compiled.outcomes, None),

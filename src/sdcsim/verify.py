@@ -6,7 +6,7 @@ print one line per invariant. Everything here is either exact (tolerance
 fixed seed the result is deterministic and does not flap across runs.
 
 The two statistical checks (branch_statistics, and sampling_consistency on
-the kernel's compiled psi+ table) share one rule, `consistent`: neither exact
+the compiled psi+ law) share one rule, `consistent`: neither exact
 binomial tail of a count may lie below half its false-alarm rate. They split
 FALSE_ALARM evenly, sampling_consistency its half again over its patterns, so
 a correct program fails the suite at most 1e-6 of the time, at any seed.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import capacity
+from . import capacity, session
 from .elements import hwp
 from .fock import ModeLabel, apply_element, make_state, sample_outcome, unitarity_defect
 from .protocol import (
@@ -235,10 +235,14 @@ def check_branch_statistics(bench, seed: int, trials: int) -> CheckResult:
 
 def check_sampling_consistency(bench, seed: int, draws: int) -> CheckResult:
     compiled = bench.compiled
-    table = compiled.tables[ALPHABET.index(MessageSymbol.PSI_PLUS)]
-    drawn = sample_outcome(table, np.random.default_rng(seed).random(draws))
-    counts = np.bincount(drawn, minlength=len(table.outcomes)).tolist()
-    counted = {compiled.patterns[code]: n for code, n in zip(table.outcomes, counts)}
+    psi_plus = ALPHABET.index(MessageSymbol.PSI_PLUS)
+    sums, codes = compiled.sums[:, psi_plus], compiled.codes[:, psi_plus]
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(len(sums), dtype=np.intp)
+    for start in range(0, draws, session.CHUNK_MESSAGES):  # one stream, a chunk at a time
+        drawn = sample_outcome(sums, rng.random(min(session.CHUNK_MESSAGES, draws - start)))
+        counts += np.bincount(drawn, minlength=len(sums))
+    counted = {compiled.patterns[c]: n for c, n in zip(codes.tolist(), counts.tolist()) if c >= 0}
     dist = bench.analyze(bench.source_emit())
     keys = sorted(counted.keys() | dist.keys(), key=str)
     alpha = CHECK_ALARM / len(keys)

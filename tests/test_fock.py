@@ -11,7 +11,6 @@ from sdcsim.fock import (
     ModeRegistry,
     ModeUnitary,
     NonUnitaryError,
-    OutcomeTable,
     PureState,
     RegistryError,
     apply_element,
@@ -227,58 +226,62 @@ class TestOutcomeDistribution:
             outcome_distribution(state, [ModeLabel("a", "H"), ModeLabel("a", "V")])
 
 
+def stacked_column(probs):
+    """A law's running sums as a column of a stack laid out like `CompiledBench.sums`:
+    without the last sum, then +inf down to a width wider than the law."""
+    stack = np.full((len(probs) + 2, 3), np.inf)
+    stack[: len(probs) - 1, 1] = np.cumsum(probs)[:-1]
+    return stack[:, 1]
+
+
+# the two layouts the sampler reads: a law's running sums, and its column of a stack
+LAYOUTS = (np.cumsum, stacked_column)
+
+
 class TestSampleOutcome:
     def test_point_distribution(self):
-        table = OutcomeTable({"p": 1.0})
-        assert sample_outcome(table, 0.0) == 0
-        assert sample_outcome(table, 1.0 - 1e-16) == 0
+        for sums in (layout([1.0]) for layout in LAYOUTS):
+            assert sample_outcome(sums, 0.0) == 0
+            assert sample_outcome(sums, 1.0 - 1e-16) == 0
 
     def test_empirical_frequency_matches(self):
-        table = OutcomeTable({"x": 0.5, "y": 0.5})
         n = 100_000
-        drawn = sample_outcome(table, np.random.default_rng(42).random(n))
-        assert abs(np.count_nonzero(drawn == table.outcomes.index("x")) / n - 0.5) < 0.01
+        u = np.random.default_rng(42).random(n)
+        for sums in (layout([0.5, 0.5]) for layout in LAYOUTS):
+            assert abs(np.count_nonzero(sample_outcome(sums, u) == 0) / n - 0.5) < 0.01
 
     def test_fixed_seed_reproducible(self):
-        table = OutcomeTable({"x": 0.3, "y": 0.7})
-        draws = lambda: sample_outcome(table, np.random.default_rng(7).random(5)).tolist()
-        assert draws() == draws()
-
-    def test_empty_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            OutcomeTable({})
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            OutcomeTable({"x": 0.4})
+        for sums in (layout([0.3, 0.7]) for layout in LAYOUTS):
+            draws = lambda: sample_outcome(sums, np.random.default_rng(7).random(5)).tolist()
+            assert draws() == draws()
 
     def test_inverse_cdf_over_sorted_keys(self):
         # the sum falls short of 1 by less than the tolerance: the last key
         # takes the remainder
-        table = OutcomeTable({"z": 0.5 - 1e-10, "x": 0.25, "y": 0.25})
-        assert table.outcomes == ["x", "y", "z"]
-        for u, expected in ((0.0, "x"), (0.25, "y"), (0.7, "z"), (1.0 - 1e-11, "z")):
-            assert table.outcomes[sample_outcome(table, u)] == expected
+        law = {"z": 0.5 - 1e-10, "x": 0.25, "y": 0.25}
+        keys = sorted(law)
+        cumulative = np.cumsum([law[key] for key in keys])
 
         def scalar_rule(u):
-            for key, c in zip(table.outcomes, table.cumulative):
+            for key, c in zip(keys, cumulative):
                 if u < c:
                     return key
-            return table.outcomes[-1]
+            return keys[-1]
 
         # every running sum, the floats either side of it, and u >= the last sum
-        sums = [float(c) for c in table.cumulative]
-        probes = [0.0, 1.0 - 1e-11, 1.0, *sums]
-        probes += [np.nextafter(c, side) for c in sums for side in (0.0, 2.0)]
+        probes = [0.0, 1.0 - 1e-11, 1.0, *cumulative.tolist()]
+        probes += [np.nextafter(c, side) for c in cumulative.tolist() for side in (0.0, 2.0)]
         expected = [scalar_rule(u) for u in probes]
-        located = sample_outcome(table, np.array(probes))
-        assert [table.outcomes[i] for i in located] == expected
-        assert [table.outcomes[sample_outcome(table, u)] for u in probes] == expected
+        for sums in (layout([law[key] for key in keys]) for layout in LAYOUTS):
+            for u, key in ((0.0, "x"), (0.25, "y"), (0.7, "z"), (1.0 - 1e-11, "z")):
+                assert keys[sample_outcome(sums, u)] == key
+            assert [keys[i] for i in sample_outcome(sums, np.array(probes))] == expected
+            assert [keys[sample_outcome(sums, u)] for u in probes] == expected
 
     def test_batched_draws_match_scalar_draws(self):
-        table = OutcomeTable({"x": 0.3, "y": 0.7 - 1e-12, "z": 1e-12})
         u = np.random.default_rng(3).random(1000)
-        assert sample_outcome(table, u).tolist() == [sample_outcome(table, x) for x in u]
+        for sums in (layout([0.3, 0.7 - 1e-12, 1e-12]) for layout in LAYOUTS):
+            assert sample_outcome(sums, u).tolist() == [sample_outcome(sums, x) for x in u]
 
 
 def searchsorted_rule(cumulative, u):
@@ -288,13 +291,13 @@ def searchsorted_rule(cumulative, u):
 
 
 @st.composite
-def outcome_tables(draw):
-    """1-12 outcomes, some of probability 0, summing to 1 or short of it by under 1e-9."""
+def laws(draw):
+    """1-12 probabilities, some 0, summing to 1 or short of it by under 1e-9."""
     weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)
                    .filter(lambda w: sum(w) > 0.0))
     shortfall = draw(st.sampled_from([0.0, 1e-12, 5e-10, 9.9e-10]))
     total = sum(weights)
-    return OutcomeTable({i: w / total * (1.0 - shortfall) for i, w in enumerate(weights)})
+    return [w / total * (1.0 - shortfall) for w in weights]
 
 
 def probes(cumulative):
@@ -305,33 +308,34 @@ def probes(cumulative):
 
 
 @settings(max_examples=150, deadline=None)
-@given(table=outcome_tables(), seed=st.integers(0, 2**32 - 1))
-def test_sampler_counts_running_sums_as_a_binary_search_would(table, seed):
-    u = np.concatenate([probes(table.cumulative), np.random.default_rng(seed).random(64)])
-    expected = searchsorted_rule(table.cumulative, u).tolist()
-    assert sample_outcome(table, u).tolist() == expected
-    assert sample_outcome(table.cumulative, u).tolist() == expected
-    assert [int(sample_outcome(table, x)) for x in u] == expected
+@given(law=laws(), seed=st.integers(0, 2**32 - 1))
+def test_sampler_counts_running_sums_as_a_binary_search_would(law, seed):
+    cumulative = np.cumsum(law)
+    u = np.concatenate([probes(cumulative), np.random.default_rng(seed).random(64)])
+    expected = searchsorted_rule(cumulative, u).tolist()
+    for sums in (cumulative, stacked_column(law)):
+        assert sample_outcome(sums, u).tolist() == expected
+        assert [int(sample_outcome(sums, x)) for x in u] == expected
 
 
 @settings(max_examples=100, deadline=None)
-@given(tables=st.lists(outcome_tables(), min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1))
-def test_stacked_tables_each_draw_their_own(tables, seed):
-    # one column of running sums per table, padded to the widest; each
-    # table's last sum and its padding are +inf
-    width = max(len(t.outcomes) for t in tables)
-    stack = np.full((width, len(tables)), np.inf)
-    for j, t in enumerate(tables):
-        stack[: len(t.outcomes) - 1, j] = t.cumulative[:-1]
+@given(stacked=st.lists(laws(), min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1))
+def test_stacked_tables_each_draw_their_own(stacked, seed):
+    # one column per law, laid out like `CompiledBench.sums`: its running sums
+    # without the last, then +inf down to the widest law's size
+    width = max(map(len, stacked))
+    stack = np.full((width, len(stacked)), np.inf)
+    for j, law in enumerate(stacked):
+        stack[: len(law) - 1, j] = np.cumsum(law)[:-1]
     rng = np.random.default_rng(seed)
-    probed = [probes(t.cumulative) for t in tables]
+    probed = [probes(np.cumsum(law)) for law in stacked]
     which = np.concatenate([np.full(len(p), j) for j, p in enumerate(probed)]
-                           + [rng.integers(0, len(tables), 64)])
+                           + [rng.integers(0, len(stacked), 64)])
     u = np.concatenate([*probed, rng.random(64)])
     order = rng.permutation(len(u))
     which, u = which[order], u[order]
     drawn = sample_outcome(stack[:, which], u)
-    expected = [int(searchsorted_rule(tables[j].cumulative, x)) for j, x in zip(which, u)]
+    expected = [int(searchsorted_rule(np.cumsum(stacked[j]), x)) for j, x in zip(which, u)]
     assert drawn.tolist() == expected
 
 

@@ -202,12 +202,19 @@ PINNED_KERNEL = {
 }
 
 
+def _law_codes(compiled, t):
+    """Compiled law t's pattern codes in draw order: one past each running sum below
+    +inf, so a stopped pair (t = -1) has the one code -1."""
+    return compiled.codes[: 1 + np.isfinite(compiled.sums[:, t]).sum(), t].tolist()
+
+
 @pytest.mark.parametrize("bench_name,make_bench", [("hh", _tilted_hh), ("psi-", _tilted_psi_minus)])
 def test_kernel_columns_are_pinned_on_perturbed_benches(bench_name, make_bench):
-    # tables of unequal widths (2 to 6 outcomes), so a stacked draw that let a
-    # narrow table's last running sum count would change these digests
+    # laws of unequal widths (2 to 6 outcomes), so a stacked draw that let a
+    # narrow law's last running sum count would change these digests
     bench = make_bench()
-    widths = {len(t.outcomes) for t in bench.compiled.tables}
+    compiled = bench.compiled
+    widths = {len(_law_codes(compiled, t)) for t in range(compiled.sums.shape[1] - 1)}
     assert len(widths) > 1, widths
     for name, fields in PINNED_CONFIGS.items():
         for stream, messages in PINNED_STREAMS.items():
@@ -238,8 +245,8 @@ class _TopUniforms:
 @pytest.mark.parametrize("make_bench", [_tilted_hh, _tilted_psi_minus])
 @pytest.mark.parametrize("scenario", [Scenario.A, Scenario.B])
 def test_the_top_uniform_draws_each_tables_last_outcome(make_bench, scenario, monkeypatch):
-    # the tables' last running sums lie below that uniform, so a stacked draw
-    # that counted a narrow table's last sum would land in the padding
+    # the laws' last running sums lie below that uniform, so a stacked draw
+    # that counted a narrow law's last sum would land in the padding
     real = session.trial_rng
     monkeypatch.setattr(session, "trial_rng", lambda seed, chunk: _TopUniforms(real(seed, chunk)))
     bench = make_bench()
@@ -248,7 +255,7 @@ def test_the_top_uniform_draws_each_tables_last_outcome(make_bench, scenario, mo
     wrong_table = compiled.lone_table if scenario is Scenario.A else compiled.resent_table
     drawn_from = [wrong_table[m] if b else m
                   for m, b in zip(trials.intended.tolist(), trials.branch.tolist())]
-    assert trials.pattern.tolist() == [compiled.tables[t].outcomes[-1] for t in drawn_from]
+    assert trials.pattern.tolist() == [_law_codes(compiled, t)[-1] for t in drawn_from]
 
 
 BENCHES = {"ideal": OpticalBench, "hh": _tilted_hh, "psi-": _tilted_psi_minus}
@@ -269,12 +276,11 @@ def _drawable_rows(config, bench):
         else range(len(ALPHABET)),
         Scenario.C: (-1,) * len(ALPHABET),
     }[config.scenario]
-    width = len(Session(config, bench).table) // (2 * len(ALPHABET))
+    width = len(compiled.codes)
     rows = {}
     for m, wrong in enumerate(wrong_table):
         for branch, table in enumerate((m, wrong)):
-            outcomes = compiled.tables[table].outcomes if table >= 0 else [-1]
-            for i, pattern in enumerate(outcomes):
+            for i, pattern in enumerate(_law_codes(compiled, table)):
                 rows[(2 * m + branch) * width + i] = (m, branch, pattern)
     return rows
 

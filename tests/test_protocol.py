@@ -262,6 +262,16 @@ def compile_calls(monkeypatch):
     return calls
 
 
+def law_column(compiled, t):
+    """Compiled law t's pattern codes and stored running sums, once its -1 and +inf
+    padding down to the widest law is checked off."""
+    codes, sums = compiled.codes[:, t].tolist(), compiled.sums[:, t].tolist()
+    n = codes.index(-1) if -1 in codes else len(codes)
+    assert codes[n:] == [-1] * (len(codes) - n)
+    assert sums[n - 1:] == [math.inf] * (len(sums) - n + 1)
+    return codes[:n], sums[:n - 1]
+
+
 class TestCompiledBench:
     def test_fresh_bench_compiles_once(self, compile_calls):
         bench = OpticalBench()
@@ -286,10 +296,10 @@ class TestCompiledBench:
         # the wrong branch leaves the complementary pair; the receiver keeps
         # its photon when the sender's is detected
         compiled = bench.compiled
-        table = compiled.tables[compiled.lone_table[ALPHABET.index(symbol)]]
+        codes, sums = law_column(compiled, compiled.lone_table[ALPHABET.index(symbol)])
         law = bench.analyze(bench.bob_photon(lone))
-        assert [compiled.patterns[c] for c in table.outcomes] == sorted(law)
-        assert table.cumulative.tolist() == np.cumsum([law[p] for p in sorted(law)]).tolist()
+        assert [compiled.patterns[c] for c in codes] == sorted(law)
+        assert sums == np.cumsum([law[p] for p in sorted(law)])[:-1].tolist()
 
     def test_fresh_compile_branches_once_per_message(self, monkeypatch):
         calls = []
@@ -321,16 +331,23 @@ class TestCompiledBench:
                for p in ("aH:1,aV:1", "aH:1,bV:1", "aV:1,bH:1", "bH:1,bV:1")},
         }
         compiled = tilted.compiled
-        table = compiled.tables[compiled.resent_table[ALPHABET.index(MessageSymbol.HH)]]
-        assert [compiled.patterns[c] for c in table.outcomes] == sorted(law)
-        assert table.cumulative == pytest.approx(np.cumsum([law[p] for p in sorted(law)]),
-                                                 abs=1e-12)
+        codes, sums = law_column(compiled, compiled.resent_table[ALPHABET.index(MessageSymbol.HH)])
+        assert [compiled.patterns[c] for c in codes] == sorted(law)
+        assert sums == pytest.approx(np.cumsum([law[p] for p in sorted(law)])[:-1], abs=1e-12)
         # the receiver decodes what the optics give him, not the ideal complement
         config = RunConfig(Scenario.B, 400, 3, messages=(MessageSymbol.HH,))
         trials = run_session(config, tilted).trials
         wrong = {str(trials.table.patterns[p]) for p in trials.pattern[trials.branch == 1].tolist()}
         assert wrong - {"aV:2", "bV:2"}
         assert wrong <= set(as_strings(law))
+
+    @pytest.mark.parametrize("law", [{}, {DetectionPattern.of(aH=2): 0.4}],
+                             ids=["empty", "unnormalized"])
+    def test_compile_rejects_a_law_that_does_not_sum_to_one(self, monkeypatch, law):
+        bench = OpticalBench()
+        monkeypatch.setattr(bench, "analyze", lambda state: law)
+        with pytest.raises(ValueError, match="not 1"):
+            bench.compiled
 
     def test_bell_messages_have_no_lone_photon(self, bench):
         lone = bench.compiled.lone_table
@@ -339,18 +356,21 @@ class TestCompiledBench:
 
 
 # The ideal bench's compiled model, as float.hex literals: any drift of one
-# ulp in a branch probability or a table's running sums fails here.
+# ulp in a branch probability or a stored running sum fails here. Each law's
+# last running sum is not stored (its column ends in inf); compiling holds it
+# to 1 within 1e-9. The last column is a stopped pair.
 PINNED_P_CONTROLLED = [
     "0x1.0000000000000p+0", "0x1.0000000000000p+0",
     "0x1.0000000000001p-1", "0x1.0000000000001p-1",
 ]
-PINNED_TABLES = [
-    ([3, 10], ["0x1.ffffffffffffep-2", "0x1.ffffffffffffep-1"]),
-    ([6, 9], ["0x1.ffffffffffffep-2", "0x1.ffffffffffffep-1"]),
-    ([4, 11], ["0x1.ffffffffffffep-2", "0x1.ffffffffffffep-1"]),
-    ([1, 7], ["0x1.ffffffffffffep-2", "0x1.ffffffffffffep-1"]),
-    ([0, 5], ["0x1.ffffffffffffep-2", "0x1.ffffffffffffep-1"]),
-    ([2, 8], ["0x1.ffffffffffffep-2", "0x1.ffffffffffffep-1"]),
+PINNED_COLUMNS = [
+    ([3, 10], ["0x1.ffffffffffffep-2", "inf"]),
+    ([6, 9], ["0x1.ffffffffffffep-2", "inf"]),
+    ([4, 11], ["0x1.ffffffffffffep-2", "inf"]),
+    ([1, 7], ["0x1.ffffffffffffep-2", "inf"]),
+    ([0, 5], ["0x1.ffffffffffffep-2", "inf"]),
+    ([2, 8], ["0x1.ffffffffffffep-2", "inf"]),
+    ([-1, -1], ["inf", "inf"]),
 ]
 PINNED_PATTERNS = [
     "bV:1", "bV:2", "bH:1", "bH:1,bV:1", "bH:2", "aV:1",
@@ -367,10 +387,12 @@ def test_ideal_compiled_model_is_pinned():
     assert [float(b.controlled_probability).hex() for b in compiled.branches] == (
         PINNED_P_CONTROLLED
     )
+    assert (compiled.sums.dtype, compiled.codes.dtype) == (np.float64, np.int16)
+    assert not compiled.sums.flags.writeable and not compiled.codes.flags.writeable
     assert [
-        ([int(o) for o in t.outcomes], [float(c).hex() for c in t.cumulative])
-        for t in compiled.tables
-    ] == PINNED_TABLES
+        (codes.tolist(), [float(c).hex() for c in sums])
+        for codes, sums in zip(compiled.codes.T, compiled.sums.T)
+    ] == PINNED_COLUMNS
     assert [p.to_string() for p in compiled.patterns] == PINNED_PATTERNS
     assert [o.label for o in compiled.outcomes] == PINNED_OUTCOMES
     assert compiled.decoded.tolist() == PINNED_DECODED

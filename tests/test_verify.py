@@ -75,8 +75,22 @@ def test_kernel_and_verify_draw_through_one_sampler(monkeypatch):
     # once per chunk, for every trial of it (one per message in scenario b)
     assert [n for _, n in calls] == [CHUNK_MESSAGES, 1]
     calls.clear()
-    check_sampling_consistency(bench, seed=3, draws=1_000)
-    assert calls == [(bench.compiled.tables[ALPHABET.index(MessageSymbol.PSI_PLUS)], 1_000)]
+    # one stream, drawn a chunk at a time from the compiled psi+ column
+    check_sampling_consistency(bench, seed=3, draws=CHUNK_MESSAGES + 1)
+    psi_plus = bench.compiled.sums[:, ALPHABET.index(MessageSymbol.PSI_PLUS)]
+    assert [n for _, n in calls] == [CHUNK_MESSAGES, 1]
+    assert all(np.array_equal(sums, psi_plus) for sums, _ in calls)
+
+
+def test_sampling_check_counts_only_the_psi_plus_patterns():
+    # a tilted psi- plate widens the compiled stack past psi+'s two patterns;
+    # the -1 padding of psi+'s column names no pattern
+    bench = OpticalBench()
+    bench.encoder[MessageSymbol.PSI_MINUS] = (hwp(bench.registry, 22.5, ALICE),)
+    assert len(bench.compiled.codes) > 2
+    result = check_sampling_consistency(bench, seed=3, draws=1_000)
+    assert result.passed
+    assert [part.split()[0] for part in result.detail.split("; ")] == ["aH:1,aV:1", "bH:1,bV:1"]
 
 
 @pytest.mark.parametrize("p", [0.5, 0.25, 0.01])
