@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -124,7 +125,8 @@ class PureState:
     """Normalized pure state as a sparse amplitude map over occupation vectors.
 
     Every basis state carries the same total photon number; amplitudes with
-    magnitude below ``AMPLITUDE_PRUNE`` are dropped at construction.
+    magnitude below ``AMPLITUDE_PRUNE`` are dropped at construction. The map
+    is read-only, since memoized states are shared by every bench.
     """
 
     __slots__ = ("registry", "amplitudes", "photon_number")
@@ -147,7 +149,7 @@ class PureState:
         if len(numbers) > 1:
             raise ValueError(f"mixed photon numbers in one state: {sorted(numbers)}")
         object.__setattr__(self, "registry", registry)
-        object.__setattr__(self, "amplitudes", pruned)
+        object.__setattr__(self, "amplitudes", MappingProxyType(pruned))
         object.__setattr__(self, "photon_number", numbers.pop())
 
     def __setattr__(self, name, value):

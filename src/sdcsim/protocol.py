@@ -10,8 +10,9 @@ indistinguishable (the linear-optics limitation the alphabet routes around).
 
 A bench takes its registry and elements from memoized constructors, so they
 are shared values; the analyzer applies the beam splitter and both PBSs as
-one composed element. Each bench compiles its own laws once
-(`OpticalBench.compiled`); no compiled model is shared between benches. The
+one composed element. Compiling is a memoized pure function of those values
+(`compile_optics`), so benches with equal optics share one read-only
+`CompiledBench` and a process compiles each distinct optics once. The
 compiled laws decode: a pattern reads as its likeliest message, and `verify`
 checks that the ideal bench's signatures are disjoint, so none is misread.
 
@@ -29,6 +30,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -203,13 +206,16 @@ class EncodeBranches:
 
 @dataclass(frozen=True, eq=False)
 class CompiledBench:
-    """The bench's exact laws, computed once per bench by `OpticalBench.compiled`.
+    """The exact laws of one optics, computed once per process by `compile_optics`.
 
-    `branches` holds each message's encoder split, in ALPHABET order. Column t
-    of `sums` and `codes` lays out analyzer law t for sampling: its running
-    sums over `patterns` codes without the last, then +inf, and its pattern
-    codes in order, then -1; both are as deep as the widest law. The laws are
-    first the controlled pair of each message, at its ALPHABET code, then the
+    Benches with equal optics share this object, so nothing in it can be
+    written: its containers are tuples and a mapping proxy, its arrays are
+    read-only. `branches` holds each message's encoder split, in ALPHABET
+    order, and `p_controlled` its controlled probability. Column t of `sums`
+    and `codes` lays out analyzer law t for sampling: its running sums over
+    `patterns` codes without the last, then +inf, and its pattern codes in
+    order, then -1; both are as deep as the widest law. The laws are first
+    the controlled pair of each message, at its ALPHABET code, then the
     receiver's lone photon after a reject-port click, which `lone_table`
     indexes per message, and the re-emitted pair, which `resent_table`
     indexes. A click state with the exact amplitudes of a state already
@@ -217,18 +223,23 @@ class CompiledBench:
     is a stopped pair: index -1, as for a message that never goes wrong.
     `decoded` maps each pattern to the message whose controlled law gives it
     the unique largest positive probability, or else to SINGLE_PHOTON or
-    AMBIGUOUS.
+    AMBIGUOUS. The `*_or_none` fields repeat `patterns`, `outcomes` and
+    `decoded` with a trailing None (-1), so that code -1 looks up none.
     """
 
     branches: tuple[EncodeBranches, ...]
-    signatures: dict[MessageSymbol, frozenset[DetectionPattern]]
+    p_controlled: np.ndarray  # float64, per message, read-only
+    signatures: Mapping[MessageSymbol, frozenset[DetectionPattern]]
     patterns: tuple[DetectionPattern, ...]  # every pattern a law yields, sorted
     outcomes: tuple[ClassifiedOutcome, ...]  # the distinct classifications
-    decoded: np.ndarray  # pattern code -> `outcomes` code
+    decoded: np.ndarray  # int8, pattern code -> `outcomes` code, read-only
     sums: np.ndarray  # float64, widest law x (laws + 1), read-only
     codes: np.ndarray  # int16, widest law x (laws + 1), read-only
     lone_table: tuple[int, ...]
     resent_table: tuple[int, ...]
+    patterns_or_none: tuple[DetectionPattern | None, ...]
+    outcomes_or_none: tuple[ClassifiedOutcome | None, ...]
+    decoded_or_none: np.ndarray  # int8, read-only
 
 
 def _likeliest(laws: list[dict], pattern: DetectionPattern) -> ClassifiedOutcome:
@@ -249,9 +260,11 @@ class OpticalBench:
     Detector map: aH/bH are the transmitted H ports, aV/bV the reflected V
     ports; the sender's monitor is read by `encode_branches`, not the analyzer.
 
-    The registry and the elements are memoized values shared by every bench;
-    what a bench owns is its `encoder` map and what it derives lazily: the
-    ideal pair states, the composed analyzer element and `compiled`.
+    The registry, the elements, the ideal pair states and the compiled model
+    are memoized values shared by every bench with the same optics. What a
+    bench owns is its `encoder` map, its composed `analyzer` and the handle
+    `compiled`; perturb a bench through those values, never by patching one
+    of its methods, which compiling does not call.
     """
 
     def __init__(self):
@@ -280,7 +293,6 @@ class OpticalBench:
             MessageSymbol.HH: (self.hwp45, self.pol_pass_h),
             MessageSymbol.VV: (self.hwp45, self.pol_pass_v),
         }
-        self._ideal_states: dict[object, PureState] = {}
 
     # ---- state preparation -------------------------------------------------
 
@@ -292,49 +304,19 @@ class OpticalBench:
         return make_state(self.registry, [ModeLabel(BOB, pol)])
 
     def state_for(self, symbol) -> PureState:
-        """Ideal pair state for a message symbol or reference state, built once."""
-        state = self._ideal_states.get(symbol)
-        if state is None:
-            if symbol not in _TERMS:
-                raise ValueError(f"unknown symbol {symbol!r}")
-            reg = self.registry
-            state = self._ideal_states[symbol] = superpose([
-                (amp, make_state(reg, [ModeLabel(ALICE, pols[0]), ModeLabel(BOB, pols[1])]))
-                for amp, pols in _TERMS[symbol]
-            ])
-        return state
+        """Ideal pair state for a message symbol or reference state."""
+        if symbol not in _TERMS:
+            raise ValueError(f"unknown symbol {symbol!r}")
+        return _ideal_state(self.registry, symbol)
 
     # ---- encoder -----------------------------------------------------------
 
     def encode_branches(self, message: MessageSymbol) -> EncodeBranches:
-        """Exact branch split of the encoder on a fresh source pair.
-
-        The controlled branch is the transmitted pair after post-selecting on
-        a silent monitor. On a monitor click the sender's photon is absorbed
-        at her reject port and the receiver's is left alone; re-emitting her
-        photon in the polarization that clicked makes the resent pair.
-        """
+        """Exact branch split of this bench's encoder for `message` (see `_encode_branches`)."""
         if not isinstance(message, MessageSymbol):
             raise ValueError(f"cannot encode non-alphabet symbol {message!r}")
-        routed = self.source_emit()
-        for element in self.encoder[message]:
-            routed = apply_element(routed, element)
-        branches = branch_on_modes(routed, self.monitor_modes)
-        silent = (0,) * len(self.monitor_modes)
-        if silent not in branches:
-            raise ProtocolError(f"encoder for {message} never transmits")
-        p_controlled, controlled = branches.pop(silent)
-        if p_controlled < 1.0 - 1e-12:
-            ((clicks, (_, lone)),) = branches.items()
-            (clicked,) = (m for m, n in zip(self.monitor_modes, clicks) if n)
-            i = self.registry.index(ModeLabel(ALICE, clicked.pol))
-            # her path is empty after the click, so the new photon adds no bosonic factor
-            resent = PureState(self.registry, {
-                occ[:i] + (occ[i] + 1,) + occ[i + 1:]: amp for occ, amp in lone.amplitudes.items()
-            })
-            return EncodeBranches(p_controlled, controlled, lone, resent)
-        # never goes wrong: exactly 1, not the 1 within rounding the optics give
-        return EncodeBranches(1.0, controlled, None, None)
+        return _encode_branches(self.registry, message, tuple(self.encoder[message]),
+                                self.monitor_modes)
 
     # ---- analyzer ----------------------------------------------------------
 
@@ -345,58 +327,24 @@ class OpticalBench:
 
     def analyze(self, state: PureState) -> dict[DetectionPattern, float]:
         """Exact detector statistics of the beam-splitter + PBS analyzer."""
-        mode_dist = outcome_distribution(
-            apply_element(state, self.analyzer), self.analyzer_detectors
-        )
-        return {DetectionPattern(counts): p for counts, p in mode_dist.items()}
+        return _analyze(state, self.analyzer, self.analyzer_detectors)
 
     # ---- compiled model ----------------------------------------------------
 
-    @cached_property
+    @property
     def compiled(self) -> CompiledBench:
-        """Every law the protocol samples or decodes with, computed once."""
-        branches = tuple(self.encode_branches(symbol) for symbol in ALPHABET)
-        laws = [self.analyze(b.controlled_state) for b in branches]
-        signatures = {symbol: frozenset(law) for symbol, law in zip(ALPHABET, laws)}
-        controlled = laws[:]
-        # a click state reuses the law of an analyzed state with its exact amplitudes
-        analyzed = {frozenset(b.controlled_state.amplitudes.items()): code
-                    for code, b in enumerate(branches)}
+        """Every law the protocol samples or decodes with, looked up by this
+        bench's optics as they are now, so a changed `encoder` takes effect."""
+        return compile_optics(
+            self.registry,
+            tuple(tuple(self.encoder[symbol]) for symbol in ALPHABET),
+            self.analyzer,
+            self.analyzer_detectors,
+            self.monitor_modes,
+        )
 
-        def law_of(state: PureState | None) -> int:
-            if state is None:
-                return -1
-            key = frozenset(state.amplitudes.items())
-            if key not in analyzed:
-                analyzed[key] = len(laws)
-                laws.append(self.analyze(state))
-            return analyzed[key]
-
-        lone_table = tuple(law_of(b.lone_state) for b in branches)
-        resent_table = tuple(law_of(b.resent_state) for b in branches)
-        patterns = sorted(set().union(*laws))
-        code = {p: i for i, p in enumerate(patterns)}  # sorted, so each law keeps its order
-        width = max(map(len, laws))
-        sums, codes = [], []
-        for t, law in enumerate(laws):
-            keys = sorted(law)
-            running = list(accumulate(law[p] for p in keys))
-            total = running[-1] if keys else 0.0
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"law {t} sums to {total}, not 1")
-            sums.append(running[:-1] + [np.inf] * (width - len(keys) + 1))
-            codes.append([code[p] for p in keys] + [-1] * (width - len(keys)))
-        sums = np.array([*sums, [np.inf] * width]).T  # the last column: a stopped pair
-        codes = np.array([*codes, [-1] * width], dtype=np.int16).T
-        sums.flags.writeable = codes.flags.writeable = False
-        classified = [_likeliest(controlled, p) for p in patterns]
-        outcomes = tuple(dict.fromkeys(classified))
-        decoded = np.array([outcomes.index(c) for c in classified], dtype=np.int8)
-        return CompiledBench(branches, signatures, tuple(patterns), outcomes, decoded, sums,
-                             codes, lone_table, resent_table)
-
-    def signature_table(self) -> dict[MessageSymbol, frozenset[DetectionPattern]]:
-        """Detector signatures per message, computed from the optics."""
+    def signature_table(self) -> Mapping[MessageSymbol, frozenset[DetectionPattern]]:
+        """Detector signatures per message, computed from the optics (read-only)."""
         return self.compiled.signatures
 
     def classify(self, pattern: DetectionPattern) -> ClassifiedOutcome:
@@ -406,6 +354,124 @@ class OpticalBench:
         if i < len(compiled.patterns) and compiled.patterns[i] == pattern:
             return compiled.outcomes[compiled.decoded[i]]
         return _likeliest([], pattern)  # a pattern no law produces
+
+
+@lru_cache(maxsize=64)
+def _ideal_state(registry: ModeRegistry, symbol) -> PureState:
+    return superpose([
+        (amp, make_state(registry, [ModeLabel(ALICE, pols[0]), ModeLabel(BOB, pols[1])]))
+        for amp, pols in _TERMS[symbol]
+    ])
+
+
+def _encode_branches(registry: ModeRegistry, message: MessageSymbol,
+                     elements: tuple[ModeUnitary, ...],
+                     monitor_modes: tuple[ModeLabel, ...]) -> EncodeBranches:
+    """Exact branch split of the encoder `elements` on a fresh source pair.
+
+    The controlled branch is the transmitted pair after post-selecting on
+    a silent monitor. On a monitor click the sender's photon is absorbed
+    at her reject port and the receiver's is left alone; re-emitting her
+    photon in the polarization that clicked makes the resent pair.
+    """
+    routed = _ideal_state(registry, MessageSymbol.PSI_PLUS)
+    for element in elements:
+        routed = apply_element(routed, element)
+    branches = branch_on_modes(routed, monitor_modes)
+    silent = (0,) * len(monitor_modes)
+    if silent not in branches:
+        raise ProtocolError(f"encoder for {message} never transmits")
+    p_controlled, controlled = branches.pop(silent)
+    if p_controlled < 1.0 - 1e-12:
+        ((clicks, (_, lone)),) = branches.items()
+        (clicked,) = (m for m, n in zip(monitor_modes, clicks) if n)
+        i = registry.index(ModeLabel(ALICE, clicked.pol))
+        # her path is empty after the click, so the new photon adds no bosonic factor
+        resent = PureState(registry, {
+            occ[:i] + (occ[i] + 1,) + occ[i + 1:]: amp for occ, amp in lone.amplitudes.items()
+        })
+        return EncodeBranches(p_controlled, controlled, lone, resent)
+    # never goes wrong: exactly 1, not the 1 within rounding the optics give
+    return EncodeBranches(1.0, controlled, None, None)
+
+
+def _analyze(state: PureState, analyzer: ModeUnitary,
+             detectors: tuple[ModeLabel, ...]) -> dict[DetectionPattern, float]:
+    mode_dist = outcome_distribution(apply_element(state, analyzer), detectors)
+    return {DetectionPattern(counts): p for counts, p in mode_dist.items()}
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=64)
+def compile_optics(
+    registry: ModeRegistry,
+    encoders: tuple[tuple[ModeUnitary, ...], ...],
+    analyzer: ModeUnitary,
+    analyzer_detectors: tuple[ModeLabel, ...],
+    monitor_modes: tuple[ModeLabel, ...],
+) -> CompiledBench:
+    """The compiled model of one optics: `encoders` holds each message's
+    encoder elements, in ALPHABET order.
+
+    A pure function of its arguments, memoized: equal optics compile once per
+    process and share one `CompiledBench`. Elements hash by identity and the
+    memo's keys keep them alive, so one key never names two elements.
+    """
+    branches = tuple(_encode_branches(registry, symbol, elements, monitor_modes)
+                     for symbol, elements in zip(ALPHABET, encoders))
+    laws = [_analyze(b.controlled_state, analyzer, analyzer_detectors) for b in branches]
+    signatures = {symbol: frozenset(law) for symbol, law in zip(ALPHABET, laws)}
+    controlled = laws[:]
+    # a click state reuses the law of an analyzed state with its exact amplitudes
+    analyzed = {frozenset(b.controlled_state.amplitudes.items()): code
+                for code, b in enumerate(branches)}
+
+    def law_of(state: PureState | None) -> int:
+        if state is None:
+            return -1
+        key = frozenset(state.amplitudes.items())
+        if key not in analyzed:
+            analyzed[key] = len(laws)
+            laws.append(_analyze(state, analyzer, analyzer_detectors))
+        return analyzed[key]
+
+    lone_table = tuple(law_of(b.lone_state) for b in branches)
+    resent_table = tuple(law_of(b.resent_state) for b in branches)
+    patterns = tuple(sorted(set().union(*laws)))
+    code = {p: i for i, p in enumerate(patterns)}  # sorted, so each law keeps its order
+    width = max(map(len, laws))
+    sums, codes = [], []
+    for t, law in enumerate(laws):
+        keys = sorted(law)
+        running = list(accumulate(law[p] for p in keys))
+        total = running[-1] if keys else 0.0
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"law {t} sums to {total}, not 1")
+        sums.append(running[:-1] + [np.inf] * (width - len(keys) + 1))
+        codes.append([code[p] for p in keys] + [-1] * (width - len(keys)))
+    classified = [_likeliest(controlled, p) for p in patterns]
+    outcomes = tuple(dict.fromkeys(classified))
+    decoded = [outcomes.index(c) for c in classified]
+    return CompiledBench(
+        branches=branches,
+        p_controlled=_read_only(np.array([b.controlled_probability for b in branches])),
+        signatures=MappingProxyType(signatures),
+        patterns=patterns,
+        outcomes=outcomes,
+        decoded=_read_only(np.array(decoded, dtype=np.int8)),
+        # the last column: a stopped pair; a view of a read-only array is read-only
+        sums=_read_only(np.array([*sums, [np.inf] * width])).T,
+        codes=_read_only(np.array([*codes, [-1] * width], dtype=np.int16)).T,
+        lone_table=lone_table,
+        resent_table=resent_table,
+        patterns_or_none=(*patterns, None),
+        outcomes_or_none=(*outcomes, None),
+        decoded_or_none=_read_only(np.array([*decoded, -1], dtype=np.int8)),
+    )
 
 
 @lru_cache(maxsize=1)

@@ -19,17 +19,18 @@ the trial it concerns, at Note.delivered_at; one delay for all notes makes
 send order the delivery order.
 
 The kernel is columnar. A `Session` samples the bench's compiled laws
-(`OpticalBench.compiled`, computed once per bench and laid out for sampling
-as the columns of `sums` and `codes`) and only wires in what its scenario
-does on a wrong branch; `Session.scenario_step` draws CHUNK_MESSAGES messages
-at a time. Each trial falls in a cell, 2 * message + wrong branch. The
-session picks once the compiled column of the law each cell draws from and
-builds its `RowTable`: row cell * width + i is outcome i of the cell's law,
-with its message, branch, action, pattern, decoding and note. A chunk gathers
-the running sums by cell, samples all its trials in one `sample_outcome` call
-and keeps one int16 row code per trial (`Trials.row`). Every other column,
-the report's tally and the `TrialRecord` and `Note` objects, which are built
-only when `SessionResult.records`/`.notes` is read, are looked up by row.
+(`OpticalBench.compiled`, computed once per distinct optics and laid out
+for sampling as the columns of `sums` and `codes`) and only wires in what
+its scenario does on a wrong branch; `Session.scenario_step` draws
+CHUNK_MESSAGES messages at a time. Each trial falls in a cell, 2 * message
++ wrong branch. The session only picks the compiled column of the law each
+cell draws from and builds its `RowTable`: row cell * width + i is outcome
+i of the cell's law, with its message, branch, action, pattern, decoding
+and note. A chunk gathers the running sums by cell, samples all its trials
+in one `sample_outcome` call and keeps one int16 row code per trial
+(`Trials.row`). Every other column, the report's tally and the
+`TrialRecord` and `Note` objects, which are built only when
+`SessionResult.records`/`.notes` is read, are looked up by row.
 
 Randomness (RNG_SCHEME): chunk k of a session draws its uniform messages from
 stream 1 and its trials from stream 0, each a numpy Philox generator seeded
@@ -368,7 +369,7 @@ def _cell_columns(width: int, wrong_action: int, wrong_note: int) -> tuple[np.nd
 class Session:
     """One protocol run: columnar sampling from the bench's compiled laws.
 
-    All quantum evolution happens once per bench, in `OpticalBench.compiled`;
+    All quantum evolution happens once per distinct optics, in `compile_optics`;
     each chunk draws its branches and detector patterns from those exact
     distributions with its own random stream.
     """
@@ -377,7 +378,7 @@ class Session:
         self.config = config
         self._next_trial = 0
         compiled = (bench or default_bench()).compiled
-        self._p_controlled = np.array([b.controlled_probability for b in compiled.branches])
+        self._p_controlled = compiled.p_controlled
 
         # what a wrong branch does, per scenario: the receiver's law per
         # message (-1: the pair is stopped), the action and the note
@@ -400,10 +401,10 @@ class Session:
             self._width, ACTIONS.index(wrong_action), NOTE_KINDS.index(wrong_note))
         self.table = RowTable(
             intended, branch, action, pattern,
-            decoded=np.append(compiled.decoded, np.int8(-1))[pattern],
+            decoded=compiled.decoded_or_none[pattern],
             note=note,
-            patterns=(*compiled.patterns, None),
-            outcomes=(*compiled.outcomes, None),
+            patterns=compiled.patterns_or_none,
+            outcomes=compiled.outcomes_or_none,
         )
 
     def scenario_step(self, chunk: int) -> Trials:

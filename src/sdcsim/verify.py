@@ -14,6 +14,7 @@ a correct program fails the suite at most 1e-6 of the time, at any seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -89,6 +90,7 @@ def consistent(count: int, n: int, p: float, alpha: float) -> bool:
     return _tail_test(count, n, p, alpha)[0]
 
 
+@functools.cache
 def band_minimum(p: float) -> int:
     """The fewest trials at which each statistical check can fail a count of probability p."""
 

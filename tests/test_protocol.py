@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -248,17 +249,19 @@ class TestSignaturesAndClassify:
 
 
 @pytest.fixture
-def compile_calls(monkeypatch):
-    """Counts of OpticalBench.encode_branches and .analyze calls from here on."""
+def compile_calls(monkeypatch, fresh_compile_memo):
+    """Counts of the encoder splits and analyzer laws computed from here on, by
+    compiling or by the bench methods that share their module-level functions;
+    the compile memo starts empty."""
     calls = Counter()
     for name in ("encode_branches", "analyze"):
-        original = getattr(OpticalBench, name)
+        original = getattr(protocol, f"_{name}")
 
-        def counted(self, *args, _name=name, _original=original):
+        def counted(*args, _name=name, _original=original):
             calls[_name] += 1
-            return _original(self, *args)
+            return _original(*args)
 
-        monkeypatch.setattr(OpticalBench, name, counted)
+        monkeypatch.setattr(protocol, f"_{name}", counted)
     return calls
 
 
@@ -284,6 +287,60 @@ class TestCompiledBench:
         assert compile_calls == {"encode_branches": 4, "analyze": 6}
         assert bench.compiled is bench.compiled
 
+    def test_fresh_benches_share_one_compiled_model(self, compile_calls):
+        first = OpticalBench().compiled
+        assert compile_calls == {"encode_branches": 4, "analyze": 6}
+        second = OpticalBench().compiled
+        assert second is first
+        assert compile_calls == {"encode_branches": 4, "analyze": 6}
+
+    @pytest.mark.parametrize("symbol", [MessageSymbol.HH, MessageSymbol.PSI_MINUS])
+    def test_a_tilted_plate_compiles_its_own_model(self, symbol):
+        ideal = OpticalBench().compiled
+        tilted = OpticalBench()
+        # the message's plate turned to 22.5 degrees, anything after it kept
+        tilted.encoder[symbol] = (hwp(tilted.registry, 22.5, ALICE), *tilted.encoder[symbol][1:])
+        assert tilted.compiled is not ideal
+        assert tilted.compiled.signatures[symbol] != ideal.signatures[symbol]
+        assert OpticalBench().compiled is ideal
+        test_ideal_compiled_model_is_pinned()
+
+    def test_an_encoder_changed_after_compiling_takes_effect(self):
+        bench = OpticalBench()
+        ideal = bench.compiled
+        bench.encoder[MessageSymbol.PSI_MINUS] = (hwp(bench.registry, 22.5, ALICE),)
+        assert bench.compiled is not ideal
+        assert DetectionPattern.of(aH=2) in bench.signature_table()[MessageSymbol.PSI_MINUS]
+        bench.encoder[MessageSymbol.PSI_MINUS] = (bench.hwp0,)
+        assert bench.compiled is ideal
+
+    def test_distinct_plates_leave_the_memo_bounded(self):
+        before = protocol.compile_optics.cache_info()
+        for k in range(70):
+            bench = OpticalBench()
+            bench.encoder[MessageSymbol.PSI_MINUS] = (hwp(bench.registry, 0.25 + k, ALICE),)
+            bench.compiled
+        after = protocol.compile_optics.cache_info()
+        assert after.misses - before.misses == 70
+        assert after.currsize <= after.maxsize == 64
+
+    def test_the_shared_compiled_model_is_read_only(self):
+        compiled = OpticalBench().compiled
+        arrays = [getattr(compiled, f.name) for f in dataclasses.fields(compiled)
+                  if isinstance(getattr(compiled, f.name), np.ndarray)]
+        assert len(arrays) == 5  # p_controlled, decoded, sums, codes, decoded_or_none
+        for array in arrays:
+            assert not array.flags.writeable
+            assert array.base is None or not array.base.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+        table = OpticalBench().signature_table()
+        with pytest.raises(TypeError):
+            table[MessageSymbol.HH] = frozenset()
+        state = compiled.branches[ALPHABET.index(MessageSymbol.HH)].lone_state
+        with pytest.raises(TypeError):
+            state.amplitudes[next(iter(state.amplitudes))] = 0j
+
     def test_expected_accounting_reuses_the_default_bench(self, compile_calls):
         expected_accounting(Scenario.A)
         compile_calls.clear()
@@ -301,7 +358,7 @@ class TestCompiledBench:
         assert [compiled.patterns[c] for c in codes] == sorted(law)
         assert sums == np.cumsum([law[p] for p in sorted(law)])[:-1].tolist()
 
-    def test_fresh_compile_branches_once_per_message(self, monkeypatch):
+    def test_fresh_compile_branches_once_per_message(self, monkeypatch, fresh_compile_memo):
         calls = []
 
         def counted(state, modes):
@@ -343,11 +400,12 @@ class TestCompiledBench:
 
     @pytest.mark.parametrize("law", [{}, {DetectionPattern.of(aH=2): 0.4}],
                              ids=["empty", "unnormalized"])
-    def test_compile_rejects_a_law_that_does_not_sum_to_one(self, monkeypatch, law):
-        bench = OpticalBench()
-        monkeypatch.setattr(bench, "analyze", lambda state: law)
+    def test_compile_rejects_a_law_that_does_not_sum_to_one(self, monkeypatch,
+                                                             fresh_compile_memo, law):
+        monkeypatch.setattr(protocol, "_analyze", lambda state, analyzer, detectors: law)
         with pytest.raises(ValueError, match="not 1"):
-            bench.compiled
+            OpticalBench().compiled
+        assert fresh_compile_memo.cache_info().currsize == 0
 
     def test_bell_messages_have_no_lone_photon(self, bench):
         lone = bench.compiled.lone_table

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sdcsim import capacity, session, verify
+from sdcsim import capacity, protocol, session, verify
 from sdcsim.cli import EXIT_CONFIG, main
 from sdcsim.elements import hwp
 from sdcsim.fock import sample_outcome
@@ -189,12 +189,10 @@ def test_overlapping_signatures_fail_the_check():
         assert result.detail == detail
 
 
-def test_signature_check_does_not_hide_other_errors(monkeypatch):
-    bench = OpticalBench()
-
-    def broken(state):
+def test_signature_check_does_not_hide_other_errors(monkeypatch, fresh_compile_memo):
+    def broken(state, analyzer, detectors):
         raise TypeError("analyzer bug")
 
-    monkeypatch.setattr(bench, "analyze", broken)
+    monkeypatch.setattr(protocol, "_analyze", broken)
     with pytest.raises(TypeError, match="analyzer bug"):
-        check_signatures(bench)
+        check_signatures(OpticalBench())
