@@ -8,8 +8,8 @@ comes out of the amplitude algebra with no approximation.
 
 All objects are immutable values; every operation returns a new state.
 `compose` folds a sequence of elements into one element that evolves a state
-like the sequence does. `sample_outcome` is the one sampling rule, over
-running sums laid out along an array's first axis. This module draws no
+like the sequence does. `sample_outcome` is the one sampling rule: it counts
+the outcome boundaries at or below each uniform. This module draws no
 randomness: the sampler's caller passes the uniforms.
 """
 
@@ -348,20 +348,20 @@ def outcome_distribution(
     return dist
 
 
-def sample_outcome(cumulative, u):
+def sample_outcome(bounds, u, out=None):
     """The sampling rule, for a uniform or an array of them: the number of
-    running sums, the last excluded, that lie at or below u.
+    outcome boundaries at or below u, added into `out` if given.
 
-    That is the index of the first outcome whose running sum exceeds u, else
-    the last outcome's. `cumulative` runs over the outcomes along its first
-    axis; its other axes, if any, match u's, so running sums gathered per
-    uniform from a stack of laws each draw their own. A law narrower than the
-    stack sets its last sum and its padding to +inf, so that no uniform counts
-    them.
+    A law's boundaries are its running sums without the last, so the count is
+    the index of the first outcome whose running sum exceeds u, else the last
+    outcome's. Each boundary is a number or an array that matches u, so that
+    boundaries gathered per uniform from several laws each draw their own;
+    `bounds` may be any iterable, taken one boundary at a time. A law that is
+    padded past its last outcome pads with +inf, which no uniform counts.
     """
-    drawn = np.zeros(np.shape(u), dtype=np.intp)
-    for c in cumulative[:-1]:  # one comparison per outcome boundary
-        drawn += u >= c
+    drawn = np.zeros(np.shape(u), dtype=np.intp) if out is None else out
+    for bound in bounds:
+        drawn += u >= bound
     return drawn[()]
 
 

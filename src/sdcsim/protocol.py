@@ -28,7 +28,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping
@@ -213,8 +213,10 @@ class CompiledBench:
     read-only. `branches` holds each message's encoder split, in ALPHABET
     order, and `p_controlled` its controlled probability. Column t of `sums`
     and `codes` lays out analyzer law t for sampling: its running sums over
-    `patterns` codes without the last, then +inf, and its pattern codes in
-    order, then -1; both are as deep as the widest law. The laws are first
+    `patterns` codes without the last, which are the boundaries
+    `fock.sample_outcome` counts, then +inf, and its pattern codes in order,
+    then -1; both are as deep as the widest law, so the last row of `sums`
+    is +inf in every column and a session's wiring leaves it out. The laws are first
     the controlled pair of each message, at its ALPHABET code, then the
     receiver's lone photon after a reject-port click, which `lone_table`
     indexes per message, and the re-emitted pair, which `resent_table`
@@ -262,9 +264,10 @@ class OpticalBench:
 
     The registry, the elements, the ideal pair states and the compiled model
     are memoized values shared by every bench with the same optics. What a
-    bench owns is its `encoder` map, its composed `analyzer` and the handle
-    `compiled`; perturb a bench through those values, never by patching one
-    of its methods, which compiling does not call.
+    bench owns is its `encoder` map, its element attributes, the `analyzer`
+    composed from them as they are now, and the handle `compiled`; perturb a
+    bench through those values, never by patching one of its methods, which
+    compiling does not call.
     """
 
     def __init__(self):
@@ -300,9 +303,6 @@ class OpticalBench:
         """Fresh pair from the source: psi+ on (alice, bob)."""
         return self.state_for(MessageSymbol.PSI_PLUS)
 
-    def bob_photon(self, pol: str) -> PureState:
-        return make_state(self.registry, [ModeLabel(BOB, pol)])
-
     def state_for(self, symbol) -> PureState:
         """Ideal pair state for a message symbol or reference state."""
         if symbol not in _TERMS:
@@ -320,9 +320,10 @@ class OpticalBench:
 
     # ---- analyzer ----------------------------------------------------------
 
-    @cached_property
+    @property
     def analyzer(self) -> ModeUnitary:
-        """The beam splitter then both PBSs, composed into one element."""
+        """The beam splitter then both PBSs as they are now, composed into one
+        element (memoized by `compose`, so equal elements compose once)."""
         return compose((self.bs, self.pbs_a, self.pbs_b))
 
     def analyze(self, state: PureState) -> dict[DetectionPattern, float]:

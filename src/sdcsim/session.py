@@ -23,14 +23,17 @@ The kernel is columnar. A `Session` samples the bench's compiled laws
 for sampling as the columns of `sums` and `codes`) and only wires in what
 its scenario does on a wrong branch; `Session.scenario_step` draws
 CHUNK_MESSAGES messages at a time. Each trial falls in a cell, 2 * message
-+ wrong branch. The session only picks the compiled column of the law each
-cell draws from and builds its `RowTable`: row cell * width + i is outcome
-i of the cell's law, with its message, branch, action, pattern, decoding
-and note. A chunk gathers the running sums by cell, samples all its trials
-in one `sample_outcome` call and keeps one int16 row code per trial
-(`Trials.row`). Every other column, the report's tally and the
-`TrialRecord` and `Note` objects, which are built only when
-`SessionResult.records`/`.notes` is read, are looked up by row.
++ wrong branch. The wiring, memoized per compiled model and configuration
+(`wiring`), picks the compiled column of the law each cell draws from: its
+boundary rows hold each cell's running sums, and its `RowTable` names what
+each row code means: row cell * width + i is outcome i of the cell's law,
+with its message, branch, action, pattern, decoding and note. Sessions
+share it read-only, so a session costs only its draws and lookups. A chunk
+starts each trial's int16 row code at its cell's first row and adds, in
+one `sample_outcome` call, each boundary row gathered by cell; it keeps
+that one row code per trial (`Trials.row`). Every other column, the
+report's tally and the `TrialRecord` and `Note` objects, which are built
+only when `SessionResult.records`/`.notes` is read, are looked up by row.
 
 Randomness (RNG_SCHEME): chunk k of a session draws its uniform messages from
 stream 1 and its trials from stream 0, each a numpy Philox generator seeded
@@ -48,7 +51,7 @@ from __future__ import annotations
 from collections import UserList
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -61,6 +64,7 @@ from .protocol import (
     Branch,
     ClassifiedOutcome,
     ClonePolicy,
+    CompiledBench,
     DetectionPattern,
     MessageSymbol,
     OpticalBench,
@@ -217,8 +221,8 @@ def _chunk_messages(config: RunConfig, chunk: int) -> np.ndarray:
 
 def _cycled(cycle: np.ndarray, start: int, size: int) -> np.ndarray:
     """Items start, ..., start + size - 1 of `cycle` repeated without end."""
-    rotated = np.roll(cycle, -(start % len(cycle)))
-    return np.tile(rotated, -(-size // len(cycle)))[:size]
+    offset = start % len(cycle)
+    return np.tile(cycle, -(-(offset + size) // len(cycle)))[offset:offset + size]
 
 
 def intended_stream(config: RunConfig) -> list[MessageSymbol]:
@@ -236,7 +240,8 @@ class RowTable:
 
     Row cell * width + i is outcome i of the law that cell, 2 * message +
     wrong branch, draws from; past a law's last outcome, and for a stopped
-    pair, its pattern and decoded codes are -1.
+    pair, its pattern and decoded codes are -1. Sessions of one wiring share
+    the table, so its arrays are read-only.
     """
 
     intended: np.ndarray
@@ -248,8 +253,20 @@ class RowTable:
     patterns: tuple[DetectionPattern | None, ...]
     outcomes: tuple[ClassifiedOutcome | None, ...]
 
+    def __post_init__(self):
+        for column in (self.intended, self.branch, self.action, self.pattern, self.decoded,
+                       self.note):
+            column.flags.writeable = False
+
     def __len__(self):
         return len(self.pattern)
+
+    @cached_property
+    def tally_code(self) -> np.ndarray:
+        """Per row: its cell of `Trials.tally`, intended * len(ACTIONS) + action."""
+        code = self.intended * np.int8(len(ACTIONS)) + self.action
+        code.flags.writeable = False
+        return code
 
     @cached_property
     def fields(self) -> list[tuple]:
@@ -326,9 +343,8 @@ class Trials:
 
     def tally(self) -> np.ndarray:
         """Trial counts per (message, action), a len(ALPHABET) x len(ACTIONS) matrix."""
-        counts = np.zeros((len(ALPHABET), len(ACTIONS)), dtype=np.intp)
-        np.add.at(counts, (self.table.intended, self.table.action), self.row_counts())
-        return counts
+        codes = self.table.tally_code[self.row]
+        return np.bincount(codes, minlength=len(ALPHABET) * len(ACTIONS)).reshape(len(ALPHABET), -1)
 
     def records(self, classical_delay: int) -> list[TrialRecord]:
         """These trials as TrialRecords, sent notes stamped with their arrival."""
@@ -350,26 +366,53 @@ class Trials:
         ]
 
 
-@cache
-def _cell_columns(width: int, wrong_action: int, wrong_note: int) -> tuple[np.ndarray, ...]:
-    """The intended, branch, action and note codes of each row, `width` rows per cell.
+@lru_cache(maxsize=256)
+def wiring(compiled: CompiledBench, scenario: Scenario, clone_policy: ClonePolicy,
+           erase_notes: bool) -> tuple[tuple[np.ndarray, ...], RowTable]:
+    """What a session of this configuration samples from `compiled`: its boundary
+    rows and its `RowTable`, built once per process and shared, read-only.
 
-    A row's cell alone decides them, so sessions with the same wrong-branch
-    action and note share these (read-only) arrays.
+    A trial falls in a cell, 2 * message + wrong branch, and the cell decides
+    the compiled law it draws from. Boundary row j holds, per cell, running
+    sum j of that law: a contiguous copy of `compiled.sums` without its last
+    row, which is +inf in every law and so never counted.
     """
-    cell = np.arange(2 * len(ALPHABET), dtype=np.int8).repeat(width)
+    # what a wrong branch does, per scenario: the receiver's law per message
+    # (-1: the pair is stopped), the action and the note
+    send_as_is = clone_policy is ClonePolicy.SEND_AS_IS
+    wrong_law, wrong_action, wrong_note = {
+        Scenario.A: (compiled.lone_table, ScenarioAction.DISCARDED_BY_ALICE, NoteKind.REPEAT),
+        # the re-emitted pair as the optics make it, or cloned to carry the intended message
+        Scenario.B: (compiled.resent_table if send_as_is else range(len(ALPHABET)),
+                     ScenarioAction.CLONED_RESEND, NoteKind.CORRECT_TO if send_as_is else None),
+        Scenario.C: ((-1,) * len(ALPHABET), ScenarioAction.PAIR_STOPPED,
+                     NoteKind.ERASE if erase_notes else NoteKind.REPEAT),
+    }[scenario]
+    law = [t for m, wrong in enumerate(wrong_law) for t in (m, wrong)]
+    bounds = np.ascontiguousarray(compiled.sums[:-1, law])
+    bounds.flags.writeable = False  # and so are the views of its rows
+    width = len(compiled.sums)
+    cell = np.arange(len(law), dtype=np.int8).repeat(width)
     branch = cell & 1  # BRANCHES: 0 controlled, 1 wrong
-    columns = (cell >> 1, branch, np.array([_SENT, wrong_action], dtype=np.int8)[branch],
-               np.array([-1, wrong_note], dtype=np.int8)[branch])
-    for column in columns:
-        column.flags.writeable = False
-    return columns
+    pattern = compiled.codes[:, law].T.ravel()
+    table = RowTable(
+        intended=cell >> 1,
+        branch=branch,
+        action=np.array([_SENT, ACTIONS.index(wrong_action)], dtype=np.int8)[branch],
+        pattern=pattern,
+        decoded=compiled.decoded_or_none[pattern],
+        note=np.array([-1, NOTE_KINDS.index(wrong_note)], dtype=np.int8)[branch],
+        patterns=compiled.patterns_or_none,
+        outcomes=compiled.outcomes_or_none,
+    )
+    return tuple(bounds), table
 
 
 class Session:
     """One protocol run: columnar sampling from the bench's compiled laws.
 
-    All quantum evolution happens once per distinct optics, in `compile_optics`;
+    All quantum evolution happens once per distinct optics, in `compile_optics`,
+    and all wiring once per compiled model and configuration, in `wiring`;
     each chunk draws its branches and detector patterns from those exact
     distributions with its own random stream.
     """
@@ -379,51 +422,27 @@ class Session:
         self._next_trial = 0
         compiled = (bench or default_bench()).compiled
         self._p_controlled = compiled.p_controlled
-
-        # what a wrong branch does, per scenario: the receiver's law per
-        # message (-1: the pair is stopped), the action and the note
-        send_as_is = config.clone_policy is ClonePolicy.SEND_AS_IS
-        wrong_law, wrong_action, wrong_note = {
-            Scenario.A: (compiled.lone_table, ScenarioAction.DISCARDED_BY_ALICE, NoteKind.REPEAT),
-            # the re-emitted pair as the optics make it, or cloned to carry the intended message
-            Scenario.B: (compiled.resent_table if send_as_is else range(len(ALPHABET)),
-                         ScenarioAction.CLONED_RESEND, NoteKind.CORRECT_TO if send_as_is else None),
-            Scenario.C: ((-1,) * len(ALPHABET), ScenarioAction.PAIR_STOPPED,
-                         NoteKind.ERASE if config.erase_notes else NoteKind.REPEAT),
-        }[config.scenario]
-
-        # per cell, 2 * message + wrong branch: the compiled law it draws from
-        law = [t for m, wrong in enumerate(wrong_law) for t in (m, wrong)]
-        self._width = len(compiled.sums)
-        self._cell_sums = compiled.sums[:, law]  # (index, cell) -> running sum
-        pattern = compiled.codes[:, law].T.ravel()
-        intended, branch, action, note = _cell_columns(
-            self._width, ACTIONS.index(wrong_action), NOTE_KINDS.index(wrong_note))
-        self.table = RowTable(
-            intended, branch, action, pattern,
-            decoded=compiled.decoded_or_none[pattern],
-            note=note,
-            patterns=compiled.patterns_or_none,
-            outcomes=compiled.outcomes_or_none,
-        )
+        self._width = np.int16(len(compiled.sums))
+        self._bounds, self.table = wiring(compiled, config.scenario, config.clone_policy,
+                                          config.erase_notes)
 
     def scenario_step(self, chunk: int) -> Trials:
         """Drive chunk `chunk`'s messages to delivery; chunks are drawn in order, once."""
         messages = _chunk_messages(self.config, chunk)
         rng = trial_rng(self.config.seed, chunk)
+        p_controlled = self._p_controlled[messages]
         if self.config.scenario is Scenario.B:  # one pair per message
-            intended = messages
-            wrong = rng.random(len(messages)) >= self._p_controlled[messages]
+            cell = 2 * messages.astype(np.int16)
+            cell += rng.random(len(messages)) >= p_controlled  # the wrong branch
         else:  # retry on fresh pairs until the controlled branch
-            attempts = rng.geometric(self._p_controlled[messages])
-            intended = np.repeat(messages, attempts)
-            wrong = np.ones(len(intended), dtype=bool)
-            wrong[np.cumsum(attempts) - 1] = False
-        cell = 2 * intended.astype(np.int16) + wrong
-        row = cell * np.int16(self._width)  # the cell's first row, then the drawn index
-        row += sample_outcome(np.take(self._cell_sums, cell, axis=1), rng.random(len(intended)))
+            attempts = rng.geometric(p_controlled)
+            controlled = 2 * messages.astype(np.int16)
+            cell = np.repeat(controlled + 1, attempts)  # every attempt wrong ...
+            cell[attempts.cumsum() - 1] = controlled  # ... but each message's last
+        row = cell * self._width  # the cell's first row, then the drawn index
+        sample_outcome((bound[cell] for bound in self._bounds), rng.random(len(cell)), out=row)
         start = self._next_trial
-        self._next_trial += len(intended)
+        self._next_trial += len(row)
         return Trials(row, start, self.table)
 
     def chunks(self) -> Iterator[Trials]:

@@ -238,12 +238,13 @@ def check_branch_statistics(bench, seed: int, trials: int) -> CheckResult:
 def check_sampling_consistency(bench, seed: int, draws: int) -> CheckResult:
     compiled = bench.compiled
     psi_plus = ALPHABET.index(MessageSymbol.PSI_PLUS)
-    sums, codes = compiled.sums[:, psi_plus], compiled.codes[:, psi_plus]
+    # the column's boundaries: its running sums but the stack's last row, all +inf
+    bounds, codes = compiled.sums[:-1, psi_plus], compiled.codes[:, psi_plus]
     rng = np.random.default_rng(seed)
-    counts = np.zeros(len(sums), dtype=np.intp)
+    counts = np.zeros(len(codes), dtype=np.intp)
     for start in range(0, draws, session.CHUNK_MESSAGES):  # one stream, a chunk at a time
-        drawn = sample_outcome(sums, rng.random(min(session.CHUNK_MESSAGES, draws - start)))
-        counts += np.bincount(drawn, minlength=len(sums))
+        drawn = sample_outcome(bounds, rng.random(min(session.CHUNK_MESSAGES, draws - start)))
+        counts += np.bincount(drawn, minlength=len(codes))
     counted = {compiled.patterns[c]: n for c, n in zip(codes.tolist(), counts.tolist()) if c >= 0}
     dist = bench.analyze(bench.source_emit())
     keys = sorted(counted.keys() | dist.keys(), key=str)

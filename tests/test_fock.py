@@ -234,8 +234,13 @@ def stacked_column(probs):
     return stack[:, 1]
 
 
-# the two layouts the sampler reads: a law's running sums, and its column of a stack
-LAYOUTS = (np.cumsum, stacked_column)
+def boundaries(probs):
+    """A law's outcome boundaries, the running sums the sampler counts: all but the last."""
+    return np.cumsum(probs)[:-1]
+
+
+# the two layouts the sampler reads: a law's boundaries, and its column of a stack
+LAYOUTS = (boundaries, stacked_column)
 
 
 class TestSampleOutcome:
@@ -313,7 +318,7 @@ def test_sampler_counts_running_sums_as_a_binary_search_would(law, seed):
     cumulative = np.cumsum(law)
     u = np.concatenate([probes(cumulative), np.random.default_rng(seed).random(64)])
     expected = searchsorted_rule(cumulative, u).tolist()
-    for sums in (cumulative, stacked_column(law)):
+    for sums in (boundaries(law), stacked_column(law)):
         assert sample_outcome(sums, u).tolist() == expected
         assert [int(sample_outcome(sums, x)) for x in u] == expected
 
@@ -337,6 +342,31 @@ def test_stacked_tables_each_draw_their_own(stacked, seed):
     drawn = sample_outcome(stack[:, which], u)
     expected = [int(searchsorted_rule(np.cumsum(stacked[j]), x)) for j, x in zip(which, u)]
     assert drawn.tolist() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacked=st.lists(laws(), min_size=1, max_size=5), padding=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_boundary_rows_added_in_place_match_the_running_sums(stacked, padding, seed):
+    # a stack laid out like `CompiledBench.sums`, `padding` rows wider than its
+    # widest law; its boundary rows are contiguous copies of all but its last
+    # row, added per uniform into an int16 row code as the session kernel does
+    width = max(map(len, stacked)) + padding
+    stack = np.full((width, len(stacked)), np.inf)
+    for j, law in enumerate(stacked):
+        stack[: len(law) - 1, j] = np.cumsum(law)[:-1]
+    bounds = tuple(np.ascontiguousarray(stack[:-1]))
+    rng = np.random.default_rng(seed)
+    probed = [probes(np.cumsum(law)) for law in stacked]  # uniforms on and around each boundary
+    which = np.concatenate([np.full(len(p), j) for j, p in enumerate(probed)]
+                           + [rng.integers(0, len(stacked), 64)]).astype(np.int16)
+    u = np.concatenate([*probed, rng.random(64)])
+    row = which * np.int16(width)
+    sample_outcome((bound[which] for bound in bounds), u, out=row)
+    assert row.dtype == np.int16
+    expected = [int(searchsorted_rule(np.cumsum(stacked[j]), x)) for j, x in zip(which, u)]
+    assert (row - which * width).tolist() == expected
+    assert (row - which * width).tolist() == sample_outcome(stack[:, which], u).tolist()
 
 
 class TestDetect:

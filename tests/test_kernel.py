@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import json
 import tracemalloc
 from collections import Counter
 
@@ -444,3 +445,64 @@ def test_simulate_memory_is_bounded_by_one_chunk(tmp_path):
     one = _simulate_peak(session.CHUNK_MESSAGES, tmp_path)
     five = _simulate_peak(5 * session.CHUNK_MESSAGES, tmp_path)
     assert five < 1.5 * one, (one, five)
+
+
+# sha256 over each short session's `Trials.row`, every column looked up from it
+# (so that two configurations whose rows agree still differ) and its report as
+# sorted JSON, for every message stream and size of the grid, one digest per
+# configuration; "b-list-two-chunks" is one listed scenario-b session that
+# crosses the chunk boundary
+SHORT_SIZES = (1, 7, 40)
+PINNED_SHORT_SESSIONS = {
+    "a": "5ed17f1be1138b31ec9e21435aac666d9d0d5205e4ac8fd5afa6550ae6f37198",
+    "b-send-as-is": "a3c81c6b8c9bb4c23bb5e597e7291f760b9349d295ecbde5c837ebfef923e1c7",
+    "b-clone-intended": "e4a662b52d3d23fc3c8b1f9a2a6f01974fd5e1a79f59b732ac0bb5229926f783",
+    "c-erase-notes": "8463139f38caba202cc3d29f508a971e407a666656cb5abcc689203a65f6b882",
+    "c": "8015d96851266df8c8cd2da062504e6b03c59fe3aea904ec37c2887417f46bc8",
+    "b-list-two-chunks": "39845485bf561b9bed9db43b165c295b47b2ea5571afa358158a17647bd6cc53",
+}
+
+
+def _short_sessions():
+    for name, fields in PINNED_CONFIGS.items():
+        yield name, [RunConfig(n_messages=n, seed=100 + n, messages=messages, **fields)
+                     for messages in PINNED_STREAMS.values() for n in SHORT_SIZES]
+    yield "b-list-two-chunks", [RunConfig(Scenario.B, 65_540, 9,
+                                          messages=PINNED_STREAMS["list"])]
+
+
+@pytest.mark.parametrize("name", PINNED_SHORT_SESSIONS)
+def test_short_sessions_are_pinned(name):
+    digest = hashlib.sha256()
+    for config in dict(_short_sessions())[name]:
+        result = run_session(config, OpticalBench())
+        for col in (result.trials.row, *result.trials.columns):
+            digest.update(col.tobytes())
+        digest.update(json.dumps(result.report.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == PINNED_SHORT_SESSIONS[name], name
+
+
+@pytest.mark.parametrize("name", PINNED_CONFIGS)
+def test_equal_optics_share_one_read_only_wiring(name):
+    config = RunConfig(n_messages=5, seed=1, **PINNED_CONFIGS[name])
+    first, second = Session(config, OpticalBench()), Session(config, OpticalBench())
+    assert second.table is first.table
+    assert all(a is b for a, b in zip(second._bounds, first._bounds))
+    assert first._bounds  # the ideal bench's laws have outcomes to draw between
+    table = first.table
+    for array in (*first._bounds, table.intended, table.branch, table.action, table.pattern,
+                  table.decoded, table.note, table.tally_code):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
+def test_a_changed_encoder_gets_its_own_wiring():
+    config = RunConfig(Scenario.A, 5, 1)
+    ideal = Session(config, OpticalBench())
+    tilted = Session(config, _tilted_hh())
+    assert tilted.table is not ideal.table
+    assert len(tilted.table) != len(ideal.table)  # the tilted plate widens the laws
+    bench = OpticalBench()
+    bench.encoder[MessageSymbol.HH] = _tilted_hh().encoder[MessageSymbol.HH]
+    assert Session(config, bench).table is tilted.table

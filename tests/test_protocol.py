@@ -9,7 +9,14 @@ import oracle
 from sdcsim.capacity import total_variation_distance
 from sdcsim.elements import hwp
 from sdcsim import protocol
-from sdcsim.fock import ModeLabel, ModeUnitary, branch_on_modes, make_state, superpose
+from sdcsim.fock import (
+    ModeLabel,
+    ModeUnitary,
+    branch_on_modes,
+    compose,
+    make_state,
+    superpose,
+)
 from sdcsim.protocol import (
     ALICE,
     ALPHABET,
@@ -27,6 +34,12 @@ from sdcsim.capacity import expected_accounting
 from sdcsim.session import RunConfig, run_session
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def bob_photon(bench, pol):
+    """One photon of polarization `pol` on the receiver's path."""
+    return make_state(bench.registry, [ModeLabel(BOB, pol)])
+
 
 # Exact analyzer statistics, frozen from the closed-form two-photon expansion
 # through BS + both PBSs (independently reproduced by the oracle below).
@@ -125,7 +138,7 @@ class TestAnalyze:
             assert engine[pattern] == pytest.approx(prob, abs=1e-12)
 
     def test_single_photon_goes_to_matching_detectors(self, bench):
-        dist = as_strings(bench.analyze(bench.bob_photon("V")))
+        dist = as_strings(bench.analyze(bob_photon(bench, "V")))
         assert dist == {
             "aV:1": pytest.approx(0.5, abs=1e-12),
             "bV:1": pytest.approx(0.5, abs=1e-12),
@@ -165,7 +178,7 @@ class TestEncoder:
             bench.state_for(symbol)
         ) == pytest.approx(1.0, abs=1e-12)
         # the click absorbed the sender's photon: one photon is left, on bob's path
-        lone = bench.bob_photon({MessageSymbol.HH: "V", MessageSymbol.VV: "H"}[symbol])
+        lone = bob_photon(bench, {MessageSymbol.HH: "V", MessageSymbol.VV: "H"}[symbol])
         assert branches.lone_state.fidelity(lone) == pytest.approx(1.0, abs=1e-12)
         # re-emitting her photon in the polarization that clicked makes the complement
         assert branches.resent_state.fidelity(
@@ -354,7 +367,7 @@ class TestCompiledBench:
         # its photon when the sender's is detected
         compiled = bench.compiled
         codes, sums = law_column(compiled, compiled.lone_table[ALPHABET.index(symbol)])
-        law = bench.analyze(bench.bob_photon(lone))
+        law = bench.analyze(bob_photon(bench, lone))
         assert [compiled.patterns[c] for c in codes] == sorted(law)
         assert sums == np.cumsum([law[p] for p in sorted(law)])[:-1].tolist()
 
@@ -465,6 +478,18 @@ class TestMemoizedElements:
         for name in ("bs", "pbs_a", "pbs_b", "hwp0", "hwp45", "pol_pass_h", "pol_pass_v"):
             assert getattr(first, name) is getattr(second, name)
         assert first.analyzer is second.analyzer
+
+    def test_a_replaced_analyzer_element_takes_effect(self):
+        bench = OpticalBench()
+        ideal, ideal_name = bench.compiled, bench.analyzer.name
+        original = bench.pbs_a
+        bench.pbs_a = compose((hwp(bench.registry, 22.5, ALICE), original))
+        assert bench.analyzer.name != ideal_name
+        assert bench.analyzer.name == compose((bench.bs, bench.pbs_a, bench.pbs_b)).name
+        assert bench.compiled.signatures != ideal.signatures
+        bench.pbs_a = original
+        assert bench.analyzer.name == ideal_name
+        assert bench.compiled is ideal is OpticalBench().compiled
 
     def test_elements_are_keyed_by_every_argument(self, bench):
         other = hwp(bench.registry, 22.5, ALICE)

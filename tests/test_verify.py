@@ -63,23 +63,28 @@ def test_injected_non_unitary_fails_loudly(monkeypatch):
 def test_kernel_and_verify_draw_through_one_sampler(monkeypatch):
     calls = []
 
-    def counting(table, u):
-        calls.append((table, len(u)))
-        return sample_outcome(table, u)
+    def counting(bounds, u, out=None):
+        bounds = list(bounds)  # the kernel gathers its boundaries as they are taken
+        calls.append((bounds, len(u)))
+        return sample_outcome(bounds, u, out)
 
     monkeypatch.setattr(session, "sample_outcome", counting)
     monkeypatch.setattr(verify, "sample_outcome", counting)
     bench = OpticalBench()
     config = RunConfig(scenario=Scenario.B, n_messages=CHUNK_MESSAGES + 1, seed=3)
     run_session(config, bench)
-    # once per chunk, for every trial of it (one per message in scenario b)
+    # once per chunk, for every trial of it (one per message in scenario b),
+    # each boundary but the stack's last gathered per trial
     assert [n for _, n in calls] == [CHUNK_MESSAGES, 1]
+    width = len(bench.compiled.sums)
+    assert all(len(bounds) == width - 1 for bounds, _ in calls)
+    assert all(len(bound) == n for bounds, n in calls for bound in bounds)
     calls.clear()
-    # one stream, drawn a chunk at a time from the compiled psi+ column
+    # one stream, drawn a chunk at a time from the compiled psi+ column's boundaries
     check_sampling_consistency(bench, seed=3, draws=CHUNK_MESSAGES + 1)
-    psi_plus = bench.compiled.sums[:, ALPHABET.index(MessageSymbol.PSI_PLUS)]
+    psi_plus = bench.compiled.sums[:-1, ALPHABET.index(MessageSymbol.PSI_PLUS)]
     assert [n for _, n in calls] == [CHUNK_MESSAGES, 1]
-    assert all(np.array_equal(sums, psi_plus) for sums, _ in calls)
+    assert all(np.array_equal(bounds, psi_plus) for bounds, _ in calls)
 
 
 def test_sampling_check_counts_only_the_psi_plus_patterns():
