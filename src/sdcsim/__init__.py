@@ -38,6 +38,7 @@ from .protocol import (
     DetectionPattern,
     MessageSymbol,
     OpticalBench,
+    Optics,
     Owner,
     ReferenceState,
     Scenario,

@@ -8,13 +8,15 @@ with photon-number-resolving detectors. That analyzer separates all four
 alphabet states unambiguously, while the unused Bell pair phi+/phi- stays
 indistinguishable (the linear-optics limitation the alphabet routes around).
 
-A bench takes its registry and elements from memoized constructors, so they
-are shared values; the analyzer applies the beam splitter and both PBSs as
-one composed element. Compiling is a memoized pure function of those values
-(`compile_optics`), so benches with equal optics share one read-only
-`CompiledBench` and a process compiles each distinct optics once. The
-compiled laws decode: a pattern reads as its likeliest message, and `verify`
-checks that the ideal bench's signatures are disjoint, so none is misread.
+A bench's optics are one frozen record of element specs (`Optics`), and
+compiling is a pure function of it, memoized on its values
+(`compile_optics`): it builds the elements through the memoized
+constructors of `elements`, composes the analyzer (the beam splitter and
+both PBSs) into one element, and computes every law, so benches with equal
+optics share one read-only `CompiledBench` and a process compiles each
+distinct record once. The compiled laws decode: a pattern reads as its
+likeliest message, and `verify` checks that the ideal bench's signatures are
+disjoint, so none is misread.
 
 Every law a reject-port click leads to comes from the encoder's own click
 branch: the receiver's lone photon, and the pair the sender makes by
@@ -210,7 +212,9 @@ class CompiledBench:
 
     Benches with equal optics share this object, so nothing in it can be
     written: its containers are tuples and a mapping proxy, its arrays are
-    read-only. `branches` holds each message's encoder split, in ALPHABET
+    read-only. `encoders` holds the elements each message's encoder is built
+    from, in ALPHABET order, and `analyzer` the analyzer's, in the order
+    they act. `branches` holds each message's encoder split, in ALPHABET
     order, and `p_controlled` its controlled probability. Column t of `sums`
     and `codes` lays out analyzer law t for sampling: its running sums over
     `patterns` codes without the last, which are the boundaries
@@ -229,6 +233,8 @@ class CompiledBench:
     `decoded` with a trailing None (-1), so that code -1 looks up none.
     """
 
+    encoders: tuple[tuple[ModeUnitary, ...], ...]
+    analyzer: tuple[ModeUnitary, ...]
     branches: tuple[EncodeBranches, ...]
     p_controlled: np.ndarray  # float64, per message, read-only
     signatures: Mapping[MessageSymbol, frozenset[DetectionPattern]]
@@ -254,48 +260,89 @@ def _likeliest(laws: list[dict], pattern: DetectionPattern) -> ClassifiedOutcome
     return ClassifiedOutcome(Verdict.SINGLE_PHOTON if pattern.total == 1 else Verdict.AMBIGUOUS)
 
 
-class OpticalBench:
-    """Mode registry plus the fixed element layout of the whole experiment.
+# The bench's modes: the pair lives on (alice, bob); the encoder's polarizer
+# reject port goes to (monitor); the analyzer PBSs reflect V onto
+# (analyzer_out_a/b).
+REGISTRY = ModeRegistry.for_paths((ALICE, BOB, REFLECT_A, REFLECT_B, MONITOR))
+MONITOR_MODES = REGISTRY.modes_on_path(MONITOR)
+# read in DETECTOR_NAMES order: aH/bH are the transmitted H ports, aV/bV the
+# reflected V ports
+ANALYZER_DETECTORS = (
+    ModeLabel(ALICE, "H"),
+    ModeLabel(REFLECT_A, "V"),
+    ModeLabel(BOB, "H"),
+    ModeLabel(REFLECT_B, "V"),
+)
+_REFLECTED = {ALICE: REFLECT_A, BOB: REFLECT_B}
 
-    Paths: the pair lives on (alice, bob); the encoder's polarizer reject port
-    goes to (monitor); the analyzer PBSs reflect V onto (analyzer_out_a/b).
-    Detector map: aH/bH are the transmitted H ports, aV/bV the reflected V
-    ports; the sender's monitor is read by `encode_branches`, not the analyzer.
+# What each kind of element spec builds. A plate and a polarizer act on path
+# alice: the sender's photon in her encoder, output arm a in the analyzer.
+_BUILDERS = {
+    "hwp": lambda degrees: hwp(REGISTRY, degrees, ALICE),
+    "polarizer": lambda passed: polarizer_monitor(REGISTRY, ALICE, passed, MONITOR),
+    "bs": lambda: beam_splitter(REGISTRY, ALICE, BOB),
+    "pbs": lambda path: pbs(REGISTRY, path, _REFLECTED[path]),
+}
 
-    The registry, the elements, the ideal pair states and the compiled model
-    are memoized values shared by every bench with the same optics. What a
-    bench owns is its `encoder` map, its element attributes, the `analyzer`
-    composed from them as they are now, and the handle `compiled`; perturb a
-    bench through those values, never by patching one of its methods, which
-    compiling does not call.
+
+def _element(spec: tuple) -> ModeUnitary:
+    """The memoized element an element spec names."""
+    kind, *args = spec
+    try:
+        return _BUILDERS[kind](*args)
+    except (KeyError, TypeError) as error:
+        raise ValueError(f"not an element spec: {spec!r}") from error
+
+
+@dataclass(frozen=True)
+class Optics:
+    """The optics of one bench as a frozen, hashable record of element specs.
+
+    Each message's field is what the sender puts in her photon's path, in
+    order; `analyzer` is what the pair passes before the detectors. A spec is
+    a tuple: ("hwp", degrees), a half-wave plate on path alice;
+    ("polarizer", "H" or "V"), a polarizer passing that polarization on
+    alice and rerouting the other onto the monitor; ("bs",), the 50/50 beam
+    splitter between alice and bob; ("pbs", ALICE or BOB), the polarizing
+    beam splitter that reflects that path's V onto its analyzer output.
+    `Optics()` is the ideal bench; perturb one with keyword fields, for
+    example `Optics(hh=(("hwp", 22.5), ("polarizer", "H")))`. Equal records
+    compile once per process (`compile_optics`).
     """
 
-    def __init__(self):
-        self.registry = ModeRegistry.for_paths(
-            (ALICE, BOB, REFLECT_A, REFLECT_B, MONITOR)
-        )
-        reg = self.registry
-        self.bs = beam_splitter(reg, ALICE, BOB)
-        self.pbs_a = pbs(reg, ALICE, REFLECT_A)
-        self.pbs_b = pbs(reg, BOB, REFLECT_B)
-        self.hwp0 = hwp(reg, 0.0, ALICE)
-        self.hwp45 = hwp(reg, 45.0, ALICE)
-        self.pol_pass_h = polarizer_monitor(reg, ALICE, "H", MONITOR)
-        self.pol_pass_v = polarizer_monitor(reg, ALICE, "V", MONITOR)
-        self.monitor_modes = reg.modes_on_path(MONITOR)
-        self.analyzer_detectors = (
-            ModeLabel(ALICE, "H"),
-            ModeLabel(REFLECT_A, "V"),
-            ModeLabel(BOB, "H"),
-            ModeLabel(REFLECT_B, "V"),
-        )
-        # what the sender puts in her photon's path, per message
-        self.encoder = {
-            MessageSymbol.PSI_PLUS: (),
-            MessageSymbol.PSI_MINUS: (self.hwp0,),
-            MessageSymbol.HH: (self.hwp45, self.pol_pass_h),
-            MessageSymbol.VV: (self.hwp45, self.pol_pass_v),
-        }
+    psi_plus: tuple[tuple, ...] = ()
+    psi_minus: tuple[tuple, ...] = (("hwp", 0.0),)
+    hh: tuple[tuple, ...] = (("hwp", 45.0), ("polarizer", "H"))
+    vv: tuple[tuple, ...] = (("hwp", 45.0), ("polarizer", "V"))
+    analyzer: tuple[tuple, ...] = (("bs",), ("pbs", ALICE), ("pbs", BOB))
+
+    @property
+    def encoders(self) -> tuple[tuple[tuple, ...], ...]:
+        """Each message's encoder specs, in ALPHABET order."""
+        return self.psi_plus, self.psi_minus, self.hh, self.vv
+
+
+class OpticalBench:
+    """One bench: its `optics` record and the model they compile to.
+
+    The sender's monitor is read by `encode_branches`, the four analyzer
+    detectors by `analyze`.
+
+    A bench holds two plain attributes, `optics` and `compiled`, the latter
+    looked up once, at construction, in the memo of `compile_optics`: benches
+    with equal optics share one compiled model, and a fresh bench of known
+    optics costs one memo lookup. To perturb a bench, build one from another
+    record, `OpticalBench(Optics(psi_minus=(("hwp", 22.5),)))`; nothing of a
+    bench is assigned after it is built.
+    """
+
+    registry = REGISTRY
+    monitor_modes = MONITOR_MODES
+    analyzer_detectors = ANALYZER_DETECTORS
+
+    def __init__(self, optics: Optics = Optics()):
+        self.optics = optics
+        self.compiled = compile_optics(optics)
 
     # ---- state preparation -------------------------------------------------
 
@@ -309,40 +356,21 @@ class OpticalBench:
             raise ValueError(f"unknown symbol {symbol!r}")
         return _ideal_state(self.registry, symbol)
 
-    # ---- encoder -----------------------------------------------------------
+    # ---- encoder and analyzer ----------------------------------------------
 
     def encode_branches(self, message: MessageSymbol) -> EncodeBranches:
         """Exact branch split of this bench's encoder for `message` (see `_encode_branches`)."""
         if not isinstance(message, MessageSymbol):
             raise ValueError(f"cannot encode non-alphabet symbol {message!r}")
-        return _encode_branches(self.registry, message, tuple(self.encoder[message]),
+        return _encode_branches(self.registry, message,
+                                self.compiled.encoders[ALPHABET.index(message)],
                                 self.monitor_modes)
 
-    # ---- analyzer ----------------------------------------------------------
-
-    @property
-    def analyzer(self) -> ModeUnitary:
-        """The beam splitter then both PBSs as they are now, composed into one
-        element (memoized by `compose`, so equal elements compose once)."""
-        return compose((self.bs, self.pbs_a, self.pbs_b))
-
     def analyze(self, state: PureState) -> dict[DetectionPattern, float]:
-        """Exact detector statistics of the beam-splitter + PBS analyzer."""
-        return _analyze(state, self.analyzer, self.analyzer_detectors)
+        """Exact detector statistics of this bench's analyzer."""
+        return _analyze(state, compose(self.compiled.analyzer), self.analyzer_detectors)
 
     # ---- compiled model ----------------------------------------------------
-
-    @property
-    def compiled(self) -> CompiledBench:
-        """Every law the protocol samples or decodes with, looked up by this
-        bench's optics as they are now, so a changed `encoder` takes effect."""
-        return compile_optics(
-            self.registry,
-            tuple(tuple(self.encoder[symbol]) for symbol in ALPHABET),
-            self.analyzer,
-            self.analyzer_detectors,
-            self.monitor_modes,
-        )
 
     def signature_table(self) -> Mapping[MessageSymbol, frozenset[DetectionPattern]]:
         """Detector signatures per message, computed from the optics (read-only)."""
@@ -408,23 +436,20 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def compile_optics(
-    registry: ModeRegistry,
-    encoders: tuple[tuple[ModeUnitary, ...], ...],
-    analyzer: ModeUnitary,
-    analyzer_detectors: tuple[ModeLabel, ...],
-    monitor_modes: tuple[ModeLabel, ...],
-) -> CompiledBench:
-    """The compiled model of one optics: `encoders` holds each message's
-    encoder elements, in ALPHABET order.
+def compile_optics(optics: Optics) -> CompiledBench:
+    """The compiled model of one optics record.
 
-    A pure function of its arguments, memoized: equal optics compile once per
-    process and share one `CompiledBench`. Elements hash by identity and the
-    memo's keys keep them alive, so one key never names two elements.
+    A pure function of the record, memoized on it: equal records compile
+    once per process and share one `CompiledBench`. The elements are built
+    here, through the memoized constructors of `elements`, so the memo key
+    is the optics' values, never an element's identity.
     """
-    branches = tuple(_encode_branches(registry, symbol, elements, monitor_modes)
+    encoders = tuple(tuple(map(_element, specs)) for specs in optics.encoders)
+    analyzer_elements = tuple(map(_element, optics.analyzer))
+    analyzer = compose(analyzer_elements)
+    branches = tuple(_encode_branches(REGISTRY, symbol, elements, MONITOR_MODES)
                      for symbol, elements in zip(ALPHABET, encoders))
-    laws = [_analyze(b.controlled_state, analyzer, analyzer_detectors) for b in branches]
+    laws = [_analyze(b.controlled_state, analyzer, ANALYZER_DETECTORS) for b in branches]
     signatures = {symbol: frozenset(law) for symbol, law in zip(ALPHABET, laws)}
     controlled = laws[:]
     # a click state reuses the law of an analyzed state with its exact amplitudes
@@ -437,7 +462,7 @@ def compile_optics(
         key = frozenset(state.amplitudes.items())
         if key not in analyzed:
             analyzed[key] = len(laws)
-            laws.append(_analyze(state, analyzer, analyzer_detectors))
+            laws.append(_analyze(state, analyzer, ANALYZER_DETECTORS))
         return analyzed[key]
 
     lone_table = tuple(law_of(b.lone_state) for b in branches)
@@ -458,6 +483,8 @@ def compile_optics(
     outcomes = tuple(dict.fromkeys(classified))
     decoded = [outcomes.index(c) for c in classified]
     return CompiledBench(
+        encoders=encoders,
+        analyzer=analyzer_elements,
         branches=branches,
         p_controlled=_read_only(np.array([b.controlled_probability for b in branches])),
         signatures=MappingProxyType(signatures),
@@ -477,5 +504,5 @@ def compile_optics(
 
 @lru_cache(maxsize=1)
 def default_bench() -> OpticalBench:
-    """Shared bench instance; the layout is immutable so reuse is safe."""
+    """Shared ideal bench; a bench is never changed after it is built, so reuse is safe."""
     return OpticalBench()

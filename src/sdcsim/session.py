@@ -262,11 +262,13 @@ class RowTable:
         return len(self.pattern)
 
     @cached_property
-    def tally_code(self) -> np.ndarray:
-        """Per row: its cell of `Trials.tally`, intended * len(ACTIONS) + action."""
-        code = self.intended * np.int8(len(ACTIONS)) + self.action
-        code.flags.writeable = False
-        return code
+    def tally_fold(self) -> np.ndarray:
+        """Per row, a one-hot int64 row marking its cell of `Trials.tally`,
+        intended * len(ACTIONS) + action: row counts times it are the tally."""
+        fold = np.zeros((len(self), len(ALPHABET) * len(ACTIONS)), dtype=np.int64)
+        fold[np.arange(len(self)), self.intended * len(ACTIONS) + self.action] = 1
+        fold.flags.writeable = False
+        return fold
 
     @cached_property
     def fields(self) -> list[tuple]:
@@ -343,8 +345,7 @@ class Trials:
 
     def tally(self) -> np.ndarray:
         """Trial counts per (message, action), a len(ALPHABET) x len(ACTIONS) matrix."""
-        codes = self.table.tally_code[self.row]
-        return np.bincount(codes, minlength=len(ALPHABET) * len(ACTIONS)).reshape(len(ALPHABET), -1)
+        return (self.row_counts() @ self.table.tally_fold).reshape(len(ALPHABET), -1)
 
     def records(self, classical_delay: int) -> list[TrialRecord]:
         """These trials as TrialRecords, sent notes stamped with their arrival."""
@@ -488,34 +489,40 @@ def run_session(config: RunConfig, bench: OpticalBench | None = None) -> Session
     trials = Trials.concat(chunks)
     records = _LazyList(build=lambda: trials.records(config.classical_delay))
     notes = _LazyList(build=lambda: trials.notes(config.classical_delay))
-    report = build_report(sum(chunk.tally() for chunk in chunks))
+    report = build_report(trials.tally())
     return SessionResult(config, records, notes, report, trials)
+
+
+_SYMBOL_NAMES = tuple(symbol.value for symbol in ALPHABET)
 
 
 def build_report(tally: np.ndarray) -> "capacity.CapacityReport":
     """The capacity report of a session from its summed `Trials.tally()` matrix."""
-    sent, discarded, stopped, cloned = tally.T.tolist()  # ACTIONS order
     per_symbol = {}
-    for i, symbol in enumerate(ALPHABET):
+    pairs = delivered_total = sent_total = 0
+    # one row per symbol, in ACTIONS order
+    for name, (sent, discarded, stopped, cloned) in zip(_SYMBOL_NAMES, tally.tolist()):
         # every intended message is driven to delivery, so the two counts
         # agree; every wrong-branch pair is either repeated (a, c) or cloned (b)
-        delivered = sent[i] + cloned[i]
-        repeats = discarded[i] + stopped[i]
+        delivered = sent + cloned
+        repeats = discarded + stopped
         rows = delivered + repeats
-        per_symbol[symbol.value] = capacity.SymbolCounts(
+        per_symbol[name] = capacity.SymbolCounts(
             intended=delivered,
             delivered=delivered,
             repeats=repeats,
             discarded=repeats,
-            cloned=cloned[i],
-            uncontrolled_fraction=(repeats + cloned[i]) / rows if rows else 0.0,
+            cloned=cloned,
+            uncontrolled_fraction=(repeats + cloned) / rows if rows else 0.0,
         )
-    pairs = int(tally.sum())
+        pairs += rows
+        delivered_total += delivered
+        sent_total += sent
     return capacity.capacity_from_counts(
         pairs_consumed=pairs,
-        messages_delivered=sum(sent) + sum(cloned),
+        messages_delivered=delivered_total,
         per_symbol=per_symbol,
-        uncontrolled_fraction=(pairs - sum(sent)) / pairs if pairs else 0.0,
+        uncontrolled_fraction=(pairs - sent_total) / pairs if pairs else 0.0,
     )
 
 

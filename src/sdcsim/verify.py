@@ -101,18 +101,16 @@ def band_minimum(p: float) -> int:
     return next(n for n in itertools.count(1) if all(can_fail(n, a) for a in alphas))
 
 
+def _elements(bench):
+    """The distinct elements `bench` compiled with: the analyzer's, then each encoder's."""
+    compiled = bench.compiled
+    return tuple(dict.fromkeys((*compiled.analyzer, *itertools.chain(*compiled.encoders))))
+
+
 def _element_suite(bench):
-    reg = bench.registry
-    return {
-        "BS(alice,bob)": bench.bs.matrix,
-        "PBS(alice,out_a)": bench.pbs_a.matrix,
-        "PBS(bob,out_b)": bench.pbs_b.matrix,
-        "HWP(0,alice)": bench.hwp0.matrix,
-        "HWP(45,alice)": bench.hwp45.matrix,
-        "HWP(22.5,alice)": hwp(reg, 22.5, ALICE).matrix,
-        "pol(H)": bench.pol_pass_h.matrix,
-        "pol(V)": bench.pol_pass_v.matrix,
-    }
+    """Each element's matrix by name: the bench's, and a plate at 22.5 degrees."""
+    elements = (*_elements(bench), hwp(bench.registry, 22.5, ALICE))
+    return {element.name: element.matrix for element in elements}
 
 
 def check_unitarity(bench) -> CheckResult:
@@ -161,11 +159,12 @@ def check_perpendicular_split(bench) -> CheckResult:
 def check_composition(bench) -> CheckResult:
     state = bench.source_emit()
     worst = 0.0
-    for element in (bench.bs, bench.hwp45, bench.pbs_a):
-        roundtrip = apply_element(apply_element(state, element), element.dagger())
+    for element in _elements(bench):
+        # a Hermitian unitary (a plate, a PBS, a polarizer) is its own inverse
+        hermitian = np.array_equal(element.matrix, element.matrix.conj().T)
+        roundtrip = apply_element(apply_element(state, element),
+                                  element if hermitian else element.dagger())
         worst = max(worst, abs(1.0 - roundtrip.fidelity(state)))
-    twice = apply_element(apply_element(state, bench.hwp0), bench.hwp0)
-    worst = max(worst, abs(1.0 - twice.fidelity(state)))
     return _check("composition_inverse", worst < EXACT_TOL, f"max fidelity defect = {worst:.2e}")
 
 

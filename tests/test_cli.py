@@ -7,7 +7,7 @@ import pytest
 
 from sdcsim import cli, verify
 from sdcsim.cli import main
-from sdcsim.protocol import MessageSymbol, OpticalBench
+from sdcsim.protocol import OpticalBench, Optics
 from sdcsim.session import CHUNK_MESSAGES
 
 
@@ -284,8 +284,7 @@ class TestSimulate:
         assert expected["efficiency"] == pytest.approx(4 / 7, abs=1e-12)
 
     def test_expected_block_comes_from_the_session_bench(self, tmp_path, monkeypatch):
-        bench = OpticalBench()
-        bench.encoder[MessageSymbol.HH] = ()  # hh never branches: 5 pairs per 4 messages
+        bench = OpticalBench(Optics(hh=()))  # hh never branches: 5 pairs per 4 messages
         monkeypatch.setattr(cli, "default_bench", lambda: bench)
         report_path = tmp_path / "r.json"
         argv = ["simulate", "--scenario", "a", "--n", "400", "--out", str(report_path),

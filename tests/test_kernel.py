@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from sdcsim import session
 from sdcsim.cli import _event_lines, main
-from sdcsim.elements import hwp
 from sdcsim.fock import branch_on_modes
 from sdcsim.protocol import (
     ALICE,
@@ -31,6 +30,7 @@ from sdcsim.protocol import (
     ClonePolicy,
     MessageSymbol,
     OpticalBench,
+    Optics,
     Scenario,
     default_bench,
 )
@@ -138,16 +138,15 @@ def test_counts_match_the_optics(name):
     assert not outside, outside
 
 
+TILTED_HH = Optics(hh=(("hwp", 22.5), ("polarizer", "H")))
+
+
 def _tilted_hh():
-    bench = OpticalBench()
-    bench.encoder[MessageSymbol.HH] = (hwp(bench.registry, 22.5, ALICE), bench.pol_pass_h)
-    return bench
+    return OpticalBench(TILTED_HH)
 
 
 def _tilted_psi_minus():
-    bench = OpticalBench()
-    bench.encoder[MessageSymbol.PSI_MINUS] = (hwp(bench.registry, 22.5, ALICE),)
-    return bench
+    return OpticalBench(Optics(psi_minus=(("hwp", 22.5),)))
 
 
 PINNED_CONFIGS = {**DIFFERENTIAL_CONFIGS, "c": dict(scenario=Scenario.C)}
@@ -311,7 +310,9 @@ def test_tally_counts_each_message_and_action(bench_name, config, n, seed):
     trials = Trials(row, 0, table)
     cell = trials.intended.astype(np.intp) * len(ACTIONS) + trials.action
     expected = np.bincount(cell, minlength=len(ALPHABET) * len(ACTIONS))
-    assert np.array_equal(trials.tally(), expected.reshape(len(ALPHABET), len(ACTIONS)))
+    tally = trials.tally()
+    assert tally.dtype == np.int64
+    assert np.array_equal(tally, expected.reshape(len(ALPHABET), len(ACTIONS)))
 
 
 def test_trials_keep_one_int16_row_per_trial():
@@ -491,7 +492,7 @@ def test_equal_optics_share_one_read_only_wiring(name):
     assert first._bounds  # the ideal bench's laws have outcomes to draw between
     table = first.table
     for array in (*first._bounds, table.intended, table.branch, table.action, table.pattern,
-                  table.decoded, table.note, table.tally_code):
+                  table.decoded, table.note, table.tally_fold):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[0]
@@ -503,6 +504,9 @@ def test_a_changed_encoder_gets_its_own_wiring():
     tilted = Session(config, _tilted_hh())
     assert tilted.table is not ideal.table
     assert len(tilted.table) != len(ideal.table)  # the tilted plate widens the laws
-    bench = OpticalBench()
-    bench.encoder[MessageSymbol.HH] = _tilted_hh().encoder[MessageSymbol.HH]
+    # an equal record built anew shares the wiring; a plate one degree off does not
+    bench = OpticalBench(Optics(hh=(("hwp", 45 / 2), ("polarizer", "H"))))
+    assert bench.optics == TILTED_HH and bench.optics is not TILTED_HH
     assert Session(config, bench).table is tilted.table
+    other = OpticalBench(Optics(hh=(("hwp", 23.5), ("polarizer", "H"))))
+    assert Session(config, other).table is not tilted.table

@@ -1,30 +1,41 @@
+import contextlib
 import dataclasses
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from sdcsim.capacity import total_variation_distance
-from sdcsim.elements import hwp
+from sdcsim.elements import beam_splitter, hwp, pbs, polarizer_monitor
 from sdcsim import protocol
 from sdcsim.fock import (
     ModeLabel,
     ModeUnitary,
+    apply_element,
     branch_on_modes,
     compose,
     make_state,
+    outcome_distribution,
     superpose,
 )
 from sdcsim.protocol import (
     ALICE,
     ALPHABET,
     BOB,
+    MONITOR,
+    REFLECT_A,
+    REFLECT_B,
+    REGISTRY,
     Branch,
     DetectionPattern,
     MessageSymbol,
     OpticalBench,
+    Optics,
+    ProtocolError,
     ReferenceState,
     Scenario,
     Verdict,
@@ -65,7 +76,7 @@ def as_strings(dist):
 def oracle_analyzer_distribution(bench, symbol):
     """Analyzer statistics via the dense transfer-matrix reference path."""
     reg = bench.registry
-    transfer = oracle.compose([bench.bs, bench.pbs_a, bench.pbs_b], reg)
+    transfer = oracle.compose(list(bench.compiled.analyzer), reg)
     idx = lambda path, pol: reg.index(ModeLabel(path, pol))
     terms = {
         MessageSymbol.PSI_PLUS: [
@@ -243,9 +254,7 @@ class TestSignaturesAndClassify:
 
     @pytest.mark.parametrize("psi_minus", ["psi+", "hwp22.5"])
     def test_overlapping_laws_decode_by_likelihood(self, psi_minus):
-        patched = OpticalBench()
-        encoder = () if psi_minus == "psi+" else (hwp(patched.registry, 22.5, ALICE),)
-        patched.encoder[MessageSymbol.PSI_MINUS] = encoder
+        patched = OpticalBench(Optics(psi_minus=() if psi_minus == "psi+" else (("hwp", 22.5),)))
         laws = [patched.analyze(patched.encode_branches(s).controlled_state) for s in ALPHABET]
         for pattern in patched.compiled.patterns:
             probs = [law.get(pattern, 0.0) for law in laws]
@@ -310,9 +319,10 @@ class TestCompiledBench:
     @pytest.mark.parametrize("symbol", [MessageSymbol.HH, MessageSymbol.PSI_MINUS])
     def test_a_tilted_plate_compiles_its_own_model(self, symbol):
         ideal = OpticalBench().compiled
-        tilted = OpticalBench()
+        field = symbol.name.lower()
         # the message's plate turned to 22.5 degrees, anything after it kept
-        tilted.encoder[symbol] = (hwp(tilted.registry, 22.5, ALICE), *tilted.encoder[symbol][1:])
+        tilted = OpticalBench(Optics(**{field: (("hwp", 22.5), *getattr(Optics(), field)[1:])}))
+        assert tilted.compiled.encoders[ALPHABET.index(symbol)][0] is hwp(REGISTRY, 22.5, ALICE)
         assert tilted.compiled is not ideal
         assert tilted.compiled.signatures[symbol] != ideal.signatures[symbol]
         assert OpticalBench().compiled is ideal
@@ -321,18 +331,20 @@ class TestCompiledBench:
     def test_an_encoder_changed_after_compiling_takes_effect(self):
         bench = OpticalBench()
         ideal = bench.compiled
-        bench.encoder[MessageSymbol.PSI_MINUS] = (hwp(bench.registry, 22.5, ALICE),)
-        assert bench.compiled is not ideal
-        assert DetectionPattern.of(aH=2) in bench.signature_table()[MessageSymbol.PSI_MINUS]
-        bench.encoder[MessageSymbol.PSI_MINUS] = (bench.hwp0,)
-        assert bench.compiled is ideal
+        # a bench is changed by building one from a changed record
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bench.optics.psi_minus = (("hwp", 22.5),)
+        changed = OpticalBench(dataclasses.replace(bench.optics, psi_minus=(("hwp", 22.5),)))
+        assert changed.compiled is not ideal
+        assert DetectionPattern.of(aH=2) in changed.signature_table()[MessageSymbol.PSI_MINUS]
+        assert bench.compiled is ideal and bench.optics == Optics()
+        restored = OpticalBench(dataclasses.replace(changed.optics, psi_minus=(("hwp", 0.0),)))
+        assert restored.compiled is ideal
 
     def test_distinct_plates_leave_the_memo_bounded(self):
         before = protocol.compile_optics.cache_info()
         for k in range(70):
-            bench = OpticalBench()
-            bench.encoder[MessageSymbol.PSI_MINUS] = (hwp(bench.registry, 0.25 + k, ALICE),)
-            bench.compiled
+            OpticalBench(Optics(psi_minus=(("hwp", 0.25 + k),)))
         after = protocol.compile_optics.cache_info()
         assert after.misses - before.misses == 70
         assert after.currsize <= after.maxsize == 64
@@ -386,9 +398,8 @@ class TestCompiledBench:
     def test_resent_pair_follows_the_click_branch(self):
         # an HH encoder whose plate sits at 22.5 degrees: on a click the monitor
         # detects V and the receiver's photon is left in (V - H)/sqrt(2)
-        tilted = OpticalBench()
+        tilted = OpticalBench(Optics(hh=(("hwp", 22.5), ("polarizer", "H"))))
         reg = tilted.registry
-        tilted.encoder[MessageSymbol.HH] = (hwp(reg, 22.5, ALICE), tilted.pol_pass_h)
         by_hand = superpose([
             (INV_SQRT2, make_state(reg, [ModeLabel(ALICE, "V"), ModeLabel(BOB, "V")])),
             (-INV_SQRT2, make_state(reg, [ModeLabel(ALICE, "V"), ModeLabel(BOB, "H")])),
@@ -473,35 +484,55 @@ def test_ideal_compiled_model_is_pinned():
 
 class TestMemoizedElements:
     def test_fresh_benches_share_their_elements(self):
-        first, second = OpticalBench(), OpticalBench()
+        first, second = OpticalBench(), OpticalBench(Optics())
         assert first.registry is second.registry
-        for name in ("bs", "pbs_a", "pbs_b", "hwp0", "hwp45", "pol_pass_h", "pol_pass_v"):
-            assert getattr(first, name) is getattr(second, name)
-        assert first.analyzer is second.analyzer
+        assert second.optics == first.optics and second.compiled is first.compiled
+        reg = first.registry
+        memoized = (
+            beam_splitter(reg, ALICE, BOB), pbs(reg, ALICE, REFLECT_A), pbs(reg, BOB, REFLECT_B),
+            hwp(reg, 0.0, ALICE),
+            hwp(reg, 45.0, ALICE), polarizer_monitor(reg, ALICE, "H", MONITOR),
+            hwp(reg, 45.0, ALICE), polarizer_monitor(reg, ALICE, "V", MONITOR),
+        )
+        compiled = first.compiled
+        built = (*compiled.analyzer, *(e for encoder in compiled.encoders for e in encoder))
+        assert len(built) == len(memoized)
+        assert all(a is b for a, b in zip(built, memoized))
+        assert [len(encoder) for encoder in compiled.encoders] == [0, 1, 2, 2]
 
     def test_a_replaced_analyzer_element_takes_effect(self):
-        bench = OpticalBench()
-        ideal, ideal_name = bench.compiled, bench.analyzer.name
-        original = bench.pbs_a
-        bench.pbs_a = compose((hwp(bench.registry, 22.5, ALICE), original))
-        assert bench.analyzer.name != ideal_name
-        assert bench.analyzer.name == compose((bench.bs, bench.pbs_a, bench.pbs_b)).name
-        assert bench.compiled.signatures != ideal.signatures
-        bench.pbs_a = original
-        assert bench.analyzer.name == ideal_name
-        assert bench.compiled is ideal is OpticalBench().compiled
+        ideal = OpticalBench().compiled
+        # a plate turned to 22.5 degrees in arm a, in front of its PBS
+        specs = (("bs",), ("hwp", 22.5), ("pbs", ALICE), ("pbs", BOB))
+        tilted = OpticalBench(Optics(analyzer=specs))
+        plate = hwp(tilted.registry, 22.5, ALICE)
+        assert tilted.compiled.analyzer == (ideal.analyzer[0], plate, *ideal.analyzer[1:])
+        assert compose(tilted.compiled.analyzer).name != compose(ideal.analyzer).name
+        assert tilted.compiled.signatures != ideal.signatures
+        # analyze applies the record's elements in order
+        state = tilted.source_emit()
+        for element in tilted.compiled.analyzer:
+            state = apply_element(state, element)
+        by_hand = outcome_distribution(state, tilted.analyzer_detectors)
+        law = tilted.analyze(tilted.source_emit())
+        assert {p.counts for p in law} == set(by_hand)
+        assert all(law[p] == pytest.approx(by_hand[p.counts], abs=1e-12) for p in law)
+        restored = OpticalBench(Optics(analyzer=(specs[0], *specs[2:])))
+        assert restored.compiled is ideal is OpticalBench().compiled
 
     def test_elements_are_keyed_by_every_argument(self, bench):
+        hwp45 = bench.compiled.encoders[ALPHABET.index(MessageSymbol.HH)][0]
         other = hwp(bench.registry, 22.5, ALICE)
-        assert other is not bench.hwp45
-        assert not np.array_equal(other.matrix, bench.hwp45.matrix)
-        assert hwp(bench.registry, 45.0, ALICE) is bench.hwp45
-        assert hwp(bench.registry, 45.0, BOB) is not bench.hwp45
+        assert other is not hwp45
+        assert not np.array_equal(other.matrix, hwp45.matrix)
+        assert hwp(bench.registry, 45.0, ALICE) is hwp45
+        assert hwp(bench.registry, 45.0, BOB) is not hwp45
 
     def test_elements_are_immutable(self, bench):
-        assert not bench.bs.matrix.flags.writeable
+        bs = bench.compiled.analyzer[0]
+        assert not bs.matrix.flags.writeable
         with pytest.raises(AttributeError):
-            bench.bs.name = "other"
+            bs.name = "other"
 
     def test_second_fresh_bench_constructs_no_element(self, monkeypatch):
         OpticalBench().compiled
@@ -513,22 +544,76 @@ class TestMemoizedElements:
             original(self)
 
         monkeypatch.setattr(ModeUnitary, "__post_init__", counted)
+        misses = protocol.compile_optics.cache_info().misses
         bench = OpticalBench()
         bench.compiled
         assert built == []
+        assert protocol.compile_optics.cache_info().misses == misses
+        assert vars(bench) == {"optics": Optics(), "compiled": bench.compiled}
 
-    def test_a_patched_encoder_stays_on_its_bench(self, monkeypatch):
-        patched = OpticalBench()
+    def test_a_patched_encoder_stays_on_its_bench(self):
         # psi- encoded like psi+ shares its detector patterns, equally likely
-        monkeypatch.setitem(patched.encoder, MessageSymbol.PSI_MINUS, ())
+        patched = OpticalBench(Optics(psi_minus=()))
         for pattern in (DetectionPattern.of(aH=1, aV=1), DetectionPattern.of(bH=1, bV=1)):
             assert patched.classify(pattern).verdict is Verdict.AMBIGUOUS
         assert patched.classify(DetectionPattern.of(aH=2)).symbol is MessageSymbol.HH
         fresh = OpticalBench()
-        assert fresh.encoder[MessageSymbol.PSI_MINUS] == (fresh.hwp0,)
+        assert fresh.optics.psi_minus == (("hwp", 0.0),)
+        (plate,) = fresh.compiled.encoders[ALPHABET.index(MessageSymbol.PSI_MINUS)]
+        assert plate is hwp(fresh.registry, 0.0, ALICE)
         assert {s: sorted(map(str, p)) for s, p in fresh.signature_table().items()} == {
             symbol: sorted(EXPECTED_ANALYZE[symbol]) for symbol in ALPHABET
         }
+
+
+# plate angles from a fixed grid, so the element memos stay far from full
+PLATES = st.builds(lambda k: ("hwp", 7.5 * k), st.integers(-12, 12))
+POLARIZERS = st.sampled_from([("polarizer", "H"), ("polarizer", "V")])
+ENCODERS = st.lists(st.one_of(PLATES, POLARIZERS), max_size=2).map(tuple)
+FIELDS = ("psi_plus", "psi_minus", "hh", "vv")
+
+
+class TestOpticsRecord:
+    def test_the_ideal_record_is_the_paper_bench(self):
+        optics = Optics()
+        assert optics.encoders == (
+            (), (("hwp", 0.0),), (("hwp", 45.0), ("polarizer", "H")),
+            (("hwp", 45.0), ("polarizer", "V")),
+        )
+        assert optics.analyzer == (("bs",), ("pbs", ALICE), ("pbs", BOB))
+        assert OpticalBench().optics == optics and hash(OpticalBench().optics) == hash(optics)
+
+    def test_the_record_is_frozen(self):
+        optics = Optics()
+        for field in (*FIELDS, "analyzer"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(optics, field, ())
+        assert optics == Optics()
+
+    @pytest.mark.parametrize("spec", [("hwp",), ("plate", 0.0), ("polarizer", "D"),
+                                      ("pbs", MONITOR), ("bs", 0.5)])
+    def test_an_unknown_element_spec_is_rejected(self, spec):
+        with pytest.raises(ValueError, match="not an element spec|orientation must be"):
+            OpticalBench(Optics(psi_plus=(spec,)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(FIELDS), ENCODERS, st.integers(0, 2), st.one_of(PLATES, POLARIZERS))
+    def test_equal_records_share_one_model_and_others_never(self, field, specs, index, spec):
+        optics = Optics(**{field: specs})
+        twin = Optics(**{field: tuple(tuple(list(spec)) for spec in specs)})  # built anew
+        assert twin == optics and twin is not optics
+        try:
+            compiled = OpticalBench(optics).compiled
+        except ProtocolError:  # an encoder whose monitor always clicks
+            with pytest.raises(ProtocolError):
+                OpticalBench(twin)
+            return
+        assert OpticalBench(twin).compiled is compiled
+        index = min(index, len(specs), 1)  # past the last spec: one more spec, at most two
+        changed = (*specs[:index], spec, *specs[index + 1:])
+        if changed != specs:  # one spec differs
+            with contextlib.suppress(ProtocolError):
+                assert OpticalBench(Optics(**{field: changed})).compiled is not compiled
 
 
 class TestDetectionPattern:

@@ -9,9 +9,8 @@ import pytest
 
 from sdcsim import capacity, protocol, session, verify
 from sdcsim.cli import EXIT_CONFIG, main
-from sdcsim.elements import hwp
-from sdcsim.fock import sample_outcome
-from sdcsim.protocol import ALICE, ALPHABET, MessageSymbol, OpticalBench, Scenario
+from sdcsim.fock import apply_element, sample_outcome
+from sdcsim.protocol import ALPHABET, MessageSymbol, OpticalBench, Optics, Scenario
 from sdcsim.session import CHUNK_MESSAGES, InvalidConfigError, RunConfig, run_session
 from sdcsim.verify import (
     CHECK_ALARM,
@@ -60,6 +59,36 @@ def test_injected_non_unitary_fails_loudly(monkeypatch):
     assert not all_passed(results)
 
 
+def test_element_checks_read_the_elements_the_bench_compiled_with(monkeypatch):
+    ideal = verify._element_suite(OpticalBench())
+    assert list(ideal) == [
+        "BS(alice,bob)", "PBS(alice,analyzer_out_a)", "PBS(bob,analyzer_out_b)",
+        "HWP(0,alice)", "HWP(45,alice)", "pol(H,alice->monitor)", "pol(V,alice->monitor)",
+        "HWP(22.5,alice)",
+    ]
+    analyzer = (("bs",), ("hwp", 10.0), ("pbs", "alice"), ("pbs", "bob"))
+    bench = OpticalBench(Optics(psi_minus=(("hwp", 30.0),), analyzer=analyzer))
+    elements = verify._elements(bench)
+    assert [e.name for e in elements] == [
+        "BS(alice,bob)", "HWP(10,alice)", "PBS(alice,analyzer_out_a)", "PBS(bob,analyzer_out_b)",
+        "HWP(30,alice)", "HWP(45,alice)", "pol(H,alice->monitor)", "pol(V,alice->monitor)",
+    ]
+    assert elements[4] is bench.compiled.encoders[ALPHABET.index(MessageSymbol.PSI_MINUS)][0]
+    assert verify.check_unitarity(bench).passed
+    applied = []
+
+    def spied(state, element):
+        applied.append(element)
+        return apply_element(state, element)
+
+    monkeypatch.setattr(verify, "apply_element", spied)
+    assert verify.check_composition(bench).passed
+    # each element once, then its inverse: itself, or the beam splitter's dagger
+    assert applied[0::2] == list(elements)
+    assert applied[3::2] == list(elements[1:])
+    assert applied[1] is not elements[0]
+
+
 def test_kernel_and_verify_draw_through_one_sampler(monkeypatch):
     calls = []
 
@@ -90,8 +119,7 @@ def test_kernel_and_verify_draw_through_one_sampler(monkeypatch):
 def test_sampling_check_counts_only_the_psi_plus_patterns():
     # a tilted psi- plate widens the compiled stack past psi+'s two patterns;
     # the -1 padding of psi+'s column names no pattern
-    bench = OpticalBench()
-    bench.encoder[MessageSymbol.PSI_MINUS] = (hwp(bench.registry, 22.5, ALICE),)
+    bench = OpticalBench(Optics(psi_minus=(("hwp", 22.5),)))
     assert len(bench.compiled.codes) > 2
     result = check_sampling_consistency(bench, seed=3, draws=1_000)
     assert result.passed
@@ -148,8 +176,7 @@ def test_capacity_references_are_exact(monkeypatch):
 
 
 def test_capacity_references_read_the_bench_they_check():
-    bench = OpticalBench()
-    bench.encoder[MessageSymbol.HH] = ()  # hh is sent as psi+ and never branches
+    bench = OpticalBench(Optics(hh=()))  # hh is sent as psi+ and never branches
     assert capacity.expected_accounting(Scenario.A, bench=bench).efficiency == 0.8
     result = check_capacity_references(bench)
     assert not result.passed
@@ -186,9 +213,7 @@ def test_overlapping_signatures_fail_the_check():
         # a 22.5 degree plate sends psi- onto hh's and vv's patterns too
         ((22.5,), "signatures of psi- and hh overlap: ['aH:2', 'bH:2']"),
     ]:
-        bench = OpticalBench()
-        encoder = tuple(hwp(bench.registry, angle, ALICE) for angle in half_waves)
-        bench.encoder[MessageSymbol.PSI_MINUS] = encoder
+        bench = OpticalBench(Optics(psi_minus=tuple(("hwp", angle) for angle in half_waves)))
         result = check_signatures(bench)
         assert not result.passed
         assert result.detail == detail
