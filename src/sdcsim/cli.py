@@ -248,19 +248,14 @@ def _intended_distribution(config: RunConfig):
 EVENT_HEADER = ["trial", "intended", "branch", "action", "pattern", "decoded", "note"]
 
 
-def _event_suffix(record) -> str:
-    """A record's event-log line after the trial number, rendered by csv."""
+def _event_suffix(intended, branch, action, pattern, decoded, note) -> str:
+    """A row's event-log line after the trial number, rendered by csv from its
+    `RowTable.fields`; a note reads as the trial's `Note` does."""
     buffer = io.StringIO()
-    csv.writer(buffer).writerow(
-        [
-            record.intended.value,
-            record.branch.value,
-            record.action.value,
-            record.bob_pattern.to_string() if record.bob_pattern else "",
-            record.decoded.label if record.decoded else "",
-            str(record.note) if record.note else "",
-        ]
-    )
+    csv.writer(buffer).writerow([
+        intended.value, branch.value, action.value, pattern.to_string() if pattern else "",
+        decoded.label if decoded else "", str(session.Note(0, note, intended)) if note else "",
+    ])
     return buffer.getvalue()
 
 
@@ -298,9 +293,7 @@ def _write_events(handle, run: session.Session) -> np.ndarray:
     `_event_lines` joins each chunk's lines from strings that already exist.
     """
     csv.writer(handle).writerow(EVENT_HEADER)
-    every_row = session.Trials(np.arange(len(run.table)), 0, run.table)
-    suffixes = [_event_suffix(r) for r in every_row.records(run.config.classical_delay)]
-    suffix_of = np.array(suffixes, dtype=object)
+    suffix_of = np.array([_event_suffix(*row) for row in run.table.fields], dtype=object)
     tally = 0
     for trials in run.chunks():
         tally = tally + trials.tally()

@@ -134,7 +134,7 @@ class ClonePolicy(Enum):
 
 
 class ProtocolError(RuntimeError):
-    """An encoder that never transmits: its monitor always clicks."""
+    """An encoder the protocol cannot use: its monitor always clicks, or clicks two ways."""
 
 
 @dataclass(frozen=True, order=True)
@@ -229,8 +229,7 @@ class CompiledBench:
     is a stopped pair: index -1, as for a message that never goes wrong.
     `decoded` maps each pattern to the message whose controlled law gives it
     the unique largest positive probability, or else to SINGLE_PHOTON or
-    AMBIGUOUS. The `*_or_none` fields repeat `patterns`, `outcomes` and
-    `decoded` with a trailing None (-1), so that code -1 looks up none.
+    AMBIGUOUS. Every reader reads these fields and derives none of them again.
     """
 
     encoders: tuple[tuple[ModeUnitary, ...], ...]
@@ -245,9 +244,6 @@ class CompiledBench:
     codes: np.ndarray  # int16, widest law x (laws + 1), read-only
     lone_table: tuple[int, ...]
     resent_table: tuple[int, ...]
-    patterns_or_none: tuple[DetectionPattern | None, ...]
-    outcomes_or_none: tuple[ClassifiedOutcome | None, ...]
-    decoded_or_none: np.ndarray  # int8, read-only
 
 
 def _likeliest(laws: list[dict], pattern: DetectionPattern) -> ClassifiedOutcome:
@@ -337,8 +333,6 @@ class OpticalBench:
     """
 
     registry = REGISTRY
-    monitor_modes = MONITOR_MODES
-    analyzer_detectors = ANALYZER_DETECTORS
 
     def __init__(self, optics: Optics = Optics()):
         self.optics = optics
@@ -354,21 +348,19 @@ class OpticalBench:
         """Ideal pair state for a message symbol or reference state."""
         if symbol not in _TERMS:
             raise ValueError(f"unknown symbol {symbol!r}")
-        return _ideal_state(self.registry, symbol)
+        return _ideal_state(symbol)
 
     # ---- encoder and analyzer ----------------------------------------------
 
     def encode_branches(self, message: MessageSymbol) -> EncodeBranches:
-        """Exact branch split of this bench's encoder for `message` (see `_encode_branches`)."""
+        """This bench's compiled encoder split for `message` (see `_encode_branches`)."""
         if not isinstance(message, MessageSymbol):
             raise ValueError(f"cannot encode non-alphabet symbol {message!r}")
-        return _encode_branches(self.registry, message,
-                                self.compiled.encoders[ALPHABET.index(message)],
-                                self.monitor_modes)
+        return self.compiled.branches[ALPHABET.index(message)]
 
     def analyze(self, state: PureState) -> dict[DetectionPattern, float]:
         """Exact detector statistics of this bench's analyzer."""
-        return _analyze(state, compose(self.compiled.analyzer), self.analyzer_detectors)
+        return _analyze(state, compose(self.compiled.analyzer))
 
     # ---- compiled model ----------------------------------------------------
 
@@ -386,37 +378,40 @@ class OpticalBench:
 
 
 @lru_cache(maxsize=64)
-def _ideal_state(registry: ModeRegistry, symbol) -> PureState:
+def _ideal_state(symbol) -> PureState:
     return superpose([
-        (amp, make_state(registry, [ModeLabel(ALICE, pols[0]), ModeLabel(BOB, pols[1])]))
+        (amp, make_state(REGISTRY, [ModeLabel(ALICE, pols[0]), ModeLabel(BOB, pols[1])]))
         for amp, pols in _TERMS[symbol]
     ])
 
 
-def _encode_branches(registry: ModeRegistry, message: MessageSymbol,
-                     elements: tuple[ModeUnitary, ...],
-                     monitor_modes: tuple[ModeLabel, ...]) -> EncodeBranches:
+def _encode_branches(message: MessageSymbol, elements: tuple[ModeUnitary, ...]) -> EncodeBranches:
     """Exact branch split of the encoder `elements` on a fresh source pair.
 
     The controlled branch is the transmitted pair after post-selecting on
     a silent monitor. On a monitor click the sender's photon is absorbed
     at her reject port and the receiver's is left alone; re-emitting her
-    photon in the polarization that clicked makes the resent pair.
+    photon in the polarization that clicked makes the resent pair. An
+    encoder that can click its monitor in more than one way has no one
+    resent pair, and raises ProtocolError.
     """
-    routed = _ideal_state(registry, MessageSymbol.PSI_PLUS)
+    routed = _ideal_state(MessageSymbol.PSI_PLUS)
     for element in elements:
         routed = apply_element(routed, element)
-    branches = branch_on_modes(routed, monitor_modes)
-    silent = (0,) * len(monitor_modes)
+    branches = branch_on_modes(routed, MONITOR_MODES)
+    silent = (0,) * len(MONITOR_MODES)
     if silent not in branches:
         raise ProtocolError(f"encoder for {message} never transmits")
     p_controlled, controlled = branches.pop(silent)
     if p_controlled < 1.0 - 1e-12:
+        if len(branches) > 1:
+            ways = [{str(m): n for m, n in zip(MONITOR_MODES, clicks) if n} for clicks in branches]
+            raise ProtocolError(f"encoder for {message} has {len(ways)} click branches: {ways}")
         ((clicks, (_, lone)),) = branches.items()
-        (clicked,) = (m for m, n in zip(monitor_modes, clicks) if n)
-        i = registry.index(ModeLabel(ALICE, clicked.pol))
+        (clicked,) = (m for m, n in zip(MONITOR_MODES, clicks) if n)
+        i = REGISTRY.index(ModeLabel(ALICE, clicked.pol))
         # her path is empty after the click, so the new photon adds no bosonic factor
-        resent = PureState(registry, {
+        resent = PureState(REGISTRY, {
             occ[:i] + (occ[i] + 1,) + occ[i + 1:]: amp for occ, amp in lone.amplitudes.items()
         })
         return EncodeBranches(p_controlled, controlled, lone, resent)
@@ -424,9 +419,8 @@ def _encode_branches(registry: ModeRegistry, message: MessageSymbol,
     return EncodeBranches(1.0, controlled, None, None)
 
 
-def _analyze(state: PureState, analyzer: ModeUnitary,
-             detectors: tuple[ModeLabel, ...]) -> dict[DetectionPattern, float]:
-    mode_dist = outcome_distribution(apply_element(state, analyzer), detectors)
+def _analyze(state: PureState, analyzer: ModeUnitary) -> dict[DetectionPattern, float]:
+    mode_dist = outcome_distribution(apply_element(state, analyzer), ANALYZER_DETECTORS)
     return {DetectionPattern(counts): p for counts, p in mode_dist.items()}
 
 
@@ -447,9 +441,8 @@ def compile_optics(optics: Optics) -> CompiledBench:
     encoders = tuple(tuple(map(_element, specs)) for specs in optics.encoders)
     analyzer_elements = tuple(map(_element, optics.analyzer))
     analyzer = compose(analyzer_elements)
-    branches = tuple(_encode_branches(REGISTRY, symbol, elements, MONITOR_MODES)
-                     for symbol, elements in zip(ALPHABET, encoders))
-    laws = [_analyze(b.controlled_state, analyzer, ANALYZER_DETECTORS) for b in branches]
+    branches = tuple(map(_encode_branches, ALPHABET, encoders))
+    laws = [_analyze(b.controlled_state, analyzer) for b in branches]
     signatures = {symbol: frozenset(law) for symbol, law in zip(ALPHABET, laws)}
     controlled = laws[:]
     # a click state reuses the law of an analyzed state with its exact amplitudes
@@ -462,7 +455,7 @@ def compile_optics(optics: Optics) -> CompiledBench:
         key = frozenset(state.amplitudes.items())
         if key not in analyzed:
             analyzed[key] = len(laws)
-            laws.append(_analyze(state, analyzer, ANALYZER_DETECTORS))
+            laws.append(_analyze(state, analyzer))
         return analyzed[key]
 
     lone_table = tuple(law_of(b.lone_state) for b in branches)
@@ -496,9 +489,6 @@ def compile_optics(optics: Optics) -> CompiledBench:
         codes=_read_only(np.array([*codes, [-1] * width], dtype=np.int16)).T,
         lone_table=lone_table,
         resent_table=resent_table,
-        patterns_or_none=(*patterns, None),
-        outcomes_or_none=(*outcomes, None),
-        decoded_or_none=_read_only(np.array([*decoded, -1], dtype=np.int8)),
     )
 
 

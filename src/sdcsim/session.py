@@ -34,6 +34,8 @@ one `sample_outcome` call, each boundary row gathered by cell; it keeps
 that one row code per trial (`Trials.row`). Every other column, the
 report's tally and the `TrialRecord` and `Note` objects, which are built
 only when `SessionResult.records`/`.notes` is read, are looked up by row.
+`Session.chunks()` numbers each chunk's trials on from the last's, so a
+session holds no cursor and can be iterated again.
 
 Randomness (RNG_SCHEME): chunk k of a session draws its uniform messages from
 stream 1 and its trials from stream 0, each a numpy Philox generator seeded
@@ -52,6 +54,7 @@ from collections import UserList
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from numbers import Integral
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -136,7 +139,7 @@ class TrialRecord:
 
 def check_seed(seed: int) -> None:
     """Raise InvalidConfigError unless `seed` is an unsigned 64-bit integer."""
-    if not 0 <= seed < 2**64:
+    if not isinstance(seed, Integral) or not 0 <= seed < 2**64:
         raise InvalidConfigError("seed must be an unsigned 64-bit integer")
 
 
@@ -152,6 +155,12 @@ class RunConfig:
     erase_notes: bool = False
 
     def __post_init__(self):
+        for name in ("n_messages", "seed", "classical_delay"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise InvalidConfigError(f"{name} must be an integer, not {value!r}")
+            # a numpy integer becomes an int, so no sum with a trial number overflows
+            object.__setattr__(self, name, int(value))
         if self.n_messages < 1:
             raise InvalidConfigError("n_messages must be >= 1")
         check_seed(self.seed)
@@ -401,10 +410,10 @@ def wiring(compiled: CompiledBench, scenario: Scenario, clone_policy: ClonePolic
         branch=branch,
         action=np.array([_SENT, ACTIONS.index(wrong_action)], dtype=np.int8)[branch],
         pattern=pattern,
-        decoded=compiled.decoded_or_none[pattern],
+        decoded=np.append(compiled.decoded, np.int8(-1))[pattern],  # code -1 reads as none
         note=np.array([-1, NOTE_KINDS.index(wrong_note)], dtype=np.int8)[branch],
-        patterns=compiled.patterns_or_none,
-        outcomes=compiled.outcomes_or_none,
+        patterns=(*compiled.patterns, None),
+        outcomes=(*compiled.outcomes, None),
     )
     return tuple(bounds), table
 
@@ -415,20 +424,20 @@ class Session:
     All quantum evolution happens once per distinct optics, in `compile_optics`,
     and all wiring once per compiled model and configuration, in `wiring`;
     each chunk draws its branches and detector patterns from those exact
-    distributions with its own random stream.
+    distributions with its own random stream. Nothing of a session changes
+    after it is built, so every pass over `chunks()` gives the same trials.
     """
 
     def __init__(self, config: RunConfig, bench: OpticalBench | None = None):
         self.config = config
-        self._next_trial = 0
         compiled = (bench or default_bench()).compiled
         self._p_controlled = compiled.p_controlled
         self._width = np.int16(len(compiled.sums))
         self._bounds, self.table = wiring(compiled, config.scenario, config.clone_policy,
                                           config.erase_notes)
 
-    def scenario_step(self, chunk: int) -> Trials:
-        """Drive chunk `chunk`'s messages to delivery; chunks are drawn in order, once."""
+    def scenario_step(self, chunk: int, first: int) -> Trials:
+        """Drive chunk `chunk`'s messages to delivery, numbering its trials from `first`."""
         messages = _chunk_messages(self.config, chunk)
         rng = trial_rng(self.config.seed, chunk)
         p_controlled = self._p_controlled[messages]
@@ -442,14 +451,15 @@ class Session:
             cell[attempts.cumsum() - 1] = controlled  # ... but each message's last
         row = cell * self._width  # the cell's first row, then the drawn index
         sample_outcome((bound[cell] for bound in self._bounds), rng.random(len(cell)), out=row)
-        start = self._next_trial
-        self._next_trial += len(row)
-        return Trials(row, start, self.table)
+        return Trials(row, first, self.table)
 
     def chunks(self) -> Iterator[Trials]:
-        """Every chunk of the session, in order."""
+        """Every chunk of the session, in order, its trials numbered on from the last's."""
+        first = 0
         for chunk in range(_chunk_count(self.config)):
-            yield self.scenario_step(chunk)
+            trials = self.scenario_step(chunk, first)
+            first += len(trials)
+            yield trials
 
 
 class _LazyList(UserList):

@@ -484,6 +484,21 @@ def test_short_sessions_are_pinned(name):
 
 
 @pytest.mark.parametrize("name", PINNED_CONFIGS)
+def test_a_session_iterated_again_gives_the_same_chunks(name, monkeypatch):
+    monkeypatch.setattr(session, "CHUNK_MESSAGES", 40)
+    run = Session(RunConfig(n_messages=130, seed=5, **PINNED_CONFIGS[name]))
+    built = dict(vars(run))
+    first, second = list(run.chunks()), list(run.chunks())
+    assert len(first) == len(second) >= 3
+    assert first[0].first == 0
+    for a, b in zip(first, second):
+        assert a.first == b.first and np.array_equal(a.row, b.row)
+    # nothing of the session changed while it was iterated
+    assert vars(run).keys() == built.keys()
+    assert all(vars(run)[key] is value for key, value in built.items())
+
+
+@pytest.mark.parametrize("name", PINNED_CONFIGS)
 def test_equal_optics_share_one_read_only_wiring(name):
     config = RunConfig(n_messages=5, seed=1, **PINNED_CONFIGS[name])
     first, second = Session(config, OpticalBench()), Session(config, OpticalBench())

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracle
 from sdcsim.capacity import total_variation_distance
 from sdcsim.elements import beam_splitter, hwp, pbs, polarizer_monitor
-from sdcsim import protocol
+from sdcsim import protocol, verify
 from sdcsim.fock import (
     ModeLabel,
     ModeUnitary,
@@ -101,7 +101,7 @@ def oracle_analyzer_distribution(bench, symbol):
     pair_dist = oracle.superposed_two_photon_distribution(transfer, terms)
     detector_idx = {
         name: reg.index(mode)
-        for name, mode in zip(("aH", "aV", "bH", "bV"), bench.analyzer_detectors)
+        for name, mode in zip(("aH", "aV", "bH", "bV"), protocol.ANALYZER_DETECTORS)
     }
     named = {}
     for (k, l), p in pair_dist.items():
@@ -308,6 +308,13 @@ class TestCompiledBench:
         bench.classify(DetectionPattern.of(aH=2))
         assert compile_calls == {"encode_branches": 4, "analyze": 6}
         assert bench.compiled is bench.compiled
+        # the bench reads its encoder splits from the compiled model, never reruns them
+        for i, symbol in enumerate(ALPHABET):
+            assert bench.encode_branches(symbol) is bench.compiled.branches[i]
+        assert verify.check_exact_discrimination(bench).passed
+        assert verify.check_branch_probability(bench).passed
+        # the discrimination check analyzes each controlled pair through `bench.analyze`
+        assert compile_calls == {"encode_branches": 4, "analyze": 6 + len(ALPHABET)}
 
     def test_fresh_benches_share_one_compiled_model(self, compile_calls):
         first = OpticalBench().compiled
@@ -353,7 +360,7 @@ class TestCompiledBench:
         compiled = OpticalBench().compiled
         arrays = [getattr(compiled, f.name) for f in dataclasses.fields(compiled)
                   if isinstance(getattr(compiled, f.name), np.ndarray)]
-        assert len(arrays) == 5  # p_controlled, decoded, sums, codes, decoded_or_none
+        assert len(arrays) == 4  # p_controlled, decoded, sums, codes
         for array in arrays:
             assert not array.flags.writeable
             assert array.base is None or not array.base.flags.writeable
@@ -393,7 +400,7 @@ class TestCompiledBench:
         monkeypatch.setattr(protocol, "branch_on_modes", counted)
         bench = OpticalBench()
         bench.compiled
-        assert calls == [bench.monitor_modes] * len(ALPHABET)
+        assert calls == [protocol.MONITOR_MODES] * len(ALPHABET)
 
     def test_resent_pair_follows_the_click_branch(self):
         # an HH encoder whose plate sits at 22.5 degrees: on a click the monitor
@@ -426,7 +433,7 @@ class TestCompiledBench:
                              ids=["empty", "unnormalized"])
     def test_compile_rejects_a_law_that_does_not_sum_to_one(self, monkeypatch,
                                                              fresh_compile_memo, law):
-        monkeypatch.setattr(protocol, "_analyze", lambda state, analyzer, detectors: law)
+        monkeypatch.setattr(protocol, "_analyze", lambda state, analyzer: law)
         with pytest.raises(ValueError, match="not 1"):
             OpticalBench().compiled
         assert fresh_compile_memo.cache_info().currsize == 0
@@ -513,7 +520,7 @@ class TestMemoizedElements:
         state = tilted.source_emit()
         for element in tilted.compiled.analyzer:
             state = apply_element(state, element)
-        by_hand = outcome_distribution(state, tilted.analyzer_detectors)
+        by_hand = outcome_distribution(state, protocol.ANALYZER_DETECTORS)
         law = tilted.analyze(tilted.source_emit())
         assert {p.counts for p in law} == set(by_hand)
         assert all(law[p] == pytest.approx(by_hand[p.counts], abs=1e-12) for p in law)
@@ -569,7 +576,7 @@ class TestMemoizedElements:
 # plate angles from a fixed grid, so the element memos stay far from full
 PLATES = st.builds(lambda k: ("hwp", 7.5 * k), st.integers(-12, 12))
 POLARIZERS = st.sampled_from([("polarizer", "H"), ("polarizer", "V")])
-ENCODERS = st.lists(st.one_of(PLATES, POLARIZERS), max_size=2).map(tuple)
+ENCODERS = st.lists(st.one_of(PLATES, POLARIZERS), max_size=3).map(tuple)
 FIELDS = ("psi_plus", "psi_minus", "hh", "vv")
 
 
@@ -590,6 +597,14 @@ class TestOpticsRecord:
                 setattr(optics, field, ())
         assert optics == Optics()
 
+    def test_an_encoder_that_clicks_two_ways_is_a_protocol_error(self):
+        # a plate between two crossed polarizers: the first rejects V, the second H
+        optics = Optics(psi_plus=(("polarizer", "H"), ("hwp", 7.5), ("polarizer", "V")))
+        with pytest.raises(ProtocolError, match="PSI_PLUS") as raised:
+            OpticalBench(optics)
+        assert "2 click branches" in str(raised.value)
+        assert "monitor.H" in str(raised.value) and "monitor.V" in str(raised.value)
+
     @pytest.mark.parametrize("spec", [("hwp",), ("plate", 0.0), ("polarizer", "D"),
                                       ("pbs", MONITOR), ("bs", 0.5)])
     def test_an_unknown_element_spec_is_rejected(self, spec):
@@ -604,12 +619,12 @@ class TestOpticsRecord:
         assert twin == optics and twin is not optics
         try:
             compiled = OpticalBench(optics).compiled
-        except ProtocolError:  # an encoder whose monitor always clicks
+        except ProtocolError:  # an encoder whose monitor always clicks, or clicks two ways
             with pytest.raises(ProtocolError):
                 OpticalBench(twin)
             return
         assert OpticalBench(twin).compiled is compiled
-        index = min(index, len(specs), 1)  # past the last spec: one more spec, at most two
+        index = min(index, len(specs))  # past the last spec: one more spec, at most three
         changed = (*specs[:index], spec, *specs[index + 1:])
         if changed != specs:  # one spec differs
             with contextlib.suppress(ProtocolError):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from sdcsim.protocol import (
@@ -57,6 +58,25 @@ class TestRunConfig:
             RunConfig(Scenario.A, 10, 2**64)
         with pytest.raises(InvalidConfigError):
             RunConfig(Scenario.A, 10, 0, classical_delay=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_messages", 2.5), ("n_messages", 10.0), ("n_messages", "10"), ("seed", 2.5),
+        ("seed", 1.0), ("seed", "1"), ("classical_delay", 1.5), ("classical_delay", None),
+    ])
+    def test_non_integral_sizes_seeds_and_delays_rejected(self, field, value):
+        fields = dict(scenario=Scenario.B, n_messages=10, seed=1, classical_delay=0)
+        with pytest.raises(InvalidConfigError, match="integer"):
+            RunConfig(**{**fields, field: value})
+
+    def test_numpy_integers_are_accepted_as_ints(self):
+        config = RunConfig(Scenario.B, np.int64(300), np.uint64(7), classical_delay=np.int8(2))
+        assert config == RunConfig(Scenario.B, 300, 7, classical_delay=2)
+        assert {type(v) for v in (config.n_messages, config.seed, config.classical_delay)} == {int}
+        result = run_session(config)
+        assert len(result.records) == 300
+        # notes past trial 127 are stamped without an int8 overflow
+        assert max(note.trial for note in result.notes) > 127
+        assert all(note.delivered_at == note.trial + 2 for note in result.notes)
 
     @pytest.mark.parametrize(
         "scenario,knob,home",

@@ -220,7 +220,7 @@ def test_overlapping_signatures_fail_the_check():
 
 
 def test_signature_check_does_not_hide_other_errors(monkeypatch, fresh_compile_memo):
-    def broken(state, analyzer, detectors):
+    def broken(state, analyzer):
         raise TypeError("analyzer bug")
 
     monkeypatch.setattr(protocol, "_analyze", broken)
