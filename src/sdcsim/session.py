@@ -29,9 +29,13 @@ boundary rows hold each cell's running sums, and its `RowTable` names what
 each row code means: row cell * width + i is outcome i of the cell's law,
 with its message, branch, action, pattern, decoding and note. Sessions
 share it read-only, so a session costs only its draws and lookups. A chunk
-starts each trial's int16 row code at its cell's first row and adds, in
-one `sample_outcome` call, each boundary row gathered by cell; it keeps
-that one row code per trial (`Trials.row`). Every other column, the
+draws in two passes over blocks of at most BLOCK items, so that its only
+arrays as long as the chunk are its int8 messages and its int16 cells and
+row codes: pass 1 goes over blocks of messages and draws each block's
+branches into its trials' cells; pass 2 goes over blocks of trials, starts
+each trial's row code at its cell's first row and adds, in one
+`sample_outcome` call per block, each boundary row gathered by cell. It
+keeps that one row code per trial (`Trials.row`). Every other column, the
 report's tally and the `TrialRecord` and `Note` objects, which are built
 only when `SessionResult.records`/`.notes` is read, are looked up by row.
 `Session.chunks()` numbers each chunk's trials on from the last's, so a
@@ -43,8 +47,11 @@ with SeedSequence((seed, stream, k)), the counter-based keyed scheme of
 Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11). A chunk's
 trial stream draws, per message, its wrong-branch retries as
 geometric(p_controlled) - 1 (scenarios a, c) or one uniform for its branch
-(b), then one uniform per trial for the receiver's detector pattern. Chunks
-are independent, so sessions are reproducible and chunks could be drawn in
+(b), then one uniform per trial for the receiver's detector pattern. Pass 1
+makes every branch draw of a chunk before pass 2 makes any pattern draw, and
+a generator draws in sequence, so the blocks draw the same stream as one
+call per chunk would: BLOCK is no part of the scheme. Chunks are
+independent, so sessions are reproducible and chunks could be drawn in
 parallel.
 """
 
@@ -78,6 +85,10 @@ from .protocol import (
 )
 
 CHUNK_MESSAGES = 1 << 16
+# Messages or trials per step of a chunk's two passes: 8,192 float64 temporaries
+# are 64 KB, below glibc's 128 KB mmap threshold (so no step maps and
+# first-touches fresh pages) and small enough to stay in cache
+BLOCK = 1 << 13
 
 _STREAM_TRIAL = 0
 _STREAM_MESSAGES = 1
@@ -211,6 +222,11 @@ def _generator(seed: int, stream: int, chunk: int) -> np.random.Generator:
 def trial_rng(seed: int, chunk: int) -> np.random.Generator:
     """Independent trial stream of one chunk, keyed by (seed, chunk index)."""
     return _generator(seed, _STREAM_TRIAL, chunk)
+
+
+def _blocks(size: int) -> Iterator[slice]:
+    """Consecutive slices of at most BLOCK items, in order, that cover `size` items."""
+    return (slice(start, start + BLOCK) for start in range(0, size, BLOCK))
 
 
 def _chunk_count(config: RunConfig) -> int:
@@ -349,8 +365,12 @@ class Trials:
         return cls(np.concatenate([p.row for p in parts]), parts[0].first, parts[0].table)
 
     def row_counts(self) -> np.ndarray:
-        """Trial counts per row of the table."""
-        return np.bincount(self.row, minlength=len(self.table))
+        """Trial counts per row of the table, counted a block at a time, so that
+        no intp copy of every row code is made."""
+        counts = np.bincount(self.row[:BLOCK], minlength=len(self.table))
+        for start in range(BLOCK, len(self.row), BLOCK):
+            counts += np.bincount(self.row[start:start + BLOCK], minlength=len(self.table))
+        return counts
 
     def tally(self) -> np.ndarray:
         """Trial counts per (message, action), a len(ALPHABET) x len(ACTIONS) matrix."""
@@ -440,17 +460,27 @@ class Session:
         """Drive chunk `chunk`'s messages to delivery, numbering its trials from `first`."""
         messages = _chunk_messages(self.config, chunk)
         rng = trial_rng(self.config.seed, chunk)
-        p_controlled = self._p_controlled[messages]
+        # pass 1: each block of messages' branches, into its trials' cells
         if self.config.scenario is Scenario.B:  # one pair per message
             cell = 2 * messages.astype(np.int16)
-            cell += rng.random(len(messages)) >= p_controlled  # the wrong branch
+            for block in _blocks(len(cell)):
+                p_controlled = self._p_controlled.take(messages[block])
+                cell[block] += rng.random(len(p_controlled)) >= p_controlled  # the wrong branch
         else:  # retry on fresh pairs until the controlled branch
-            attempts = rng.geometric(p_controlled)
-            controlled = 2 * messages.astype(np.int16)
-            cell = np.repeat(controlled + 1, attempts)  # every attempt wrong ...
-            cell[attempts.cumsum() - 1] = controlled  # ... but each message's last
+            pieces = []
+            for block in _blocks(len(messages)):
+                attempts = rng.geometric(self._p_controlled.take(messages[block]))
+                controlled = 2 * messages[block].astype(np.int16)
+                piece = np.repeat(controlled + 1, attempts)  # every attempt wrong ...
+                piece[attempts.cumsum() - 1] = controlled  # ... but each message's last
+                pieces.append(piece)
+            cell = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            del pieces  # so that pass 2 holds one copy of the cells
         row = cell * self._width  # the cell's first row, then the drawn index
-        sample_outcome((bound[cell] for bound in self._bounds), rng.random(len(cell)), out=row)
+        for block in _blocks(len(cell)):  # pass 2, after every branch is drawn
+            cells = cell[block]  # `take` gathers by it twice as fast as indexing does
+            sample_outcome((bound.take(cells) for bound in self._bounds),
+                           rng.random(len(cells)), out=row[block])
         return Trials(row, first, self.table)
 
     def chunks(self) -> Iterator[Trials]:

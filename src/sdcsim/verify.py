@@ -241,8 +241,9 @@ def check_sampling_consistency(bench, seed: int, draws: int) -> CheckResult:
     bounds, codes = compiled.sums[:-1, psi_plus], compiled.codes[:, psi_plus]
     rng = np.random.default_rng(seed)
     counts = np.zeros(len(codes), dtype=np.intp)
-    for start in range(0, draws, session.CHUNK_MESSAGES):  # one stream, a chunk at a time
-        drawn = sample_outcome(bounds, rng.random(min(session.CHUNK_MESSAGES, draws - start)))
+    # one stream, drawn a kernel block at a time, so that no temporary outgrows the cache
+    for start in range(0, draws, session.BLOCK):
+        drawn = sample_outcome(bounds, rng.random(min(session.BLOCK, draws - start)))
         counts += np.bincount(drawn, minlength=len(codes))
     counted = {compiled.patterns[c]: n for c, n in zip(codes.tolist(), counts.tolist()) if c >= 0}
     dist = bench.analyze(bench.source_emit())

@@ -44,7 +44,7 @@ from sdcsim.session import (
     _cycled,
     run_session,
 )
-from sdcsim.verify import binomial_tails
+from sdcsim.verify import binomial_tails, check_branch_statistics, check_sampling_consistency
 
 # Total false-alarm rate of the differential tests, split evenly (Bonferroni)
 # over the configurations and, within one, over every count it checks.
@@ -428,17 +428,24 @@ def test_event_lines_match_formatted_trials(first, suffixes):
     assert _event_lines(first, suffixes) == _lines(first, suffixes)
 
 
-def _simulate_peak(n: int, tmp_path) -> int:
-    argv = ["simulate", "--scenario", "a", "--n", str(n), "--seed", "5",
-            "--out", str(tmp_path / "r.json"), "--log", str(tmp_path / "events.csv")]
+def _traced_peak(call):
+    """The most memory `call()` held at once beyond what was held before it, and its result."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv) == 0
-        return tracemalloc.get_traced_memory()[1] - base
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - base, result
     finally:
         tracemalloc.stop()
+
+
+def _simulate_peak(n: int, tmp_path) -> int:
+    argv = ["simulate", "--scenario", "a", "--n", str(n), "--seed", "5",
+            "--out", str(tmp_path / "r.json"), "--log", str(tmp_path / "events.csv")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        peak, code = _traced_peak(lambda: main(argv))
+    assert code == 0
+    return peak
 
 
 def test_simulate_memory_is_bounded_by_one_chunk(tmp_path):
@@ -446,6 +453,24 @@ def test_simulate_memory_is_bounded_by_one_chunk(tmp_path):
     one = _simulate_peak(session.CHUNK_MESSAGES, tmp_path)
     five = _simulate_peak(5 * session.CHUNK_MESSAGES, tmp_path)
     assert five < 1.5 * one, (one, five)
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_a_full_chunk_holds_no_chunk_sized_float_temporary(scenario):
+    # its int8 messages, int16 cells and rows and one block's temporaries: a
+    # float64 or intp array per trial would add 8 bytes a trial
+    run = Session(RunConfig(scenario, session.CHUNK_MESSAGES, 5))
+    peak, trials = _traced_peak(lambda: run.scenario_step(0, 0))
+    assert peak <= 12 * len(trials), peak / len(trials)
+
+
+def test_branch_statistics_holds_no_intp_copy_of_its_rows():
+    # the session's int16 rows, joined across chunks, and block-sized counts
+    bench = default_bench()
+    trials = 1_000_000
+    peak, result = _traced_peak(lambda: check_branch_statistics(bench, 5, trials))
+    assert result.passed
+    assert peak <= 6 * trials, peak / trials
 
 
 # sha256 over each short session's `Trials.row`, every column looked up from it
@@ -496,6 +521,41 @@ def test_a_session_iterated_again_gives_the_same_chunks(name, monkeypatch):
     # nothing of the session changed while it was iterated
     assert vars(run).keys() == built.keys()
     assert all(vars(run)[key] is value for key, value in built.items())
+
+
+# messages per session for each patched block size: every session spans several
+# blocks of trials; 1,000 does not divide a chunk, so at the default chunk size
+# its 70,000-message sessions end a chunk on a short block
+BLOCK_SESSIONS = {1: 60, 7: 1_100, 1_000: 70_000}
+
+
+def _block_runs(n):
+    configs = [RunConfig(n_messages=n, seed=17, messages=messages, **fields)
+               for fields in PINNED_CONFIGS.values() for messages in PINNED_STREAMS.values()]
+    return [run_session(config) for config in configs]
+
+
+@pytest.mark.parametrize("chunk", [None, 330])
+@pytest.mark.parametrize("block", BLOCK_SESSIONS)
+def test_any_block_size_draws_the_same_sessions(block, chunk, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(session, "CHUNK_MESSAGES", chunk)
+    n = BLOCK_SESSIONS[block] if chunk is None else min(BLOCK_SESSIONS[block], 1_100)
+    draws = 30 * block
+    wanted = _block_runs(n)
+    wanted_detail = check_sampling_consistency(default_bench(), 6, draws).detail
+    monkeypatch.setattr(session, "BLOCK", block)
+    for run, want in zip(_block_runs(n), wanted):
+        assert len(run.trials) > block, run.config
+        assert run.trials.row.dtype == np.int16
+        assert np.array_equal(run.trials.row, want.trials.row), run.config
+        assert np.array_equal(run.trials.row_counts(), want.trials.row_counts()), run.config
+        assert run.report == want.report, run.config
+    assert check_sampling_consistency(default_bench(), 6, draws).detail == wanted_detail
+    table = wanted[0].trials.table
+    empty = Trials(np.zeros(0, dtype=np.int16), 0, table)
+    assert np.array_equal(empty.row_counts(), np.zeros(len(table), dtype=np.intp))
+    assert not empty.tally().any()
 
 
 @pytest.mark.parametrize("name", PINNED_CONFIGS)

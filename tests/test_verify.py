@@ -89,6 +89,11 @@ def test_element_checks_read_the_elements_the_bench_compiled_with(monkeypatch):
     assert applied[1] is not elements[0]
 
 
+def _blocks(n):
+    """The sizes of n trials cut into blocks of `session.BLOCK`, in order."""
+    return [min(session.BLOCK, n - start) for start in range(0, n, session.BLOCK)]
+
+
 def test_kernel_and_verify_draw_through_one_sampler(monkeypatch):
     calls = []
 
@@ -102,17 +107,20 @@ def test_kernel_and_verify_draw_through_one_sampler(monkeypatch):
     bench = OpticalBench()
     config = RunConfig(scenario=Scenario.B, n_messages=CHUNK_MESSAGES + 1, seed=3)
     run_session(config, bench)
-    # once per chunk, for every trial of it (one per message in scenario b),
-    # each boundary but the stack's last gathered per trial
-    assert [n for _, n in calls] == [CHUNK_MESSAGES, 1]
+    # once per block of each chunk's trials (one per message in scenario b):
+    # the sizes, in order, tile chunk 0's trials and then chunk 1's one, each
+    # boundary but the stack's last gathered per trial
+    assert [n for _, n in calls] == _blocks(CHUNK_MESSAGES) + _blocks(1)
+    assert all(n <= session.BLOCK for _, n in calls)
     width = len(bench.compiled.sums)
     assert all(len(bounds) == width - 1 for bounds, _ in calls)
     assert all(len(bound) == n for bounds, n in calls for bound in bounds)
     calls.clear()
-    # one stream, drawn a chunk at a time from the compiled psi+ column's boundaries
+    # one stream, drawn a block at a time from the compiled psi+ column's boundaries
     check_sampling_consistency(bench, seed=3, draws=CHUNK_MESSAGES + 1)
     psi_plus = bench.compiled.sums[:-1, ALPHABET.index(MessageSymbol.PSI_PLUS)]
-    assert [n for _, n in calls] == [CHUNK_MESSAGES, 1]
+    assert [n for _, n in calls] == _blocks(CHUNK_MESSAGES + 1)
+    assert all(n <= session.BLOCK for _, n in calls)
     assert all(np.array_equal(bounds, psi_plus) for bounds, _ in calls)
 
 
