@@ -70,9 +70,9 @@ class ModeRegistry:
     def for_paths(cls, paths: Sequence[str]) -> "ModeRegistry":
         """Registry with an H and a V mode for every path, in path order.
 
-        Registries are values: equal path lists share one instance.
+        Registries are values: equal path lists give equal registries.
         """
-        return _registry_for_paths(cls, tuple(paths))
+        return cls(ModeLabel(p, pol) for p in paths for pol in ("H", "V"))
 
     @property
     def labels(self) -> tuple[ModeLabel, ...]:
@@ -104,11 +104,6 @@ class ModeRegistry:
 
     def __repr__(self):
         return f"ModeRegistry({', '.join(map(str, self._labels))})"
-
-
-@lru_cache(maxsize=64)
-def _registry_for_paths(cls, paths: tuple[str, ...]) -> ModeRegistry:
-    return cls(ModeLabel(p, pol) for p in paths for pol in ("H", "V"))
 
 
 def _sqrt_factorial(occ: Occupation) -> float:
@@ -240,7 +235,7 @@ def compose(elements: tuple[ModeUnitary, ...]) -> ModeUnitary:
     Its target modes are the union of theirs, in order of first appearance,
     and its matrix is the product of their matrices on that union: each
     element mixes only the rows of its own target modes. Memoized by the
-    elements' identities, so elements from memoized constructors compose once.
+    elements' identities, so a compiled bench's analyzer composes once.
     """
     if not elements:
         raise ValueError("compose needs at least one element")

@@ -10,13 +10,12 @@ indistinguishable (the linear-optics limitation the alphabet routes around).
 
 A bench's optics are one frozen record of element specs (`Optics`), and
 compiling is a pure function of it, memoized on its values
-(`compile_optics`): it builds the elements through the memoized
-constructors of `elements`, composes the analyzer (the beam splitter and
-both PBSs) into one element, and computes every law, so benches with equal
-optics share one read-only `CompiledBench` and a process compiles each
-distinct record once. The compiled laws decode: a pattern reads as its
-likeliest message, and `verify` checks that the ideal bench's signatures are
-disjoint, so none is misread.
+(`compile_optics`): it builds the elements from their specs, composes the
+analyzer (the beam splitter and both PBSs) into one element, and computes
+every law, so benches with equal optics share one read-only `CompiledBench`
+and a process builds and compiles each distinct record once. The compiled
+laws decode: a pattern reads as its likeliest message, and `verify` checks
+that the ideal bench's signatures are disjoint, so none is misread.
 
 Every law a reject-port click leads to comes from the encoder's own click
 branch: the receiver's lone photon, and the pair the sender makes by
@@ -219,14 +218,13 @@ class CompiledBench:
     and `codes` lays out analyzer law t for sampling: its running sums over
     `patterns` codes without the last, which are the boundaries
     `fock.sample_outcome` counts, then +inf, and its pattern codes in order,
-    then -1; both are as deep as the widest law, so the last row of `sums`
-    is +inf in every column and a session's wiring leaves it out. The laws are first
-    the controlled pair of each message, at its ALPHABET code, then the
-    receiver's lone photon after a reject-port click, which `lone_table`
-    indexes per message, and the re-emitted pair, which `resent_table`
-    indexes. A click state with the exact amplitudes of a state already
-    analyzed reuses that state's law. The extra last column, all +inf and -1,
-    is a stopped pair: index -1, as for a message that never goes wrong.
+    then -1. `codes` is as deep as the widest law, and `sums`, which holds
+    only boundaries, one row less. The laws are first the controlled pair of
+    each message, at its ALPHABET code, then the receiver's lone photon after
+    a reject-port click, which `lone_table` indexes per message, then the
+    re-emitted pair, which `resent_table` indexes; each click state has a law
+    of its own. The extra last column, all +inf and -1, is a stopped pair:
+    index -1, as for a message that never goes wrong.
     `decoded` maps each pattern to the message whose controlled law gives it
     the unique largest positive probability, or else to SINGLE_PHOTON or
     AMBIGUOUS. Every reader reads these fields and derives none of them again.
@@ -240,7 +238,7 @@ class CompiledBench:
     patterns: tuple[DetectionPattern, ...]  # every pattern a law yields, sorted
     outcomes: tuple[ClassifiedOutcome, ...]  # the distinct classifications
     decoded: np.ndarray  # int8, pattern code -> `outcomes` code, read-only
-    sums: np.ndarray  # float64, widest law x (laws + 1), read-only
+    sums: np.ndarray  # float64, (widest law - 1) x (laws + 1), read-only
     codes: np.ndarray  # int16, widest law x (laws + 1), read-only
     lone_table: tuple[int, ...]
     resent_table: tuple[int, ...]
@@ -282,7 +280,7 @@ _BUILDERS = {
 
 
 def _element(spec: tuple) -> ModeUnitary:
-    """The memoized element an element spec names."""
+    """The element an element spec names, built anew."""
     kind, *args = spec
     try:
         return _BUILDERS[kind](*args)
@@ -435,8 +433,8 @@ def compile_optics(optics: Optics) -> CompiledBench:
 
     A pure function of the record, memoized on it: equal records compile
     once per process and share one `CompiledBench`. The elements are built
-    here, through the memoized constructors of `elements`, so the memo key
-    is the optics' values, never an element's identity.
+    here, from the specs, so the memo key is the optics' values, never an
+    element's identity, and this memo is the one cache of elements and laws.
     """
     encoders = tuple(tuple(map(_element, specs)) for specs in optics.encoders)
     analyzer_elements = tuple(map(_element, optics.analyzer))
@@ -444,19 +442,12 @@ def compile_optics(optics: Optics) -> CompiledBench:
     branches = tuple(map(_encode_branches, ALPHABET, encoders))
     laws = [_analyze(b.controlled_state, analyzer) for b in branches]
     signatures = {symbol: frozenset(law) for symbol, law in zip(ALPHABET, laws)}
-    controlled = laws[:]
-    # a click state reuses the law of an analyzed state with its exact amplitudes
-    analyzed = {frozenset(b.controlled_state.amplitudes.items()): code
-                for code, b in enumerate(branches)}
 
     def law_of(state: PureState | None) -> int:
         if state is None:
             return -1
-        key = frozenset(state.amplitudes.items())
-        if key not in analyzed:
-            analyzed[key] = len(laws)
-            laws.append(_analyze(state, analyzer))
-        return analyzed[key]
+        laws.append(_analyze(state, analyzer))
+        return len(laws) - 1
 
     lone_table = tuple(law_of(b.lone_state) for b in branches)
     resent_table = tuple(law_of(b.resent_state) for b in branches)
@@ -470,9 +461,9 @@ def compile_optics(optics: Optics) -> CompiledBench:
         total = running[-1] if keys else 0.0
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"law {t} sums to {total}, not 1")
-        sums.append(running[:-1] + [np.inf] * (width - len(keys) + 1))
+        sums.append(running[:-1] + [np.inf] * (width - len(keys)))
         codes.append([code[p] for p in keys] + [-1] * (width - len(keys)))
-    classified = [_likeliest(controlled, p) for p in patterns]
+    classified = [_likeliest(laws[:len(ALPHABET)], p) for p in patterns]
     outcomes = tuple(dict.fromkeys(classified))
     decoded = [outcomes.index(c) for c in classified]
     return CompiledBench(
@@ -485,7 +476,7 @@ def compile_optics(optics: Optics) -> CompiledBench:
         outcomes=outcomes,
         decoded=_read_only(np.array(decoded, dtype=np.int8)),
         # the last column: a stopped pair; a view of a read-only array is read-only
-        sums=_read_only(np.array([*sums, [np.inf] * width])).T,
+        sums=_read_only(np.array([*sums, [np.inf] * (width - 1)])).T,
         codes=_read_only(np.array([*codes, [-1] * width], dtype=np.int16)).T,
         lone_table=lone_table,
         resent_table=resent_table,

@@ -154,6 +154,16 @@ def check_seed(seed: int) -> None:
         raise InvalidConfigError("seed must be an unsigned 64-bit integer")
 
 
+# Each enum or flag field of RunConfig, the types it takes and how to name them;
+# any other value is rejected, not coerced: "send-as-is" is not SEND_AS_IS.
+_TYPED_FIELDS = (
+    ("scenario", Scenario, "a Scenario"),
+    ("owner", (Owner, type(None)), "an Owner or None"),
+    ("clone_policy", ClonePolicy, "a ClonePolicy"),
+    ("erase_notes", bool, "a bool"),
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     scenario: Scenario
@@ -166,6 +176,10 @@ class RunConfig:
     erase_notes: bool = False
 
     def __post_init__(self):
+        for name, kinds, named in _TYPED_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, kinds):
+                raise InvalidConfigError(f"{name} must be {named}, not {value!r}")
         for name in ("n_messages", "seed", "classical_delay"):
             value = getattr(self, name)
             if not isinstance(value, Integral):
@@ -367,9 +381,9 @@ class Trials:
     def row_counts(self) -> np.ndarray:
         """Trial counts per row of the table, counted a block at a time, so that
         no intp copy of every row code is made."""
-        counts = np.bincount(self.row[:BLOCK], minlength=len(self.table))
-        for start in range(BLOCK, len(self.row), BLOCK):
-            counts += np.bincount(self.row[start:start + BLOCK], minlength=len(self.table))
+        counts = np.zeros(len(self.table), dtype=np.intp)
+        for block in _blocks(len(self.row)):
+            counts += np.bincount(self.row[block], minlength=len(self.table))
         return counts
 
     def tally(self) -> np.ndarray:
@@ -404,8 +418,7 @@ def wiring(compiled: CompiledBench, scenario: Scenario, clone_policy: ClonePolic
 
     A trial falls in a cell, 2 * message + wrong branch, and the cell decides
     the compiled law it draws from. Boundary row j holds, per cell, running
-    sum j of that law: a contiguous copy of `compiled.sums` without its last
-    row, which is +inf in every law and so never counted.
+    sum j of that law: a contiguous copy of those columns of `compiled.sums`.
     """
     # what a wrong branch does, per scenario: the receiver's law per message
     # (-1: the pair is stopped), the action and the note
@@ -419,9 +432,9 @@ def wiring(compiled: CompiledBench, scenario: Scenario, clone_policy: ClonePolic
                      NoteKind.ERASE if erase_notes else NoteKind.REPEAT),
     }[scenario]
     law = [t for m, wrong in enumerate(wrong_law) for t in (m, wrong)]
-    bounds = np.ascontiguousarray(compiled.sums[:-1, law])
+    bounds = np.ascontiguousarray(compiled.sums[:, law])
     bounds.flags.writeable = False  # and so are the views of its rows
-    width = len(compiled.sums)
+    width = len(compiled.codes)
     cell = np.arange(len(law), dtype=np.int8).repeat(width)
     branch = cell & 1  # BRANCHES: 0 controlled, 1 wrong
     pattern = compiled.codes[:, law].T.ravel()
@@ -452,7 +465,7 @@ class Session:
         self.config = config
         compiled = (bench or default_bench()).compiled
         self._p_controlled = compiled.p_controlled
-        self._width = np.int16(len(compiled.sums))
+        self._width = np.int16(len(compiled.codes))
         self._bounds, self.table = wiring(compiled, config.scenario, config.clone_policy,
                                           config.erase_notes)
 

@@ -49,6 +49,16 @@ class TestRegistry:
     def test_for_paths_orders_modes(self, reg):
         assert [str(m) for m in reg] == ["a.H", "a.V", "b.H", "b.V"]
 
+    def test_equal_paths_give_equal_registries(self, reg, bs):
+        # built anew each call: a registry is a value, not a shared instance
+        other = ModeRegistry.for_paths(("a", "b"))
+        assert other == reg and hash(other) == hash(reg)
+        assert other != ModeRegistry.for_paths(["b", "a"])
+        state = make_state(other, [ModeLabel("a", "H")])
+        out = apply_element(state, bs)  # `bs` was built on `reg`
+        assert out.registry is other
+        assert abs(amp(out, **{"b.H": 1})) ** 2 == pytest.approx(0.5, abs=1e-12)
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(RegistryError):
             ModeRegistry([ModeLabel("a", "H"), ModeLabel("a", "H")])

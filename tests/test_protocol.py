@@ -287,6 +287,11 @@ def compile_calls(monkeypatch, fresh_compile_memo):
     return calls
 
 
+def as_values(elements):
+    """Elements as comparable values: each one's name and matrix entries."""
+    return [(e.name, e.matrix.tolist()) for e in elements]
+
+
 def law_column(compiled, t):
     """Compiled law t's pattern codes and stored running sums, once its -1 and +inf
     padding down to the widest law is checked off."""
@@ -300,13 +305,14 @@ def law_column(compiled, t):
 class TestCompiledBench:
     def test_fresh_bench_compiles_once(self, compile_calls):
         bench = OpticalBench()
-        # one split per message; one law per controlled pair and per lone photon
+        # one split per message; one law per controlled pair, per lone photon
+        # and per re-emitted pair
         run_session(RunConfig(Scenario.A, 20, 0), bench)
-        assert compile_calls == {"encode_branches": 4, "analyze": 6}
+        assert compile_calls == {"encode_branches": 4, "analyze": 8}
         run_session(RunConfig(Scenario.B, 20, 1), bench)
         bench.signature_table()
         bench.classify(DetectionPattern.of(aH=2))
-        assert compile_calls == {"encode_branches": 4, "analyze": 6}
+        assert compile_calls == {"encode_branches": 4, "analyze": 8}
         assert bench.compiled is bench.compiled
         # the bench reads its encoder splits from the compiled model, never reruns them
         for i, symbol in enumerate(ALPHABET):
@@ -314,14 +320,14 @@ class TestCompiledBench:
         assert verify.check_exact_discrimination(bench).passed
         assert verify.check_branch_probability(bench).passed
         # the discrimination check analyzes each controlled pair through `bench.analyze`
-        assert compile_calls == {"encode_branches": 4, "analyze": 6 + len(ALPHABET)}
+        assert compile_calls == {"encode_branches": 4, "analyze": 8 + len(ALPHABET)}
 
     def test_fresh_benches_share_one_compiled_model(self, compile_calls):
         first = OpticalBench().compiled
-        assert compile_calls == {"encode_branches": 4, "analyze": 6}
+        assert compile_calls == {"encode_branches": 4, "analyze": 8}
         second = OpticalBench().compiled
         assert second is first
-        assert compile_calls == {"encode_branches": 4, "analyze": 6}
+        assert compile_calls == {"encode_branches": 4, "analyze": 8}
 
     @pytest.mark.parametrize("symbol", [MessageSymbol.HH, MessageSymbol.PSI_MINUS])
     def test_a_tilted_plate_compiles_its_own_model(self, symbol):
@@ -329,7 +335,8 @@ class TestCompiledBench:
         field = symbol.name.lower()
         # the message's plate turned to 22.5 degrees, anything after it kept
         tilted = OpticalBench(Optics(**{field: (("hwp", 22.5), *getattr(Optics(), field)[1:])}))
-        assert tilted.compiled.encoders[ALPHABET.index(symbol)][0] is hwp(REGISTRY, 22.5, ALICE)
+        plate = tilted.compiled.encoders[ALPHABET.index(symbol)][0]
+        assert as_values([plate]) == as_values([hwp(REGISTRY, 22.5, ALICE)])
         assert tilted.compiled is not ideal
         assert tilted.compiled.signatures[symbol] != ideal.signatures[symbol]
         assert OpticalBench().compiled is ideal
@@ -446,20 +453,23 @@ class TestCompiledBench:
 
 # The ideal bench's compiled model, as float.hex literals: any drift of one
 # ulp in a branch probability or a stored running sum fails here. Each law's
-# last running sum is not stored (its column ends in inf); compiling holds it
-# to 1 within 1e-9. The last column is a stopped pair.
+# last running sum is not stored, so `sums` is one row shallower than
+# `codes`; compiling holds it to 1 within 1e-9. The last column is a stopped
+# pair.
 PINNED_P_CONTROLLED = [
     "0x1.0000000000000p+0", "0x1.0000000000000p+0",
     "0x1.0000000000001p-1", "0x1.0000000000001p-1",
 ]
 PINNED_COLUMNS = [
-    ([3, 10], ["0x1.ffffffffffffep-2", "inf"]),
-    ([6, 9], ["0x1.ffffffffffffep-2", "inf"]),
-    ([4, 11], ["0x1.ffffffffffffep-2", "inf"]),
-    ([1, 7], ["0x1.ffffffffffffep-2", "inf"]),
-    ([0, 5], ["0x1.ffffffffffffep-2", "inf"]),
-    ([2, 8], ["0x1.ffffffffffffep-2", "inf"]),
-    ([-1, -1], ["inf", "inf"]),
+    ([3, 10], ["0x1.ffffffffffffep-2"]),
+    ([6, 9], ["0x1.ffffffffffffep-2"]),
+    ([4, 11], ["0x1.ffffffffffffep-2"]),
+    ([1, 7], ["0x1.ffffffffffffep-2"]),
+    ([0, 5], ["0x1.ffffffffffffep-2"]),
+    ([2, 8], ["0x1.ffffffffffffep-2"]),
+    ([1, 7], ["0x1.ffffffffffffep-2"]),
+    ([4, 11], ["0x1.ffffffffffffep-2"]),
+    ([-1, -1], ["inf"]),
 ]
 PINNED_PATTERNS = [
     "bV:1", "bV:2", "bH:1", "bH:1,bV:1", "bH:2", "aV:1",
@@ -468,7 +478,7 @@ PINNED_PATTERNS = [
 PINNED_OUTCOMES = ["single_photon", "vv", "psi+", "hh", "psi-"]
 PINNED_DECODED = [0, 1, 0, 2, 3, 0, 4, 1, 0, 4, 2, 3]
 PINNED_LONE_TABLE = (-1, -1, 4, 5)
-PINNED_RESENT_TABLE = (-1, -1, 3, 2)
+PINNED_RESENT_TABLE = (-1, -1, 6, 7)
 
 
 def test_ideal_compiled_model_is_pinned():
@@ -478,6 +488,7 @@ def test_ideal_compiled_model_is_pinned():
     )
     assert (compiled.sums.dtype, compiled.codes.dtype) == (np.float64, np.int16)
     assert not compiled.sums.flags.writeable and not compiled.codes.flags.writeable
+    assert len(compiled.sums) == len(compiled.codes) - 1
     assert [
         (codes.tolist(), [float(c).hex() for c in sums])
         for codes, sums in zip(compiled.codes.T, compiled.sums.T)
@@ -490,12 +501,15 @@ def test_ideal_compiled_model_is_pinned():
 
 
 class TestMemoizedElements:
+    """The elements a compiled model holds: built once per distinct optics, by
+    the compile memo, and equal as values to the constructors' elements."""
+
     def test_fresh_benches_share_their_elements(self):
         first, second = OpticalBench(), OpticalBench(Optics())
         assert first.registry is second.registry
         assert second.optics == first.optics and second.compiled is first.compiled
         reg = first.registry
-        memoized = (
+        expected = (
             beam_splitter(reg, ALICE, BOB), pbs(reg, ALICE, REFLECT_A), pbs(reg, BOB, REFLECT_B),
             hwp(reg, 0.0, ALICE),
             hwp(reg, 45.0, ALICE), polarizer_monitor(reg, ALICE, "H", MONITOR),
@@ -503,8 +517,7 @@ class TestMemoizedElements:
         )
         compiled = first.compiled
         built = (*compiled.analyzer, *(e for encoder in compiled.encoders for e in encoder))
-        assert len(built) == len(memoized)
-        assert all(a is b for a, b in zip(built, memoized))
+        assert as_values(built) == as_values(expected)
         assert [len(encoder) for encoder in compiled.encoders] == [0, 1, 2, 2]
 
     def test_a_replaced_analyzer_element_takes_effect(self):
@@ -513,7 +526,8 @@ class TestMemoizedElements:
         specs = (("bs",), ("hwp", 22.5), ("pbs", ALICE), ("pbs", BOB))
         tilted = OpticalBench(Optics(analyzer=specs))
         plate = hwp(tilted.registry, 22.5, ALICE)
-        assert tilted.compiled.analyzer == (ideal.analyzer[0], plate, *ideal.analyzer[1:])
+        expected = (ideal.analyzer[0], plate, *ideal.analyzer[1:])
+        assert as_values(tilted.compiled.analyzer) == as_values(expected)
         assert compose(tilted.compiled.analyzer).name != compose(ideal.analyzer).name
         assert tilted.compiled.signatures != ideal.signatures
         # analyze applies the record's elements in order
@@ -530,10 +544,10 @@ class TestMemoizedElements:
     def test_elements_are_keyed_by_every_argument(self, bench):
         hwp45 = bench.compiled.encoders[ALPHABET.index(MessageSymbol.HH)][0]
         other = hwp(bench.registry, 22.5, ALICE)
-        assert other is not hwp45
         assert not np.array_equal(other.matrix, hwp45.matrix)
-        assert hwp(bench.registry, 45.0, ALICE) is hwp45
-        assert hwp(bench.registry, 45.0, BOB) is not hwp45
+        assert as_values([hwp(bench.registry, 45.0, ALICE)]) == as_values([hwp45])
+        on_bob = hwp(bench.registry, 45.0, BOB)
+        assert on_bob.name != hwp45.name and on_bob.indices != hwp45.indices
 
     def test_elements_are_immutable(self, bench):
         bs = bench.compiled.analyzer[0]
@@ -567,13 +581,13 @@ class TestMemoizedElements:
         fresh = OpticalBench()
         assert fresh.optics.psi_minus == (("hwp", 0.0),)
         (plate,) = fresh.compiled.encoders[ALPHABET.index(MessageSymbol.PSI_MINUS)]
-        assert plate is hwp(fresh.registry, 0.0, ALICE)
+        assert as_values([plate]) == as_values([hwp(fresh.registry, 0.0, ALICE)])
         assert {s: sorted(map(str, p)) for s, p in fresh.signature_table().items()} == {
             symbol: sorted(EXPECTED_ANALYZE[symbol]) for symbol in ALPHABET
         }
 
 
-# plate angles from a fixed grid, so the element memos stay far from full
+# plate angles on a 7.5-degree grid
 PLATES = st.builds(lambda k: ("hwp", 7.5 * k), st.integers(-12, 12))
 POLARIZERS = st.sampled_from([("polarizer", "H"), ("polarizer", "V")])
 ENCODERS = st.lists(st.one_of(PLATES, POLARIZERS), max_size=3).map(tuple)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sdcsim.protocol import (
+    ALLOWED_OWNERS,
     Branch,
     ClonePolicy,
     MessageSymbol,
@@ -77,6 +78,27 @@ class TestRunConfig:
         # notes past trial 127 are stamped without an int8 overflow
         assert max(note.trial for note in result.notes) > 127
         assert all(note.delivered_at == note.trial + 2 for note in result.notes)
+
+    @pytest.mark.parametrize("field,value", [
+        ("scenario", "b"), ("scenario", None), ("scenario", ClonePolicy.SEND_AS_IS),
+        ("owner", "bob"), ("owner", ""), ("owner", Scenario.B),
+        ("clone_policy", "send-as-is"), ("clone_policy", None),
+        ("erase_notes", 1), ("erase_notes", np.bool_(True)), ("erase_notes", None),
+    ])
+    def test_a_value_outside_its_type_is_rejected(self, field, value):
+        fields = dict(scenario=Scenario.B, n_messages=10, seed=1)
+        with pytest.raises(InvalidConfigError, match=f"^{field} must be"):
+            RunConfig(**{**fields, field: value})
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_every_member_and_a_none_owner_are_accepted(self, scenario):
+        for owner in (None, *ALLOWED_OWNERS[scenario]):
+            for erase_notes in (False, True) if scenario is Scenario.C else (False,):
+                config = RunConfig(scenario, 10, 0, owner=owner, erase_notes=erase_notes)
+                assert config.owner is (owner or ALLOWED_OWNERS[scenario][0])
+        policies = list(ClonePolicy) if scenario is Scenario.B else [ClonePolicy.SEND_AS_IS]
+        for policy in policies:
+            assert RunConfig(scenario, 10, 0, clone_policy=policy).clone_policy is policy
 
     @pytest.mark.parametrize(
         "scenario,knob,home",

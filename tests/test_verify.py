@@ -69,9 +69,11 @@ def test_element_checks_read_the_elements_the_bench_compiled_with(monkeypatch):
     analyzer = (("bs",), ("hwp", 10.0), ("pbs", "alice"), ("pbs", "bob"))
     bench = OpticalBench(Optics(psi_minus=(("hwp", 30.0),), analyzer=analyzer))
     elements = verify._elements(bench)
+    # hh's and vv's plates are equal values but two elements, each checked
     assert [e.name for e in elements] == [
         "BS(alice,bob)", "HWP(10,alice)", "PBS(alice,analyzer_out_a)", "PBS(bob,analyzer_out_b)",
-        "HWP(30,alice)", "HWP(45,alice)", "pol(H,alice->monitor)", "pol(V,alice->monitor)",
+        "HWP(30,alice)", "HWP(45,alice)", "pol(H,alice->monitor)", "HWP(45,alice)",
+        "pol(V,alice->monitor)",
     ]
     assert elements[4] is bench.compiled.encoders[ALPHABET.index(MessageSymbol.PSI_MINUS)][0]
     assert verify.check_unitarity(bench).passed
@@ -109,16 +111,15 @@ def test_kernel_and_verify_draw_through_one_sampler(monkeypatch):
     run_session(config, bench)
     # once per block of each chunk's trials (one per message in scenario b):
     # the sizes, in order, tile chunk 0's trials and then chunk 1's one, each
-    # boundary but the stack's last gathered per trial
+    # stored boundary gathered per trial
     assert [n for _, n in calls] == _blocks(CHUNK_MESSAGES) + _blocks(1)
     assert all(n <= session.BLOCK for _, n in calls)
-    width = len(bench.compiled.sums)
-    assert all(len(bounds) == width - 1 for bounds, _ in calls)
+    assert all(len(bounds) == len(bench.compiled.sums) for bounds, _ in calls)
     assert all(len(bound) == n for bounds, n in calls for bound in bounds)
     calls.clear()
     # one stream, drawn a block at a time from the compiled psi+ column's boundaries
     check_sampling_consistency(bench, seed=3, draws=CHUNK_MESSAGES + 1)
-    psi_plus = bench.compiled.sums[:-1, ALPHABET.index(MessageSymbol.PSI_PLUS)]
+    psi_plus = bench.compiled.sums[:, ALPHABET.index(MessageSymbol.PSI_PLUS)]
     assert [n for _, n in calls] == _blocks(CHUNK_MESSAGES + 1)
     assert all(n <= session.BLOCK for _, n in calls)
     assert all(np.array_equal(bounds, psi_plus) for bounds, _ in calls)
