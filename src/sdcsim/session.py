@@ -53,10 +53,29 @@ a generator draws in sequence, so the blocks draw the same stream as one
 call per chunk would: BLOCK is no part of the scheme. Chunks are
 independent, so sessions are reproducible and chunks could be drawn in
 parallel.
+
+Both streams of a chunk come from one generator per thread, which
+`_generator` re-keys for each (seed, stream, chunk) instead of building a new
+one, and a uniform chunk reads its messages from the raw stream. Each draws
+exactly what the scheme's fresh generator draws, so, like BLOCK, the reuse is
+no part of the scheme. That rests on three numpy internals, each guarded by a
+test in tests/test_kernel.py:
+  - SeedSequence hashes the tuple as its integers' 32-bit words, least
+    significant first, 0 as one zero word
+    (test_a_keyed_generator_draws_what_a_fresh_one_draws);
+  - a Philox state dict with counter 0 and an empty buffer starts the stream
+    of its key, whatever was drawn before
+    (test_re_keying_back_gives_the_first_stream_again);
+  - integers(0, 4, dtype=int8) draws each message by Lemire's method from
+    one byte of the buffered stream, read little-endian, which over 4 values
+    is the byte's top two bits (test_uniform_messages_are_what_integers_draws).
+`scenario_step` keys and draws all of a chunk in one call, so nothing holds
+the generator across a yield of `Session.chunks()`.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import UserList
 from dataclasses import dataclass
 from enum import Enum
@@ -228,13 +247,45 @@ _SENT = ACTIONS.index(ScenarioAction.SENT)
 _DELIVERING = (ScenarioAction.SENT, ScenarioAction.CLONED_RESEND)
 
 
+_THREAD = threading.local()  # `rng`: each thread's one generator, made on its first key
+_ZEROS = np.zeros(4, dtype=np.uint64)  # a fresh Philox's counter, and its unread buffer
+_ZEROS.flags.writeable = False
+
+
+def _words(n: int) -> list[int]:
+    """n's 32-bit words, least significant first; 0 is one zero word."""
+    words = [n & 0xFFFFFFFF]
+    while n >> 32:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
 def _generator(seed: int, stream: int, chunk: int) -> np.random.Generator:
-    key = np.random.SeedSequence((seed, stream, chunk))
-    return np.random.Generator(np.random.Philox(key))
+    """The calling thread's generator, keyed to draw exactly what
+    Generator(Philox(SeedSequence((seed, stream, chunk)))) draws.
+
+    SeedSequence takes the tuple as these words; Philox keys itself with its
+    first four output words read as two little-endian uint64s, and starts at
+    counter 0 with an empty buffer.
+    """
+    words = np.array(_words(seed) + _words(stream) + _words(chunk), dtype=np.uint32)
+    key = np.random.SeedSequence(words).generate_state(4).astype("<u4", copy=False).view("<u8")
+    try:
+        rng = _THREAD.rng
+    except AttributeError:  # made here, not on import, which then loads no numpy.random
+        rng = _THREAD.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
+                               "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def trial_rng(seed: int, chunk: int) -> np.random.Generator:
-    """Independent trial stream of one chunk, keyed by (seed, chunk index)."""
+    """Independent trial stream of one chunk, keyed by (seed, chunk index).
+
+    It is the calling thread's one generator, so it is valid until the next
+    keyed call on the same thread.
+    """
     return _generator(seed, _STREAM_TRIAL, chunk)
 
 
@@ -252,8 +303,13 @@ def _chunk_messages(config: RunConfig, chunk: int) -> np.ndarray:
     start = chunk * CHUNK_MESSAGES
     size = min(CHUNK_MESSAGES, config.n_messages - start)
     if config.messages == "uniform":
-        rng = _generator(config.seed, _STREAM_MESSAGES, chunk)
-        return rng.integers(0, len(ALPHABET), size=size, dtype=np.int8)
+        # what integers(0, 4, size, dtype=int8) draws: Lemire's method maps each
+        # byte of the raw stream, read little-endian, to its top two bits, and over
+        # 4 values it never rejects a byte
+        philox = _generator(config.seed, _STREAM_MESSAGES, chunk).bit_generator
+        raw = philox.random_raw(-(-size // 8)).astype("<u8", copy=False).view(np.uint8)[:size]
+        raw >>= 6
+        return raw.view(np.int8)
     cycle = np.array([ALPHABET.index(m) for m in config.messages], dtype=np.int8)
     return _cycled(cycle, start, size)
 

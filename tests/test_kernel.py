@@ -12,12 +12,14 @@ import functools
 import hashlib
 import io
 import json
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdcsim import session
@@ -585,3 +587,122 @@ def test_a_changed_encoder_gets_its_own_wiring():
     assert Session(config, bench).table is tilted.table
     other = OpticalBench(Optics(hh=(("hwp", 23.5), ("polarizer", "H"))))
     assert Session(config, other).table is not tilted.table
+
+
+# Each chunk re-keys the thread's one generator instead of building one. These
+# properties name the numpy internals that equality rests on, so that a numpy
+# release that changes one fails here, not only in the pins: how SeedSequence
+# assembles its words from the tuple, the Philox state dict, and Lemire's
+# method over buffered bytes for uniform messages.
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
+EDGE_CHUNKS = (0, 1, 2**32 - 1, 2**32, 2**32 + 7, 2**64)
+KEYS = st.tuples(st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1),
+                 st.sampled_from([session._STREAM_TRIAL, session._STREAM_MESSAGES]),
+                 st.sampled_from(EDGE_CHUNKS) | st.integers(0, 2**40))
+MESSAGE_SIZES = (*range(1, 18), 8_191, 8_192, 8_193, session.CHUNK_MESSAGES)
+
+
+def _fresh(seed, stream, chunk):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream, chunk))))
+
+
+def _draws(rng):
+    """A fixed run of draws: uniforms, geometric retries at p 1, 1/2 and 0.75, then
+    one more uniform, which reads where the run left the stream."""
+    p = np.array([1.0, 0.5, 0.75] * 7)
+    return rng.random(9), rng.geometric(p), rng.geometric(0.5, 3), rng.random()
+
+
+def _assert_same_draws(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=KEYS)
+@example(key=(0, 0, 0))
+@example(key=(2**32 - 1, 1, 2**32))
+@example(key=(2**32, 0, 2**32 - 1))
+@example(key=(2**64 - 1, 1, 2**64))
+def test_a_keyed_generator_draws_what_a_fresh_one_draws(key):
+    want = _draws(_fresh(*key))
+    _assert_same_draws(_draws(session._generator(*key)), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=KEYS, b=KEYS, size=st.integers(1, 9))
+def test_re_keying_back_gives_the_first_stream_again(a, b, size):
+    fresh = _fresh(*a)
+    want = fresh.integers(0, 4, size, dtype=np.int8), _draws(fresh)
+    first = session._generator(*a)
+    first.random(5)
+    # a part-read 32-bit word and buffer must not carry over to the next key
+    session._generator(*b).integers(0, 4, size, dtype=np.int8)
+    again = session._generator(*a)
+    assert again is first  # one generator per thread
+    assert np.array_equal(again.integers(0, 4, size, dtype=np.int8), want[0])
+    _assert_same_draws(_draws(again), want[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1),
+       chunk=st.sampled_from(EDGE_CHUNKS[:-1]) | st.integers(0, 50))
+@example(seed=2**64 - 1, chunk=2**32)
+def test_uniform_messages_are_what_integers_draws(seed, chunk):
+    for size in MESSAGE_SIZES:
+        config = RunConfig(Scenario.A, chunk * session.CHUNK_MESSAGES + size, seed)
+        fresh = _fresh(seed, session._STREAM_MESSAGES, chunk)
+        want = fresh.integers(0, len(ALPHABET), size, dtype=np.int8)
+        messages = session._chunk_messages(config, chunk)
+        assert messages.dtype == np.int8
+        assert np.array_equal(messages, want), size
+
+
+THREAD_SESSIONS = [RunConfig(n_messages=n, seed=seed, messages=messages, **fields)
+                   for seed, n in ((3, 90), (2**40 + 1, 17))
+                   for fields in PINNED_CONFIGS.values()
+                   for messages in PINNED_STREAMS.values()]
+
+
+def _rows(configs):
+    return [np.concatenate([t.row for t in Session(c).chunks()]) for c in configs]
+
+
+def test_sessions_on_two_threads_draw_what_they_draw_serially(monkeypatch):
+    monkeypatch.setattr(session, "CHUNK_MESSAGES", 20)  # every session spans chunks
+    halves = THREAD_SESSIONS[::2], THREAD_SESSIONS[1::2]
+    want = [_rows(half) for half in halves]
+    start = threading.Barrier(2)
+    got = [None, None]
+
+    def run(i):
+        start.wait(timeout=60)
+        got[i] = [_rows(halves[i]) for _ in range(20)]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # so that the threads interleave mid-session
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    for i in range(2):
+        assert got[i] is not None, "a thread raised"
+        for rows in got[i]:
+            assert all(np.array_equal(a, b) for a, b in zip(rows, want[i], strict=True))
+
+
+def test_zipped_sessions_each_draw_their_own_chunks(monkeypatch):
+    monkeypatch.setattr(session, "CHUNK_MESSAGES", 40)
+    first = Session(RunConfig(Scenario.A, 130, 5))
+    second = Session(RunConfig(Scenario.B, 130, 6))
+    apart = list(first.chunks()), list(second.chunks())
+    zipped = list(zip(first.chunks(), second.chunks(), strict=True))
+    assert len(zipped) == 4
+    for (a, b), want_a, want_b in zip(zipped, *apart):
+        assert a.first == want_a.first and np.array_equal(a.row, want_a.row)
+        assert b.first == want_b.first and np.array_equal(b.row, want_b.row)
