@@ -15,7 +15,7 @@ and retry costs come from a bench's compiled encoder splits.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping
 
 from .protocol import ALPHABET, MessageSymbol, OpticalBench, Scenario, default_bench
@@ -53,7 +53,14 @@ class CapacityReport:
     rounded_reference: RoundedReference
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report as nested dicts of its fields, as `dataclasses.asdict` gives
+        it, built without its recursive deep copy: every leaf is a str or number."""
+        fields = dict(vars(self))
+        fields["per_symbol_counts"] = {
+            name: dict(vars(counts)) for name, counts in self.per_symbol_counts.items()
+        }
+        fields["rounded_reference"] = dict(vars(self.rounded_reference))
+        return fields
 
 
 def _rounded_reference(effective_alphabet: float) -> RoundedReference:

@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 invariant
 failure, 3 I/O error.
+
+`main` can be called many times in one process (tests, notebooks, a
+benchmark), so what does not depend on the call is built once, on first use:
+the argument parser, once per process, and a session table's event-log line
+suffixes, once per wiring. Importing the module builds neither.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import functools
 import io
 import json
 import os
@@ -112,6 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: `build_parser()`, built on the first call only.
+
+    Parsing keeps no state in the parser, so one serves every call.
+    """
+    return build_parser()
 
 
 def _distribution_json(dist) -> dict:
@@ -284,16 +299,26 @@ def _event_lines(first: int, suffixes: list[str]) -> str:
     return "".join(pieces)
 
 
+@functools.lru_cache(maxsize=256)  # as many tables as `session.wiring` keeps
+def _row_suffixes(table: session.RowTable) -> np.ndarray:
+    """Each row's `_event_suffix`, as a read-only object array, rendered once
+    per table: sessions of one wiring share their `RowTable`."""
+    suffixes = np.array([_event_suffix(*row) for row in table.fields], dtype=object)
+    suffixes.flags.writeable = False
+    return suffixes
+
+
 def _write_events(handle, run: session.Session) -> np.ndarray:
     """Stream the session's event log chunk by chunk; return its summed tally.
 
     The line of a trial is its number, then the csv rendering of its other
     columns. That suffix carries no trial number and depends only on the
-    trial's row, so it is rendered once per row of the session's table, and
-    `_event_lines` joins each chunk's lines from strings that already exist.
+    trial's row, so `_row_suffixes` renders it once per row of the session's
+    table, once per wiring in the process, and `_event_lines` joins each
+    chunk's lines from strings that already exist.
     """
     csv.writer(handle).writerow(EVENT_HEADER)
-    suffix_of = np.array([_event_suffix(*row) for row in run.table.fields], dtype=object)
+    suffix_of = _row_suffixes(run.table)
     tally = 0
     for trials in run.chunks():
         tally = tally + trials.tally()
@@ -319,11 +344,11 @@ def cmd_simulate(args) -> int:
             "bits_per_pair": expected.bits_per_pair,
         }
         payload["rng"] = session.RNG_SCHEME
-        json.dump(payload, report_handle, indent=2, sort_keys=True)
-        report_handle.write("\n")
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        report_handle.write(text + "\n")
 
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(text)
     else:
         print(
             f"scenario {config.scenario.value} ({config.owner.value}-owned), "
@@ -361,9 +386,8 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -10,7 +11,8 @@ from sdcsim.capacity import (
     total_variation_distance,
     uniform_alphabet,
 )
-from sdcsim.protocol import ALPHABET, MessageSymbol, Scenario, default_bench
+from sdcsim.protocol import ALPHABET, ClonePolicy, MessageSymbol, Scenario, default_bench
+from sdcsim.session import RunConfig, run_session
 
 
 class TestCapacityFromCounts:
@@ -34,6 +36,24 @@ class TestCapacityFromCounts:
         # three distinguishable messages per pair
         report = capacity_from_counts(1000, 1000, alphabet_size=3)
         assert report.bits_per_pair == pytest.approx(1.585, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "scenario, clone_policy",
+        [(Scenario.A, ClonePolicy.SEND_AS_IS), (Scenario.B, ClonePolicy.SEND_AS_IS),
+         (Scenario.B, ClonePolicy.CLONE_INTENDED), (Scenario.C, ClonePolicy.SEND_AS_IS)],
+    )
+    def test_to_dict_is_asdict(self, scenario, clone_policy):
+        config = RunConfig(scenario=scenario, n_messages=300, seed=5, clone_policy=clone_policy)
+        report = run_session(config).report
+        as_dict = dataclasses.asdict(report)
+        assert report.to_dict() == as_dict
+        assert list(report.to_dict()) == list(as_dict)
+        assert report.to_dict() is not report.to_dict()
+
+    def test_to_dict_without_per_symbol_counts(self):
+        report = capacity_from_counts(10, 7)
+        assert report.to_dict() == dataclasses.asdict(report)
+        assert report.to_dict()["per_symbol_counts"] == {}
 
     def test_zero_pairs_rejected(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,18 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-from sdcsim import cli, verify
+import sdcsim
+from sdcsim import cli, session, verify
 from sdcsim.cli import main
-from sdcsim.protocol import OpticalBench, Optics
-from sdcsim.session import CHUNK_MESSAGES
+from sdcsim.protocol import OpticalBench, Optics, Scenario
+from sdcsim.session import CHUNK_MESSAGES, RunConfig
 
 
 def run(args):
@@ -338,6 +342,64 @@ class TestDeterminism:
             ) == 0
             files[tag] = (out.read_bytes(), log.read_bytes())
         assert files["one"] == files["two"]
+
+
+class TestRepeatedCalls:
+    """`main` builds its parser once per process and renders a table's log
+    suffixes once; neither may leak one call into the next."""
+
+    @staticmethod
+    def simulate(tmp_path, tag, *extra):
+        out, log = tmp_path / f"r_{tag}.json", tmp_path / f"l_{tag}.csv"
+        argv = ["simulate", "--scenario", "a", "--n", "400", "--seed", "31",
+                "--out", str(out), "--log", str(log), *extra]
+        assert run(argv) == 0
+        return out.read_bytes(), log.read_bytes()
+
+    def test_the_parser_is_built_once_per_process(self, tmp_path, monkeypatch, capsys):
+        built = []
+        original = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+        cli._parser.cache_clear()
+        assert run(["signatures"]) == 0
+        first = self.simulate(tmp_path, "one")
+        assert run(["simulate", "--bogus"]) == 1
+        assert run(["simulate", "--scenario", "x"]) == 1
+        assert self.simulate(tmp_path, "two") == first
+        assert run(["verify", "--trials", "1"]) == 1
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_importing_builds_no_parser(self):
+        src = os.path.dirname(os.path.dirname(sdcsim.__file__))
+        code = "import sdcsim, sdcsim.cli; assert sdcsim.cli._parser.cache_info().currsize == 0"
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_the_suffix_memo_is_read_only(self):
+        table = session.Session(RunConfig(scenario=Scenario.A, n_messages=5, seed=0)).table
+        suffixes = cli._row_suffixes(table)
+        assert suffixes is cli._row_suffixes(table)
+        with pytest.raises(ValueError):
+            suffixes[0] = ""
+
+    def test_each_wiring_renders_its_own_table(self, tmp_path, monkeypatch):
+        """An ideal run, then one on a bench whose hh encoder is empty (hh then
+        reads as psi+): each log line is the trial's row of its own table."""
+        self.simulate(tmp_path, "ideal")
+        bench = OpticalBench(Optics(hh=()))
+        monkeypatch.setattr(cli, "default_bench", lambda: bench)
+        log = self.simulate(tmp_path, "perturbed")[1].decode()
+        reference = session.Session(RunConfig(scenario=Scenario.A, n_messages=400, seed=31), bench)
+        fields = reference.table.fields
+        lines = [
+            f"{trials.first + i},{cli._event_suffix(*fields[row])}"
+            for trials in reference.chunks()
+            for i, row in enumerate(trials.row.tolist())
+        ]
+        assert log == ",".join(cli.EVENT_HEADER) + "\r\n" + "".join(lines)
 
 
 class TestVerify:

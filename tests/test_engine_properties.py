@@ -3,7 +3,12 @@
 Elements are Haar-random unitaries (QR of a complex Gaussian matrix, with the
 phases of R's diagonal moved into Q) on a random ordered subset of modes;
 inputs are random superpositions of one- or two-photon basis states.
+
+The last property is a physical law that owes nothing to the implementation:
+Hong-Ou-Mandel interference with partially distinguishable photons.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from hypothesis import strategies as st
 
 import oracle
 from sdcsim.fock import (
+    ModeLabel,
     ModeRegistry,
     ModeUnitary,
     apply_element,
@@ -20,6 +26,7 @@ from sdcsim.fock import (
     outcome_distribution,
     superpose,
 )
+from sdcsim.protocol import ALICE, BOB, OpticalBench, Optics
 
 TOL = 1e-12
 REG = ModeRegistry.for_paths(["a", "b", "c"])
@@ -112,3 +119,18 @@ def test_composed_element_equals_the_sequence(sequence, state):
     composed = compose(tuple(sequence))
     assert composed.registry == REG
     assert max_amplitude_gap(apply_element(state, composed), stepwise) <= TOL
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(-180.0, 180.0, allow_nan=False))
+def test_hom_coincidence_follows_the_overlap(theta):
+    """A plate at theta on alice's H photon leaves it overlapping bob's H photon
+    by |<a|b>|^2 = cos^2(2 theta), so the pair leaves the 50/50 splitter on
+    different paths with probability (1 - cos^2(2 theta)) / 2 = sin^2(2 theta) / 2."""
+    bench = OpticalBench(Optics(analyzer=(("hwp", theta), ("bs",), ("pbs", ALICE), ("pbs", BOB))))
+    pair = make_state(bench.registry, [ModeLabel(ALICE, "H"), ModeLabel(BOB, "H")])
+    coincidence = sum(
+        p for pattern, p in bench.analyze(pair).items()
+        if pattern.count("aH") + pattern.count("aV") == 1
+    )
+    assert coincidence == pytest.approx(math.sin(math.radians(2.0 * theta)) ** 2 / 2.0, abs=TOL)
