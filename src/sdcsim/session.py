@@ -403,6 +403,10 @@ class Trials:
     ALPHABET, `branch` BRANCHES, `action` ACTIONS, `note` NOTE_KINDS,
     `pattern` the table's `patterns` and `decoded` its `outcomes`; -1 means
     none (no photon reached the receiver, or no note).
+
+    The rows are counted once, on the first `row_counts()`, and the count is
+    kept, so a session's tally and `verify`'s branch count share one pass.
+    The kernel's `row` arrays are read-only, so that count cannot go stale.
     """
 
     row: np.ndarray  # int16
@@ -432,14 +436,21 @@ class Trials:
     def concat(cls, parts: Sequence["Trials"]) -> "Trials":
         if len(parts) == 1:
             return parts[0]
-        return cls(np.concatenate([p.row for p in parts]), parts[0].first, parts[0].table)
+        row = np.concatenate([p.row for p in parts])
+        row.flags.writeable = False
+        return cls(row, parts[0].first, parts[0].table)
 
     def row_counts(self) -> np.ndarray:
-        """Trial counts per row of the table, counted a block at a time, so that
-        no intp copy of every row code is made."""
+        """Trial counts per row of the table, read-only: counted on first use, a
+        block at a time, so that no intp copy of every row code is made, and kept."""
+        return self._row_counts
+
+    @cached_property
+    def _row_counts(self) -> np.ndarray:
         counts = np.zeros(len(self.table), dtype=np.intp)
         for block in _blocks(len(self.row)):
             counts += np.bincount(self.row[block], minlength=len(self.table))
+        counts.flags.writeable = False
         return counts
 
     def tally(self) -> np.ndarray:
@@ -550,6 +561,7 @@ class Session:
             cells = cell[block]  # `take` gathers by it twice as fast as indexing does
             sample_outcome((bound.take(cells) for bound in self._bounds),
                            rng.random(len(cells)), out=row[block])
+        row.flags.writeable = False
         return Trials(row, first, self.table)
 
     def chunks(self) -> Iterator[Trials]:

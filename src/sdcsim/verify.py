@@ -10,6 +10,14 @@ the compiled psi+ law) share one rule, `consistent`: neither exact
 binomial tail of a count may lie below half its false-alarm rate. They split
 FALSE_ALARM evenly, sampling_consistency its half again over its patterns, so
 a correct program fails the suite at most 1e-6 of the time, at any seed.
+
+Those checks cost their draws, not their tails. `binomial_tails` sums a tail
+in numpy blocks of TAIL_BLOCK terms whose products and additions are the
+scalar loop's, in its order, so each tail is the scalar sum's bit for bit at
+~0.05 ms raw for n = 100,000 (~0.3 ms one term at a time); `negbin_tails`
+is two of them. branch_statistics reads the row counts its session already
+made for the report's tally (`Trials.row_counts`), so a session's rows are
+counted once.
 """
 
 from __future__ import annotations
@@ -52,29 +60,79 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
+# Terms per block of a tail's sum. Measured at n = 100,000 (~1,400 terms, one
+# block): ~0.05 ms raw per tail, against ~0.3 ms for one term per loop step; a
+# 1,024 block takes two steps there, a 4,096 one fills twice the terms it needs.
+TAIL_BLOCK = 2048
+
+
 def binomial_tails(k: int, n: int, p: float) -> tuple[float, float]:
     """(P(X <= k), P(X >= k)) for X ~ Bin(n, p).
 
     The tail on k's side of the mean is summed outward from k, each term from the last by
-    their ratio, until the terms stop mattering; the other side is its complement.
+    their ratio, until the terms stop mattering; the other side is its complement. The sum
+    runs in numpy blocks of TAIL_BLOCK terms (`_outward_sum`), which make the scalar
+    loop's products and additions in its order, so each tail is the scalar sum's bit for
+    bit, at ~0.05 ms raw for n = 100,000.
     """
     if k < 0 or k > n:
         return (0.0, 1.0) if k < 0 else (1.0, 0.0)
     if p in (0.0, 1.0):
         return float(k >= n * p), float(k <= n * p)
-    mirrored = k < n * p  # the lower tail of X is the upper tail of n - X ~ Bin(n, 1 - p)
+    # the lower tail of X is the upper tail of n - X ~ Bin(n, 1 - p), unless 1 - p
+    # rounds to 1 (p at most 2^-54), where k < n * p leaves only k = 0 to sum up from
+    mirrored = k < n * p and 1.0 - p < 1.0
     if mirrored:
         k, p = n - k, 1.0 - p
     log_choose = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
     first = math.exp(log_choose + k * math.log(p) + (n - k) * math.log1p(-p))
-    odds = p / (1.0 - p)
-    upper, term, j = first, first, k
-    while term > upper * 1e-17 and j < n:
-        term *= (n - j) * odds / (j + 1)
-        j += 1
-        upper += term
+    upper, _ = _outward_sum(first, k, n, p / (1.0 - p))
     tails = min(1.0, 1.0 - upper + first), upper
     return tails[::-1] if mirrored else tails
+
+
+def _outward_sum(first: float, k: int, n: int, odds: float) -> tuple[float, int]:
+    """The sum of P(X = j) for j from k up, where X ~ Bin(n, p) and `first` is P(X = k),
+    and the j it stops at: the first whose term no longer exceeds the running sum times
+    1e-17 (past it no term moves the sum), or n.
+
+    It is the scalar loop `term *= (n - j) * odds / (j + 1); j += 1; upper += term`, run
+    while `term > upper * 1e-17 and j < n`, a block at a time: `multiply.accumulate` and
+    `add.accumulate` (`cumprod`, `cumsum`) are sequential left folds, seeded with the
+    running term and sum, so each product and each addition is the loop's, in its order
+    (`np.sum`, which adds pairwise, would not be).
+    """
+    upper, term, j = first, first, k
+    while term > upper * 1e-17 and j < n:
+        size = min(TAIL_BLOCK, n - j)
+        terms = np.empty(size + 1)  # the running term, then this block's
+        terms[0] = term
+        # each ratio (n - j) * odds / (j + 1), its integers exact as floats below 2^53
+        np.multiply(np.arange(n - j, n - j - size, -1.0), odds, out=terms[1:])
+        terms[1:] /= np.arange(j + 1.0, j + size + 1.0)
+        np.multiply.accumulate(terms, out=terms)
+        sums = terms.copy()
+        sums[0] = upper
+        np.add.accumulate(sums, out=sums)
+        # the first term that stops the sum; the loop's own test passed at index 0, so
+        # argmin reads 0 only if every term in the block mattered
+        stop = int(np.argmin(terms > sums * 1e-17))
+        if stop:
+            return float(sums[stop]), j + stop
+        term, upper, j = terms[-1], float(sums[-1]), j + size
+    return upper, j
+
+
+def negbin_tails(w: int, m: int, p: float) -> tuple[float, float]:
+    """(P(W <= w), P(W >= w)) for W, the failures before the m-th success of trials
+    that each succeed with probability p.
+
+    W <= w when the first m + w trials hold at least m successes, and W >= w when the
+    first m + w - 1 hold at most m - 1, so both are `binomial_tails`.
+    """
+    lower = binomial_tails(m, m + w, p)[1]
+    upper = 1.0 if w == 0 else binomial_tails(m - 1, m + w - 1, p)[0]
+    return lower, upper
 
 
 def _tail_test(count: int, n: int, p: float, alpha: float) -> tuple[bool, str]:

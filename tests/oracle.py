@@ -5,6 +5,9 @@ single-photon transfer matrices over the full mode list, compositions are
 plain matrix products, and two-photon outputs are expanded term by term over
 ordered mode pairs. Anything the sparse polynomial engine computes can be
 cross-checked against this path.
+
+It also keeps `verify.binomial_tails`' scalar form: the tail summed one term
+per loop step, which the block sum must reproduce bit for bit.
 """
 
 import math
@@ -76,3 +79,38 @@ def superposed_two_photon_distribution(transfer, terms) -> dict[tuple[int, int],
         for pair, amp in two_photon_amplitudes(transfer, i, j).items():
             amps[pair] = amps.get(pair, 0j) + coeff * amp
     return {pair: float(abs(a) ** 2) for pair, a in amps.items() if abs(a) > 1e-14}
+
+
+def tail_start(k: int, n: int, p: float) -> tuple[float, int, int, float]:
+    """Where the tail on k's side of Bin(n, p)'s mean starts, for 0 <= k <= n and
+    0 < p < 1: (P(X = k), k, n, p / (1 - p)), with k and p mirrored into
+    n - X ~ Bin(n, 1 - p) when k lies below the mean and 1 - p does not round to 1,
+    so that it sums upward."""
+    if k < n * p and 1.0 - p < 1.0:
+        k, p = n - k, 1.0 - p
+    log_choose = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    first = math.exp(log_choose + k * math.log(p) + (n - k) * math.log1p(-p))
+    return first, k, n, p / (1.0 - p)
+
+
+def outward_sum(first: float, k: int, n: int, odds: float) -> tuple[float, int]:
+    """The tail from `first` = P(X = k) upward, one term per step, and the j it stopped at."""
+    upper, term, j = first, first, k
+    while term > upper * 1e-17 and j < n:
+        term *= (n - j) * odds / (j + 1)
+        j += 1
+        upper += term
+    return upper, j
+
+
+def binomial_tails(k: int, n: int, p: float) -> tuple[float, float]:
+    """(P(X <= k), P(X >= k)) for X ~ Bin(n, p), by the scalar sum."""
+    if k < 0 or k > n:
+        return (0.0, 1.0) if k < 0 else (1.0, 0.0)
+    if p in (0.0, 1.0):
+        return float(k >= n * p), float(k <= n * p)
+    mirrored = k < n * p and 1.0 - p < 1.0  # as `tail_start` decides
+    first, *rest = tail_start(k, n, p)
+    upper, _ = outward_sum(first, *rest)
+    tails = min(1.0, 1.0 - upper + first), upper
+    return tails[::-1] if mirrored else tails

@@ -4,15 +4,16 @@ Elements are Haar-random unitaries (QR of a complex Gaussian matrix, with the
 phases of R's diagonal moved into Q) on a random ordered subset of modes;
 inputs are random superpositions of one- or two-photon basis states.
 
-The last property is a physical law that owes nothing to the implementation:
-Hong-Ou-Mandel interference with partially distinguishable photons.
+The last properties are physical laws that owe nothing to the implementation:
+Hong-Ou-Mandel interference with partially distinguishable photons, and
+no-signalling from the sender's encoder to the receiver's photon.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -26,7 +27,7 @@ from sdcsim.fock import (
     outcome_distribution,
     superpose,
 )
-from sdcsim.protocol import ALICE, BOB, OpticalBench, Optics
+from sdcsim.protocol import ALICE, ALPHABET, BOB, OpticalBench, Optics, ProtocolError
 
 TOL = 1e-12
 REG = ModeRegistry.for_paths(["a", "b", "c"])
@@ -134,3 +135,33 @@ def test_hom_coincidence_follows_the_overlap(theta):
         if pattern.count("aH") + pattern.count("aV") == 1
     )
     assert coincidence == pytest.approx(math.sin(math.radians(2.0 * theta)) ** 2 / 2.0, abs=TOL)
+
+
+ENCODER_SPECS = st.one_of(
+    st.floats(-180.0, 180.0, allow_nan=False).map(lambda theta: ("hwp", theta)),
+    st.sampled_from([("polarizer", "H"), ("polarizer", "V")]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALPHABET), st.lists(ENCODER_SPECS, max_size=3))
+def test_the_receivers_photon_alone_carries_no_signal(message, encoder):
+    """Whatever the sender puts in her photon's path, the receiver's photon,
+    measured alone, reads H with probability 1/2 once her monitor's branches
+    are averaged over: the controlled pair with p, her click's lone photon
+    with 1 - p."""
+    optics = Optics(analyzer=(("pbs", ALICE), ("pbs", BOB)),
+                    **{message.name.lower(): tuple(encoder)})
+    try:
+        bench = OpticalBench(optics)
+    except ProtocolError:  # it never transmits, or clicks two ways: no one split
+        assume(False)
+    split = bench.encode_branches(message)
+
+    def reads_h(state):
+        return sum(p for pattern, p in bench.analyze(state).items() if pattern.count("bH"))
+
+    read = split.controlled_probability * reads_h(split.controlled_state)
+    if split.lone_state is not None:
+        read += split.wrong_probability * reads_h(split.lone_state)
+    assert read == pytest.approx(0.5, abs=TOL)

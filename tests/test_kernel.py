@@ -46,7 +46,12 @@ from sdcsim.session import (
     _cycled,
     run_session,
 )
-from sdcsim.verify import binomial_tails, check_branch_statistics, check_sampling_consistency
+from sdcsim.verify import (
+    binomial_tails,
+    check_branch_statistics,
+    check_sampling_consistency,
+    negbin_tails,
+)
 
 # Total false-alarm rate of the differential tests, split evenly (Bonferroni)
 # over the configurations and, within one, over every count it checks.
@@ -57,13 +62,6 @@ DIFFERENTIAL_CONFIGS = {
     "b-clone-intended": dict(scenario=Scenario.B, clone_policy=ClonePolicy.CLONE_INTENDED),
     "c-erase-notes": dict(scenario=Scenario.C, erase_notes=True),
 }
-
-
-def negbin_tails(w: int, m: int, p: float) -> tuple[float, float]:
-    """(P(W <= w), P(W >= w)) for W failures before the m-th success."""
-    lower = binomial_tails(m, m + w, p)[1]
-    upper = 1.0 if w == 0 else binomial_tails(m - 1, m + w - 1, p)[0]
-    return lower, upper
 
 
 # per product message, the ideal pair the oracle derives a click's laws from
@@ -326,6 +324,19 @@ def test_trials_keep_one_int16_row_per_trial():
     assert arrays == ["row"]
 
 
+@pytest.mark.parametrize("n", [5, session.CHUNK_MESSAGES + 3])
+def test_trials_count_their_rows_once(n):
+    trials = run_session(RunConfig(Scenario.A, n, 31)).trials
+    counts = trials.row_counts()
+    assert trials.row_counts() is counts  # kept from the report's tally
+    assert counts.sum() == len(trials)
+    assert np.array_equal(counts, np.bincount(trials.row, minlength=len(trials.table)))
+    for array in (counts, trials.row):  # so the kept count cannot go stale
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[:1] = 0
+
+
 @pytest.mark.parametrize(
     "fields", [dict(scenario=Scenario.B), dict(scenario=Scenario.C, erase_notes=True)]
 )
@@ -557,6 +568,7 @@ def test_any_block_size_draws_the_same_sessions(block, chunk, monkeypatch):
     table = wanted[0].trials.table
     empty = Trials(np.zeros(0, dtype=np.int16), 0, table)
     assert np.array_equal(empty.row_counts(), np.zeros(len(table), dtype=np.intp))
+    assert empty.row_counts() is empty.row_counts() and not empty.row_counts().flags.writeable
     assert not empty.tally().any()
 
 

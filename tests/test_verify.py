@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from sdcsim import capacity, protocol, session, verify
 from sdcsim.cli import EXIT_CONFIG, main
 from sdcsim.fock import apply_element, sample_outcome
@@ -17,10 +20,12 @@ from sdcsim.verify import (
     all_passed,
     band_minimum,
     binomial_tails,
+    check_branch_statistics,
     check_capacity_references,
     check_sampling_consistency,
     check_signatures,
     consistent,
+    negbin_tails,
     run_verification,
 )
 
@@ -163,6 +168,80 @@ def test_binomial_tails_match_exact_sums(p):
             exact = (Fraction(lower, b**n), Fraction(upper, b**n))
             for got, want in zip(binomial_tails(k, n, p), exact):
                 assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0), (k, n, got, want)
+
+
+@pytest.mark.parametrize("p", [0.5, 1 / 3, 1 / 100, 99 / 100])
+def test_negbin_tails_match_exact_sums(p):
+    q = Fraction(p)  # p exactly, as the float it is
+    for m in range(9):
+        # P(W = j): j failures, then the m-th success after m - 1 among the first m + j - 1
+        pmf = [math.comb(m + j - 1, j) * q**m * (1 - q) ** j if m else Fraction(j == 0)
+               for j in range(41)]
+        for w in range(40):
+            exact = (sum(pmf[: w + 1]), 1 - sum(pmf[:w]))
+            for got, want in zip(negbin_tails(w, m, p), exact):
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0), (w, m, got, want)
+
+
+TAIL_PROBABILITIES = (1e-9, 1 / 3, 1 / 2, 1 - 1e-9)
+
+
+@st.composite
+def tail_cases(draw):
+    """(k, n, p): n up to 10^7; k at 0, n, the mean, within 10 sigma of it or anywhere."""
+    n = draw(st.integers(1, 100) | st.integers(1, 10**7))
+    p = draw(st.sampled_from(TAIL_PROBABILITIES) | st.floats(0.0, 1.0, exclude_min=True,
+                                                             exclude_max=True))
+    mean, sigma = n * p, math.sqrt(n * p * (1.0 - p))
+    near = st.floats(-10.0, 10.0).map(lambda z: min(n, max(0, round(mean + z * sigma))))
+    k = draw(st.sampled_from([0, n, round(mean)]) | near | st.integers(0, n))
+    return k, n, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail_cases())
+@example((49984, 100_000, 0.5))  # `verify`'s three tails at its default size
+@example((49950, 100_000, 0.4999999999999999))
+@example((50050, 100_000, 0.4999999999999999))
+# summing block - 1, block, block + 1 and 2 * block + 1 terms at TAIL_BLOCK = 2,048
+@example((125_367, 250_734, 0.5))
+@example((125_493, 250_986, 0.5))
+@example((125_612, 251_224, 0.5))
+@example((550_159, 1_100_000, 0.5))
+@example((6_861, 10_000, 0.5))  # a subnormal first term: the sum stops where it underflows
+@example((8, 10, 0.9))  # the sum runs to j = n
+def test_block_sum_is_the_scalar_sum_bit_for_bit(case):
+    """Past the stop rule no term moves a sum by half an ulp, so the tails alone
+    cannot see where the sum stopped; the stop, what a tail costs, is held too."""
+    k, n, p = case
+    assert binomial_tails(k, n, p) == oracle.binomial_tails(k, n, p)
+    if 0 < p < 1:
+        start = oracle.tail_start(k, n, p)
+        assert verify._outward_sum(*start) == oracle.outward_sum(*start)
+
+
+def test_the_block_edge_examples_sum_what_they_name():
+    block = verify.TAIL_BLOCK
+    examples = {block - 1: (125_367, 250_734), block: (125_493, 250_986),
+                block + 1: (125_612, 251_224), 2 * block + 1: (550_159, 1_100_000)}
+    for terms, (k, n) in examples.items():
+        first, k, n, odds = oracle.tail_start(k, n, 0.5)
+        assert oracle.outward_sum(first, k, n, odds)[1] - k == terms
+
+
+def test_branch_statistics_counts_its_session_once(monkeypatch):
+    calls = []
+
+    def counting(x, *args, **kwargs):
+        calls.append(len(x))
+        return bincount(x, *args, **kwargs)
+
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", counting)
+    trials = 3 * session.BLOCK + 1
+    assert check_branch_statistics(OpticalBench(), seed=5, trials=trials).passed
+    # one block-wise pass over the session's trials, shared by the tally and the check
+    assert calls == _blocks(trials)
 
 
 @pytest.mark.parametrize("seed", [218, 579])
