@@ -53,9 +53,7 @@ from .session import (
     ScenarioAction,
     Session,
     SessionResult,
-    TrialRecord,
     Trials,
-    bob_records,
     bob_reconstruction,
     delivered_sequence,
     intended_stream,

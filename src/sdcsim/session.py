@@ -36,8 +36,8 @@ branches into its trials' cells; pass 2 goes over blocks of trials, starts
 each trial's row code at its cell's first row and adds, in one
 `sample_outcome` call per block, each boundary row gathered by cell. It
 keeps that one row code per trial (`Trials.row`). Every other column, the
-report's tally and the `TrialRecord` and `Note` objects, which are built
-only when `SessionResult.records`/`.notes` is read, are looked up by row.
+report's tally, the receiver's reconstruction and the `Note` objects, which
+are built only when `SessionResult.notes` is read, are looked up by row.
 `Session.chunks()` numbers each chunk's trials on from the last's, so a
 session holds no cursor and can be iterated again.
 
@@ -140,7 +140,7 @@ class NoteKind(Enum):
 class Note:
     """One classical-channel message, tied to the trial it talks about.
 
-    ``delivered_at`` is the trial it reaches the receiver, None if never sent.
+    ``delivered_at`` is the trial it reaches the receiver.
     """
 
     trial: int
@@ -152,19 +152,6 @@ class Note:
         if self.kind is NoteKind.CORRECT_TO:
             return f"CorrectTo({self.symbol.value})"
         return self.kind.value
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Everything one pair did: encoder branch, scenario action, receiver view."""
-
-    trial: int
-    intended: MessageSymbol
-    branch: Branch
-    action: ScenarioAction
-    bob_pattern: DetectionPattern | None
-    decoded: ClassifiedOutcome | None
-    note: Note | None
 
 
 def check_seed(seed: int) -> None:
@@ -244,7 +231,7 @@ BRANCHES = (Branch.CONTROLLED, Branch.WRONG)
 ACTIONS = tuple(ScenarioAction)
 NOTE_KINDS = (*NoteKind, None)
 _SENT = ACTIONS.index(ScenarioAction.SENT)
-_DELIVERING = (ScenarioAction.SENT, ScenarioAction.CLONED_RESEND)
+_DELIVERING = [ACTIONS.index(ScenarioAction.SENT), ACTIONS.index(ScenarioAction.CLONED_RESEND)]
 
 
 _THREAD = threading.local()  # `rng`: each thread's one generator, made on its first key
@@ -381,13 +368,8 @@ def _looked_up(column: str) -> property:
                     doc=f"Each trial's {column} code, looked up by its row.")
 
 
-def _note(trial: int, symbol: MessageSymbol, kind: NoteKind | None,
-          classical_delay: int) -> Note | None:
-    """Trial `trial`'s note of this kind, if any; a sent one is stamped with its arrival."""
-    if kind is None:
-        return None
-    if kind is NoteKind.REPEAT:  # labels the record, never sent
-        return Note(trial, kind)
+def _note(trial: int, symbol: MessageSymbol, kind: NoteKind, classical_delay: int) -> Note:
+    """The note of this kind that trial `trial` sends, stamped with its arrival."""
     corrects = symbol if kind is NoteKind.CORRECT_TO else None
     return Note(trial, kind, corrects, trial + classical_delay)
 
@@ -406,12 +388,19 @@ class Trials:
 
     The rows are counted once, on the first `row_counts()`, and the count is
     kept, so a session's tally and `verify`'s branch count share one pass.
-    The kernel's `row` arrays are read-only, so that count cannot go stale.
+    `row` is read-only, so that count cannot go stale: a writable row is
+    copied on construction, and the kernel's rows, already read-only, are not.
     """
 
     row: np.ndarray  # int16
     first: int
     table: RowTable
+
+    def __post_init__(self):
+        if self.row.flags.writeable:
+            row = self.row.copy()
+            row.flags.writeable = False
+            object.__setattr__(self, "row", row)
 
     intended = _looked_up("intended")
     branch = _looked_up("branch")
@@ -456,16 +445,6 @@ class Trials:
     def tally(self) -> np.ndarray:
         """Trial counts per (message, action), a len(ALPHABET) x len(ACTIONS) matrix."""
         return (self.row_counts() @ self.table.tally_fold).reshape(len(ALPHABET), -1)
-
-    def records(self, classical_delay: int) -> list[TrialRecord]:
-        """These trials as TrialRecords, sent notes stamped with their arrival."""
-        out = []
-        fields = self.table.fields
-        for t, r in enumerate(self.row.tolist(), self.first):
-            symbol, branch, action, pattern, decoded, kind = fields[r]
-            note = _note(t, symbol, kind, classical_delay)
-            out.append(TrialRecord(t, symbol, branch, action, pattern, decoded, note))
-        return out
 
     def notes(self, classical_delay: int) -> list[Note]:
         """The notes these trials send, in send order, stamped with their arrival."""
@@ -593,10 +572,13 @@ class _LazyList(UserList):
 @dataclass(frozen=True)
 class SessionResult:
     config: RunConfig
-    records: Sequence[TrialRecord]  # built from `trials` on first read
     notes: Sequence[Note]  # sent notes in send order, which is also delivery order
     report: "capacity.CapacityReport"
     trials: Trials
+
+    # `trials` under the name the benchmark's gate (`perfbench/gate.py`) reads
+    # them by; it goes when the gate reads `trials`
+    records = property(lambda self: self.trials, doc="The session's `trials`, read-only.")
 
 
 def run_session(config: RunConfig, bench: OpticalBench | None = None) -> SessionResult:
@@ -608,10 +590,8 @@ def run_session(config: RunConfig, bench: OpticalBench | None = None) -> Session
     """
     chunks = list(Session(config, bench).chunks())
     trials = Trials.concat(chunks)
-    records = _LazyList(build=lambda: trials.records(config.classical_delay))
     notes = _LazyList(build=lambda: trials.notes(config.classical_delay))
-    report = build_report(trials.tally())
-    return SessionResult(config, records, notes, report, trials)
+    return SessionResult(config, notes, build_report(trials.tally()), trials)
 
 
 _SYMBOL_NAMES = tuple(symbol.value for symbol in ALPHABET)
@@ -647,27 +627,22 @@ def build_report(tally: np.ndarray) -> "capacity.CapacityReport":
     )
 
 
-def bob_records(records: Sequence[TrialRecord]) -> list[TrialRecord]:
-    """The receiver's event log: only trials where a photon reached him."""
-    return [r for r in records if r.bob_pattern is not None]
-
-
-def bob_reconstruction(
-    records: Sequence[TrialRecord], notes: Sequence[Note]
-) -> list[MessageSymbol]:
-    """The receiver's final message sequence after applying correction notes."""
-    decoded: dict[int, MessageSymbol] = {}
-    order: list[int] = []
-    for r in records:
-        if r.decoded is not None and r.decoded.verdict is Verdict.DECODED:
-            decoded[r.trial] = r.decoded.symbol
-            order.append(r.trial)
+def bob_reconstruction(trials: Trials, notes: Sequence[Note]) -> list[MessageSymbol]:
+    """The receiver's final message sequence: the symbol each decoding trial
+    reads, replaced by that of any CorrectTo note about the trial."""
+    outcomes = trials.table.outcomes  # its trailing None is decoded code -1
+    decodes = np.array([o is not None and o.verdict is Verdict.DECODED for o in outcomes])
+    decoded = trials.decoded
+    at = np.flatnonzero(decodes[decoded])
+    read = {t: outcomes[d].symbol
+            for t, d in zip((at + trials.first).tolist(), decoded[at].tolist())}
     for note in notes:
-        if note.kind is NoteKind.CORRECT_TO and note.trial in decoded:
-            decoded[note.trial] = note.symbol
-    return [decoded[t] for t in order]
+        if note.kind is NoteKind.CORRECT_TO and note.trial in read:
+            read[note.trial] = note.symbol
+    return list(read.values())
 
 
-def delivered_sequence(records: Sequence[TrialRecord]) -> list[MessageSymbol]:
+def delivered_sequence(trials: Trials) -> list[MessageSymbol]:
     """Intended symbols of the trials that delivered a message, in order."""
-    return [r.intended for r in records if r.action in _DELIVERING]
+    delivers = np.isin(trials.table.action, _DELIVERING)[trials.row]
+    return [ALPHABET[i] for i in trials.intended[delivers].tolist()]

@@ -159,27 +159,31 @@ def band_minimum(p: float) -> int:
     return next(n for n in itertools.count(1) if all(can_fail(n, a) for a in alphas))
 
 
-def _elements(bench):
-    """The elements `bench` compiled with: the analyzer's, then each encoder's."""
-    compiled = bench.compiled
-    return (*compiled.analyzer, *itertools.chain(*compiled.encoders))
-
-
 @functools.lru_cache(maxsize=8)
 def _tilted_plate(registry):
     """A plate at 22.5 degrees, which no ideal element is, built once per registry."""
     return hwp(registry, 22.5, ALICE)
 
 
-def _element_suite(bench):
-    """Each element's matrix by name: the bench's, and a plate at 22.5 degrees."""
-    elements = (*_elements(bench), _tilted_plate(bench.registry))
-    return {element.name: element.matrix for element in elements}
+def _element_suite(bench) -> list:
+    """The elements `bench` compiled with (the analyzer's, then each encoder's),
+    then a plate at 22.5 degrees, each distinct element once, in that order.
+
+    Elements are told apart by their target modes and matrix, not by name: two
+    equal plates are one, and two plates that differ past the digits their
+    names show are two.
+    """
+    compiled = bench.compiled
+    distinct = {}
+    for element in (*compiled.analyzer, *itertools.chain(*compiled.encoders),
+                    _tilted_plate(bench.registry)):
+        distinct.setdefault((element.target_modes, element.matrix.tobytes()), element)
+    return list(distinct.values())
 
 
 def check_unitarity(bench) -> CheckResult:
     worst_name, worst = max(
-        ((name, unitarity_defect(m)) for name, m in _element_suite(bench).items()),
+        ((e.name, unitarity_defect(e.matrix)) for e in _element_suite(bench)),
         key=lambda kv: kv[1],
     )
     return _check(
@@ -223,7 +227,7 @@ def check_perpendicular_split(bench) -> CheckResult:
 def check_composition(bench) -> CheckResult:
     state = bench.source_emit()
     worst = 0.0
-    for element in _elements(bench):
+    for element in _element_suite(bench):
         # a Hermitian unitary (a plate, a PBS, a polarizer) is its own inverse
         hermitian = np.array_equal(element.matrix, element.matrix.conj().T)
         roundtrip = apply_element(apply_element(state, element),

@@ -30,9 +30,10 @@ from sdcsim.protocol import (
     default_bench,
 )
 from sdcsim.session import (
+    ACTIONS,
+    BRANCHES,
     RunConfig,
     ScenarioAction,
-    bob_records,
     bob_reconstruction,
     delivered_sequence,
     intended_stream,
@@ -104,7 +105,7 @@ def test_criterion_05_branch_probability():
 
     n = 100_000
     result = run_session(RunConfig(Scenario.B, n, seed=505, messages=(MessageSymbol.HH,)))
-    wrong = sum(1 for r in result.records if r.branch is Branch.WRONG)
+    wrong = int((result.trials.branch == BRANCHES.index(Branch.WRONG)).sum())
     sigma = math.sqrt(0.25 / n)
     assert abs(wrong / n - 0.5) < 3 * sigma
     note(
@@ -152,19 +153,21 @@ def test_criterion_08_scenario_b_completeness(seed):
     config = RunConfig(Scenario.B, 1500, seed=seed, classical_delay=4)
     result = run_session(config)
     assert result.report.pairs_consumed == config.n_messages
-    assert bob_reconstruction(result.records, result.notes) == intended_stream(config)
+    assert bob_reconstruction(result.trials, result.notes) == intended_stream(config)
     note(8, f"seed {seed}: corrected sequence equals intended, pairs == messages")
 
 
 def test_criterion_09_scenario_c_invisibility():
     config = RunConfig(Scenario.C, 3000, seed=77)
     result = run_session(config)
-    stopped = sum(1 for r in result.records if r.action is ScenarioAction.PAIR_STOPPED)
+    trials = result.trials
+    is_stopped = trials.action == ACTIONS.index(ScenarioAction.PAIR_STOPPED)
+    stopped = int(is_stopped.sum())
     assert stopped > 0
-    receiver_log = bob_records(result.records)
-    assert all(r.action is not ScenarioAction.PAIR_STOPPED for r in receiver_log)
-    assert all(r.bob_pattern is not None for r in receiver_log)
-    assert delivered_sequence(result.records) == intended_stream(config)
+    # the receiver's log holds the trials a photon reached him on: none stopped
+    assert (trials.pattern[is_stopped] == -1).all()
+    assert not is_stopped[trials.pattern >= 0].any()
+    assert delivered_sequence(trials) == intended_stream(config)
     note(9, f"{stopped} stopped pairs left no receiver-side entries; delivery exact")
 
 

@@ -55,6 +55,12 @@ class TestCapacityFromCounts:
         assert report.to_dict() == dataclasses.asdict(report)
         assert report.to_dict()["per_symbol_counts"] == {}
 
+    def test_a_reference_that_rounds_to_zero_keeps_the_exact_alphabet(self):
+        report = capacity_from_counts(1000, 1)
+        assert report.effective_alphabet == 0.004
+        assert report.rounded_reference.effective_alphabet == report.effective_alphabet
+        assert report.rounded_reference.bits_per_pair == math.log2(0.004)
+
     def test_zero_pairs_rejected(self):
         with pytest.raises(ValueError):
             capacity_from_counts(0, 0)

@@ -193,6 +193,12 @@ class TestSimulate:
     def test_bad_flag_exits_1(self, capsys):
         assert run(["simulate", "--scenario", "z"]) == 1
 
+    def test_a_reference_state_is_no_message(self, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "r.json"), "--log", str(tmp_path / "l.csv")]
+        assert run(["simulate", "--messages", "hh,phi+", *out]) == 1
+        assert "'phi+' is not an encodable message" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         code = run(
             [

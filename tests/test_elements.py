@@ -70,6 +70,10 @@ class TestBeamSplitter:
 
 
 class TestPBS:
+    def test_identical_paths_rejected(self, reg):
+        with pytest.raises(ValueError, match="two distinct paths"):
+            pbs(reg, "alice", "alice")
+
     def test_is_permutation(self, reg):
         mat = pbs(reg, "alice", "bob").matrix
         assert np.array_equal(np.abs(mat), np.abs(mat) ** 2)  # entries 0/1

@@ -34,16 +34,21 @@ from sdcsim.protocol import (
     OpticalBench,
     Optics,
     Scenario,
+    Verdict,
     default_bench,
 )
 from sdcsim.session import (
     ACTIONS,
     BRANCHES,
+    NOTE_KINDS,
     NoteKind,
     RunConfig,
+    ScenarioAction,
     Session,
     Trials,
     _cycled,
+    bob_reconstruction,
+    delivered_sequence,
     run_session,
 )
 from sdcsim.verify import (
@@ -337,15 +342,56 @@ def test_trials_count_their_rows_once(n):
             array[:1] = 0
 
 
+def test_trials_own_their_rows():
+    table = Session(RunConfig(Scenario.A, 1, 0)).table
+    row = np.zeros(4, np.int16)
+    trials = Trials(row, 0, table)
+    tally = trials.tally()
+    row[:] = 1  # the caller's array, not the trials' rows
+    assert trials.row_counts()[:2].tolist() == [4, 0]
+    assert np.bincount(trials.row).tolist() == [4]
+    assert np.array_equal(trials.tally(), tally)
+    assert not trials.row.flags.writeable
+    kernel = run_session(RunConfig(Scenario.A, 5, 31)).trials
+    assert Trials(kernel.row, 0, table).row is kernel.row  # a read-only row is kept, not copied
+
+
 @pytest.mark.parametrize(
     "fields", [dict(scenario=Scenario.B), dict(scenario=Scenario.C, erase_notes=True)]
 )
-def test_notes_are_read_without_building_records(fields):
+def test_notes_are_built_on_first_read(fields):
     result = run_session(RunConfig(n_messages=3_000, seed=12, classical_delay=4, **fields))
-    notes = list(result.notes)
-    assert "data" not in vars(result.records)  # records still unbuilt
-    sent = [r.note for r in result.records if r.note and r.note.delivered_at is not None]
-    assert notes and notes == sent
+    assert "data" not in vars(result.notes)
+    trials = result.trials
+    kinds = [NOTE_KINDS[k] for k in trials.note.tolist()]
+    sent = [
+        (t, kind, ALPHABET[i] if kind is NoteKind.CORRECT_TO else None, t + 4)
+        for t, i, kind in zip(trials.trial.tolist(), trials.intended.tolist(), kinds)
+        if kind in (NoteKind.CORRECT_TO, NoteKind.ERASE)
+    ]
+    assert sent and [(n.trial, n.kind, n.symbol, n.delivered_at) for n in result.notes] == sent
+
+
+@pytest.mark.parametrize("bench_name", BENCHES)
+def test_receiver_views_are_the_per_trial_loops(bench_name):
+    # on the tilted benches some trials misdecode, so these differ from the stream
+    delivering = (ScenarioAction.SENT, ScenarioAction.CLONED_RESEND)
+    for name, fields in PINNED_CONFIGS.items():
+        config = RunConfig(n_messages=2_000, seed=17, classical_delay=3, **fields)
+        result = run_session(config, _bench(bench_name))
+        trials = result.trials
+        notes = list(result.notes)
+        corrections = {n.trial: n.symbol for n in notes if n.kind is NoteKind.CORRECT_TO}
+        delivered, read = [], []
+        for t, i, a, d in zip(trials.trial.tolist(), trials.intended.tolist(),
+                              trials.action.tolist(), trials.decoded.tolist()):
+            if ACTIONS[a] in delivering:
+                delivered.append(ALPHABET[i])
+            outcome = trials.table.outcomes[d]
+            if outcome is not None and outcome.verdict is Verdict.DECODED:
+                read.append(corrections.get(t, outcome.symbol))
+        assert delivered_sequence(trials) == delivered, name
+        assert bob_reconstruction(trials, notes) == read, name
 
 
 @pytest.mark.parametrize("length", range(1, 8))
@@ -359,20 +405,27 @@ def test_cycled_messages_match_the_modulo_form(length):
             assert np.array_equal(cycled, expected), (start, size)
 
 
-def _log_rows(records):
+def _log_rows(trials):
+    """The event log of these trials, rendered from their columns and their
+    table's patterns and outcomes."""
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
     writer.writerow(["trial", "intended", "branch", "action", "pattern", "decoded", "note"])
-    for r in records:
+    patterns, outcomes = trials.table.patterns, trials.table.outcomes
+    for t, i, b, a, p, d, k in zip(*(column.tolist() for column in trials.columns)):
+        kind = NOTE_KINDS[k]
+        note = "" if kind is None else kind.value
+        if kind is NoteKind.CORRECT_TO:
+            note += f"({ALPHABET[i].value})"
         writer.writerow(
             [
-                r.trial,
-                r.intended.value,
-                r.branch.value,
-                r.action.value,
-                r.bob_pattern.to_string() if r.bob_pattern else "",
-                r.decoded.label if r.decoded else "",
-                str(r.note) if r.note else "",
+                t,
+                ALPHABET[i].value,
+                BRANCHES[b].value,
+                ACTIONS[a].value,
+                patterns[p].to_string() if p >= 0 else "",
+                outcomes[d].label if d >= 0 else "",
+                note,
             ]
         )
     return buffer.getvalue()
@@ -398,14 +451,14 @@ def test_streamed_log_runs_on_across_chunks(argv, fields, tmp_path, monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["simulate", *argv, *out]) == 0
     config = RunConfig(n_messages=n, seed=8, **fields)
-    records = run_session(config).records
-    assert log.read_bytes().decode() == _log_rows(records)
-    assert [r.trial for r in records] == list(range(len(records)))
+    trials = run_session(config).trials
+    assert log.read_bytes().decode() == _log_rows(trials)
+    assert trials.trial.tolist() == list(range(len(trials)))
 
     starts = np.cumsum([0] + [len(c) for c in Session(config).chunks()])[1:-1].tolist()
     assert len(starts) >= 3
     assert any(start % 100 for start in starts)
-    assert 1000 not in starts and len(records) > 1000
+    assert 1000 not in starts and len(trials) > 1000
     notes = run_session(RunConfig(n_messages=n, seed=8, classical_delay=delay, **fields)).notes
     assert all(note.delivered_at == note.trial + delay for note in notes)
     assert all(note.kind is not NoteKind.REPEAT for note in notes)

@@ -42,7 +42,7 @@ from sdcsim.protocol import (
     default_bench,
 )
 from sdcsim.capacity import expected_accounting
-from sdcsim.session import RunConfig, run_session
+from sdcsim.session import BRANCHES, RunConfig, run_session
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -123,6 +123,10 @@ class TestSourceAndStates:
     def test_source_orthogonal_to_psi_minus(self, bench):
         psi_minus = bench.state_for(MessageSymbol.PSI_MINUS)
         assert abs(bench.source_emit().overlap(psi_minus)) < 1e-12
+
+    def test_a_name_is_not_a_state(self, bench):
+        with pytest.raises(ValueError, match="unknown symbol 'psi'"):
+            bench.state_for("psi")
 
     def test_raw_source_decodes_as_psi_plus(self, bench):
         dist = bench.analyze(bench.source_emit())
@@ -205,11 +209,12 @@ class TestEncoder:
     def test_encode_realizes_both_branches(self, bench):
         # a scenario-b session passes on whichever pair the encoder left
         config = RunConfig(Scenario.B, 32, 0, messages=(MessageSymbol.HH,))
-        records = run_session(config, bench).records
-        assert {r.branch for r in records} == {Branch.CONTROLLED, Branch.WRONG}
-        for r in records:
-            target = MessageSymbol.HH if r.branch is Branch.CONTROLLED else MessageSymbol.VV
-            assert r.decoded.symbol is target
+        trials = run_session(config, bench).trials
+        branches = [BRANCHES[b] for b in trials.branch.tolist()]
+        assert set(branches) == {Branch.CONTROLLED, Branch.WRONG}
+        for branch, d in zip(branches, trials.decoded.tolist()):
+            target = MessageSymbol.HH if branch is Branch.CONTROLLED else MessageSymbol.VV
+            assert trials.table.outcomes[d].symbol is target
 
     def test_reference_states_not_encodable(self, bench):
         with pytest.raises(ValueError):

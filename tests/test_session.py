@@ -5,6 +5,7 @@ import pytest
 
 from sdcsim.protocol import (
     ALLOWED_OWNERS,
+    ALPHABET,
     Branch,
     ClonePolicy,
     MessageSymbol,
@@ -13,12 +14,13 @@ from sdcsim.protocol import (
     Verdict,
 )
 from sdcsim.session import (
+    ACTIONS,
+    BRANCHES,
+    NOTE_KINDS,
     InvalidConfigError,
     NoteKind,
     RunConfig,
     ScenarioAction,
-    TrialRecord,
-    bob_records,
     bob_reconstruction,
     delivered_sequence,
     intended_stream,
@@ -29,6 +31,20 @@ PSI_PLUS = MessageSymbol.PSI_PLUS
 PSI_MINUS = MessageSymbol.PSI_MINUS
 HH = MessageSymbol.HH
 VV = MessageSymbol.VV
+
+WRONG = BRANCHES.index(Branch.WRONG)
+SENT = ACTIONS.index(ScenarioAction.SENT)
+STOPPED = ACTIONS.index(ScenarioAction.PAIR_STOPPED)
+
+
+def intended(trials, where=slice(None)):
+    """The intended symbols of these trials, or of those `where` picks."""
+    return [ALPHABET[i] for i in trials.intended[where].tolist()]
+
+
+def decoded(trials, where=slice(None)):
+    """The receiver's readings of these trials, or of those `where` picks."""
+    return [trials.table.outcomes[d] for d in trials.decoded[where].tolist()]
 
 
 class TestRunConfig:
@@ -74,7 +90,7 @@ class TestRunConfig:
         assert config == RunConfig(Scenario.B, 300, 7, classical_delay=2)
         assert {type(v) for v in (config.n_messages, config.seed, config.classical_delay)} == {int}
         result = run_session(config)
-        assert len(result.records) == 300
+        assert len(result.trials) == 300
         # notes past trial 127 are stamped without an int8 overflow
         assert max(note.trial for note in result.notes) > 127
         assert all(note.delivered_at == note.trial + 2 for note in result.notes)
@@ -151,8 +167,14 @@ def _check_delivery(delay: int) -> None:
     for fields in NOTE_SENDERS:
         config = RunConfig(n_messages=200, seed=3, classical_delay=delay, **fields)
         result = run_session(config)
-        sent = [r.note for r in result.records if r.note and r.note.kind is not NoteKind.REPEAT]
-        assert result.notes and result.notes == sent
+        trials = result.trials
+        kinds = [NOTE_KINDS[k] for k in trials.note.tolist()]
+        sent = [(t, kind, symbol)
+                for t, kind, symbol in zip(trials.trial.tolist(), kinds, intended(trials))
+                if kind in (NoteKind.CORRECT_TO, NoteKind.ERASE)]
+        assert result.notes and [(n.trial, n.kind) for n in result.notes] == [s[:2] for s in sent]
+        for n, (_, kind, symbol) in zip(result.notes, sent):
+            assert n.symbol is (symbol if kind is NoteKind.CORRECT_TO else None)
         assert all(n.delivered_at == n.trial + delay for n in result.notes)
         arrivals = [n.delivered_at for n in result.notes]
         assert arrivals == sorted(arrivals)
@@ -170,42 +192,42 @@ class TestClassicalChannel:
         config = RunConfig(Scenario.B, 50, 11, messages=(HH,), classical_delay=1000)
         result = run_session(config)
         assert result.notes
-        assert all(n.delivered_at >= len(result.records) for n in result.notes)
+        assert all(n.delivered_at >= len(result.trials) for n in result.notes)
         assert [n.trial for n in result.notes] == sorted(n.trial for n in result.notes)
-        assert bob_reconstruction(result.records, result.notes) == intended_stream(config)
+        assert bob_reconstruction(result.trials, result.notes) == intended_stream(config)
 
 
 class TestScenarioA:
     def test_bell_messages_always_sent(self):
         config = RunConfig(Scenario.A, 50, 2, messages=(PSI_PLUS, PSI_MINUS))
         result = run_session(config)
-        assert len(result.records) == 50
-        assert all(r.action is ScenarioAction.SENT for r in result.records)
-        assert all(r.decoded.symbol is r.intended for r in result.records)
+        trials = result.trials
+        assert len(trials) == 50
+        assert (trials.action == SENT).all()
+        assert [d.symbol for d in decoded(trials)] == intended(trials)
 
     def test_wrong_branch_discards_and_bob_sees_one_photon(self):
         config = RunConfig(Scenario.A, 200, 7, messages=(HH, VV))
         result = run_session(config)
-        wrong = [r for r in result.records if r.branch is Branch.WRONG]
-        assert wrong, "expected some uncontrolled branches"
-        for r in wrong:
-            assert r.action is ScenarioAction.DISCARDED_BY_ALICE
-            assert r.decoded.verdict is Verdict.SINGLE_PHOTON
-            assert r.bob_pattern.total == 1
-            assert r.note.kind is NoteKind.REPEAT and r.note.delivered_at is None
-        assert result.notes == []  # Repeat notes only label records; none is sent
+        trials = result.trials
+        wrong = trials.branch == WRONG
+        assert wrong.any(), "expected some uncontrolled branches"
+        assert (trials.action[wrong] == ACTIONS.index(ScenarioAction.DISCARDED_BY_ALICE)).all()
+        assert all(d.verdict is Verdict.SINGLE_PHOTON for d in decoded(trials, wrong))
+        assert all(trials.table.patterns[p].total == 1 for p in trials.pattern[wrong].tolist())
+        assert (trials.note[wrong] == NOTE_KINDS.index(NoteKind.REPEAT)).all()
+        assert result.notes == []  # Repeat notes only label trials; none is sent
 
     def test_delivered_equals_intended(self):
         config = RunConfig(Scenario.A, 500, 11)
         result = run_session(config)
-        assert delivered_sequence(result.records) == intended_stream(config)
+        assert delivered_sequence(result.trials) == intended_stream(config)
 
     def test_every_delivered_decode_is_correct(self):
         config = RunConfig(Scenario.A, 300, 13)
-        result = run_session(config)
-        for r in result.records:
-            if r.action is ScenarioAction.SENT:
-                assert r.decoded.symbol is r.intended
+        trials = run_session(config).trials
+        sent = trials.action == SENT
+        assert [d.symbol for d in decoded(trials, sent)] == intended(trials, sent)
 
 
 class TestScenarioB:
@@ -218,20 +240,33 @@ class TestScenarioB:
     def test_send_as_is_emits_corrections(self):
         config = RunConfig(Scenario.B, 600, 17, messages=(HH,))
         result = run_session(config)
-        wrong = [r for r in result.records if r.branch is Branch.WRONG]
+        trials = result.trials
+        wrong = trials.branch == WRONG
         corrections = [n for n in result.notes if n.kind is NoteKind.CORRECT_TO]
-        assert len(corrections) == len(wrong)
-        for r in wrong:
-            assert r.action is ScenarioAction.CLONED_RESEND
-            assert r.decoded.symbol is VV  # the complementary message went out
-            assert r.note.kind is NoteKind.CORRECT_TO and r.note.symbol is HH
+        assert [n.trial for n in corrections] == trials.trial[wrong].tolist()
+        assert all(n.symbol is HH for n in corrections)
+        assert (trials.action[wrong] == ACTIONS.index(ScenarioAction.CLONED_RESEND)).all()
+        # the complementary message went out
+        assert all(d.symbol is VV for d in decoded(trials, wrong))
+        assert (trials.note[wrong] == NOTE_KINDS.index(NoteKind.CORRECT_TO)).all()
 
     @pytest.mark.parametrize("seed", [0, 1, 99])
     @pytest.mark.parametrize("delay", [0, 5])
     def test_reconstruction_matches_intended(self, seed, delay):
         config = RunConfig(Scenario.B, 300, seed, classical_delay=delay)
         result = run_session(config)
-        assert bob_reconstruction(result.records, result.notes) == intended_stream(config)
+        assert bob_reconstruction(result.trials, result.notes) == intended_stream(config)
+
+    def test_reconstruction_reads_the_notes_it_is_given(self):
+        config = RunConfig(Scenario.B, 300, 5, messages=(HH,))
+        result = run_session(config)
+        notes = list(result.notes)
+        assert notes and bob_reconstruction(result.trials, notes) == [HH] * 300
+        # every trial decodes, so a lost correction leaves its trial's vv standing
+        lost = notes.pop(len(notes) // 2)
+        expected = [HH] * 300
+        expected[lost.trial] = VV
+        assert bob_reconstruction(result.trials, notes) == expected
 
     def test_clone_intended_needs_no_corrections(self):
         config = RunConfig(
@@ -239,31 +274,30 @@ class TestScenarioB:
         )
         result = run_session(config)
         assert not result.notes
-        for r in result.records:
-            assert r.decoded.symbol is r.intended
-        assert bob_reconstruction(result.records, result.notes) == intended_stream(config)
+        assert [d.symbol for d in decoded(result.trials)] == intended(result.trials)
+        assert bob_reconstruction(result.trials, result.notes) == intended_stream(config)
 
 
 class TestScenarioC:
     def test_stopped_pairs_invisible_to_bob(self):
         config = RunConfig(Scenario.C, 400, 29)
         result = run_session(config)
-        stopped = [r for r in result.records if r.action is ScenarioAction.PAIR_STOPPED]
-        assert stopped, "expected some stopped pairs"
-        for r in stopped:
-            assert r.bob_pattern is None and r.decoded is None
-        assert all(r.action is not ScenarioAction.PAIR_STOPPED for r in bob_records(result.records))
+        trials = result.trials
+        stopped = trials.action == STOPPED
+        assert stopped.any(), "expected some stopped pairs"
+        assert (trials.pattern[stopped] == -1).all() and (trials.decoded[stopped] == -1).all()
+        assert (trials.action[trials.pattern >= 0] != STOPPED).all()
 
     def test_delivered_equals_intended(self):
         config = RunConfig(Scenario.C, 400, 31)
         result = run_session(config)
-        assert delivered_sequence(result.records) == intended_stream(config)
+        assert delivered_sequence(result.trials) == intended_stream(config)
 
     def test_bell_only_stream_never_stops(self):
         config = RunConfig(Scenario.C, 200, 37, messages=(PSI_PLUS,))
-        result = run_session(config)
-        assert len(result.records) == 200
-        assert all(r.action is ScenarioAction.SENT for r in result.records)
+        trials = run_session(config).trials
+        assert len(trials) == 200
+        assert (trials.action == SENT).all()
 
     def test_erase_notes_optional(self):
         silent = run_session(RunConfig(Scenario.C, 300, 41, messages=(HH,)))
@@ -271,7 +305,7 @@ class TestScenarioC:
         chatty = run_session(
             RunConfig(Scenario.C, 300, 41, messages=(HH,), erase_notes=True)
         )
-        stopped = sum(1 for r in chatty.records if r.action is ScenarioAction.PAIR_STOPPED)
+        stopped = int((chatty.trials.action == STOPPED).sum())
         erase = [n for n in chatty.notes if n.kind is NoteKind.ERASE]
         assert len(erase) == stopped > 0
 
@@ -282,14 +316,14 @@ class TestDeterminism:
         config = RunConfig(scenario, 250, 4242)
         first = run_session(config)
         second = run_session(config)
-        assert first.records == second.records
+        assert np.array_equal(first.trials.row, second.trials.row)
         assert first.notes == second.notes
         assert first.report == second.report
 
     def test_different_seeds_differ(self):
         a = run_session(RunConfig(Scenario.A, 250, 1))
         b = run_session(RunConfig(Scenario.A, 250, 2))
-        assert a.records != b.records
+        assert not np.array_equal(a.trials.row, b.trials.row)
 
 
 class TestBranchStatistics:
@@ -297,7 +331,7 @@ class TestBranchStatistics:
         n = 4000
         config = RunConfig(Scenario.B, n, 53, messages=(HH,))
         result = run_session(config)
-        wrong = sum(1 for r in result.records if r.branch is Branch.WRONG)
+        wrong = int((result.trials.branch == WRONG).sum())
         sigma = math.sqrt(0.25 / n)
         assert abs(wrong / n - 0.5) < 3 * sigma
 
@@ -313,9 +347,9 @@ class TestReportCounts:
             assert counts.intended == counts.delivered == stream.count(symbol)
             assert counts.repeats == counts.discarded
             assert counts.cloned == 0
-        assert report.pairs_consumed == len(result.records)
+        assert report.pairs_consumed == len(result.trials)
         assert report.messages_delivered == len(stream)
-        assert report.efficiency == pytest.approx(len(stream) / len(result.records))
+        assert report.efficiency == pytest.approx(len(stream) / len(result.trials))
 
     def test_uncontrolled_fraction_bell_messages_zero(self):
         config = RunConfig(Scenario.B, 100, 67, messages=(PSI_PLUS, PSI_MINUS))

@@ -10,10 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from sdcsim import capacity, protocol, session, verify
+from sdcsim import capacity, fock, protocol, session, verify
 from sdcsim.cli import EXIT_CONFIG, main
-from sdcsim.fock import apply_element, sample_outcome
-from sdcsim.protocol import ALPHABET, MessageSymbol, OpticalBench, Optics, Scenario
+from sdcsim.fock import ModeUnitary, apply_element, sample_outcome
+from sdcsim.protocol import (
+    ALPHABET,
+    DetectionPattern,
+    MessageSymbol,
+    OpticalBench,
+    Optics,
+    Scenario,
+)
 from sdcsim.session import CHUNK_MESSAGES, InvalidConfigError, RunConfig, run_session
 from sdcsim.verify import (
     CHECK_ALARM,
@@ -52,11 +59,14 @@ def test_check_names_are_stable(results):
 
 def test_injected_non_unitary_fails_loudly(monkeypatch):
     suite = verify._element_suite
-
-    def with_defect(bench):
-        return {**suite(bench), "injected": np.array([[1.0, 0.1], [0.0, 1.0]])}
-
-    monkeypatch.setattr(verify, "_element_suite", with_defect)
+    with monkeypatch.context() as patch:  # an element built past its constructor's check
+        patch.setattr(fock, "UNITARY_TOL", 1.0)
+        plate = suite(OpticalBench())[-1]
+        # Hermitian, so that the composition check applies it twice instead of
+        # building its dagger, which the restored check would refuse
+        injected = ModeUnitary(plate.registry, plate.target_modes,
+                               np.array([[1.0, 0.1], [0.1, 1.0]]), name="injected")
+    monkeypatch.setattr(verify, "_element_suite", lambda bench: [*suite(bench), injected])
     results = run_verification(branch_trials=5_000)
     unitarity = next(r for r in results if r.name == "element_unitarity")
     assert not unitarity.passed
@@ -66,19 +76,19 @@ def test_injected_non_unitary_fails_loudly(monkeypatch):
 
 def test_element_checks_read_the_elements_the_bench_compiled_with(monkeypatch):
     ideal = verify._element_suite(OpticalBench())
-    assert list(ideal) == [
+    assert [e.name for e in ideal] == [
         "BS(alice,bob)", "PBS(alice,analyzer_out_a)", "PBS(bob,analyzer_out_b)",
         "HWP(0,alice)", "HWP(45,alice)", "pol(H,alice->monitor)", "pol(V,alice->monitor)",
         "HWP(22.5,alice)",
     ]
     analyzer = (("bs",), ("hwp", 10.0), ("pbs", "alice"), ("pbs", "bob"))
     bench = OpticalBench(Optics(psi_minus=(("hwp", 30.0),), analyzer=analyzer))
-    elements = verify._elements(bench)
-    # hh's and vv's plates are equal values but two elements, each checked
+    elements = verify._element_suite(bench)
+    # hh's and vv's plates are equal values, so both checks read one of them
     assert [e.name for e in elements] == [
         "BS(alice,bob)", "HWP(10,alice)", "PBS(alice,analyzer_out_a)", "PBS(bob,analyzer_out_b)",
-        "HWP(30,alice)", "HWP(45,alice)", "pol(H,alice->monitor)", "HWP(45,alice)",
-        "pol(V,alice->monitor)",
+        "HWP(30,alice)", "HWP(45,alice)", "pol(H,alice->monitor)", "pol(V,alice->monitor)",
+        "HWP(22.5,alice)",
     ]
     assert elements[4] is bench.compiled.encoders[ALPHABET.index(MessageSymbol.PSI_MINUS)][0]
     assert verify.check_unitarity(bench).passed
@@ -91,9 +101,36 @@ def test_element_checks_read_the_elements_the_bench_compiled_with(monkeypatch):
     monkeypatch.setattr(verify, "apply_element", spied)
     assert verify.check_composition(bench).passed
     # each element once, then its inverse: itself, or the beam splitter's dagger
-    assert applied[0::2] == list(elements)
-    assert applied[3::2] == list(elements[1:])
+    assert applied[0::2] == elements
+    assert applied[3::2] == elements[1:]
     assert applied[1] is not elements[0]
+
+
+def test_unequal_elements_that_share_a_name_are_each_checked(monkeypatch):
+    bench = OpticalBench(Optics(hh=(("hwp", 45.0), ("polarizer", "H")),
+                                vv=(("hwp", 45.0000001), ("polarizer", "V"))))
+    encoders = bench.compiled.encoders
+    hh = encoders[ALPHABET.index(MessageSymbol.HH)][0]
+    vv = encoders[ALPHABET.index(MessageSymbol.VV)][0]
+    assert hh.name == vv.name == "HWP(45,alice)"
+    assert not np.array_equal(hh.matrix, vv.matrix)
+    measured, applied = [], []
+
+    def defect(matrix):
+        measured.append(matrix)
+        return 0.0
+
+    def spied(state, element):
+        applied.append(element)
+        return apply_element(state, element)
+
+    monkeypatch.setattr(verify, "unitarity_defect", defect)
+    monkeypatch.setattr(verify, "apply_element", spied)
+    assert verify.check_unitarity(bench).passed
+    assert verify.check_composition(bench).passed
+    for plate in (hh, vv):
+        assert any(matrix is plate.matrix for matrix in measured)
+        assert any(element is plate for element in applied)
 
 
 def _blocks(n):
@@ -292,6 +329,22 @@ def test_bad_seed_is_rejected_before_any_check_runs(seed, monkeypatch):
 def test_seed_does_not_change_outcomes():
     for seed in (1, 999):
         assert all_passed(run_verification(seed=seed, branch_trials=20_000))
+
+
+def test_a_misread_message_fails_exact_discrimination(monkeypatch):
+    bench = OpticalBench()
+    classify = bench.classify
+
+    def misread(pattern):  # every hh pattern reads as vv
+        outcome = classify(pattern)
+        if outcome.symbol is MessageSymbol.HH:
+            return classify(DetectionPattern.of(aV=2))
+        return outcome
+
+    monkeypatch.setattr(bench, "classify", misread)
+    result = verify.check_exact_discrimination(bench)
+    assert not result.passed
+    assert result.detail == "hh decodes with prob 0.000000000000"
 
 
 def test_overlapping_signatures_fail_the_check():
