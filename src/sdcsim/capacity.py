@@ -2,8 +2,9 @@
 
 Efficiency is defined against pairs emitted by the source and consumed by a
 session: messages_delivered / pairs_consumed. Bits per pair follow as
-log2(alphabet_size * efficiency). Two figures are always reported side by
-side: the exact value and a coarse display-rounded reference (effective
+log2(4 * efficiency), the log of the effective alphabet (an alphabet of 3 in
+place of 4 gives dense coding's reference). Two figures are always reported
+side by side: the exact value and a coarse display-rounded reference (effective
 alphabet rounded to one decimal before taking the log), since rounding
 2/3 -> 0.67 -> 2.7 shifts the uniform four-message capacity from 1.4150 to
 1.4330 bits and the exact number should never silently absorb that.
@@ -25,10 +26,8 @@ IDEAL_BITS = math.log2(4)
 
 @dataclass(frozen=True)
 class SymbolCounts:
-    intended: int
     delivered: int
-    repeats: int
-    discarded: int
+    repeats: int  # pairs that delivered nothing: discarded (a) or stopped (c)
     cloned: int
     uncontrolled_fraction: float
 
@@ -47,9 +46,7 @@ class CapacityReport:
     efficiency: float
     effective_alphabet: float
     bits_per_pair: float
-    bits_per_received_message: float
     uncontrolled_fraction: float
-    alphabet_size: int
     rounded_reference: RoundedReference
 
     def to_dict(self) -> dict:
@@ -94,9 +91,7 @@ def capacity_from_counts(
         efficiency=efficiency,
         effective_alphabet=effective_alphabet,
         bits_per_pair=math.log2(effective_alphabet),
-        bits_per_received_message=math.log2(alphabet_size),
         uncontrolled_fraction=uncontrolled_fraction,
-        alphabet_size=alphabet_size,
         rounded_reference=_rounded_reference(effective_alphabet),
     )
 
@@ -140,6 +135,9 @@ def expected_accounting(
     b consumes exactly one pair per message.
     """
     dist = dict(distribution or uniform_alphabet())
+    stranger = next((key for key in dist if key not in ALPHABET), None)
+    if stranger is not None:
+        raise ValueError(f"{stranger!r} is not a message of the alphabet")
     total = sum(dist.values())
     if abs(total - 1.0) > 1e-9 or any(p < 0 for p in dist.values()):
         raise ValueError("message distribution must be a probability vector")

@@ -260,6 +260,7 @@ def _intended_distribution(config: RunConfig):
     return {m: w / config.n_messages for m, w in weights.items()}
 
 
+REPORT_SCHEMA = 2  # report.json's layout, as the README's report section describes it
 EVENT_HEADER = ["trial", "intended", "branch", "action", "pattern", "decoded", "note"]
 
 
@@ -344,6 +345,7 @@ def cmd_simulate(args) -> int:
             "bits_per_pair": expected.bits_per_pair,
         }
         payload["rng"] = session.RNG_SCHEME
+        payload["schema"] = REPORT_SCHEMA
         text = json.dumps(payload, indent=2, sort_keys=True)
         report_handle.write(text + "\n")
 

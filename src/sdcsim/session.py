@@ -603,16 +603,13 @@ def build_report(tally: np.ndarray) -> "capacity.CapacityReport":
     pairs = delivered_total = sent_total = 0
     # one row per symbol, in ACTIONS order
     for name, (sent, discarded, stopped, cloned) in zip(_SYMBOL_NAMES, tally.tolist()):
-        # every intended message is driven to delivery, so the two counts
-        # agree; every wrong-branch pair is either repeated (a, c) or cloned (b)
+        # every wrong-branch pair is either repeated (a, c) or cloned (b)
         delivered = sent + cloned
         repeats = discarded + stopped
         rows = delivered + repeats
         per_symbol[name] = capacity.SymbolCounts(
-            intended=delivered,
             delivered=delivered,
             repeats=repeats,
-            discarded=repeats,
             cloned=cloned,
             uncontrolled_fraction=(repeats + cloned) / rows if rows else 0.0,
         )

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,14 @@ from sdcsim.capacity import (
     total_variation_distance,
     uniform_alphabet,
 )
-from sdcsim.protocol import ALPHABET, ClonePolicy, MessageSymbol, Scenario, default_bench
+from sdcsim.protocol import (
+    ALPHABET,
+    ClonePolicy,
+    MessageSymbol,
+    ReferenceState,
+    Scenario,
+    default_bench,
+)
 from sdcsim.session import RunConfig, run_session
 
 
@@ -21,7 +29,6 @@ class TestCapacityFromCounts:
         assert report.efficiency == 1.0
         assert report.effective_alphabet == 4.0
         assert report.bits_per_pair == pytest.approx(2.0)
-        assert report.bits_per_received_message == pytest.approx(2.0)
 
     def test_two_thirds_efficiency(self):
         report = capacity_from_counts(60_000, 40_000)
@@ -49,6 +56,18 @@ class TestCapacityFromCounts:
         assert report.to_dict() == as_dict
         assert list(report.to_dict()) == list(as_dict)
         assert report.to_dict() is not report.to_dict()
+
+    def test_to_dict_states_each_figure_once(self):
+        report = run_session(RunConfig(Scenario.C, 300, 5)).report.to_dict()
+        assert set(report) == {
+            "per_symbol_counts", "pairs_consumed", "messages_delivered", "efficiency",
+            "effective_alphabet", "bits_per_pair", "uncontrolled_fraction",
+            "rounded_reference",
+        }
+        assert list(report["per_symbol_counts"]) == [symbol.value for symbol in ALPHABET]
+        for counts in report["per_symbol_counts"].values():
+            assert set(counts) == {"delivered", "repeats", "cloned", "uncontrolled_fraction"}
+        assert set(report["rounded_reference"]) == {"effective_alphabet", "bits_per_pair"}
 
     def test_to_dict_without_per_symbol_counts(self):
         report = capacity_from_counts(10, 7)
@@ -136,6 +155,16 @@ class TestExpectedAccounting:
     def test_bad_distribution_rejected(self):
         with pytest.raises(ValueError):
             expected_accounting(Scenario.A, {MessageSymbol.HH: 0.7})
+
+    @pytest.mark.parametrize("dist, named", [
+        ({MessageSymbol.HH: 0.5, "vv": 0.5}, "'vv'"),
+        ({"hh": 1.0}, "'hh'"),
+        ({ReferenceState.PHI_PLUS: 1.0}, "ReferenceState.PHI_PLUS"),
+    ], ids=["hh-and-named-vv", "named-hh", "phi+"])
+    def test_a_key_outside_the_alphabet_is_named(self, dist, named):
+        # a key that is no message must not be read as a message never sent
+        with pytest.raises(ValueError, match=re.escape(named)):
+            expected_accounting(Scenario.A, dist)
 
     def test_uniform_alphabet_helper(self):
         dist = uniform_alphabet()

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import sdcsim
-from sdcsim import cli, session, verify
+from sdcsim import capacity, cli, session, verify
 from sdcsim.cli import main
 from sdcsim.protocol import OpticalBench, Optics, Scenario
 from sdcsim.session import CHUNK_MESSAGES, RunConfig
@@ -311,6 +311,17 @@ class TestSimulate:
         assert run(argv) == 0
         rng = json.loads(report_path.read_text())["rng"]
         assert "philox" in rng and str(CHUNK_MESSAGES) in rng
+
+    def test_report_carries_its_schema_and_the_session_blocks(self, tmp_path):
+        report_path = tmp_path / "r.json"
+        argv = ["simulate", "--scenario", "c", "--n", "5", "--out", str(report_path),
+                "--log", str(tmp_path / "l.csv")]
+        assert run(argv) == 0
+        report = json.loads(report_path.read_text())
+        assert report["schema"] == cli.REPORT_SCHEMA == 2
+        # the session's capacity report, and the blocks `simulate` adds to it
+        blocks = {"config", "expected", "rng", "schema"}
+        assert set(report) - blocks == set(capacity.capacity_from_counts(1, 1).to_dict())
 
     def test_json_summary_matches_report_file(self, tmp_path, capsys):
         report_path = tmp_path / "r.json"

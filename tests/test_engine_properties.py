@@ -5,15 +5,16 @@ phases of R's diagonal moved into Q) on a random ordered subset of modes;
 inputs are random superpositions of one- or two-photon basis states.
 
 The last properties are physical laws that owe nothing to the implementation:
-Hong-Ou-Mandel interference with partially distinguishable photons, and
-no-signalling from the sender's encoder to the receiver's photon.
+Hong-Ou-Mandel interference with partially distinguishable photons,
+no-signalling from the sender's encoder to the receiver's photon, and the
+one-half bound of a linear-optics Bell measurement.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -27,7 +28,16 @@ from sdcsim.fock import (
     outcome_distribution,
     superpose,
 )
-from sdcsim.protocol import ALICE, ALPHABET, BOB, OpticalBench, Optics, ProtocolError
+from sdcsim.protocol import (
+    ALICE,
+    ALPHABET,
+    BOB,
+    MessageSymbol,
+    OpticalBench,
+    Optics,
+    ProtocolError,
+    ReferenceState,
+)
 
 TOL = 1e-12
 REG = ModeRegistry.for_paths(["a", "b", "c"])
@@ -165,3 +175,45 @@ def test_the_receivers_photon_alone_carries_no_signal(message, encoder):
     if split.lone_state is not None:
         read += split.wrong_probability * reads_h(split.lone_state)
     assert read == pytest.approx(0.5, abs=TOL)
+
+
+BELL_STATES = (MessageSymbol.PSI_PLUS, MessageSymbol.PSI_MINUS,
+               ReferenceState.PHI_PLUS, ReferenceState.PHI_MINUS)
+DETECTED = (("pbs", ALICE), ("pbs", BOB))  # every mode reaches a detector
+IDEAL_ANALYZER = (("bs",),)
+TILTED_ANALYZER = (("hwp", 67.5), ("hwp", 22.5), ("bs",))
+ANALYZER_SPECS = st.one_of(
+    st.just(("bs",)), st.integers(0, 7).map(lambda k: ("hwp", 22.5 * k))
+)
+
+
+def bell_identification(analyzer) -> float:
+    """The probability that the analyzer, then both PBSs, names a uniformly
+    drawn Bell state without ambiguity: its click pattern has nonzero
+    probability under that Bell state only."""
+    bench = OpticalBench(Optics(analyzer=(*analyzer, *DETECTED)))
+    laws = [bench.analyze(bench.state_for(state)) for state in BELL_STATES]
+
+    def possible(law, pattern):
+        return law.get(pattern, 0.0) > TOL
+
+    return sum(
+        p / len(laws) for law in laws for pattern, p in law.items()
+        if sum(possible(other, pattern) for other in laws) == 1
+    )
+
+
+@pytest.mark.parametrize("analyzer", [IDEAL_ANALYZER, TILTED_ANALYZER], ids=["ideal", "tilted"])
+def test_a_bell_analyzer_can_reach_one_half(analyzer):
+    assert bell_identification(analyzer) == pytest.approx(0.5, abs=TOL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ANALYZER_SPECS, max_size=5))
+@example(list(IDEAL_ANALYZER))
+@example(list(TILTED_ANALYZER))
+def test_no_linear_optics_analyzer_identifies_more_than_half_the_bell_states(analyzer):
+    """Beam splitters and plates, then both PBSs, never identify more than half
+    of the Bell states unambiguously (Lütkenhaus, Calsamiglia & Suominen,
+    PRA 59, 3295, 1999; Vaidman & Yoran, PRA 59, 116, 1999)."""
+    assert bell_identification(analyzer) <= 0.5 + TOL

@@ -24,29 +24,29 @@ SIMULATE = {
 
 PINNED = {
     "a": {
-        "report.json": "2ef0f4afa84dba9412e26e39ed5dcc313337679a85024a78faee466543f4253a",
+        "report.json": "453e4a9ddadfc20e3172845c7f3d50180e79afef98a135d74d529e095bb95c2e",
         "events.csv": "cfbbbdbcd8f05b6e944bc5cae96f228ab47ce1a685941ce7b5e24659fbd4ad06",
-        "stdout": "2ef0f4afa84dba9412e26e39ed5dcc313337679a85024a78faee466543f4253a",
+        "stdout": "453e4a9ddadfc20e3172845c7f3d50180e79afef98a135d74d529e095bb95c2e",
     },
     "b-send-as-is": {
-        "report.json": "ea88a643018d6d5a95a1dccae81b1e2e4a782e92062fa8eeffa25cdd833bd44f",
+        "report.json": "cd20ca3ef913a6bdd5dbfd45a68e1d8864ce1021aa92f8926fe2114b4d47df6a",
         "events.csv": "723f12411ab4bad41f9a639775bb7c7b5606fa9f06e2c13eccff739d7462b779",
-        "stdout": "ea88a643018d6d5a95a1dccae81b1e2e4a782e92062fa8eeffa25cdd833bd44f",
+        "stdout": "cd20ca3ef913a6bdd5dbfd45a68e1d8864ce1021aa92f8926fe2114b4d47df6a",
     },
     "c-erase-notes": {
-        "report.json": "6ca89a71cccb29fd11569ea5e2c207545b249ac17771e995159ece21bae1206c",
+        "report.json": "e7cc0f506b8f1411a44219aba9933911e2cfe1b3eb52c932e821a8623ef6d2b3",
         "events.csv": "7b36fd3625be298c567c7fca2bd2c567d727914fe88e2c01f2d2863636d14403",
-        "stdout": "6ca89a71cccb29fd11569ea5e2c207545b249ac17771e995159ece21bae1206c",
+        "stdout": "e7cc0f506b8f1411a44219aba9933911e2cfe1b3eb52c932e821a8623ef6d2b3",
     },
     "b-clone-intended": {
-        "report.json": "eb5f1d327a894f1651db127d3162cb99d03e3198d0b9bbab705b683a068f48f3",
+        "report.json": "7e48a9df2b0c8a369143e63eb86ebbae3d907ef4b6ddf6c97a50a34a8a7989cd",
         "events.csv": "36094be11ce38a4e84dd2d2c5bb8ee3815912837a518f219339aa1d1e854271c",
-        "stdout": "eb5f1d327a894f1651db127d3162cb99d03e3198d0b9bbab705b683a068f48f3",
+        "stdout": "7e48a9df2b0c8a369143e63eb86ebbae3d907ef4b6ddf6c97a50a34a8a7989cd",
     },
     "a-message-list": {
-        "report.json": "ed1af16029a0c430a7a929d5fae07f8a59fcc65df7773eb6e9a3b23a5d855d76",
+        "report.json": "f42bceeadf73e696ea7e83b8c26dfcafc672a5f6241e3e44b6f4052caa46821b",
         "events.csv": "8d9edb90a3a32c691baf305f3695206668b5729e65b74ec1f9e99556306613f4",
-        "stdout": "ed1af16029a0c430a7a929d5fae07f8a59fcc65df7773eb6e9a3b23a5d855d76",
+        "stdout": "f42bceeadf73e696ea7e83b8c26dfcafc672a5f6241e3e44b6f4052caa46821b",
     },
     "verify": {
         "stdout": "64152c7b2632d26f662820775de0348b270ed45bde461ea1313680bf34e0766c",

@@ -546,12 +546,12 @@ def test_branch_statistics_holds_no_intp_copy_of_its_rows():
 # crosses the chunk boundary
 SHORT_SIZES = (1, 7, 40)
 PINNED_SHORT_SESSIONS = {
-    "a": "5ed17f1be1138b31ec9e21435aac666d9d0d5205e4ac8fd5afa6550ae6f37198",
-    "b-send-as-is": "a3c81c6b8c9bb4c23bb5e597e7291f760b9349d295ecbde5c837ebfef923e1c7",
-    "b-clone-intended": "e4a662b52d3d23fc3c8b1f9a2a6f01974fd5e1a79f59b732ac0bb5229926f783",
-    "c-erase-notes": "8463139f38caba202cc3d29f508a971e407a666656cb5abcc689203a65f6b882",
-    "c": "8015d96851266df8c8cd2da062504e6b03c59fe3aea904ec37c2887417f46bc8",
-    "b-list-two-chunks": "39845485bf561b9bed9db43b165c295b47b2ea5571afa358158a17647bd6cc53",
+    "a": "daa471aa9644ad127071fe5ab6853dfbc19cb784fa40a0b299dc834f64579a6d",
+    "b-send-as-is": "0b85428da15ed5bb2c704656063c6fa0ab2d5f3c475ad40420acebbf8013cb0f",
+    "b-clone-intended": "f4a8d95925f3ab531f1f4e4581f1cd5cda6c402ce2860878c61a07afc5cebe0e",
+    "c-erase-notes": "9120d98a94cac61be1dde6d74c6644b0d9295ea5bee02b2095f20d74a74da231",
+    "c": "9aa72f48a05810353fa9e460d6d1a6ac7c49f8db6294c263a9b4ddbe25e9b7c2",
+    "b-list-two-chunks": "e416e9977183a09f3fb8177777bfa13197f0d8e0466d2fd8bdf1e2edd5701987",
 }
 
 

@@ -344,12 +344,31 @@ class TestReportCounts:
         stream = intended_stream(config)
         for symbol in (PSI_PLUS, PSI_MINUS, HH, VV):
             counts = report.per_symbol_counts[symbol.value]
-            assert counts.intended == counts.delivered == stream.count(symbol)
-            assert counts.repeats == counts.discarded
+            assert counts.delivered == stream.count(symbol)
             assert counts.cloned == 0
         assert report.pairs_consumed == len(result.trials)
         assert report.messages_delivered == len(stream)
         assert report.efficiency == pytest.approx(len(stream) / len(result.trials))
+
+    @pytest.mark.parametrize("wiring", [
+        dict(scenario=Scenario.A),
+        dict(scenario=Scenario.B),
+        dict(scenario=Scenario.B, clone_policy=ClonePolicy.CLONE_INTENDED),
+        dict(scenario=Scenario.C),
+        dict(scenario=Scenario.C, erase_notes=True),
+    ], ids=["a", "b-send-as-is", "b-clone-intended", "c", "c-erase-notes"])
+    @pytest.mark.parametrize("messages", ["uniform", (HH, PSI_PLUS, VV)],
+                             ids=["uniform", "hh,psi+,vv"])
+    def test_per_symbol_counts_sum_to_the_totals(self, wiring, messages):
+        config = RunConfig(n_messages=600, seed=71, messages=messages, **wiring)
+        report = run_session(config).report
+        counts = report.per_symbol_counts.values()
+        assert sum(c.delivered for c in counts) == report.messages_delivered == 600
+        assert sum(c.delivered + c.repeats for c in counts) == report.pairs_consumed
+        if config.scenario is Scenario.B:
+            assert all(c.repeats == 0 for c in counts)
+        else:
+            assert all(c.cloned == 0 for c in counts)
 
     def test_uncontrolled_fraction_bell_messages_zero(self):
         config = RunConfig(Scenario.B, 100, 67, messages=(PSI_PLUS, PSI_MINUS))
