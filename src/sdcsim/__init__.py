@@ -8,7 +8,6 @@ them. See the README for the command-line interface.
 
 from .capacity import (
     CapacityReport,
-    ExpectedAccounting,
     SymbolCounts,
     capacity_from_counts,
     expected_accounting,

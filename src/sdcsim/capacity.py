@@ -1,7 +1,8 @@
 """Channel-capacity accounting and distribution comparison utilities.
 
-Efficiency is defined against pairs emitted by the source and consumed by a
-session: messages_delivered / pairs_consumed. Bits per pair follow as
+A capacity report counts the pairs the source emitted into a session and the
+messages they delivered, in total and per message symbol. Efficiency is
+messages_delivered / pairs_consumed. Bits per pair follow as
 log2(4 * efficiency), the log of the effective alphabet (an alphabet of 3 in
 place of 4 gives dense coding's reference). Two figures are always reported
 side by side: the exact value and a coarse display-rounded reference (effective
@@ -9,8 +10,10 @@ alphabet rounded to one decimal before taking the log), since rounding
 2/3 -> 0.67 -> 2.7 shifts the uniform four-message capacity from 1.4150 to
 1.4330 bits and the exact number should never silently absorb that.
 
-The analytic expectations are computed from the optics: branch probabilities
-and retry costs come from a bench's compiled encoder splits.
+`capacity_from_counts` is the one derivation of these figures from counts. A
+session's report holds its sampled counts; `expected_accounting` holds the
+counts one delivered message costs in expectation, computed from a bench's
+compiled encoder splits, so the two reports pair up field by field.
 """
 
 from __future__ import annotations
@@ -26,9 +29,12 @@ IDEAL_BITS = math.log2(4)
 
 @dataclass(frozen=True)
 class SymbolCounts:
-    delivered: int
-    repeats: int  # pairs that delivered nothing: discarded (a) or stopped (c)
-    cloned: int
+    """One symbol's counts: integers in a session's report, expected shares of
+    one delivered message in `expected_accounting`'s."""
+
+    delivered: float
+    repeats: float  # pairs that delivered nothing: discarded (a) or stopped (c)
+    cloned: float
     uncontrolled_fraction: float
 
 
@@ -40,14 +46,23 @@ class RoundedReference:
 
 @dataclass(frozen=True)
 class CapacityReport:
+    """A session's counts, or their expectation per delivered message
+    (`expected_accounting`), with the figures `capacity_from_counts` derives."""
+
     per_symbol_counts: dict[str, SymbolCounts]
-    pairs_consumed: int
-    messages_delivered: int
+    pairs_consumed: float
+    messages_delivered: float
     efficiency: float
     effective_alphabet: float
     bits_per_pair: float
     uncontrolled_fraction: float
     rounded_reference: RoundedReference
+
+    @property
+    def discard_fraction(self) -> float:
+        """The share of pairs that delivered no message: discarded attempts (a),
+        stopped pairs (c), none in b. Not a field, so `to_dict` leaves it out."""
+        return (self.pairs_consumed - self.messages_delivered) / self.pairs_consumed
 
     def to_dict(self) -> dict:
         """The report as nested dicts of its fields, as `dataclasses.asdict` gives
@@ -68,18 +83,18 @@ def _rounded_reference(effective_alphabet: float) -> RoundedReference:
 
 
 def capacity_from_counts(
-    pairs_consumed: int,
-    messages_delivered: int,
+    pairs_consumed: float,
+    messages_delivered: float,
     per_symbol: dict[str, SymbolCounts] | None = None,
     alphabet_size: int = 4,
     uncontrolled_fraction: float = 0.0,
 ) -> CapacityReport:
-    """Derive all capacity figures from raw session counts."""
-    if pairs_consumed < 1:
+    """Derive all capacity figures from session counts, sampled or expected."""
+    if not pairs_consumed > 0:
         raise ValueError("capacity is undefined without consumed pairs")
-    if not 1 <= messages_delivered <= pairs_consumed:
+    if not 0 < messages_delivered <= pairs_consumed:
         raise ValueError(
-            f"need 1 <= messages_delivered <= pairs_consumed, got "
+            f"need 0 < messages_delivered <= pairs_consumed, got "
             f"{messages_delivered}/{pairs_consumed}"
         )
     efficiency = messages_delivered / pairs_consumed
@@ -96,28 +111,6 @@ def capacity_from_counts(
     )
 
 
-@dataclass(frozen=True)
-class ExpectedSymbolShare:
-    pairs_per_message: float
-    delivered_share: float  # fraction of all consumed pairs that deliver this symbol
-    repeat_share: float  # fraction of all consumed pairs wasted on this symbol
-    uncontrolled_fraction: float  # wrong-branch probability per attempt
-
-
-@dataclass(frozen=True)
-class ExpectedAccounting:
-    """Analytic expectations from branch probabilities, no sampling involved."""
-
-    scenario: Scenario
-    efficiency: float
-    discard_fraction: float
-    uncontrolled_fraction: float
-    effective_alphabet: float
-    bits_per_pair: float
-    rounded_reference: RoundedReference
-    per_symbol: dict[str, ExpectedSymbolShare]
-
-
 def uniform_alphabet() -> dict[MessageSymbol, float]:
     return {symbol: 1.0 / len(ALPHABET) for symbol in ALPHABET}
 
@@ -126,13 +119,16 @@ def expected_accounting(
     scenario: Scenario,
     distribution: Mapping[MessageSymbol, float] | None = None,
     bench: OpticalBench | None = None,
-) -> ExpectedAccounting:
-    """Exact expected capacity accounting for a message distribution.
+) -> CapacityReport:
+    """The capacity report a session gives in expectation, per delivered message.
 
     Each symbol's wrong-branch probability comes from the encoder of `bench`
-    (the default bench if None). Scenarios a and c retry a failed attempt on a
-    fresh pair, a geometric cost of 1/p_controlled pairs per message; scenario
-    b consumes exactly one pair per message.
+    (the default bench if None). A symbol of weight p delivers p messages.
+    Scenarios a and c retry a failed attempt on a fresh pair, a geometric cost
+    of 1/p_controlled pairs per message, whose extra pairs are its repeats;
+    scenario b consumes exactly one pair per message, and its wrong-branch
+    pairs are cloned. Each symbol's uncontrolled fraction is its wrong-branch
+    probability per attempt.
     """
     dist = dict(distribution or uniform_alphabet())
     stranger = next((key for key in dist if key not in ALPHABET), None)
@@ -143,39 +139,22 @@ def expected_accounting(
         raise ValueError("message distribution must be a probability vector")
     retries = scenario in (Scenario.A, Scenario.C)
     per_symbol = {}
-    pairs_per_delivery = 0.0
-    uncontrolled_weight = 0.0
+    pairs = delivered = 0.0
     for symbol, branches in zip(ALPHABET, (bench or default_bench()).compiled.branches):
         p = dist.get(symbol, 0.0)
         wrong = branches.wrong_probability
         cost = 1.0 / branches.controlled_probability if retries else 1.0
-        pairs_per_delivery += p * cost
-        # expected wrong-branch attempts per message: cost-1 when retrying,
-        # else the single attempt goes wrong with probability `wrong`
-        uncontrolled_weight += p * ((cost - 1.0) if retries else wrong)
-        per_symbol[symbol] = (p, cost, wrong)
-    efficiency = 1.0 / pairs_per_delivery
-    discard_fraction = (pairs_per_delivery - 1.0) / pairs_per_delivery
-    attempts_per_delivery = pairs_per_delivery if retries else 1.0
-    shares = {
-        symbol.value: ExpectedSymbolShare(
-            pairs_per_message=cost,
-            delivered_share=p / pairs_per_delivery,
-            repeat_share=p * (cost - 1.0) / pairs_per_delivery,
+        per_symbol[symbol.value] = SymbolCounts(
+            delivered=p,
+            repeats=p * (cost - 1.0),
+            cloned=0.0 if retries else p * wrong,
             uncontrolled_fraction=wrong,
         )
-        for symbol, (p, cost, wrong) in per_symbol.items()
-    }
-    effective_alphabet = len(ALPHABET) * efficiency
-    return ExpectedAccounting(
-        scenario=scenario,
-        efficiency=efficiency,
-        discard_fraction=discard_fraction,
-        uncontrolled_fraction=uncontrolled_weight / attempts_per_delivery,
-        effective_alphabet=effective_alphabet,
-        bits_per_pair=math.log2(effective_alphabet),
-        rounded_reference=_rounded_reference(effective_alphabet),
-        per_symbol=shares,
+        pairs += p * cost
+        delivered += p
+    uncontrolled = sum(c.repeats + c.cloned for c in per_symbol.values())
+    return capacity_from_counts(
+        pairs, delivered, per_symbol, uncontrolled_fraction=uncontrolled / pairs
     )
 
 

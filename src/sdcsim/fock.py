@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -228,14 +227,12 @@ class ModeUnitary:
         )
 
 
-@lru_cache(maxsize=64)
 def compose(elements: tuple[ModeUnitary, ...]) -> ModeUnitary:
     """One element that acts like ``elements`` applied in order, first first.
 
     Its target modes are the union of theirs, in order of first appearance,
     and its matrix is the product of their matrices on that union: each
-    element mixes only the rows of its own target modes. Memoized by the
-    elements' identities, so a compiled bench's analyzer composes once.
+    element mixes only the rows of its own target modes.
     """
     if not elements:
         raise ValueError("compose needs at least one element")

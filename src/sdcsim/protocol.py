@@ -213,12 +213,13 @@ class CompiledBench:
     written: its containers are tuples and a mapping proxy, its arrays are
     read-only. `encoders` holds the elements each message's encoder is built
     from, in ALPHABET order, and `analyzer` the analyzer's, in the order
-    they act. `branches` holds each message's encoder split, in ALPHABET
-    order, and `p_controlled` its controlled probability. Column t of `sums`
-    and `codes` lays out analyzer law t for sampling: its running sums over
-    `patterns` codes without the last, which are the boundaries
-    `fock.sample_outcome` counts, then +inf, and its pattern codes in order,
-    then -1. `codes` is as deep as the widest law, and `sums`, which holds
+    they act; `composed_analyzer` is those composed into the one element
+    that every law, and `OpticalBench.analyze`, applies. `branches` holds
+    each message's encoder split, in ALPHABET order, and `p_controlled` its
+    controlled probability. Column t of `sums` and `codes` lays out analyzer
+    law t for sampling: its running sums over `patterns` codes without the
+    last, which are the boundaries `fock.sample_outcome` counts, then +inf,
+    and its pattern codes in order, then -1. `codes` is as deep as the widest law, and `sums`, which holds
     only boundaries, one row less. The laws are first the controlled pair of
     each message, at its ALPHABET code, then the receiver's lone photon after
     a reject-port click, which `lone_table` indexes per message, then the
@@ -232,6 +233,7 @@ class CompiledBench:
 
     encoders: tuple[tuple[ModeUnitary, ...], ...]
     analyzer: tuple[ModeUnitary, ...]
+    composed_analyzer: ModeUnitary
     branches: tuple[EncodeBranches, ...]
     p_controlled: np.ndarray  # float64, per message, read-only
     signatures: Mapping[MessageSymbol, frozenset[DetectionPattern]]
@@ -358,7 +360,7 @@ class OpticalBench:
 
     def analyze(self, state: PureState) -> dict[DetectionPattern, float]:
         """Exact detector statistics of this bench's analyzer."""
-        return _analyze(state, compose(self.compiled.analyzer))
+        return _analyze(state, self.compiled.composed_analyzer)
 
     # ---- compiled model ----------------------------------------------------
 
@@ -469,6 +471,7 @@ def compile_optics(optics: Optics) -> CompiledBench:
     return CompiledBench(
         encoders=encoders,
         analyzer=analyzer_elements,
+        composed_analyzer=analyzer,
         branches=branches,
         p_controlled=_read_only(np.array([b.controlled_probability for b in branches])),
         signatures=MappingProxyType(signatures),

@@ -120,7 +120,8 @@ def test_criterion_06_capacity_accounting_analytic():
     assert abs(acc.efficiency - 2.0 / 3.0) < EXACT
     assert abs(acc.discard_fraction - 1.0 / 3.0) < EXACT
     for symbol in ALPHABET:
-        assert abs(acc.per_symbol[symbol.value].delivered_share - 1.0 / 6.0) < EXACT
+        delivered = acc.per_symbol_counts[symbol.value].delivered
+        assert abs(delivered / acc.pairs_consumed - 1.0 / 6.0) < EXACT
     assert abs(acc.bits_per_pair - 1.4150) < 0.0005
     assert abs(acc.rounded_reference.bits_per_pair - 1.433) < 0.0005
     dense = capacity_from_counts(1000, 1000, alphabet_size=3)

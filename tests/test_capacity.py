@@ -3,9 +3,10 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sdcsim import cli
 from sdcsim.capacity import (
     capacity_from_counts,
     expected_accounting,
@@ -58,16 +59,18 @@ class TestCapacityFromCounts:
         assert report.to_dict() is not report.to_dict()
 
     def test_to_dict_states_each_figure_once(self):
-        report = run_session(RunConfig(Scenario.C, 300, 5)).report.to_dict()
-        assert set(report) == {
-            "per_symbol_counts", "pairs_consumed", "messages_delivered", "efficiency",
-            "effective_alphabet", "bits_per_pair", "uncontrolled_fraction",
-            "rounded_reference",
-        }
-        assert list(report["per_symbol_counts"]) == [symbol.value for symbol in ALPHABET]
-        for counts in report["per_symbol_counts"].values():
-            assert set(counts) == {"delivered", "repeats", "cloned", "uncontrolled_fraction"}
-        assert set(report["rounded_reference"]) == {"effective_alphabet", "bits_per_pair"}
+        observed = run_session(RunConfig(Scenario.C, 300, 5)).report
+        # the expected report has the observed one's shape, field by field
+        for report in (observed.to_dict(), expected_accounting(Scenario.C).to_dict()):
+            assert set(report) == {
+                "per_symbol_counts", "pairs_consumed", "messages_delivered", "efficiency",
+                "effective_alphabet", "bits_per_pair", "uncontrolled_fraction",
+                "rounded_reference",
+            }
+            assert list(report["per_symbol_counts"]) == [symbol.value for symbol in ALPHABET]
+            for counts in report["per_symbol_counts"].values():
+                assert set(counts) == {"delivered", "repeats", "cloned", "uncontrolled_fraction"}
+            assert set(report["rounded_reference"]) == {"effective_alphabet", "bits_per_pair"}
 
     def test_to_dict_without_per_symbol_counts(self):
         report = capacity_from_counts(10, 7)
@@ -106,13 +109,14 @@ class TestExpectedAccounting:
         assert acc.bits_per_pair == pytest.approx(1.4150, abs=5e-4)
         assert acc.rounded_reference.bits_per_pair == pytest.approx(1.433, abs=5e-4)
         for symbol in MessageSymbol:
-            share = acc.per_symbol[symbol.value]
-            assert share.delivered_share == pytest.approx(1.0 / 6.0, abs=1e-12)
+            delivered = acc.per_symbol_counts[symbol.value].delivered
+            assert delivered / acc.pairs_consumed == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_uniform_repeat_shares(self):
         acc = expected_accounting(Scenario.C)
-        assert acc.per_symbol["hh"].repeat_share == pytest.approx(1.0 / 6.0, abs=1e-12)
-        assert acc.per_symbol["psi+"].repeat_share == 0.0
+        counts = acc.per_symbol_counts
+        assert counts["hh"].repeats / acc.pairs_consumed == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert counts["psi+"].repeats == 0.0
 
     def test_scenario_b_uses_every_pair(self):
         acc = expected_accounting(Scenario.B)
@@ -151,6 +155,27 @@ class TestExpectedAccounting:
             pairs += p * (1.0 / branches.controlled_probability if retried else 1.0)
         efficiency = expected_accounting(scenario, dist).efficiency
         assert efficiency == pytest.approx(1.0 / pairs, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        messages=st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=12),
+        n=st.integers(1, 60),
+        scenario=st.sampled_from(list(Scenario)),
+    )
+    @example(
+        messages=[MessageSymbol.PSI_MINUS, MessageSymbol.VV, MessageSymbol.PSI_MINUS,
+                  MessageSymbol.PSI_PLUS, MessageSymbol.HH],
+        n=7,
+        scenario=Scenario.B,
+    )
+    def test_listed_streams_never_expect_more_than_every_pair(self, messages, n, scenario):
+        # the stream's weights are count / n, which need not sum to exactly 1
+        config = RunConfig(scenario, n, 0, messages=tuple(messages))
+        acc = expected_accounting(scenario, cli._intended_distribution(config))
+        if scenario is Scenario.B:
+            assert (acc.efficiency, acc.discard_fraction, acc.bits_per_pair) == (1.0, 0.0, 2.0)
+        else:
+            assert acc.efficiency <= 1.0 and acc.discard_fraction >= 0.0
 
     def test_bad_distribution_rejected(self):
         with pytest.raises(ValueError):

@@ -533,7 +533,7 @@ class TestMemoizedElements:
         plate = hwp(tilted.registry, 22.5, ALICE)
         expected = (ideal.analyzer[0], plate, *ideal.analyzer[1:])
         assert as_values(tilted.compiled.analyzer) == as_values(expected)
-        assert compose(tilted.compiled.analyzer).name != compose(ideal.analyzer).name
+        assert tilted.compiled.composed_analyzer.name != ideal.composed_analyzer.name
         assert tilted.compiled.signatures != ideal.signatures
         # analyze applies the record's elements in order
         state = tilted.source_emit()
@@ -545,6 +545,16 @@ class TestMemoizedElements:
         assert all(law[p] == pytest.approx(by_hand[p.counts], abs=1e-12) for p in law)
         restored = OpticalBench(Optics(analyzer=(specs[0], *specs[2:])))
         assert restored.compiled is ideal is OpticalBench().compiled
+
+    def test_analyze_applies_the_compiled_analyzer(self, bench, monkeypatch):
+        composed = bench.compiled.composed_analyzer
+        assert as_values([composed]) == as_values([compose(bench.compiled.analyzer)])
+        # the composed element is stored at compile time, never composed again
+        monkeypatch.setattr(protocol, "compose", None)
+        state = bench.source_emit()
+        analyzed = apply_element(state, composed)
+        by_hand = outcome_distribution(analyzed, protocol.ANALYZER_DETECTORS)
+        assert {p.counts: q for p, q in bench.analyze(state).items()} == by_hand
 
     def test_elements_are_keyed_by_every_argument(self, bench):
         hwp45 = bench.compiled.encoders[ALPHABET.index(MessageSymbol.HH)][0]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sdcsim.capacity import expected_accounting
 from sdcsim.protocol import (
     ALLOWED_OWNERS,
     ALPHABET,
@@ -362,13 +363,20 @@ class TestReportCounts:
     def test_per_symbol_counts_sum_to_the_totals(self, wiring, messages):
         config = RunConfig(n_messages=600, seed=71, messages=messages, **wiring)
         report = run_session(config).report
-        counts = report.per_symbol_counts.values()
-        assert sum(c.delivered for c in counts) == report.messages_delivered == 600
-        assert sum(c.delivered + c.repeats for c in counts) == report.pairs_consumed
-        if config.scenario is Scenario.B:
-            assert all(c.repeats == 0 for c in counts)
-        else:
-            assert all(c.cloned == 0 for c in counts)
+        assert report.messages_delivered == 600
+        # the expected report keeps the same books, per delivered message
+        dist = None if messages == "uniform" else dict.fromkeys(messages, 1 / len(messages))
+        expected = expected_accounting(config.scenario, dist)
+        for r in (report, expected):
+            counts = r.per_symbol_counts.values()
+            delivered = sum(c.delivered for c in counts)
+            assert delivered == pytest.approx(r.messages_delivered, abs=1e-12)
+            pairs = sum(c.delivered + c.repeats for c in counts)
+            assert pairs == pytest.approx(r.pairs_consumed, abs=1e-12)
+            if config.scenario is Scenario.B:
+                assert all(c.repeats == 0 for c in counts)
+            else:
+                assert all(c.cloned == 0 for c in counts)
 
     def test_uncontrolled_fraction_bell_messages_zero(self):
         config = RunConfig(Scenario.B, 100, 67, messages=(PSI_PLUS, PSI_MINUS))

@@ -1,0 +1,196 @@
+"""Record the benchmark of one or more source trees into a BENCH_<n>.json file.
+
+    python3 tools/bench_record.py --out BENCH_26.json --tree parent=HEAD~1 --tree change=.
+
+Each tree is `LABEL=REV`: REV is a git revision, exported with `git archive`,
+or `.` for the files `git ls-files` lists in the working tree (a checkout's
+untracked caches slow the benchmark down, so it never runs in place). Every
+tree is copied to a temporary directory, and its own `perfbench/run.py` runs
+there at `perfbench/run.py`'s own run length: each workload at seeds 1 and
+7777, RUNS times each, then each workload once with `--trace 1` at seed 1.
+The trees take turns: each pass runs them in the opposite order to the pass
+before, so no tree always runs first and a slow minute of the machine falls
+on all of them alike. With two trees, each workload gets 2 * RUNS pairs,
+half of them led by each tree.
+
+The output holds, per tree: the source commit, the `src/sdcsim` line counts
+(physical, code-only and docstring lines, by `ast` and `tokenize`), and per
+workload the median and quartiles of each end-to-end metric over the runs of
+each seed, with the digests and operation counts; and the traced run's
+per-layer values, keyed by the layers L0-L4 of the ROADMAP's aim 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+import tokenize
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 7777)  # perfbench's default and held-out workload seeds
+RUNS = 5  # runs per tree, workload and seed: 10 pairs per workload over the two seeds
+
+# traced span metrics by layer, matched on the metric name's prefix
+LAYERS = {
+    "L0": ("elements.", "fock.apply_element.", "fock.branch_on_modes.",
+           "fock.outcome_distribution.", "protocol.analyze."),
+    "L1": ("protocol.bench_init.", "protocol.signature_table.", "protocol.encode_branches.",
+           "session.compile."),
+    "L2": ("session.scenario_step.", "session.trial_rng.", "protocol.classify.",
+           "session.run_session.", "fock.sample_outcome.", "session.useful_ratio"),
+    "L3": ("session.build_report.", "capacity."),
+    "L4": ("cli.", "verify.", "session.rss_bytes_per_trial"),
+    "trace": ("trace.",),
+}
+
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def _copy_tree(rev: str, dest: Path) -> str:
+    """Copy the tree of `rev` into `dest`; return its commit, marked if edited."""
+    if rev != ".":
+        subprocess.run(["tar", "-x", "-C", str(dest)], input=_git("archive", rev), check=True)
+        return _git("rev-parse", rev).decode().strip()
+    for name in _git("ls-files", "-z").decode().split("\0"):
+        source = ROOT / name
+        if name and source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            (dest / name).write_bytes(source.read_bytes())
+    edited = bool(_git("status", "--porcelain", "--untracked-files=no").strip())
+    return _git("rev-parse", "HEAD").decode().strip() + ("+edits" if edited else "")
+
+
+def line_counts(package: Path) -> dict:
+    """Physical lines of the package's modules, the lines holding code once
+    blanks, comments and docstrings are left out, and the docstring lines."""
+    physical = code = docstrings = 0
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        physical += len(text.splitlines())
+        doc_lines = set()
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, DOCUMENTED):
+                continue
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                doc_lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+        skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+        code_lines = set()
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type not in skip and token.start[0] not in doc_lines:
+                code_lines.update(range(token.start[0], token.end[0] + 1))
+        code += len(code_lines)
+        docstrings += len(doc_lines)
+    return {"physical": physical, "code_only": code, "docstring": docstrings}
+
+
+def _run(copy: Path, workload: str, seed: int, trace: int) -> dict:
+    """One `perfbench/run.py` process in `copy`; its run record."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--trace", str(trace)]
+    child = subprocess.run(cmd, cwd=copy, capture_output=True, text=True)
+    if child.returncode:
+        raise SystemExit(f"{' '.join(cmd)} in {copy} exited {child.returncode}:\n{child.stderr}")
+    record = copy / ".perfbench-out" / f"{workload}-seed{seed}-trace{trace}.json"
+    return json.loads(record.read_text())
+
+
+def _summary(values: list[float]) -> dict:
+    if len(values) > 1:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = values[0]
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def _layers(metrics: dict) -> dict:
+    layers = {layer: {} for layer in LAYERS}
+    for name, metric in sorted(metrics.items()):
+        layer = next((k for k, prefixes in LAYERS.items() if name.startswith(prefixes)), "other")
+        layers.setdefault(layer, {})[name] = metric["value"]
+    return layers
+
+
+def _turn(order: list, n: int) -> list:
+    """The trees in `order` on even passes `n`, reversed on odd ones."""
+    return order[::-1] if n % 2 else order
+
+
+def record(trees: dict[str, str]) -> dict:
+    with tempfile.TemporaryDirectory(prefix="bench-record-") as scratch:
+        copies, out = {}, {}
+        for label, rev in trees.items():
+            copies[label] = Path(scratch) / label
+            copies[label].mkdir()
+            commit = _copy_tree(rev, copies[label])
+            out[label] = {"rev": rev, "commit": commit,
+                          "src_sdcsim_lines": line_counts(copies[label] / "src" / "sdcsim"),
+                          "workloads": {}}
+        spec = json.loads((next(iter(copies.values())) / "BENCHMARK.json").read_text())
+        workloads = [w["name"] for w in spec["workloads"]]
+        records = {(label, w, s): [] for label in trees for w in workloads for s in SEEDS}
+        order = list(copies.items())
+        for run in range(RUNS):
+            for w in workloads:
+                for i, s in enumerate(SEEDS):
+                    for label, copy in _turn(order, run + i):
+                        print(f"{label} {w} seed {s}", file=sys.stderr, flush=True)
+                        records[label, w, s].append(_run(copy, w, s, 0))
+        traced = {}
+        for j, w in enumerate(workloads):
+            for label, copy in _turn(order, j):
+                print(f"{label} {w} traced", file=sys.stderr, flush=True)
+                traced[label, w] = _run(copy, w, SEEDS[0], 1)
+    environment = None
+    for (label, w, s), runs_of in records.items():
+        environment = environment or {k: v for k, v in runs_of[0]["environment"].items()
+                                      if k in ("nproc", "numpy", "python")}
+        entry = out[label]["workloads"].setdefault(w, {"seeds": {}})
+        entry["seeds"][str(s)] = {
+            "digests": sorted({r["digest"] for r in runs_of}),
+            "attempted": sum(r["attempted"] for r in runs_of),
+            "failed": sum(r["failed"] for r in runs_of),
+            "seconds": runs_of[0]["seconds"],
+            "end_to_end": {
+                name: {"unit": metric["unit"],
+                       **_summary([r["metrics"][name]["value"] for r in runs_of])}
+                for name, metric in runs_of[0]["metrics"].items()
+            },
+        }
+        if (label, w) in traced:
+            trace = traced.pop((label, w))
+            entry["traced"] = {"seed": trace["seed"], "failed": trace["failed"],
+                               "absent_targets": trace.get("absent_targets", []),
+                               "layers": _layers(trace["metrics"])}
+    return {"environment": environment, "seeds": SEEDS, "runs_per_seed": RUNS, "trees": out}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--tree", action="append", required=True, metavar="LABEL=REV",
+                        help="a tree to record (repeatable)")
+    args = parser.parse_args(argv)
+    if not all("=" in tree for tree in args.tree):
+        parser.error("--tree takes LABEL=REV")
+    result = record(dict(tree.split("=", 1) for tree in args.tree))
+    args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
