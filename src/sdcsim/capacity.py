@@ -128,7 +128,8 @@ def expected_accounting(
     of 1/p_controlled pairs per message, whose extra pairs are its repeats;
     scenario b consumes exactly one pair per message, and its wrong-branch
     pairs are cloned. Each symbol's uncontrolled fraction is its wrong-branch
-    probability per attempt.
+    probability per attempt, and 0.0 for a symbol of weight 0, which has no
+    pairs, as a session's report gives a symbol it never sent.
     """
     dist = dict(distribution or uniform_alphabet())
     stranger = next((key for key in dist if key not in ALPHABET), None)
@@ -148,7 +149,7 @@ def expected_accounting(
             delivered=p,
             repeats=p * (cost - 1.0),
             cloned=0.0 if retries else p * wrong,
-            uncontrolled_fraction=wrong,
+            uncontrolled_fraction=wrong if p else 0.0,
         )
         pairs += p * cost
         delivered += p

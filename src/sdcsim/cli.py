@@ -6,7 +6,10 @@ failure, 3 I/O error.
 `main` can be called many times in one process (tests, notebooks, a
 benchmark), so what does not depend on the call is built once, on first use:
 the argument parser, once per process, and a session table's event-log line
-suffixes, once per wiring. Importing the module builds neither.
+ends (each row's suffix behind every last two trial digits), once per wiring.
+Importing the module builds neither. `simulate` streams its log a hundred
+lines per join and a few dozen kilobytes per write, so no string it builds
+grows with `--n` or with the chunk.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ import csv
 import errno
 import functools
 import io
+import itertools
 import json
 import os
 import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -275,29 +280,9 @@ def _event_suffix(intended, branch, action, pattern, decoded, note) -> str:
     return buffer.getvalue()
 
 
-_TWO_DIGITS = tuple(f"{r:02d}," for r in range(100))
-
-
-def _event_lines(first: int, suffixes: list[str]) -> str:
-    """The log lines of trials first, first + 1, ... with these suffixes.
-
-    Trial 100·q + r is written as str(q) (empty for q = 0), then r from
-    _TWO_DIGITS (unpadded for q = 0), then its suffix, so only one trial
-    number in a hundred is formatted and no string is built per line.
-    """
-    n = len(suffixes)
-    q_first, r_first = divmod(first, 100)
-    highs = []
-    for q in range(q_first, (first + n - 1) // 100 + 1):
-        highs += [str(q) if q else ""] * 100
-    lows = list(_TWO_DIGITS) * (len(highs) // 100)
-    if first < 100:  # q = 0: no hundreds, no padding
-        lows[first:100] = [f"{t}," for t in range(first, 100)]
-    pieces = [""] * (3 * n)
-    pieces[0::3] = highs[r_first:r_first + n]
-    pieces[1::3] = lows[r_first:r_first + n]
-    pieces[2::3] = suffixes
-    return "".join(pieces)
+_STEP = session.BLOCK // 100 * 100  # trials per gather: whole hundreds, about a block
+_WRITE_HUNDREDS = 16  # hundreds per write: ~74 KB, under glibc's 128 KB mmap threshold
+_LAST_TWO = np.arange(_STEP) % 100  # the last two digits along a step from a hundred
 
 
 @functools.lru_cache(maxsize=256)  # as many tables as `session.wiring` keeps
@@ -309,21 +294,66 @@ def _row_suffixes(table: session.RowTable) -> np.ndarray:
     return suffixes
 
 
+@functools.lru_cache(maxsize=8)  # the CLI's five wirings; 200 strings per row each
+def _line_ends(table: session.RowTable) -> np.ndarray:
+    """What follows a trial's hundreds on its log line, for every last two digits r
+    and row, as a read-only object array: entry r * len(table) + row is
+    f"{r:02d}," and the row's suffix, and entry (100 + r) * len(table) + row is
+    the unpadded f"{r}," and suffix of trial r < 100."""
+    suffixes = _row_suffixes(table).tolist()
+    ends = np.array([f"{r:02d},{s}" for r in range(100) for s in suffixes]
+                    + [f"{r},{s}" for r in range(100) for s in suffixes], dtype=object)
+    ends.flags.writeable = False
+    return ends
+
+
+def _event_lines(first: int, row: np.ndarray, ends: np.ndarray) -> Iterator[str]:
+    """The log lines of trials first, first + 1, ... of these rows, one hundred
+    (trials 100·q to 100·q + 99, fewer at either end) at a time.
+
+    `ends` is `_line_ends` of the rows' table. A hundred is h = str(q) (empty
+    for q = 0) before each of its lines' ends, so one number is formatted per
+    hundred and no string is built per line. The ends are gathered a step of
+    at most _STEP trials, ending on a hundred, at a time, so no index array or
+    list grows with the rows.
+    """
+    width = len(ends) // 200
+    lows = _LAST_TWO * width
+    start, end = first, first + len(row)
+    while start < end:
+        stop = min(end, start - start % 100 + _STEP)
+        at = lows[start % 100:][:stop - start] + row[start - first:stop - first]
+        if start < 100:  # q = 0: no hundreds, no padding
+            at[:100 - start] += 100 * width
+        parts = ends.take(at).tolist()
+        q, r = divmod(start, 100)
+        h = str(q) if q else ""
+        yield h + h.join(parts[:100 - r])
+        for i in range(100 - r, len(parts), 100):
+            q += 1
+            h = str(q)
+            yield h + h.join(parts[i:i + 100])
+        start = stop
+
+
 def _write_events(handle, run: session.Session) -> np.ndarray:
     """Stream the session's event log chunk by chunk; return its summed tally.
 
     The line of a trial is its number, then the csv rendering of its other
     columns. That suffix carries no trial number and depends only on the
-    trial's row, so `_row_suffixes` renders it once per row of the session's
-    table, once per wiring in the process, and `_event_lines` joins each
-    chunk's lines from strings that already exist.
+    trial's row, so `_line_ends` renders it once per row of the session's
+    table and last two trial digits, once per wiring in the process;
+    `_event_lines` joins each hundred's lines from strings that already exist,
+    and _WRITE_HUNDREDS of them go out per write.
     """
     csv.writer(handle).writerow(EVENT_HEADER)
-    suffix_of = _row_suffixes(run.table)
+    ends = _line_ends(run.table)
     tally = 0
     for trials in run.chunks():
         tally = tally + trials.tally()
-        handle.write(_event_lines(trials.first, suffix_of[trials.row].tolist()))
+        lines = _event_lines(trials.first, trials.row, ends)
+        while text := "".join(itertools.islice(lines, _WRITE_HUNDREDS)):
+            handle.write(text)
     return tally
 
 

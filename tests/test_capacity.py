@@ -177,6 +177,20 @@ class TestExpectedAccounting:
         else:
             assert acc.efficiency <= 1.0 and acc.discard_fraction >= 0.0
 
+    @pytest.mark.parametrize("scenario, fields", [
+        (Scenario.A, {}), (Scenario.B, {}),
+        (Scenario.B, {"clone_policy": ClonePolicy.CLONE_INTENDED}),
+        (Scenario.C, {}), (Scenario.C, {"erase_notes": True}),
+    ], ids=["a", "b", "b-clone-intended", "c", "c-erase-notes"])
+    def test_an_unsent_symbol_is_counted_alike(self, scenario, fields):
+        # a symbol of weight 0 has no pairs: the expected report gives it what the
+        # session's report does, an uncontrolled fraction of 0.0 among the zeros
+        config = RunConfig(scenario, 300, 4, messages=(MessageSymbol.PSI_PLUS,), **fields)
+        sampled = run_session(config).report.per_symbol_counts
+        expected = expected_accounting(scenario, cli._intended_distribution(config))
+        for name in ("psi-", "hh", "vv"):
+            assert expected.per_symbol_counts[name] == sampled[name], name
+
     def test_bad_distribution_rejected(self):
         with pytest.raises(ValueError):
             expected_accounting(Scenario.A, {MessageSymbol.HH: 0.7})

@@ -401,6 +401,10 @@ class TestRepeatedCalls:
         assert suffixes is cli._row_suffixes(table)
         with pytest.raises(ValueError):
             suffixes[0] = ""
+        ends = cli._line_ends(table)
+        assert ends is cli._line_ends(table)
+        with pytest.raises(ValueError):
+            ends[0] = ""
 
     def test_each_wiring_renders_its_own_table(self, tmp_path, monkeypatch):
         """An ideal run, then one on a bench whose hh encoder is empty (hh then

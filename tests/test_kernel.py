@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdcsim import session
-from sdcsim.cli import _event_lines, main
+from sdcsim.cli import _event_lines, _line_ends, _row_suffixes, main
 from sdcsim.fock import branch_on_modes
 from sdcsim.protocol import (
     ALICE,
@@ -467,31 +467,46 @@ def test_streamed_log_runs_on_across_chunks(argv, fields, tmp_path, monkeypatch)
         assert any(start <= note.trial < start + 30 for note in notes)
 
 
-_SUFFIXES = (
-    "psi+,controlled,sent,aH:1,aV:1,psi+,\r\n",
-    'hh,wrong,cloned_resend,"aH:1,bH:1",x,y\r\n',
-    "\r\n",
-)
+@functools.cache
+def _line_table():
+    """The line ends of a table whose rows send notes, and its rows' suffixes."""
+    table = Session(RunConfig(Scenario.C, 5, 0, erase_notes=True)).table
+    return _line_ends(table), _row_suffixes(table)
 
 
 def _lines(first, suffixes):
     return "".join(f"{t},{s}" for t, s in zip(range(first, first + len(suffixes)), suffixes))
 
 
+def _rendered_and_formatted(first, rows):
+    ends, suffixes = _line_table()
+    row = np.asarray(rows, dtype=np.int16)
+    return "".join(_event_lines(first, row, ends)), _lines(first, suffixes[row].tolist())
+
+
 @pytest.mark.parametrize("first", [0, 1, 57, 99, 100, 101, 999, 1000, 9_950, 65_536, 999_999,
                                    10**12 - 3])
 def test_event_lines_number_every_trial(first):
+    # the longer runs cross the renderer's gather step of 8,100 trials, and from
+    # 0, 9,950 and 999,999 the trial numbers gain a digit inside a step
     rng = np.random.default_rng(first)
-    for n in (1, 2, 43, 99, 100, 101, 1000):
-        suffixes = [_SUFFIXES[i] for i in rng.integers(0, len(_SUFFIXES), n)]
-        assert _event_lines(first, suffixes) == _lines(first, suffixes), n
+    for n in (1, 2, 43, 99, 100, 101, 1000, 8_099, 8_100, 8_101, 16_300):
+        rendered, formatted = _rendered_and_formatted(first, rng.integers(0, 16, n))
+        assert rendered == formatted, n
 
 
 @settings(max_examples=200, deadline=None)
 @given(first=st.integers(0, 10**15),
-       suffixes=st.lists(st.sampled_from(_SUFFIXES), min_size=1, max_size=2000))
-def test_event_lines_match_formatted_trials(first, suffixes):
-    assert _event_lines(first, suffixes) == _lines(first, suffixes)
+       rows=st.lists(st.integers(0, 15), min_size=1, max_size=2000))
+def test_event_lines_match_formatted_trials(first, rows):
+    rendered, formatted = _rendered_and_formatted(first, rows)
+    assert rendered == formatted
+
+
+def test_event_lines_are_yielded_a_hundred_at_a_time():
+    ends, _ = _line_table()
+    hundreds = list(_event_lines(57, np.zeros(20_000, dtype=np.int16), ends))
+    assert [h.count("\n") for h in hundreds] == [43] + [100] * 199 + [57]
 
 
 def _traced_peak(call):
@@ -519,6 +534,15 @@ def test_simulate_memory_is_bounded_by_one_chunk(tmp_path):
     one = _simulate_peak(session.CHUNK_MESSAGES, tmp_path)
     five = _simulate_peak(5 * session.CHUNK_MESSAGES, tmp_path)
     assert five < 1.5 * one, (one, five)
+
+
+def test_simulate_holds_a_few_bytes_a_trial(tmp_path):
+    # the chunk's int16 rows and one gather step's index and list: a string, list
+    # or intp array that grows with the chunk's log would hold 8 bytes a trial or more
+    _simulate_peak(10, tmp_path)  # compile the bench and render its line ends first
+    peak = _simulate_peak(session.CHUNK_MESSAGES, tmp_path)
+    trials = json.loads((tmp_path / "r.json").read_text())["pairs_consumed"]
+    assert peak <= 16 * trials, peak / trials
 
 
 @pytest.mark.parametrize("scenario", list(Scenario))

@@ -11,13 +11,18 @@ there at `perfbench/run.py`'s own run length: each workload at seeds 1 and
 The trees take turns: each pass runs them in the opposite order to the pass
 before, so no tree always runs first and a slow minute of the machine falls
 on all of them alike. With two trees, each workload gets 2 * RUNS pairs,
-half of them led by each tree.
+half of them led by each tree. Last, each tree runs one whole `sdcsim simulate`
+process (SIMULATE: scenario a at 1,000,000 messages) SIMULATE_RUNS times,
+the trees again taking turns, each process pinned to the one CPU that
+`perfbench/run.py` pins itself to; its wall time and peak RSS are the child's
+own, from `os.wait4`.
 
 The output holds, per tree: the source commit, the `src/sdcsim` line counts
 (physical, code-only and docstring lines, by `ast` and `tokenize`), and per
 workload the median and quartiles of each end-to-end metric over the runs of
-each seed, with the digests and operation counts; and the traced run's
-per-layer values, keyed by the layers L0-L4 of the ROADMAP's aim 1.
+each seed, with the digests and operation counts; the traced run's
+per-layer values, keyed by the layers L0-L4 of the ROADMAP's aim 1; and the
+median and quartiles of the whole-process `simulate` runs.
 """
 
 from __future__ import annotations
@@ -26,16 +31,20 @@ import argparse
 import ast
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 7777)  # perfbench's default and held-out workload seeds
 RUNS = 5  # runs per tree, workload and seed: 10 pairs per workload over the two seeds
+SIMULATE = ("simulate", "--scenario", "a", "--n", "1000000")  # the whole-process run
+SIMULATE_RUNS = 3  # whole-process runs per tree
 
 # traced span metrics by layer, matched on the metric name's prefix
 LAYERS = {
@@ -109,6 +118,27 @@ def _run(copy: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(record.read_text())
 
 
+def _simulate(copy: Path) -> dict:
+    """One whole `sdcsim simulate` process in `copy`, pinned to one CPU: its wall
+    time and its own peak RSS (the rusage `os.wait4` gives for that child alone)."""
+    cmd = [sys.executable, "-m", "sdcsim.cli", *SIMULATE,
+           "--out", "simulate-report.json", "--log", "simulate-events.csv"]
+    cpu = min(os.sched_getaffinity(0))
+    with open(copy / "simulate-stderr.txt", "w+") as stderr:
+        start = time.perf_counter()
+        child = subprocess.Popen(cmd, cwd=copy, env={**os.environ, "PYTHONPATH": str(copy / "src")},
+                                 stdout=subprocess.DEVNULL, stderr=stderr,
+                                 preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+        if child.returncode:
+            stderr.seek(0)
+            raise SystemExit(f"{' '.join(cmd)} in {copy} exited {child.returncode}:\n"
+                             f"{stderr.read()}")
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
+
+
 def _summary(values: list[float]) -> dict:
     if len(values) > 1:
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -155,6 +185,16 @@ def record(trees: dict[str, str]) -> dict:
             for label, copy in _turn(order, j):
                 print(f"{label} {w} traced", file=sys.stderr, flush=True)
                 traced[label, w] = _run(copy, w, SEEDS[0], 1)
+        simulated = {label: [] for label in trees}
+        for run in range(SIMULATE_RUNS):
+            for label, copy in _turn(order, run):
+                print(f"{label} {' '.join(SIMULATE)}", file=sys.stderr, flush=True)
+                simulated[label].append(_simulate(copy))
+    for label, runs_of in simulated.items():
+        out[label]["simulate"] = {
+            "argv": list(SIMULATE),
+            **{name: _summary([r[name] for r in runs_of]) for name in ("wall_s", "peak_rss_mb")},
+        }
     environment = None
     for (label, w, s), runs_of in records.items():
         environment = environment or {k: v for k, v in runs_of[0]["environment"].items()
