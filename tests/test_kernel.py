@@ -469,7 +469,7 @@ def test_streamed_log_runs_on_across_chunks(argv, fields, tmp_path, monkeypatch)
 
 @functools.cache
 def _line_table():
-    """The line ends of a table whose rows send notes, and its rows' suffixes."""
+    """The line ends of a table whose rows send notes, and its 16 rows' suffixes."""
     table = Session(RunConfig(Scenario.C, 5, 0, erase_notes=True)).table
     return _line_ends(table), _row_suffixes(table)
 
