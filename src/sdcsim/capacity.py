@@ -1,19 +1,18 @@
 """Channel-capacity accounting and distribution comparison utilities.
 
-A capacity report counts the pairs the source emitted into a session and the
-messages they delivered, in total and per message symbol. Efficiency is
-messages_delivered / pairs_consumed. Bits per pair follow as
-log2(4 * efficiency), the log of the effective alphabet (an alphabet of 3 in
-place of 4 gives dense coding's reference). Two figures are always reported
-side by side: the exact value and a coarse display-rounded reference (effective
+A capacity report is its per-symbol counts: each message symbol's delivered
+messages, repeats (pairs that delivered nothing) and cloned pairs.
+`capacity_from_counts` derives every other figure from them, so a session's
+report (sampled counts) and `expected_accounting`'s (the counts one delivered
+message costs in expectation, from a bench's compiled encoder splits) pair up
+field by field. Efficiency is messages_delivered / pairs_consumed. Bits per
+pair follow as log2(alphabet * efficiency), the log of the effective alphabet,
+the alphabet being the symbols counted (three symbols delivered on every pair
+give dense coding's log2 3 reference). Two figures are always reported side by
+side: the exact value and a coarse display-rounded reference (effective
 alphabet rounded to one decimal before taking the log), since rounding
 2/3 -> 0.67 -> 2.7 shifts the uniform four-message capacity from 1.4150 to
 1.4330 bits and the exact number should never silently absorb that.
-
-`capacity_from_counts` is the one derivation of these figures from counts. A
-session's report holds its sampled counts; `expected_accounting` holds the
-counts one delivered message costs in expectation, computed from a bench's
-compiled encoder splits, so the two reports pair up field by field.
 """
 
 from __future__ import annotations
@@ -60,9 +59,11 @@ class CapacityReport:
 
     @property
     def discard_fraction(self) -> float:
-        """The share of pairs that delivered no message: discarded attempts (a),
-        stopped pairs (c), none in b. Not a field, so `to_dict` leaves it out."""
-        return (self.pairs_consumed - self.messages_delivered) / self.pairs_consumed
+        """The share of pairs that delivered no message, the repeats: discarded
+        attempts (a), stopped pairs (c), none in b. In a and c every wrong-branch
+        pair is a repeat, so it is the uncontrolled fraction there, to the bit.
+        Not a field, so `to_dict` leaves it out."""
+        return sum(c.repeats for c in self.per_symbol_counts.values()) / self.pairs_consumed
 
     def to_dict(self) -> dict:
         """The report as nested dicts of its fields, as `dataclasses.asdict` gives
@@ -82,31 +83,39 @@ def _rounded_reference(effective_alphabet: float) -> RoundedReference:
     return RoundedReference(rounded, math.log2(rounded))
 
 
-def capacity_from_counts(
-    pairs_consumed: float,
-    messages_delivered: float,
-    per_symbol: dict[str, SymbolCounts] | None = None,
-    alphabet_size: int = 4,
-    uncontrolled_fraction: float = 0.0,
-) -> CapacityReport:
-    """Derive all capacity figures from session counts, sampled or expected."""
-    if not pairs_consumed > 0:
-        raise ValueError("capacity is undefined without consumed pairs")
-    if not 0 < messages_delivered <= pairs_consumed:
-        raise ValueError(
-            f"need 0 < messages_delivered <= pairs_consumed, got "
-            f"{messages_delivered}/{pairs_consumed}"
+def capacity_from_counts(per_symbol: Mapping[str, tuple[float, float, float]]) -> CapacityReport:
+    """Every capacity figure from each symbol's (delivered, repeats, cloned) counts.
+
+    A symbol's pairs are delivered + repeats, and its uncontrolled fraction is
+    (repeats + cloned) over them, 0.0 without pairs. The totals are sums from
+    int 0, so integer counts give integer totals.
+    """
+    counts = {}
+    pairs = delivered_total = uncontrolled = 0
+    for name, (delivered, repeats, cloned) in per_symbol.items():
+        if delivered < 0 or repeats < 0 or cloned < 0:
+            raise ValueError(
+                f"{name}: counts must not be negative, got {(delivered, repeats, cloned)}"
+            )
+        own_pairs = delivered + repeats
+        counts[name] = SymbolCounts(
+            delivered, repeats, cloned, (repeats + cloned) / own_pairs if own_pairs else 0.0
         )
-    efficiency = messages_delivered / pairs_consumed
-    effective_alphabet = alphabet_size * efficiency
+        pairs += own_pairs
+        delivered_total += delivered
+        uncontrolled += repeats + cloned
+    if not delivered_total > 0:
+        raise ValueError("capacity is undefined without a delivered message")
+    efficiency = delivered_total / pairs
+    effective_alphabet = len(counts) * efficiency
     return CapacityReport(
-        per_symbol_counts=dict(per_symbol or {}),
-        pairs_consumed=pairs_consumed,
-        messages_delivered=messages_delivered,
+        per_symbol_counts=counts,
+        pairs_consumed=pairs,
+        messages_delivered=delivered_total,
         efficiency=efficiency,
         effective_alphabet=effective_alphabet,
         bits_per_pair=math.log2(effective_alphabet),
-        uncontrolled_fraction=uncontrolled_fraction,
+        uncontrolled_fraction=uncontrolled / pairs,
         rounded_reference=_rounded_reference(effective_alphabet),
     )
 
@@ -127,9 +136,10 @@ def expected_accounting(
     Scenarios a and c retry a failed attempt on a fresh pair, a geometric cost
     of 1/p_controlled pairs per message, whose extra pairs are its repeats;
     scenario b consumes exactly one pair per message, and its wrong-branch
-    pairs are cloned. Each symbol's uncontrolled fraction is its wrong-branch
-    probability per attempt, and 0.0 for a symbol of weight 0, which has no
-    pairs, as a session's report gives a symbol it never sent.
+    pairs are cloned. Each symbol's uncontrolled fraction is then its
+    wrong-branch probability per attempt, up to rounding, and 0.0 for a symbol
+    of weight 0, which has no pairs, as a session's report gives a symbol it
+    never sent.
     """
     dist = dict(distribution or uniform_alphabet())
     stranger = next((key for key in dist if key not in ALPHABET), None)
@@ -140,23 +150,13 @@ def expected_accounting(
         raise ValueError("message distribution must be a probability vector")
     retries = scenario in (Scenario.A, Scenario.C)
     per_symbol = {}
-    pairs = delivered = 0.0
     for symbol, branches in zip(ALPHABET, (bench or default_bench()).compiled.branches):
         p = dist.get(symbol, 0.0)
-        wrong = branches.wrong_probability
         cost = 1.0 / branches.controlled_probability if retries else 1.0
-        per_symbol[symbol.value] = SymbolCounts(
-            delivered=p,
-            repeats=p * (cost - 1.0),
-            cloned=0.0 if retries else p * wrong,
-            uncontrolled_fraction=wrong if p else 0.0,
+        per_symbol[symbol.value] = (
+            p, p * (cost - 1.0), 0.0 if retries else p * branches.wrong_probability
         )
-        pairs += p * cost
-        delivered += p
-    uncontrolled = sum(c.repeats + c.cloned for c in per_symbol.values())
-    return capacity_from_counts(
-        pairs, delivered, per_symbol, uncontrolled_fraction=uncontrolled / pairs
-    )
+    return capacity_from_counts(per_symbol)
 
 
 def total_variation_distance(dist_1: Mapping, dist_2: Mapping) -> float:

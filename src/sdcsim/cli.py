@@ -33,7 +33,6 @@ from .protocol import (
     ALPHABET,
     ClonePolicy,
     MessageSymbol,
-    Owner,
     ReferenceState,
     Scenario,
     default_bench,
@@ -99,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a protocol session and write reports")
     sim.add_argument("--scenario", choices=[s.value for s in Scenario], required=True)
-    sim.add_argument("--owner", choices=[o.value for o in Owner], default=None,
-                     help="pair-source owner (bookkeeping tag; default per scenario)")
     sim.add_argument("--messages", type=_parse_messages, default="uniform",
                      help="'uniform' or a comma list like 'hh,psi+,vv' cycled to --n")
     sim.add_argument("--n", type=int, default=None,
@@ -231,7 +228,6 @@ def _build_config(args) -> RunConfig:
         n = len(args.messages) if args.messages != "uniform" else 1000
     return RunConfig(
         scenario=Scenario(args.scenario),
-        owner=Owner(args.owner) if args.owner else None,
         messages=args.messages,
         n_messages=n,
         seed=args.seed,

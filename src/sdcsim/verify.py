@@ -325,8 +325,9 @@ def check_sampling_consistency(bench, seed: int, draws: int) -> CheckResult:
 
 
 def check_capacity_references(bench) -> CheckResult:
-    dense = capacity.capacity_from_counts(1000, 1000, alphabet_size=3)
-    ideal = capacity.capacity_from_counts(1000, 1000, alphabet_size=4)
+    # every pair delivers: three symbols give dense coding's log2 3, four give 2 bits
+    dense = capacity.capacity_from_counts({s.value: (1000, 0, 0) for s in ALPHABET[:3]})
+    ideal = capacity.capacity_from_counts({s.value: (1000, 0, 0) for s in ALPHABET})
     expected = capacity.expected_accounting(Scenario.A, bench=bench)
     share = expected.per_symbol_counts["hh"].delivered / expected.pairs_consumed
     checks = [

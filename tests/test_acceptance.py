@@ -124,7 +124,8 @@ def test_criterion_06_capacity_accounting_analytic():
         assert abs(delivered / acc.pairs_consumed - 1.0 / 6.0) < EXACT
     assert abs(acc.bits_per_pair - 1.4150) < 0.0005
     assert abs(acc.rounded_reference.bits_per_pair - 1.433) < 0.0005
-    dense = capacity_from_counts(1000, 1000, alphabet_size=3)
+    # three distinguishable messages, each delivered on every pair
+    dense = capacity_from_counts({symbol.value: (1000, 0, 0) for symbol in ALPHABET[:3]})
     assert abs(dense.bits_per_pair - 1.585) < 0.001
     note(
         6,

@@ -2,11 +2,12 @@ import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdcsim import cli
+from sdcsim import cli, session
 from sdcsim.capacity import (
     capacity_from_counts,
     expected_accounting,
@@ -24,15 +25,21 @@ from sdcsim.protocol import (
 from sdcsim.session import RunConfig, run_session
 
 
+def _each(delivered, repeats=0, cloned=0, symbols=ALPHABET):
+    """The same (delivered, repeats, cloned) counts for each of `symbols`."""
+    return {symbol.value: (delivered, repeats, cloned) for symbol in symbols}
+
+
 class TestCapacityFromCounts:
     def test_full_efficiency_gives_two_bits(self):
-        report = capacity_from_counts(1000, 1000)
+        report = capacity_from_counts(_each(250))
         assert report.efficiency == 1.0
         assert report.effective_alphabet == 4.0
         assert report.bits_per_pair == pytest.approx(2.0)
 
     def test_two_thirds_efficiency(self):
-        report = capacity_from_counts(60_000, 40_000)
+        report = capacity_from_counts(_each(10_000, 5_000))
+        assert (report.pairs_consumed, report.messages_delivered) == (60_000, 40_000)
         assert report.efficiency == pytest.approx(2.0 / 3.0)
         assert report.bits_per_pair == pytest.approx(math.log2(8.0 / 3.0), abs=1e-12)
         assert report.rounded_reference.effective_alphabet == pytest.approx(2.7)
@@ -42,7 +49,7 @@ class TestCapacityFromCounts:
 
     def test_dense_coding_reference(self):
         # three distinguishable messages per pair
-        report = capacity_from_counts(1000, 1000, alphabet_size=3)
+        report = capacity_from_counts(_each(1000, symbols=ALPHABET[:3]))
         assert report.bits_per_pair == pytest.approx(1.585, abs=1e-3)
 
     @pytest.mark.parametrize(
@@ -72,33 +79,77 @@ class TestCapacityFromCounts:
                 assert set(counts) == {"delivered", "repeats", "cloned", "uncontrolled_fraction"}
             assert set(report["rounded_reference"]) == {"effective_alphabet", "bits_per_pair"}
 
-    def test_to_dict_without_per_symbol_counts(self):
-        report = capacity_from_counts(10, 7)
+    def test_to_dict_of_counts_given_by_hand(self):
+        report = capacity_from_counts({"hh": (7, 3, 0)})
         assert report.to_dict() == dataclasses.asdict(report)
-        assert report.to_dict()["per_symbol_counts"] == {}
+        assert report.to_dict()["per_symbol_counts"] == {
+            "hh": {"delivered": 7, "repeats": 3, "cloned": 0, "uncontrolled_fraction": 0.3}
+        }
 
     def test_a_reference_that_rounds_to_zero_keeps_the_exact_alphabet(self):
-        report = capacity_from_counts(1000, 1)
+        # one message over 1000 pairs, from an alphabet of four
+        report = capacity_from_counts(
+            {"psi+": (1, 0, 0), "psi-": (0, 333, 0), "hh": (0, 333, 0), "vv": (0, 333, 0)}
+        )
+        assert (report.pairs_consumed, report.messages_delivered) == (1000, 1)
         assert report.effective_alphabet == 0.004
         assert report.rounded_reference.effective_alphabet == report.effective_alphabet
         assert report.rounded_reference.bits_per_pair == math.log2(0.004)
 
     def test_zero_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            capacity_from_counts(0, 0)
+        for counts in ({}, _each(0)):
+            with pytest.raises(ValueError, match="without a delivered message"):
+                capacity_from_counts(counts)
 
     def test_delivered_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            capacity_from_counts(10, 11)
-        with pytest.raises(ValueError):
-            capacity_from_counts(10, 0)
+        # 11 delivered over 10 pairs needs a negative repeat count
+        with pytest.raises(ValueError, match="^hh: .*negative"):
+            capacity_from_counts({**_each(1), "hh": (11, -1, 0)})
+        with pytest.raises(ValueError, match="^vv: .*negative"):
+            capacity_from_counts({**_each(1), "vv": (1, 0, -1)})
+        with pytest.raises(ValueError, match="without a delivered message"):
+            capacity_from_counts({"hh": (0, 10, 0)})
 
     @pytest.mark.parametrize("pairs,delivered", [(10, 5), (100, 99), (1000, 667)])
     def test_discarding_a_pair_strictly_lowers_capacity(self, pairs, delivered):
-        before = capacity_from_counts(pairs, delivered)
-        after = capacity_from_counts(pairs + 1, delivered)
+        before = capacity_from_counts({**_each(0), "hh": (delivered, pairs - delivered, 0)})
+        after = capacity_from_counts({**_each(0), "hh": (delivered, pairs + 1 - delivered, 0)})
+        assert (before.pairs_consumed, after.pairs_consumed) == (pairs, pairs + 1)
         assert after.efficiency < before.efficiency
         assert after.bits_per_pair < before.bits_per_pair
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tally=st.lists(st.integers(0, 10**6), min_size=16, max_size=16).filter(
+            # some message is delivered: sent or cloned
+            lambda cells: any(cells[4 * i] + cells[4 * i + 3] for i in range(4))
+        ),
+    )
+    @example(tally=[1, 0, 0, 0] + [0] * 12)
+    @example(tally=[0, 0, 0, 3, 5, 2, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0])
+    def test_a_session_tally_gives_integer_totals_and_exact_fractions(self, tally):
+        # rows are symbols, columns (sent, discarded, stopped, cloned)
+        rows = [tally[4 * i: 4 * i + 4] for i in range(4)]
+        report = session.build_report(np.array(rows, dtype=np.int64))
+        sent = sum(row[0] for row in rows)
+        pairs = sum(sum(row) for row in rows)
+        delivered = sum(row[0] + row[3] for row in rows)
+        assert type(report.pairs_consumed) is int and report.pairs_consumed == pairs
+        assert type(report.messages_delivered) is int
+        assert report.messages_delivered == delivered
+        # the formula `build_report` used before the counts derived it
+        assert report.uncontrolled_fraction == (pairs - sent) / pairs
+        assert report.discard_fraction == (pairs - delivered) / pairs
+        assert report.effective_alphabet == 4 * report.efficiency
+        for symbol, (s, discarded, stopped, cloned) in zip(ALPHABET, rows):
+            counts = report.per_symbol_counts[symbol.value]
+            own = s + discarded + stopped + cloned
+            assert (counts.delivered, counts.repeats, counts.cloned) == (
+                s + cloned, discarded + stopped, cloned
+            )
+            assert counts.uncontrolled_fraction == (
+                (discarded + stopped + cloned) / own if own else 0.0
+            )
 
 
 class TestExpectedAccounting:
@@ -176,6 +227,23 @@ class TestExpectedAccounting:
             assert (acc.efficiency, acc.discard_fraction, acc.bits_per_pair) == (1.0, 0.0, 2.0)
         else:
             assert acc.efficiency <= 1.0 and acc.discard_fraction >= 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        messages=st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=12),
+        n=st.integers(1, 200_000),
+        scenario=st.sampled_from([Scenario.A, Scenario.C]),
+    )
+    @example(
+        messages=[MessageSymbol.HH] * 4 + [MessageSymbol.PSI_MINUS], n=777, scenario=Scenario.C,
+    )
+    def test_a_retry_scenario_discards_exactly_its_uncontrolled_pairs(
+        self, messages, n, scenario
+    ):
+        # in a and c every wrong-branch pair is a repeat: one quantity, to the bit
+        config = RunConfig(scenario, n, 0, messages=tuple(messages))
+        acc = expected_accounting(scenario, cli._intended_distribution(config))
+        assert acc.discard_fraction == acc.uncontrolled_fraction
 
     @pytest.mark.parametrize("scenario, fields", [
         (Scenario.A, {}), (Scenario.B, {}),

@@ -164,18 +164,22 @@ class TestSimulate:
         assert code == 0
         assert json.loads((tmp_path / "r.json").read_text())["pairs_consumed"] == 3
 
-    def test_invalid_owner_combination_exits_1(self, tmp_path, capsys):
-        code = run(
-            [
-                "simulate",
-                "--scenario", "c",
-                "--owner", "bob",
-                "--out", str(tmp_path / "r.json"),
-                "--log", str(tmp_path / "l.csv"),
-            ]
-        )
-        assert code == 1
-        assert "invalid configuration" in capsys.readouterr().err
+    def test_owner_is_an_unrecognized_argument_exits_1(self, tmp_path, capsys):
+        # the source's owner had no effect on any output but itself; the library's
+        # owner check stays tested with `RunConfig`
+        for owner in ("bob", "anna"):
+            code = run(
+                [
+                    "simulate",
+                    "--scenario", "a",
+                    "--owner", owner,
+                    "--out", str(tmp_path / "r.json"),
+                    "--log", str(tmp_path / "l.csv"),
+                ]
+            )
+            assert code == 1
+            assert "unrecognized arguments: --owner" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
         "knob",
@@ -321,7 +325,8 @@ class TestSimulate:
         assert report["schema"] == cli.REPORT_SCHEMA == 2
         # the session's capacity report, and the blocks `simulate` adds to it
         blocks = {"config", "expected", "rng", "schema"}
-        assert set(report) - blocks == set(capacity.capacity_from_counts(1, 1).to_dict())
+        fields = capacity.capacity_from_counts({"hh": (1, 0, 0)}).to_dict()
+        assert set(report) - blocks == set(fields)
 
     def test_json_summary_matches_report_file(self, tmp_path, capsys):
         report_path = tmp_path / "r.json"
