@@ -116,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the invariant suite")
     ver.add_argument("--seed", type=int, default=20_260_810)
     ver.add_argument("--trials", type=int, default=100_000,
-                     help="sample size for the statistical checks")
+                     help="hh messages in the one scenario-b session both statistical "
+                          "checks read")
     ver.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser

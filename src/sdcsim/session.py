@@ -387,7 +387,7 @@ class Trials:
     none (no photon reached the receiver, or no note).
 
     The rows are counted once, on the first `row_counts()`, and the count is
-    kept, so a session's tally and `verify`'s branch count share one pass.
+    kept, so a session's tally and `verify`'s two statistical checks share one pass.
     `row` is read-only, so that count cannot go stale: a writable row is
     copied on construction, and the kernel's rows, already read-only, are not.
     """

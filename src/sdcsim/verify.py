@@ -5,19 +5,26 @@ print one line per invariant. Everything here is either exact (tolerance
 1e-12 on amplitudes and probabilities) or a seeded statistical bound, so at a
 fixed seed the result is deterministic and does not flap across runs.
 
-The two statistical checks (branch_statistics, and sampling_consistency on
-the compiled psi+ law) share one rule, `consistent`: neither exact
-binomial tail of a count may lie below half its false-alarm rate. They split
-FALSE_ALARM evenly, sampling_consistency its half again over its patterns, so
-a correct program fails the suite at most 1e-6 of the time, at any seed.
+The two statistical checks read one scenario-b session of HH messages, sent
+as is, which `run_verification` draws once through the session kernel
+(`hh_session`). branch_statistics counts its wrong-branch trials against the
+bench's HH wrong-branch probability. sampling_consistency holds each (branch,
+pattern) cell of HH in that session to its exact law (`hh_cell_law`): the
+branch's probability from `encode_branches`, times the pattern's from
+`analyze` of the controlled or the re-emitted pair, never the compiled
+columns the kernel draws from, so a kernel wired to the wrong law fails it.
+Both share one rule, `consistent`: neither exact binomial tail of a count may
+lie below half its false-alarm rate. They split FALSE_ALARM evenly,
+sampling_consistency its half again over its cells, so a correct program
+fails the suite at most 1e-6 of the time, at any seed.
 
-Those checks cost their draws, not their tails. `binomial_tails` sums a tail
-in numpy blocks of TAIL_BLOCK terms whose products and additions are the
-scalar loop's, in its order, so each tail is the scalar sum's bit for bit at
-~0.05 ms raw for n = 100,000 (~0.3 ms one term at a time); `negbin_tails`
-is two of them. branch_statistics reads the row counts its session already
-made for the report's tally (`Trials.row_counts`), so a session's rows are
-counted once.
+Those checks cost their draws, not their tails, and the session's draws are
+made once for both. `binomial_tails` sums a tail in numpy blocks of
+TAIL_BLOCK terms whose products and additions are the scalar loop's, in its
+order, so each tail is the scalar sum's bit for bit at ~0.05 ms raw for
+n = 100,000 (~0.3 ms one term at a time); `negbin_tails` is two of them.
+Both checks read the row counts the session already made for the report's
+tally (`Trials.row_counts`), so a session's rows are counted once.
 """
 
 from __future__ import annotations
@@ -29,20 +36,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import capacity, session
+from . import capacity
 from .elements import hwp
+# sample_outcome is not called here; perfbench's `fock.sample_outcome` span looks it up here
 from .fock import ModeLabel, apply_element, make_state, sample_outcome, unitarity_defect
 from .protocol import (
     ALICE,
     ALPHABET,
     BOB,
     Branch,
+    DetectionPattern,
     MessageSymbol,
     ReferenceState,
     Scenario,
     default_bench,
 )
-from .session import BRANCHES, InvalidConfigError, RunConfig, check_seed, run_session
+from .session import BRANCHES, InvalidConfigError, RunConfig, Trials, check_seed, run_session
 
 EXACT_TOL = 1e-12
 FALSE_ALARM = 1e-6
@@ -149,14 +158,22 @@ def consistent(count: int, n: int, p: float, alpha: float) -> bool:
 
 
 @functools.cache
-def band_minimum(p: float) -> int:
-    """The fewest trials at which each statistical check can fail a count of probability p."""
+def band_minimum(counts: tuple[tuple[float, float], ...]) -> int:
+    """The fewest trials at which each of `counts`, a count's (probability,
+    false-alarm rate), can fail its test."""
 
-    def can_fail(n, alpha):
+    def can_fail(n, p, alpha):
         return not (consistent(0, n, p, alpha) and consistent(n, n, p, alpha))
 
-    alphas = (CHECK_ALARM, CHECK_ALARM / 2)  # one wrong-branch count; two psi+ patterns
-    return next(n for n in itertools.count(1) if all(can_fail(n, a) for a in alphas))
+    return next(n for n in itertools.count(1) if all(can_fail(n, *count) for count in counts))
+
+
+def statistical_counts(bench) -> tuple[tuple[float, float], ...]:
+    """Each count the statistical checks hold on `bench`, as (probability,
+    false-alarm rate): HH's wrong branches, then each cell of `hh_cell_law`."""
+    law = hh_cell_law(bench)
+    wrong = bench.encode_branches(MessageSymbol.HH).wrong_probability
+    return ((wrong, CHECK_ALARM), *((p, CHECK_ALARM / len(law)) for p in law.values()))
 
 
 @functools.lru_cache(maxsize=8)
@@ -288,39 +305,57 @@ def check_branch_probability(bench) -> CheckResult:
     return _check("branch_probability_exact", worst < EXACT_TOL, f"|p - 1/2| = {worst:.2e}")
 
 
-def check_branch_statistics(bench, seed: int, trials: int) -> CheckResult:
-    config = RunConfig(
-        scenario=Scenario.B,
-        n_messages=trials,
-        seed=seed,
-        messages=(MessageSymbol.HH,),
-    )
-    drawn = run_session(config, bench).trials
+def hh_session(bench, seed: int, trials: int) -> Trials:
+    """`trials` HH messages of scenario b, sent as is: the session both statistical
+    checks read, one trial per message."""
+    config = RunConfig(scenario=Scenario.B, n_messages=trials, seed=seed,
+                       messages=(MessageSymbol.HH,))
+    return run_session(config, bench).trials
+
+
+def hh_cell_law(bench) -> dict[tuple[Branch, DetectionPattern], float]:
+    """P(branch, pattern) of one HH message of scenario b, sent as is, from the optics:
+    the branch's probability from `encode_branches`, times the pattern's from `analyze`
+    of the controlled pair or of the pair re-emitted on a click. A message that never
+    goes wrong has no re-emitted pair, so its wrong cells have probability 0."""
+    split = bench.encode_branches(MessageSymbol.HH)
+    branches = ((Branch.CONTROLLED, split.controlled_probability, split.controlled_state),
+                (Branch.WRONG, split.wrong_probability, split.resent_state))
+    return {(branch, pattern): p * q
+            for branch, p, state in branches if state is not None
+            for pattern, q in bench.analyze(state).items()}
+
+
+def check_branch_statistics(bench, drawn: Trials) -> CheckResult:
     wrong_rows = drawn.table.branch == BRANCHES.index(Branch.WRONG)
     wrong = int(drawn.row_counts()[wrong_rows].sum())
-    passed, measured = _tail_test(wrong, trials, 0.5, CHECK_ALARM)
+    p = bench.encode_branches(MessageSymbol.HH).wrong_probability
+    passed, measured = _tail_test(wrong, len(drawn), p, CHECK_ALARM)
     return _check("branch_statistics", passed, f"wrong {measured}")
 
 
-def check_sampling_consistency(bench, seed: int, draws: int) -> CheckResult:
-    compiled = bench.compiled
-    psi_plus = ALPHABET.index(MessageSymbol.PSI_PLUS)
-    bounds, codes = compiled.sums[:, psi_plus], compiled.codes[:, psi_plus]
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(len(codes), dtype=np.intp)
-    # one stream, drawn a kernel block at a time, so that no temporary outgrows the cache
-    for start in range(0, draws, session.BLOCK):
-        drawn = sample_outcome(bounds, rng.random(min(session.BLOCK, draws - start)))
-        counts += np.bincount(drawn, minlength=len(codes))
-    counted = {compiled.patterns[c]: n for c, n in zip(codes.tolist(), counts.tolist()) if c >= 0}
-    dist = bench.analyze(bench.source_emit())
-    keys = sorted(counted.keys() | dist.keys(), key=str)
-    alpha = CHECK_ALARM / len(keys)
-    tests = [_tail_test(counted.get(key, 0), draws, dist.get(key, 0.0), alpha) for key in keys]
+def check_sampling_consistency(bench, drawn: Trials) -> CheckResult:
+    """Each (branch, pattern) cell of HH in `drawn`, one row of its table, held to
+    `hh_cell_law`; a cell the law gives and the table lacks counts 0, and a row of
+    pattern code -1 (padding past a law's last outcome, or a stopped pair) is none."""
+    table, counts = drawn.table, drawn.row_counts()
+    rows = np.flatnonzero((table.intended == ALPHABET.index(MessageSymbol.HH))
+                          & (table.pattern >= 0))
+    counted = {
+        (BRANCHES[branch], table.patterns[pattern]): n
+        for branch, pattern, n in zip(table.branch[rows].tolist(), table.pattern[rows].tolist(),
+                                      counts[rows].tolist())
+    }
+    law = hh_cell_law(bench)
+    cells = sorted(counted.keys() | law.keys(), key=lambda cell: (cell[0].value, str(cell[1])))
+    alpha = CHECK_ALARM / len(cells)
+    tests = [_tail_test(counted.get(cell, 0), len(drawn), law.get(cell, 0.0), alpha)
+             for cell in cells]
     return _check(
         "sampling_consistency",
         all(passed for passed, _ in tests),
-        "; ".join(f"{key} {measured}" for key, (_, measured) in zip(keys, tests)),
+        "; ".join(f"{branch.value} {pattern} {measured}"
+                  for (branch, pattern), (_, measured) in zip(cells, tests)),
     )
 
 
@@ -358,19 +393,21 @@ def check_seed_determinism(bench, seed: int) -> CheckResult:
 def run_verification(seed: int = 20_260_810, branch_trials: int = 100_000) -> list[CheckResult]:
     """Run every invariant check.
 
-    `branch_trials` sizes both statistical checks: the branch-statistics
-    session and the sampling-consistency draws. A seed that is not an
-    unsigned 64-bit integer, or fewer than `band_minimum(0.5)` trials, raises
-    InvalidConfigError before any check runs.
+    `branch_trials` sizes the one session both statistical checks read: that
+    many HH messages of scenario b, drawn once per call (`hh_session`). A seed
+    that is not an unsigned 64-bit integer, or fewer trials than the fewest at
+    which each of their counts can fail (`band_minimum` of
+    `statistical_counts`), raises InvalidConfigError before any check runs.
     """
     check_seed(seed)
-    minimum = band_minimum(0.5)
+    bench = default_bench()
+    minimum = band_minimum(statistical_counts(bench))
     if branch_trials < minimum:
         raise InvalidConfigError(
             f"{branch_trials} trials is below {minimum}, the fewest at which each "
             f"statistical check can fail at a false-alarm rate of {FALSE_ALARM:g}"
         )
-    bench = default_bench()
+    drawn = hh_session(bench, seed, branch_trials)
     return [
         check_unitarity(bench),
         check_composition(bench),
@@ -380,8 +417,8 @@ def run_verification(seed: int = 20_260_810, branch_trials: int = 100_000) -> li
         check_exact_discrimination(bench),
         check_phi_indistinguishable(bench),
         check_branch_probability(bench),
-        check_branch_statistics(bench, seed, branch_trials),
-        check_sampling_consistency(bench, seed, branch_trials),
+        check_branch_statistics(bench, drawn),
+        check_sampling_consistency(bench, drawn),
         check_capacity_references(bench),
         check_seed_determinism(bench, seed),
     ]

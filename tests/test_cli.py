@@ -441,7 +441,7 @@ class TestVerify:
         assert "FAIL  hom_dip" in capsys.readouterr().out
 
     def test_too_few_trials_exits_1_and_the_minimum_runs(self, capsys):
-        minimum = verify.band_minimum(0.5)
+        minimum = verify.band_minimum(verify.statistical_counts(OpticalBench()))
         assert run(["verify", "--trials", "1"]) == 1
         assert run(["verify", "--trials", str(minimum - 1)]) == 1
         captured = capsys.readouterr()
@@ -461,7 +461,7 @@ class TestVerify:
             r"wrong \d+ of 2000 \(p = 0\.5\), smaller tail \S+ >= 2\.5e-07",
             detail["branch_statistics"],
         )
-        patterns = detail["sampling_consistency"].split("; ")
-        assert len(patterns) == 2
-        for pattern in patterns:
-            assert re.search(r" of 2000 \(p = 0\.5\), smaller tail \S+ >= 1\.25e-07$", pattern)
+        cells = detail["sampling_consistency"].split("; ")
+        assert len(cells) == 4  # HH's two patterns on each branch
+        for cell in cells:
+            assert re.search(r" of 2000 \(p = 0\.25\), smaller tail \S+ >= 6\.25e-08$", cell)

@@ -49,7 +49,7 @@ PINNED = {
         "stdout": "f42bceeadf73e696ea7e83b8c26dfcafc672a5f6241e3e44b6f4052caa46821b",
     },
     "verify": {
-        "stdout": "64152c7b2632d26f662820775de0348b270ed45bde461ea1313680bf34e0766c",
+        "stdout": "9820e3d8ec20c444e75afd48e74e3b7a58db4065b9f9527389392e7e815f2b83",
     },
     "signatures": {
         "stdout": "db5c039c02a3ee1e77ecae7c9b72dbebca0ea4b5b19d426a960292af7e0105cf",

@@ -55,6 +55,7 @@ from sdcsim.verify import (
     binomial_tails,
     check_branch_statistics,
     check_sampling_consistency,
+    hh_session,
     negbin_tails,
 )
 
@@ -555,11 +556,17 @@ def test_a_full_chunk_holds_no_chunk_sized_float_temporary(scenario):
 
 
 def test_branch_statistics_holds_no_intp_copy_of_its_rows():
-    # the session's int16 rows, joined across chunks, and block-sized counts
+    # the session's int16 rows, joined across chunks, and block-sized counts, which
+    # both statistical checks read
     bench = default_bench()
     trials = 1_000_000
-    peak, result = _traced_peak(lambda: check_branch_statistics(bench, 5, trials))
-    assert result.passed
+
+    def both_checks():
+        drawn = hh_session(bench, 5, trials)
+        return check_branch_statistics(bench, drawn), check_sampling_consistency(bench, drawn)
+
+    peak, results = _traced_peak(both_checks)
+    assert all(result.passed for result in results)
     assert peak <= 6 * trials, peak / trials
 
 
@@ -633,7 +640,8 @@ def test_any_block_size_draws_the_same_sessions(block, chunk, monkeypatch):
     n = BLOCK_SESSIONS[block] if chunk is None else min(BLOCK_SESSIONS[block], 1_100)
     draws = 30 * block
     wanted = _block_runs(n)
-    wanted_detail = check_sampling_consistency(default_bench(), 6, draws).detail
+    bench = default_bench()
+    wanted_detail = check_sampling_consistency(bench, hh_session(bench, 6, draws)).detail
     monkeypatch.setattr(session, "BLOCK", block)
     for run, want in zip(_block_runs(n), wanted):
         assert len(run.trials) > block, run.config
@@ -641,7 +649,7 @@ def test_any_block_size_draws_the_same_sessions(block, chunk, monkeypatch):
         assert np.array_equal(run.trials.row, want.trials.row), run.config
         assert np.array_equal(run.trials.row_counts(), want.trials.row_counts()), run.config
         assert run.report == want.report, run.config
-    assert check_sampling_consistency(default_bench(), 6, draws).detail == wanted_detail
+    assert check_sampling_consistency(bench, hh_session(bench, 6, draws)).detail == wanted_detail
     table = wanted[0].trials.table
     empty = Trials(np.zeros(0, dtype=np.int16), 0, table)
     assert np.array_equal(empty.row_counts(), np.zeros(len(table), dtype=np.intp))

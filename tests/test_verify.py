@@ -32,8 +32,10 @@ from sdcsim.verify import (
     check_sampling_consistency,
     check_signatures,
     consistent,
+    hh_session,
     negbin_tails,
     run_verification,
+    statistical_counts,
 )
 
 
@@ -146,8 +148,12 @@ def test_kernel_and_verify_draw_through_one_sampler(monkeypatch):
         calls.append((bounds, len(u)))
         return sample_outcome(bounds, u, out)
 
+    def outside_the_kernel(*args, **kwargs):
+        raise AssertionError("sample_outcome called outside the session kernel")
+
     monkeypatch.setattr(session, "sample_outcome", counting)
-    monkeypatch.setattr(verify, "sample_outcome", counting)
+    monkeypatch.setattr(verify, "sample_outcome", outside_the_kernel)
+    monkeypatch.setattr(fock, "sample_outcome", outside_the_kernel)
     bench = OpticalBench()
     config = RunConfig(scenario=Scenario.B, n_messages=CHUNK_MESSAGES + 1, seed=3)
     run_session(config, bench)
@@ -159,39 +165,88 @@ def test_kernel_and_verify_draw_through_one_sampler(monkeypatch):
     assert all(len(bounds) == len(bench.compiled.sums) for bounds, _ in calls)
     assert all(len(bound) == n for bounds, n in calls for bound in bounds)
     calls.clear()
-    # one stream, drawn a block at a time from the compiled psi+ column's boundaries
-    check_sampling_consistency(bench, seed=3, draws=CHUNK_MESSAGES + 1)
-    psi_plus = bench.compiled.sums[:, ALPHABET.index(MessageSymbol.PSI_PLUS)]
-    assert [n for _, n in calls] == _blocks(CHUNK_MESSAGES + 1)
-    assert all(n <= session.BLOCK for _, n in calls)
-    assert all(np.array_equal(bounds, psi_plus) for bounds, _ in calls)
+    # every draw of the suite is the kernel's, a block of one of its sessions at a
+    # time: the two-chunk HH session both statistical checks read, then the two
+    # one-chunk scenario-a sessions of seed_determinism
+    sessions = []
+    run = verify.run_session
+
+    def collecting(*args):
+        sessions.append(run(*args))
+        return sessions[-1]
+
+    monkeypatch.setattr(verify, "run_session", collecting)
+    assert all_passed(run_verification(seed=3, branch_trials=CHUNK_MESSAGES + 1))
+    assert [r.config.scenario for r in sessions] == [Scenario.B, Scenario.A, Scenario.A]
+    assert [n for _, n in calls] == (_blocks(CHUNK_MESSAGES) + _blocks(1)
+                                     + _blocks(len(sessions[1].trials))
+                                     + _blocks(len(sessions[2].trials)))
 
 
-def test_sampling_check_counts_only_the_psi_plus_patterns():
-    # a tilted psi- plate widens the compiled stack past psi+'s two patterns;
-    # the -1 padding of psi+'s column names no pattern
+def test_sampling_check_counts_only_the_hh_cells():
+    # a tilted psi- plate widens the compiled stack past HH's two patterns a branch:
+    # HH's rows past them are -1 padding and name no cell, and no other message's
+    # row is one
     bench = OpticalBench(Optics(psi_minus=(("hwp", 22.5),)))
     assert len(bench.compiled.codes) > 2
-    result = check_sampling_consistency(bench, seed=3, draws=1_000)
+    drawn = hh_session(bench, 3, 1_000)
+    table = drawn.table
+    assert (table.pattern[table.intended == ALPHABET.index(MessageSymbol.HH)] == -1).any()
+    result = check_sampling_consistency(bench, drawn)
     assert result.passed
-    assert [part.split()[0] for part in result.detail.split("; ")] == ["aH:1,aV:1", "bH:1,bV:1"]
+    assert [part.split()[:2] for part in result.detail.split("; ")] == [
+        ["controlled", "aH:2"], ["controlled", "bH:2"], ["wrong", "aV:2"], ["wrong", "bV:2"],
+    ]
+    assert all(" of 1000 (p = 0.25), " in part for part in result.detail.split("; "))
+
+
+@pytest.mark.parametrize("optics", [
+    Optics(psi_plus=(("hwp", 22.5),)),  # an encoded psi+ that is not the source pair
+    Optics(hh=()),  # hh is sent as psi+ and never goes wrong
+    Optics(psi_minus=(("hwp", 22.5),)),
+], ids=["tilted-psi-plus", "hh-never-wrong", "tilted-psi-minus"])
+def test_statistical_checks_hold_on_correct_perturbed_benches(optics):
+    # each count is held to the law of the bench it was drawn on
+    bench = OpticalBench(optics)
+    drawn = hh_session(bench, 3, 100_000)
+    assert check_branch_statistics(bench, drawn).passed
+    assert check_sampling_consistency(bench, drawn).passed
+
+
+def test_a_mis_wired_scenario_b_fails_verify(monkeypatch):
+    # scenario b's send-as-is wrong branch drawn from the receiver's lone photon
+    # instead of the re-emitted pair: its branch count still holds, its cells do not
+    wiring = session.wiring
+
+    def mis_wired(compiled, scenario, clone_policy, erase_notes):
+        if scenario is Scenario.B:
+            compiled = dataclasses.replace(compiled, resent_table=compiled.lone_table)
+        return wiring(compiled, scenario, clone_policy, erase_notes)
+
+    monkeypatch.setattr(session, "wiring", mis_wired)
+    results = run_verification(branch_trials=5_000)
+    assert [r.name for r in results if not r.passed] == ["sampling_consistency"]
 
 
 @pytest.mark.parametrize("p", [0.5, 0.25, 0.01])
 def test_band_minimum_is_the_first_size_a_count_can_leave(p):
-    # the branch check's rate, and each of the sampling check's two patterns'
-    alphas = (CHECK_ALARM, CHECK_ALARM / 2)
+    # a branch count at p and the check's rate, and a cell at half of p and a
+    # quarter of that rate
+    counts = ((p, CHECK_ALARM), (p / 2, CHECK_ALARM / 4))
 
-    def can_fail(m, alpha):
+    def can_fail(m, p, alpha):
         return any(not consistent(k, m, p, alpha) for k in range(m + 1))
 
-    n = band_minimum(p)
-    assert all(can_fail(n, alpha) for alpha in alphas)
-    assert not any(all(can_fail(m, alpha) for alpha in alphas) for m in range(1, n))
+    n = band_minimum(counts)
+    assert all(can_fail(n, *count) for count in counts)
+    assert not any(all(can_fail(m, *count) for count in counts) for m in range(1, n))
 
 
 def test_band_minimum_of_the_suite():
-    assert band_minimum(0.5) == 23  # 22 for the branch check alone
+    counts = statistical_counts(OpticalBench())
+    assert len(counts) == 5  # HH's wrong branches, then its four cells
+    assert band_minimum(counts) == 22
+    assert band_minimum(counts[1:]) == 12  # the cells alone
 
 
 @pytest.mark.parametrize("p", [0.5, 1 / 3, 1 / 100, 99 / 100])
@@ -276,8 +331,11 @@ def test_branch_statistics_counts_its_session_once(monkeypatch):
     bincount = np.bincount
     monkeypatch.setattr(np, "bincount", counting)
     trials = 3 * session.BLOCK + 1
-    assert check_branch_statistics(OpticalBench(), seed=5, trials=trials).passed
-    # one block-wise pass over the session's trials, shared by the tally and the check
+    bench = OpticalBench()
+    drawn = hh_session(bench, 5, trials)
+    assert check_branch_statistics(bench, drawn).passed
+    assert check_sampling_consistency(bench, drawn).passed
+    # one block-wise pass over the session's trials, shared by the tally and both checks
     assert calls == _blocks(trials)
 
 
@@ -309,7 +367,7 @@ def test_capacity_references_read_the_bench_they_check():
 
 
 def test_too_few_trials_for_the_band_is_an_invalid_configuration():
-    minimum = band_minimum(0.5)
+    minimum = band_minimum(statistical_counts(OpticalBench()))
     with pytest.raises(InvalidConfigError, match=f"below {minimum}"):
         run_verification(branch_trials=minimum - 1)
 
