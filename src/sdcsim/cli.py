@@ -23,6 +23,7 @@ import io
 import itertools
 import json
 import os
+import stat
 import sys
 from typing import Iterator
 
@@ -141,33 +142,45 @@ def _distribution_json(dist) -> dict:
 
 @contextlib.contextmanager
 def _written(*paths: str):
-    """Yield a handle on `<path>.tmp` for each path; once every one is written,
-    rename them all into place.
+    """Yield a handle for each path; once every one is written, rename the
+    temporaries among them into place.
 
+    Each path is resolved once (`os.path.realpath`), so a symlink is written
+    through: its target is replaced by `<target>.tmp`, and the link stays a link.
+    An existing destination that is not a regular file, such as a FIFO or
+    /dev/null, is written directly, with no temporary, so it is never replaced.
     Every destination is checked before anything is written: paths that
-    collide, counting each `<path>.tmp`, are an invalid configuration, and a
-    directory is an I/O error. A failed write leaves none of the files behind,
-    and an I/O error on a temporary names the path it stands for.
+    collide, counting each `<resolved>.tmp`, are an invalid configuration, and a
+    directory is an I/O error. A failed write leaves no temporary behind, and
+    an I/O error on a file names the path given for it.
     """
-    tmps = [f"{path}.tmp" for path in paths]
-    if len({os.path.realpath(p) for p in (*paths, *tmps)}) < 2 * len(paths):
+    resolved = [os.path.realpath(p) for p in paths]
+    if len({*resolved, *(f"{r}.tmp" for r in resolved)}) < 2 * len(paths):
         raise InvalidConfigError(
             f"{' and '.join(paths)} share a file or its temporary <path>.tmp"
         )
-    for path in paths:
-        if os.path.isdir(path):
+    targets = []
+    for path, real in zip(paths, resolved):
+        try:
+            mode = os.stat(real).st_mode
+        except OSError:  # not there yet: opening its temporary makes or refuses it
+            mode = stat.S_IFREG
+        if stat.S_ISDIR(mode):
             raise IsADirectoryError(errno.EISDIR, "cannot write output to a directory", path)
+        targets.append(f"{real}.tmp" if stat.S_ISREG(mode) else real)
+    renames = [(t, real) for t, real in zip(targets, resolved) if t != real]
     try:
         with contextlib.ExitStack() as stack:
-            yield [stack.enter_context(open(t, "w", encoding="utf-8", newline="")) for t in tmps]
-        for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
+            yield [stack.enter_context(open(t, "w", encoding="utf-8", newline=""))
+                   for t in targets]
+        for tmp, real in renames:
+            os.replace(tmp, real)
     except BaseException as exc:
-        for tmp in tmps:
+        for tmp, _ in renames:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
-        if isinstance(exc, OSError) and exc.filename in tmps:
-            path = paths[tmps.index(exc.filename)]
+        if isinstance(exc, OSError) and exc.filename in targets:
+            path = paths[targets.index(exc.filename)]
             raise OSError(exc.errno, exc.strerror, path) from None
         raise
 

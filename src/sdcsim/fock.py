@@ -9,8 +9,9 @@ comes out of the amplitude algebra with no approximation.
 All objects are immutable values; every operation returns a new state.
 `compose` folds a sequence of elements into one element that evolves a state
 like the sequence does. `sample_outcome` is the one sampling rule: it counts
-the outcome boundaries at or below each uniform. This module draws no
-randomness: the sampler's caller passes the uniforms.
+the outcome thresholds (`raw_thresholds`, a law's boundaries as uint64) below each
+raw 64-bit word. This module draws no randomness: the sampler's caller passes
+the words.
 """
 
 from __future__ import annotations
@@ -340,20 +341,41 @@ def outcome_distribution(
     return dist
 
 
-def sample_outcome(bounds, u, out=None):
-    """The sampling rule, for a uniform or an array of them: the number of
-    outcome boundaries at or below u, added into `out` if given.
+def raw_thresholds(bounds) -> np.ndarray:
+    """Each outcome boundary b as the uint64 threshold T = ceil(b * 2^53) * 2^11 - 1.
 
-    A law's boundaries are its running sums without the last, so the count is
-    the index of the first outcome whose running sum exceeds u, else the last
-    outcome's. Each boundary is a number or an array that matches u, so that
-    boundaries gathered per uniform from several laws each draw their own;
-    `bounds` may be any iterable, taken one boundary at a time. A law that is
-    padded past its last outcome pads with +inf, which no uniform counts.
+    numpy's `Generator.random` makes its double from a raw word as
+    (raw >> 11) * 2^-53, and that double is >= b exactly when raw > T, so a rule
+    that compares raw words with T draws what one that compares those doubles
+    with b draws. A boundary at or above 1, +inf included, maps to 2^64 - 1,
+    which no word exceeds. A boundary at or below 0, or NaN, raises ValueError:
+    every double is >= it, and no uint64 lies below every word.
     """
-    drawn = np.zeros(np.shape(u), dtype=np.intp) if out is None else out
-    for bound in bounds:
-        drawn += u >= bound
+    bounds = np.asarray(bounds, dtype=np.float64)
+    if not (bounds > 0.0).all():
+        raise ValueError(f"an outcome boundary must be > 0, not {bounds[~(bounds > 0.0)][0]}")
+    # ceil(b * 2^53) is an integer from 1 to 2^53, exact in a double, and the
+    # threshold is (it - 1) * 2^11 + 2^11 - 1, so 2^53 reaches 2^64 - 1 without
+    # wrapping; every operand is a uint64, so no numpy promotes the words to float
+    steps = np.ceil(np.minimum(bounds, 1.0) * 2.0**53).astype(np.uint64)
+    return (steps - np.uint64(1)) << np.uint64(11) | np.uint64(2**11 - 1)
+
+
+def sample_outcome(thresholds, raw, out=None):
+    """The sampling rule, for a raw 64-bit word or an array of them: the number of
+    outcome thresholds below the word, added into `out` if given.
+
+    A law's thresholds are those (`raw_thresholds`) of its boundaries, its running
+    sums without the last, so the count is the index of the first outcome whose
+    running sum exceeds the word's uniform, (raw >> 11) * 2^-53, else the last
+    outcome's. Each threshold is a uint64 or an array that matches `raw`, so that
+    thresholds gathered per word from several laws each draw their own;
+    `thresholds` may be any iterable, taken one threshold at a time. A law that
+    is padded past its last outcome pads with 2^64 - 1, which no word exceeds.
+    """
+    drawn = np.zeros(np.shape(raw), dtype=np.intp) if out is None else out
+    for threshold in thresholds:
+        drawn += raw > threshold
     return drawn[()]
 
 

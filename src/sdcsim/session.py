@@ -28,7 +28,12 @@ CHUNK_MESSAGES messages at a time. Each trial falls in a cell, 2 * message
 boundary rows hold each cell's running sums, and its `RowTable` names what
 each row code means: row cell * width + i is outcome i of the cell's law,
 with its message, branch, action, pattern, decoding and note. Sessions
-share it read-only, so a session costs only its draws and lookups. A chunk
+share it read-only, so a session costs only its draws and lookups. The
+kernel draws raw 64-bit words of the chunk's generator, never doubles: the
+wiring holds each boundary, and each message's controlled probability, as
+the uint64 threshold (`fock.raw_thresholds`) that a word exceeds exactly when
+the double numpy's `random` makes of it reaches the boundary, so no draw
+builds a double and every draw is the one `random` would make. A chunk
 draws in two passes over blocks of at most BLOCK items, so that its only
 arrays as long as the chunk are its int8 messages and its int16 cells and
 row codes: pass 1 goes over blocks of messages and draws each block's
@@ -47,7 +52,8 @@ with SeedSequence((seed, stream, k)), the counter-based keyed scheme of
 Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11). A chunk's
 trial stream draws, per message, its wrong-branch retries as
 geometric(p_controlled) - 1 (scenarios a, c) or one uniform for its branch
-(b), then one uniform per trial for the receiver's detector pattern. Pass 1
+(b), then one uniform per trial for the receiver's detector pattern; each
+uniform is random()'s, drawn as the raw word it is made of. Pass 1
 makes every branch draw of a chunk before pass 2 makes any pattern draw, and
 a generator draws in sequence, so the blocks draw the same stream as one
 call per chunk would: BLOCK is no part of the scheme. Chunks are
@@ -58,8 +64,8 @@ Both streams of a chunk come from one generator per thread, which
 `_generator` re-keys for each (seed, stream, chunk) instead of building a new
 one, and a uniform chunk reads its messages from the raw stream. Each draws
 exactly what the scheme's fresh generator draws, so, like BLOCK, the reuse is
-no part of the scheme. That rests on three numpy internals, each guarded by a
-test in tests/test_kernel.py:
+no part of the scheme. That, and drawing raw words for uniforms, rest on four
+numpy internals, each guarded by a test in tests/test_kernel.py:
   - SeedSequence hashes the tuple as its integers' 32-bit words, least
     significant first, 0 as one zero word
     (test_a_keyed_generator_draws_what_a_fresh_one_draws);
@@ -68,7 +74,10 @@ test in tests/test_kernel.py:
     (test_re_keying_back_gives_the_first_stream_again);
   - integers(0, 4, dtype=int8) draws each message by Lemire's method from
     one byte of the buffered stream, read little-endian, which over 4 values
-    is the byte's top two bits (test_uniform_messages_are_what_integers_draws).
+    is the byte's top two bits (test_uniform_messages_are_what_integers_draws);
+  - random() makes each double of one raw word of the stream, the word
+    random_raw() returns, as (raw >> 11) * 2^-53, and geometric() reads the
+    same words (test_a_raw_words_uniform_is_what_random_draws).
 `scenario_step` keys and draws all of a chunk in one call, so nothing holds
 the generator across a yield of `Session.chunks()`.
 """
@@ -86,7 +95,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import capacity
-from .fock import sample_outcome
+from .fock import raw_thresholds, sample_outcome
 from .protocol import (
     ALLOWED_OWNERS,
     ALPHABET,
@@ -104,7 +113,7 @@ from .protocol import (
 )
 
 CHUNK_MESSAGES = 1 << 16
-# Messages or trials per step of a chunk's two passes: 8,192 float64 temporaries
+# Messages or trials per step of a chunk's two passes: 8,192 8-byte temporaries
 # are 64 KB, below glibc's 128 KB mmap threshold (so no step maps and
 # first-touches fresh pages) and small enough to stay in cache
 BLOCK = 1 << 13
@@ -458,13 +467,17 @@ class Trials:
 
 @lru_cache(maxsize=256)
 def wiring(compiled: CompiledBench, scenario: Scenario, clone_policy: ClonePolicy,
-           erase_notes: bool) -> tuple[tuple[np.ndarray, ...], RowTable]:
-    """What a session of this configuration samples from `compiled`: its boundary
-    rows and its `RowTable`, built once per process and shared, read-only.
+           erase_notes: bool) -> tuple[np.ndarray, tuple[np.ndarray, ...], RowTable]:
+    """What a session of this configuration samples from `compiled`: its
+    controlled thresholds, its boundary rows and its `RowTable`, built once per
+    process and shared, read-only.
 
     A trial falls in a cell, 2 * message + wrong branch, and the cell decides
-    the compiled law it draws from. Boundary row j holds, per cell, running
-    sum j of that law: a contiguous copy of those columns of `compiled.sums`.
+    the compiled law it draws from. Boundary row j holds, per cell, the raw-word
+    threshold (`fock.raw_thresholds`) of running sum j of that law, from those
+    columns of `compiled.sums`; the controlled thresholds are those of each
+    message's `compiled.p_controlled`, which a scenario-b branch draw exceeds to
+    go wrong. A boundary at or below 0 raises ValueError.
     """
     # what a wrong branch does, per scenario: the receiver's law per message
     # (-1: the pair is stopped), the action and the note
@@ -478,8 +491,10 @@ def wiring(compiled: CompiledBench, scenario: Scenario, clone_policy: ClonePolic
                      NoteKind.ERASE if erase_notes else NoteKind.REPEAT),
     }[scenario]
     law = [t for m, wrong in enumerate(wrong_law) for t in (m, wrong)]
-    bounds = np.ascontiguousarray(compiled.sums[:, law])
+    bounds = raw_thresholds(compiled.sums[:, law])
     bounds.flags.writeable = False  # and so are the views of its rows
+    controlled = raw_thresholds(compiled.p_controlled)
+    controlled.flags.writeable = False
     width = len(compiled.codes)
     cell = np.arange(len(law), dtype=np.int8).repeat(width)
     branch = cell & 1  # BRANCHES: 0 controlled, 1 wrong
@@ -494,7 +509,7 @@ def wiring(compiled: CompiledBench, scenario: Scenario, clone_policy: ClonePolic
         patterns=(*compiled.patterns, None),
         outcomes=(*compiled.outcomes, None),
     )
-    return tuple(bounds), table
+    return controlled, tuple(bounds), table
 
 
 class Session:
@@ -512,19 +527,20 @@ class Session:
         compiled = (bench or default_bench()).compiled
         self._p_controlled = compiled.p_controlled
         self._width = np.int16(len(compiled.codes))
-        self._bounds, self.table = wiring(compiled, config.scenario, config.clone_policy,
-                                          config.erase_notes)
+        self._controlled, self._bounds, self.table = wiring(
+            compiled, config.scenario, config.clone_policy, config.erase_notes)
 
     def scenario_step(self, chunk: int, first: int) -> Trials:
         """Drive chunk `chunk`'s messages to delivery, numbering its trials from `first`."""
         messages = _chunk_messages(self.config, chunk)
         rng = trial_rng(self.config.seed, chunk)
+        words = rng.bit_generator.random_raw  # what rng.random makes its doubles from
         # pass 1: each block of messages' branches, into its trials' cells
         if self.config.scenario is Scenario.B:  # one pair per message
             cell = 2 * messages.astype(np.int16)
             for block in _blocks(len(cell)):
-                p_controlled = self._p_controlled.take(messages[block])
-                cell[block] += rng.random(len(p_controlled)) >= p_controlled  # the wrong branch
+                controlled = self._controlled.take(messages[block])
+                cell[block] += words(len(controlled)) > controlled  # the wrong branch
         else:  # retry on fresh pairs until the controlled branch
             pieces = []
             for block in _blocks(len(messages)):
@@ -539,7 +555,7 @@ class Session:
         for block in _blocks(len(cell)):  # pass 2, after every branch is drawn
             cells = cell[block]  # `take` gathers by it twice as fast as indexing does
             sample_outcome((bound.take(cells) for bound in self._bounds),
-                           rng.random(len(cells)), out=row[block])
+                           words(len(cells)), out=row[block])
         row.flags.writeable = False
         return Trials(row, first, self.table)
 

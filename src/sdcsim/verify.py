@@ -24,7 +24,12 @@ TAIL_BLOCK terms whose products and additions are the scalar loop's, in its
 order, so each tail is the scalar sum's bit for bit at ~0.05 ms raw for
 n = 100,000 (~0.3 ms one term at a time); `negbin_tails` is two of them.
 Both checks read the row counts the session already made for the report's
-tally (`Trials.row_counts`), so a session's rows are counted once.
+tally (`Trials.row_counts`), so a session's rows are counted once. Likewise
+each call analyzes the laws its checks read once (`analyzed_laws`: each
+message's controlled pair and HH's re-emitted pair), and builds HH's cell law
+and the element suite once, and passes them down: exact_discrimination, the
+`--trials` minimum, sampling_consistency and the two element checks share
+them. Nothing is kept across calls.
 """
 
 from __future__ import annotations
@@ -168,10 +173,10 @@ def band_minimum(counts: tuple[tuple[float, float], ...]) -> int:
     return next(n for n in itertools.count(1) if all(can_fail(n, *count) for count in counts))
 
 
-def statistical_counts(bench) -> tuple[tuple[float, float], ...]:
+def statistical_counts(bench, law: dict) -> tuple[tuple[float, float], ...]:
     """Each count the statistical checks hold on `bench`, as (probability,
-    false-alarm rate): HH's wrong branches, then each cell of `hh_cell_law`."""
-    law = hh_cell_law(bench)
+    false-alarm rate): HH's wrong branches, then each cell of `law`, its
+    `hh_cell_law`."""
     wrong = bench.encode_branches(MessageSymbol.HH).wrong_probability
     return ((wrong, CHECK_ALARM), *((p, CHECK_ALARM / len(law)) for p in law.values()))
 
@@ -198,9 +203,29 @@ def _element_suite(bench) -> list:
     return list(distinct.values())
 
 
-def check_unitarity(bench) -> CheckResult:
+@dataclass(frozen=True)
+class Laws:
+    """The analyzer laws the checks read, analyzed once per `run_verification`
+    call: each message's controlled pair, in ALPHABET order, and HH's
+    re-emitted pair, None for an HH that never goes wrong."""
+
+    controlled: tuple[dict[DetectionPattern, float], ...]
+    hh_resent: dict[DetectionPattern, float] | None
+
+
+def analyzed_laws(bench) -> Laws:
+    """`bench`'s `Laws`, each through `bench.analyze` once."""
+    resent = bench.encode_branches(MessageSymbol.HH).resent_state
+    return Laws(
+        tuple(bench.analyze(bench.encode_branches(symbol).controlled_state)
+              for symbol in ALPHABET),
+        None if resent is None else bench.analyze(resent),
+    )
+
+
+def check_unitarity(elements: list) -> CheckResult:
     worst_name, worst = max(
-        ((e.name, unitarity_defect(e.matrix)) for e in _element_suite(bench)),
+        ((e.name, unitarity_defect(e.matrix)) for e in elements),
         key=lambda kv: kv[1],
     )
     return _check(
@@ -241,10 +266,10 @@ def check_perpendicular_split(bench) -> CheckResult:
     )
 
 
-def check_composition(bench) -> CheckResult:
+def check_composition(bench, elements: list) -> CheckResult:
     state = bench.source_emit()
     worst = 0.0
-    for element in _element_suite(bench):
+    for element in elements:
         # a Hermitian unitary (a plate, a PBS, a polarizer) is its own inverse
         hermitian = np.array_equal(element.matrix, element.matrix.conj().T)
         roundtrip = apply_element(apply_element(state, element),
@@ -271,10 +296,8 @@ def check_signatures(bench) -> CheckResult:
     )
 
 
-def check_exact_discrimination(bench) -> CheckResult:
-    for symbol in ALPHABET:
-        branches = bench.encode_branches(symbol)
-        dist = bench.analyze(branches.controlled_state)
+def check_exact_discrimination(bench, laws: Laws) -> CheckResult:
+    for symbol, dist in zip(ALPHABET, laws.controlled):
         good = sum(
             p
             for pattern, p in dist.items()
@@ -313,17 +336,19 @@ def hh_session(bench, seed: int, trials: int) -> Trials:
     return run_session(config, bench).trials
 
 
-def hh_cell_law(bench) -> dict[tuple[Branch, DetectionPattern], float]:
+def hh_cell_law(bench, laws: Laws) -> dict[tuple[Branch, DetectionPattern], float]:
     """P(branch, pattern) of one HH message of scenario b, sent as is, from the optics:
-    the branch's probability from `encode_branches`, times the pattern's from `analyze`
-    of the controlled pair or of the pair re-emitted on a click. A message that never
-    goes wrong has no re-emitted pair, so its wrong cells have probability 0."""
+    the branch's probability from `encode_branches`, times the pattern's from `laws`,
+    the analyzer's laws of the controlled pair and of the pair re-emitted on a click.
+    A message that never goes wrong has no re-emitted pair, so its wrong cells have
+    probability 0."""
     split = bench.encode_branches(MessageSymbol.HH)
-    branches = ((Branch.CONTROLLED, split.controlled_probability, split.controlled_state),
-                (Branch.WRONG, split.wrong_probability, split.resent_state))
+    branches = ((Branch.CONTROLLED, split.controlled_probability,
+                 laws.controlled[ALPHABET.index(MessageSymbol.HH)]),
+                (Branch.WRONG, split.wrong_probability, laws.hh_resent))
     return {(branch, pattern): p * q
-            for branch, p, state in branches if state is not None
-            for pattern, q in bench.analyze(state).items()}
+            for branch, p, law in branches if law is not None
+            for pattern, q in law.items()}
 
 
 def check_branch_statistics(bench, drawn: Trials) -> CheckResult:
@@ -334,10 +359,11 @@ def check_branch_statistics(bench, drawn: Trials) -> CheckResult:
     return _check("branch_statistics", passed, f"wrong {measured}")
 
 
-def check_sampling_consistency(bench, drawn: Trials) -> CheckResult:
+def check_sampling_consistency(bench, drawn: Trials, law: dict) -> CheckResult:
     """Each (branch, pattern) cell of HH in `drawn`, one row of its table, held to
-    `hh_cell_law`; a cell the law gives and the table lacks counts 0, and a row of
-    pattern code -1 (padding past a law's last outcome, or a stopped pair) is none."""
+    `law`, its `hh_cell_law`; a cell the law gives and the table lacks counts 0, and a
+    row of pattern code -1 (padding past a law's last outcome, or a stopped pair) is
+    none."""
     table, counts = drawn.table, drawn.row_counts()
     rows = np.flatnonzero((table.intended == ALPHABET.index(MessageSymbol.HH))
                           & (table.pattern >= 0))
@@ -346,7 +372,6 @@ def check_sampling_consistency(bench, drawn: Trials) -> CheckResult:
         for branch, pattern, n in zip(table.branch[rows].tolist(), table.pattern[rows].tolist(),
                                       counts[rows].tolist())
     }
-    law = hh_cell_law(bench)
     cells = sorted(counted.keys() | law.keys(), key=lambda cell: (cell[0].value, str(cell[1])))
     alpha = CHECK_ALARM / len(cells)
     tests = [_tail_test(counted.get(cell, 0), len(drawn), law.get(cell, 0.0), alpha)
@@ -398,27 +423,35 @@ def run_verification(seed: int = 20_260_810, branch_trials: int = 100_000) -> li
     that is not an unsigned 64-bit integer, or fewer trials than the fewest at
     which each of their counts can fail (`band_minimum` of
     `statistical_counts`), raises InvalidConfigError before any check runs.
+
+    Each call analyzes the laws its checks read once (`analyzed_laws`), builds
+    HH's cell law from them once and the element suite once, and passes each
+    to the checks that read it; nothing is kept across calls, so every call
+    does the suite's whole work.
     """
     check_seed(seed)
     bench = default_bench()
-    minimum = band_minimum(statistical_counts(bench))
+    laws = analyzed_laws(bench)
+    cell_law = hh_cell_law(bench, laws)
+    minimum = band_minimum(statistical_counts(bench, cell_law))
     if branch_trials < minimum:
         raise InvalidConfigError(
             f"{branch_trials} trials is below {minimum}, the fewest at which each "
             f"statistical check can fail at a false-alarm rate of {FALSE_ALARM:g}"
         )
     drawn = hh_session(bench, seed, branch_trials)
+    elements = _element_suite(bench)
     return [
-        check_unitarity(bench),
-        check_composition(bench),
+        check_unitarity(elements),
+        check_composition(bench, elements),
         check_hom_dip(bench),
         check_perpendicular_split(bench),
         check_signatures(bench),
-        check_exact_discrimination(bench),
+        check_exact_discrimination(bench, laws),
         check_phi_indistinguishable(bench),
         check_branch_probability(bench),
         check_branch_statistics(bench, drawn),
-        check_sampling_consistency(bench, drawn),
+        check_sampling_consistency(bench, drawn, cell_law),
         check_capacity_references(bench),
         check_seed_determinism(bench, seed),
     ]

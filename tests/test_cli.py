@@ -3,8 +3,10 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -280,6 +282,50 @@ class TestSimulate:
         assert list(tmp_path.iterdir()) == []
         assert "invalid configuration" in capsys.readouterr().err
 
+    def _simulate(self, tmp_path, log, out="r.json"):
+        return run(["simulate", "--scenario", "b", "--n", "50", "--seed", "4",
+                    "--out", str(tmp_path / out), "--log", str(log)])
+
+    def test_a_symlinked_log_is_written_through(self, tmp_path):
+        assert self._simulate(tmp_path, tmp_path / "direct.csv", out="direct.json") == 0
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert self._simulate(tmp_path, link) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == (tmp_path / "direct.csv").read_bytes()
+        assert target.read_bytes().startswith(",".join(cli.EVENT_HEADER).encode() + b"\r\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "direct.csv", "direct.json", "link.csv", "r.json", "target.csv"]
+
+    def test_a_report_and_a_link_to_it_collide(self, tmp_path, capsys):
+        (tmp_path / "link.csv").symlink_to(tmp_path / "r.json")
+        assert self._simulate(tmp_path, tmp_path / "link.csv") == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]
+
+    def test_a_fifo_log_is_written_into_not_replaced(self, tmp_path):
+        assert self._simulate(tmp_path, tmp_path / "direct.csv", out="direct.json") == 0
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        read = []
+
+        def reader():
+            with open(pipe, "rb") as fifo:  # blocks until the writer opens it
+                read.append(fifo.read())
+
+        thread = threading.Thread(target=reader, daemon=True)
+        thread.start()
+        code = self._simulate(tmp_path, pipe)
+        thread.join(timeout=60)
+        if thread.is_alive() and stat.S_ISFIFO(os.stat(pipe).st_mode):
+            os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK))  # free the reader
+        assert code == 0
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+        assert read == [(tmp_path / "direct.csv").read_bytes()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "direct.csv", "direct.json", "pipe.csv", "r.json"]
+
     def test_expected_block_weights_the_cycled_stream(self, tmp_path):
         # the stream is hh,psi+,vv,hh: 4 messages over an expected 7 pairs
         report_path = tmp_path / "r.json"
@@ -441,7 +487,9 @@ class TestVerify:
         assert "FAIL  hom_dip" in capsys.readouterr().out
 
     def test_too_few_trials_exits_1_and_the_minimum_runs(self, capsys):
-        minimum = verify.band_minimum(verify.statistical_counts(OpticalBench()))
+        bench = OpticalBench()
+        law = verify.hh_cell_law(bench, verify.analyzed_laws(bench))
+        minimum = verify.band_minimum(verify.statistical_counts(bench, law))
         assert run(["verify", "--trials", "1"]) == 1
         assert run(["verify", "--trials", str(minimum - 1)]) == 1
         captured = capsys.readouterr()

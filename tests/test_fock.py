@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sdcsim.fock import (
@@ -17,6 +17,7 @@ from sdcsim.fock import (
     branch_on_modes,
     make_state,
     outcome_distribution,
+    raw_thresholds,
     sample_outcome,
     unitarity_defect,
 )
@@ -236,38 +237,57 @@ class TestOutcomeDistribution:
             outcome_distribution(state, [ModeLabel("a", "H"), ModeLabel("a", "V")])
 
 
+TOP = 2**64 - 1  # the all-ones raw word, whose uniform is the largest double below 1
+
+
+def uniform(raw):
+    """The double numpy's `Generator.random` makes of each raw word: (raw >> 11) * 2^-53."""
+    return (np.asarray(raw, dtype=np.uint64) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def word(u):
+    """The smallest raw word whose uniform is u, a multiple of 2^-53 in [0, 1)."""
+    steps = u * 2.0**53
+    assert steps == int(steps) and 0 <= steps < 2**53, u
+    return np.uint64(int(steps) << 11)
+
+
 def stacked_column(probs):
-    """A law's running sums as a column of a stack laid out like `CompiledBench.sums`:
-    without the last sum, then +inf down to a width wider than the law."""
+    """A law's thresholds as a column of a stack laid out like `CompiledBench.sums`:
+    its running sums without the last, then +inf down to a width wider than the law."""
     stack = np.full((len(probs) + 2, 3), np.inf)
     stack[: len(probs) - 1, 1] = np.cumsum(probs)[:-1]
-    return stack[:, 1]
+    return raw_thresholds(stack[:, 1])
 
 
 def boundaries(probs):
-    """A law's outcome boundaries, the running sums the sampler counts: all but the last."""
-    return np.cumsum(probs)[:-1]
+    """A law's outcome thresholds, of the running sums the sampler counts: all but the last."""
+    return raw_thresholds(np.cumsum(probs)[:-1])
 
 
-# the two layouts the sampler reads: a law's boundaries, and its column of a stack
+# the two layouts the sampler reads: a law's thresholds, and its column of a stack
 LAYOUTS = (boundaries, stacked_column)
+
+
+def random_words(seed, n):
+    return np.random.default_rng(seed).bit_generator.random_raw(n)
 
 
 class TestSampleOutcome:
     def test_point_distribution(self):
         for sums in (layout([1.0]) for layout in LAYOUTS):
-            assert sample_outcome(sums, 0.0) == 0
-            assert sample_outcome(sums, 1.0 - 1e-16) == 0
+            assert sample_outcome(sums, np.uint64(0)) == 0
+            assert sample_outcome(sums, np.uint64(TOP)) == 0
 
     def test_empirical_frequency_matches(self):
         n = 100_000
-        u = np.random.default_rng(42).random(n)
+        raw = random_words(42, n)
         for sums in (layout([0.5, 0.5]) for layout in LAYOUTS):
-            assert abs(np.count_nonzero(sample_outcome(sums, u) == 0) / n - 0.5) < 0.01
+            assert abs(np.count_nonzero(sample_outcome(sums, raw) == 0) / n - 0.5) < 0.01
 
     def test_fixed_seed_reproducible(self):
         for sums in (layout([0.3, 0.7]) for layout in LAYOUTS):
-            draws = lambda: sample_outcome(sums, np.random.default_rng(7).random(5)).tolist()
+            draws = lambda: sample_outcome(sums, random_words(7, 5)).tolist()
             assert draws() == draws()
 
     def test_inverse_cdf_over_sorted_keys(self):
@@ -283,20 +303,20 @@ class TestSampleOutcome:
                     return key
             return keys[-1]
 
-        # every running sum, the floats either side of it, and u >= the last sum
-        probes = [0.0, 1.0 - 1e-11, 1.0, *cumulative.tolist()]
-        probes += [np.nextafter(c, side) for c in cumulative.tolist() for side in (0.0, 2.0)]
-        expected = [scalar_rule(u) for u in probes]
+        # every running sum's threshold, the words either side of it, and the
+        # all-ones word, whose uniform lies past the last sum
+        raw = probes(cumulative)
+        expected = [scalar_rule(u) for u in uniform(raw).tolist()]
         for sums in (layout([law[key] for key in keys]) for layout in LAYOUTS):
             for u, key in ((0.0, "x"), (0.25, "y"), (0.7, "z"), (1.0 - 1e-11, "z")):
-                assert keys[sample_outcome(sums, u)] == key
-            assert [keys[i] for i in sample_outcome(sums, np.array(probes))] == expected
-            assert [keys[sample_outcome(sums, u)] for u in probes] == expected
+                assert keys[sample_outcome(sums, word(u))] == key
+            assert [keys[i] for i in sample_outcome(sums, raw)] == expected
+            assert [keys[sample_outcome(sums, x)] for x in raw] == expected
 
     def test_batched_draws_match_scalar_draws(self):
-        u = np.random.default_rng(3).random(1000)
+        raw = random_words(3, 1000)
         for sums in (layout([0.3, 0.7 - 1e-12, 1e-12]) for layout in LAYOUTS):
-            assert sample_outcome(sums, u).tolist() == [sample_outcome(sums, x) for x in u]
+            assert sample_outcome(sums, raw).tolist() == [sample_outcome(sums, x) for x in raw]
 
 
 def searchsorted_rule(cumulative, u):
@@ -307,50 +327,55 @@ def searchsorted_rule(cumulative, u):
 
 @st.composite
 def laws(draw):
-    """1-12 probabilities, some 0, summing to 1 or short of it by under 1e-9."""
-    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)
-                   .filter(lambda w: sum(w) > 0.0))
+    """1-12 probabilities, some 0 past the first, summing to 1 or short of it by
+    under 1e-9; a law whose first probability is 0 has a boundary at 0, which
+    `raw_thresholds` refuses (`test_a_boundary_at_or_below_0_is_refused`)."""
+    first = draw(st.floats(0.0, 1.0, exclude_min=True))
+    weights = [first, *draw(st.lists(st.floats(0.0, 1.0), max_size=11))]
     shortfall = draw(st.sampled_from([0.0, 1e-12, 5e-10, 9.9e-10]))
     total = sum(weights)
-    return [w / total * (1.0 - shortfall) for w in weights]
+    law = [w / total * (1.0 - shortfall) for w in weights]
+    assume(law[0] > 0.0)  # a subnormal first weight can round to 0 here
+    return law
 
 
 def probes(cumulative):
-    """0, the largest uniform below 1, every running sum and the floats either side of it."""
-    sums = [float(c) for c in cumulative]
-    near = [np.nextafter(c, side) for c in sums for side in (0.0, 2.0)]
-    return np.array([0.0, 1.0 - 1e-16, *sums, *near])
+    """0, the all-ones word, and each running sum's threshold and the words either side of it."""
+    near = [t + d for t in raw_thresholds(cumulative).tolist() for d in (-1, 0, 1)]
+    return np.array([0, TOP, *(min(w, TOP) for w in near)], dtype=np.uint64)
 
 
 @settings(max_examples=150, deadline=None)
 @given(law=laws(), seed=st.integers(0, 2**32 - 1))
 def test_sampler_counts_running_sums_as_a_binary_search_would(law, seed):
     cumulative = np.cumsum(law)
-    u = np.concatenate([probes(cumulative), np.random.default_rng(seed).random(64)])
-    expected = searchsorted_rule(cumulative, u).tolist()
+    raw = np.concatenate([probes(cumulative), random_words(seed, 64)])
+    expected = searchsorted_rule(cumulative, uniform(raw)).tolist()
     for sums in (boundaries(law), stacked_column(law)):
-        assert sample_outcome(sums, u).tolist() == expected
-        assert [int(sample_outcome(sums, x)) for x in u] == expected
+        assert sample_outcome(sums, raw).tolist() == expected
+        assert [int(sample_outcome(sums, x)) for x in raw] == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(stacked=st.lists(laws(), min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1))
 def test_stacked_tables_each_draw_their_own(stacked, seed):
     # one column per law, laid out like `CompiledBench.sums`: its running sums
-    # without the last, then +inf down to the widest law's size
+    # without the last, then +inf down to the widest law's size, as thresholds
     width = max(map(len, stacked))
     stack = np.full((width, len(stacked)), np.inf)
     for j, law in enumerate(stacked):
         stack[: len(law) - 1, j] = np.cumsum(law)[:-1]
+    stack = raw_thresholds(stack)
     rng = np.random.default_rng(seed)
     probed = [probes(np.cumsum(law)) for law in stacked]
     which = np.concatenate([np.full(len(p), j) for j, p in enumerate(probed)]
                            + [rng.integers(0, len(stacked), 64)])
-    u = np.concatenate([*probed, rng.random(64)])
-    order = rng.permutation(len(u))
-    which, u = which[order], u[order]
-    drawn = sample_outcome(stack[:, which], u)
-    expected = [int(searchsorted_rule(np.cumsum(stacked[j]), x)) for j, x in zip(which, u)]
+    raw = np.concatenate([*probed, rng.bit_generator.random_raw(64)])
+    order = rng.permutation(len(raw))
+    which, raw = which[order], raw[order]
+    drawn = sample_outcome(stack[:, which], raw)
+    expected = [int(searchsorted_rule(np.cumsum(stacked[j]), u))
+                for j, u in zip(which, uniform(raw))]
     assert drawn.tolist() == expected
 
 
@@ -359,24 +384,78 @@ def test_stacked_tables_each_draw_their_own(stacked, seed):
        seed=st.integers(0, 2**32 - 1))
 def test_boundary_rows_added_in_place_match_the_running_sums(stacked, padding, seed):
     # a stack laid out like `CompiledBench.sums`, `padding` rows wider than its
-    # widest law; its boundary rows are contiguous copies of all but its last
-    # row, added per uniform into an int16 row code as the session kernel does
+    # widest law; its boundary rows are the thresholds of all but its last row,
+    # added per word into an int16 row code as the session kernel does
     width = max(map(len, stacked)) + padding
     stack = np.full((width, len(stacked)), np.inf)
     for j, law in enumerate(stacked):
         stack[: len(law) - 1, j] = np.cumsum(law)[:-1]
-    bounds = tuple(np.ascontiguousarray(stack[:-1]))
+    stack = raw_thresholds(stack)
+    bounds = tuple(stack[:-1])
     rng = np.random.default_rng(seed)
-    probed = [probes(np.cumsum(law)) for law in stacked]  # uniforms on and around each boundary
+    probed = [probes(np.cumsum(law)) for law in stacked]  # words on and around each threshold
     which = np.concatenate([np.full(len(p), j) for j, p in enumerate(probed)]
                            + [rng.integers(0, len(stacked), 64)]).astype(np.int16)
-    u = np.concatenate([*probed, rng.random(64)])
+    raw = np.concatenate([*probed, rng.bit_generator.random_raw(64)])
     row = which * np.int16(width)
-    sample_outcome((bound[which] for bound in bounds), u, out=row)
+    sample_outcome((bound[which] for bound in bounds), raw, out=row)
     assert row.dtype == np.int16
-    expected = [int(searchsorted_rule(np.cumsum(stacked[j]), x)) for j, x in zip(which, u)]
+    expected = [int(searchsorted_rule(np.cumsum(stacked[j]), u))
+                for j, u in zip(which, uniform(raw))]
     assert (row - which * width).tolist() == expected
-    assert (row - which * width).tolist() == sample_outcome(stack[:, which], u).tolist()
+    assert (row - which * width).tolist() == sample_outcome(stack[:, which], raw).tolist()
+
+
+# boundaries the threshold rule must decide exactly: the top uniform, 1, past
+# every uniform, and the smallest positive double
+EDGE_BOUNDARIES = (1.0 - 2.0**-53, 1.0, math.inf, 5e-324)
+
+
+@st.composite
+def boundary_and_word(draw):
+    """(b, raw): b a running sum of a random law, a multiple of 2^-53 or an edge,
+    perhaps moved one double either way; raw on or beside b's threshold, at either
+    end of the words or anywhere."""
+    b = draw(st.sampled_from(EDGE_BOUNDARIES)
+             | laws().flatmap(lambda law: st.sampled_from(np.cumsum(law).tolist()))
+             | st.integers(1, 2**53).map(lambda k: k * 2.0**-53))
+    b = draw(st.sampled_from([b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)])
+             .filter(lambda moved: moved > 0.0))
+    threshold = int(raw_thresholds(b))
+    near = st.sampled_from([threshold - 1, threshold, threshold + 1]).map(
+        lambda w: min(max(w, 0), TOP))
+    return b, draw(near | st.sampled_from([0, TOP]) | st.integers(0, TOP))
+
+
+@settings(max_examples=500, deadline=None)
+@given(boundary_and_word())
+@example((1.0 - 2.0**-53, TOP))
+@example((1.0 - 2.0**-53, TOP - 1))
+@example((1.0 - 2.0**-53, TOP - 2**11))
+@example((1.0, TOP))
+@example((math.inf, TOP))
+@example((5e-324, 0))
+@example((5e-324, 2**11 - 1))
+@example((5e-324, 2**11))
+def test_a_word_exceeds_the_threshold_exactly_when_its_uniform_reaches_the_boundary(case):
+    b, raw = case
+    threshold = raw_thresholds(b)
+    assert threshold.dtype == np.uint64
+    reaches = (raw >> 11) * 2.0**-53 >= b  # the uniform numpy's `random` makes of raw
+    assert (raw > int(threshold)) == reaches
+    assert sample_outcome(raw_thresholds([b]), np.uint64(raw)) == reaches
+
+
+@pytest.mark.parametrize("b", [0.0, -0.0, -5e-324, -1.0, -math.inf, math.nan])
+def test_a_boundary_at_or_below_0_is_refused(b):
+    # every uniform reaches it, and no uint64 lies below every word
+    with pytest.raises(ValueError, match="must be > 0"):
+        raw_thresholds(b)
+    with pytest.raises(ValueError, match="must be > 0"):
+        raw_thresholds([0.5, b, np.inf])
+    # a law whose first outcome has probability 0
+    with pytest.raises(ValueError, match="must be > 0"):
+        boundaries([0.0, 0.5, 0.5])
 
 
 class TestDetect:

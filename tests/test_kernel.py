@@ -52,9 +52,11 @@ from sdcsim.session import (
     run_session,
 )
 from sdcsim.verify import (
+    analyzed_laws,
     binomial_tails,
     check_branch_statistics,
     check_sampling_consistency,
+    hh_cell_law,
     hh_session,
     negbin_tails,
 )
@@ -236,16 +238,18 @@ def test_kernel_columns_are_pinned_on_perturbed_benches(bench_name, make_bench):
 
 
 class _TopUniforms:
-    """A trial stream whose every uniform is the largest float below 1."""
+    """A trial stream whose every raw word is all ones, whose uniform is the
+    largest float below 1."""
 
     def __init__(self, rng):
         self._rng = rng
+        self.bit_generator = self
 
     def geometric(self, p):
         return self._rng.geometric(p)
 
-    def random(self, size):
-        return np.full(size, np.nextafter(1.0, 0.0))
+    def random_raw(self, size):
+        return np.full(size, np.iinfo(np.uint64).max, dtype=np.uint64)
 
 
 @pytest.mark.parametrize("make_bench", [_tilted_hh, _tilted_psi_minus])
@@ -563,7 +567,9 @@ def test_branch_statistics_holds_no_intp_copy_of_its_rows():
 
     def both_checks():
         drawn = hh_session(bench, 5, trials)
-        return check_branch_statistics(bench, drawn), check_sampling_consistency(bench, drawn)
+        law = hh_cell_law(bench, analyzed_laws(bench))
+        return (check_branch_statistics(bench, drawn),
+                check_sampling_consistency(bench, drawn, law))
 
     peak, results = _traced_peak(both_checks)
     assert all(result.passed for result in results)
@@ -641,7 +647,8 @@ def test_any_block_size_draws_the_same_sessions(block, chunk, monkeypatch):
     draws = 30 * block
     wanted = _block_runs(n)
     bench = default_bench()
-    wanted_detail = check_sampling_consistency(bench, hh_session(bench, 6, draws)).detail
+    law = hh_cell_law(bench, analyzed_laws(bench))
+    wanted_detail = check_sampling_consistency(bench, hh_session(bench, 6, draws), law).detail
     monkeypatch.setattr(session, "BLOCK", block)
     for run, want in zip(_block_runs(n), wanted):
         assert len(run.trials) > block, run.config
@@ -649,7 +656,7 @@ def test_any_block_size_draws_the_same_sessions(block, chunk, monkeypatch):
         assert np.array_equal(run.trials.row, want.trials.row), run.config
         assert np.array_equal(run.trials.row_counts(), want.trials.row_counts()), run.config
         assert run.report == want.report, run.config
-    assert check_sampling_consistency(bench, hh_session(bench, 6, draws)).detail == wanted_detail
+    assert check_sampling_consistency(bench, hh_session(bench, 6, draws), law).detail == wanted_detail
     table = wanted[0].trials.table
     empty = Trials(np.zeros(0, dtype=np.int16), 0, table)
     assert np.array_equal(empty.row_counts(), np.zeros(len(table), dtype=np.intp))
@@ -686,11 +693,12 @@ def test_a_changed_encoder_gets_its_own_wiring():
     assert Session(config, other).table is not tilted.table
 
 
-# Each chunk re-keys the thread's one generator instead of building one. These
-# properties name the numpy internals that equality rests on, so that a numpy
-# release that changes one fails here, not only in the pins: how SeedSequence
-# assembles its words from the tuple, the Philox state dict, and Lemire's
-# method over buffered bytes for uniform messages.
+# Each chunk re-keys the thread's one generator instead of building one, and
+# draws its uniforms as raw words. These properties name the numpy internals
+# that equality rests on, so that a numpy release that changes one fails here,
+# not only in the pins: how SeedSequence assembles its words from the tuple, the
+# Philox state dict, Lemire's method over buffered bytes for uniform messages,
+# and the double `random` makes of each raw word.
 EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
 EDGE_CHUNKS = (0, 1, 2**32 - 1, 2**32, 2**32 + 7, 2**64)
 KEYS = st.tuples(st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1),
@@ -753,6 +761,43 @@ def test_uniform_messages_are_what_integers_draws(seed, chunk):
         messages = session._chunk_messages(config, chunk)
         assert messages.dtype == np.int8
         assert np.array_equal(messages, want), size
+
+
+def _uniforms(raw):
+    return (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1),
+       chunk=st.sampled_from(EDGE_CHUNKS) | st.integers(0, 50),
+       other=KEYS, size=st.integers(1, 9))
+@example(seed=0, chunk=0, other=(0, 0, 0), size=1)
+@example(seed=2**64 - 1, chunk=2**64, other=(1, 1, 1), size=3)
+def test_a_raw_words_uniform_is_what_random_draws(seed, chunk, other, size):
+    # the kernel compares raw words where `random` would compare their doubles,
+    # (raw >> 11) * 2^-53; each draws one word of the stream, so retries drawn by
+    # `geometric` leave the words where they leave the doubles
+    for n in (1, 5, session.BLOCK + 3):
+        want = session.trial_rng(seed, chunk).random(n)
+        got = _uniforms(session.trial_rng(seed, chunk).bit_generator.random_raw(n))
+        assert np.array_equal(got, want), n
+    fresh = _fresh(seed, session._STREAM_TRIAL, chunk)
+    want = fresh.random(size), fresh.geometric(0.5, size), fresh.random(2 * size + 1)
+    # a re-keyed generator after another key drew a part of its buffer
+    session._generator(*other).geometric(0.5, size)
+    rng = session.trial_rng(seed, chunk)
+    got = (_uniforms(rng.bit_generator.random_raw(size)), rng.geometric(0.5, size),
+           _uniforms(rng.bit_generator.random_raw(2 * size + 1)))
+    _assert_same_draws(got, want)
+
+
+def test_the_wiring_refuses_a_boundary_at_or_below_0():
+    compiled = OpticalBench().compiled
+    sums = compiled.sums.copy()
+    sums[0, ALPHABET.index(MessageSymbol.HH)] = 0.0
+    with pytest.raises(ValueError, match="must be > 0"):
+        session.wiring(dataclasses.replace(compiled, sums=sums), Scenario.A,
+                       ClonePolicy.SEND_AS_IS, False)
 
 
 THREAD_SESSIONS = [RunConfig(n_messages=n, seed=seed, messages=messages, **fields)

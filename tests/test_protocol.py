@@ -322,10 +322,11 @@ class TestCompiledBench:
         # the bench reads its encoder splits from the compiled model, never reruns them
         for i, symbol in enumerate(ALPHABET):
             assert bench.encode_branches(symbol) is bench.compiled.branches[i]
-        assert verify.check_exact_discrimination(bench).passed
+        assert verify.check_exact_discrimination(bench, verify.analyzed_laws(bench)).passed
         assert verify.check_branch_probability(bench).passed
-        # the discrimination check analyzes each controlled pair through `bench.analyze`
-        assert compile_calls == {"encode_branches": 4, "analyze": 8 + len(ALPHABET)}
+        # verify's laws analyze each controlled pair and HH's re-emitted pair through
+        # `bench.analyze`, once each
+        assert compile_calls == {"encode_branches": 4, "analyze": 8 + len(ALPHABET) + 1}
 
     def test_fresh_benches_share_one_compiled_model(self, compile_calls):
         first = OpticalBench().compiled

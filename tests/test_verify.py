@@ -25,6 +25,7 @@ from sdcsim.session import CHUNK_MESSAGES, InvalidConfigError, RunConfig, run_se
 from sdcsim.verify import (
     CHECK_ALARM,
     all_passed,
+    analyzed_laws,
     band_minimum,
     binomial_tails,
     check_branch_statistics,
@@ -32,11 +33,17 @@ from sdcsim.verify import (
     check_sampling_consistency,
     check_signatures,
     consistent,
+    hh_cell_law,
     hh_session,
     negbin_tails,
     run_verification,
     statistical_counts,
 )
+
+
+def cell_law(bench):
+    """HH's cell law on `bench`, from its analyzed laws, as `run_verification` builds it."""
+    return hh_cell_law(bench, analyzed_laws(bench))
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +100,7 @@ def test_element_checks_read_the_elements_the_bench_compiled_with(monkeypatch):
         "HWP(22.5,alice)",
     ]
     assert elements[4] is bench.compiled.encoders[ALPHABET.index(MessageSymbol.PSI_MINUS)][0]
-    assert verify.check_unitarity(bench).passed
+    assert verify.check_unitarity(elements).passed
     applied = []
 
     def spied(state, element):
@@ -101,7 +108,7 @@ def test_element_checks_read_the_elements_the_bench_compiled_with(monkeypatch):
         return apply_element(state, element)
 
     monkeypatch.setattr(verify, "apply_element", spied)
-    assert verify.check_composition(bench).passed
+    assert verify.check_composition(bench, elements).passed
     # each element once, then its inverse: itself, or the beam splitter's dagger
     assert applied[0::2] == elements
     assert applied[3::2] == elements[1:]
@@ -128,8 +135,9 @@ def test_unequal_elements_that_share_a_name_are_each_checked(monkeypatch):
 
     monkeypatch.setattr(verify, "unitarity_defect", defect)
     monkeypatch.setattr(verify, "apply_element", spied)
-    assert verify.check_unitarity(bench).passed
-    assert verify.check_composition(bench).passed
+    elements = verify._element_suite(bench)
+    assert verify.check_unitarity(elements).passed
+    assert verify.check_composition(bench, elements).passed
     for plate in (hh, vv):
         assert any(matrix is plate.matrix for matrix in measured)
         assert any(element is plate for element in applied)
@@ -192,7 +200,7 @@ def test_sampling_check_counts_only_the_hh_cells():
     drawn = hh_session(bench, 3, 1_000)
     table = drawn.table
     assert (table.pattern[table.intended == ALPHABET.index(MessageSymbol.HH)] == -1).any()
-    result = check_sampling_consistency(bench, drawn)
+    result = check_sampling_consistency(bench, drawn, cell_law(bench))
     assert result.passed
     assert [part.split()[:2] for part in result.detail.split("; ")] == [
         ["controlled", "aH:2"], ["controlled", "bH:2"], ["wrong", "aV:2"], ["wrong", "bV:2"],
@@ -210,7 +218,7 @@ def test_statistical_checks_hold_on_correct_perturbed_benches(optics):
     bench = OpticalBench(optics)
     drawn = hh_session(bench, 3, 100_000)
     assert check_branch_statistics(bench, drawn).passed
-    assert check_sampling_consistency(bench, drawn).passed
+    assert check_sampling_consistency(bench, drawn, cell_law(bench)).passed
 
 
 def test_a_mis_wired_scenario_b_fails_verify(monkeypatch):
@@ -228,6 +236,26 @@ def test_a_mis_wired_scenario_b_fails_verify(monkeypatch):
     assert [r.name for r in results if not r.passed] == ["sampling_consistency"]
 
 
+def test_each_law_is_analyzed_once_per_call(monkeypatch):
+    # each message's controlled pair and HH's re-emitted pair once, shared by
+    # exact_discrimination, the trials minimum and sampling_consistency, then the
+    # HOM dip's two pairs, the perpendicular pair and phi+ and phi-; no memo
+    # carries one call's laws into the next
+    analyze = OpticalBench.analyze
+    states = []
+
+    def counting(bench, state):
+        states.append(state)
+        return analyze(bench, state)
+
+    monkeypatch.setattr(OpticalBench, "analyze", counting)
+    for _ in range(2):
+        states.clear()
+        assert all_passed(run_verification(branch_trials=5_000))
+        assert len(states) == len(ALPHABET) + 1 + 2 + 1 + 2
+        assert len({id(state) for state in states[:len(ALPHABET) + 1]}) == len(ALPHABET) + 1
+
+
 @pytest.mark.parametrize("p", [0.5, 0.25, 0.01])
 def test_band_minimum_is_the_first_size_a_count_can_leave(p):
     # a branch count at p and the check's rate, and a cell at half of p and a
@@ -243,7 +271,8 @@ def test_band_minimum_is_the_first_size_a_count_can_leave(p):
 
 
 def test_band_minimum_of_the_suite():
-    counts = statistical_counts(OpticalBench())
+    bench = OpticalBench()
+    counts = statistical_counts(bench, cell_law(bench))
     assert len(counts) == 5  # HH's wrong branches, then its four cells
     assert band_minimum(counts) == 22
     assert band_minimum(counts[1:]) == 12  # the cells alone
@@ -334,7 +363,7 @@ def test_branch_statistics_counts_its_session_once(monkeypatch):
     bench = OpticalBench()
     drawn = hh_session(bench, 5, trials)
     assert check_branch_statistics(bench, drawn).passed
-    assert check_sampling_consistency(bench, drawn).passed
+    assert check_sampling_consistency(bench, drawn, cell_law(bench)).passed
     # one block-wise pass over the session's trials, shared by the tally and both checks
     assert calls == _blocks(trials)
 
@@ -367,7 +396,8 @@ def test_capacity_references_read_the_bench_they_check():
 
 
 def test_too_few_trials_for_the_band_is_an_invalid_configuration():
-    minimum = band_minimum(statistical_counts(OpticalBench()))
+    bench = OpticalBench()
+    minimum = band_minimum(statistical_counts(bench, cell_law(bench)))
     with pytest.raises(InvalidConfigError, match=f"below {minimum}"):
         run_verification(branch_trials=minimum - 1)
 
@@ -375,7 +405,7 @@ def test_too_few_trials_for_the_band_is_an_invalid_configuration():
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_bad_seed_is_rejected_before_any_check_runs(seed, monkeypatch):
     calls = []
-    monkeypatch.setattr(verify, "check_unitarity", lambda bench: calls.append(bench))
+    monkeypatch.setattr(verify, "check_unitarity", lambda elements: calls.append(elements))
     with pytest.raises(InvalidConfigError, match="seed must be an unsigned 64-bit integer"):
         run_verification(seed=seed)
     with contextlib.redirect_stderr(io.StringIO()) as err:
@@ -400,7 +430,7 @@ def test_a_misread_message_fails_exact_discrimination(monkeypatch):
         return outcome
 
     monkeypatch.setattr(bench, "classify", misread)
-    result = verify.check_exact_discrimination(bench)
+    result = verify.check_exact_discrimination(bench, analyzed_laws(bench))
     assert not result.passed
     assert result.detail == "hh decodes with prob 0.000000000000"
 
