@@ -147,6 +147,8 @@ def _written(*paths: str):
 
     Each path is resolved once (`os.path.realpath`), so a symlink is written
     through: its target is replaced by `<target>.tmp`, and the link stays a link.
+    A stale temporary is removed first, and the new one is created exclusively,
+    so whatever sat at `<target>.tmp`, a symlink included, is never written through.
     An existing destination that is not a regular file, such as a FIFO or
     /dev/null, is written directly, with no temporary, so it is never replaced.
     Every destination is checked before anything is written: paths that
@@ -171,8 +173,8 @@ def _written(*paths: str):
     renames = [(t, real) for t, real in zip(targets, resolved) if t != real]
     try:
         with contextlib.ExitStack() as stack:
-            yield [stack.enter_context(open(t, "w", encoding="utf-8", newline=""))
-                   for t in targets]
+            yield [stack.enter_context(_opened(t, t != real))
+                   for t, real in zip(targets, resolved)]
         for tmp, real in renames:
             os.replace(tmp, real)
     except BaseException as exc:
@@ -183,6 +185,16 @@ def _written(*paths: str):
             path = paths[targets.index(exc.filename)]
             raise OSError(exc.errno, exc.strerror, path) from None
         raise
+
+
+def _opened(target: str, temporary: bool):
+    """`target` opened for text writing; a temporary is made anew, never followed."""
+    if not temporary:
+        return open(target, "w", encoding="utf-8", newline="")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(target)  # unlinks a symlink, never its target
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666)
+    return open(fd, "w", encoding="utf-8", newline="")
 
 
 def cmd_signatures(args) -> int:
@@ -295,22 +307,14 @@ _WRITE_HUNDREDS = 16  # hundreds per write: ~74 KB, under glibc's 128 KB mmap th
 _LAST_TWO = np.arange(_STEP) % 100  # the last two digits along a step from a hundred
 
 
-@functools.lru_cache(maxsize=256)  # as many tables as `session.wiring` keeps
-def _row_suffixes(table: session.RowTable) -> np.ndarray:
-    """Each row's `_event_suffix`, as a read-only object array, rendered once
-    per table: sessions of one wiring share their `RowTable`."""
-    suffixes = np.array([_event_suffix(*row) for row in table.fields], dtype=object)
-    suffixes.flags.writeable = False
-    return suffixes
-
-
 @functools.lru_cache(maxsize=8)  # the CLI's five wirings; 200 strings per row each
 def _line_ends(table: session.RowTable) -> np.ndarray:
     """What follows a trial's hundreds on its log line, for every last two digits r
-    and row, as a read-only object array: entry r * len(table) + row is
-    f"{r:02d}," and the row's suffix, and entry (100 + r) * len(table) + row is
-    the unpadded f"{r}," and suffix of trial r < 100."""
-    suffixes = _row_suffixes(table).tolist()
+    and row, as a read-only object array, rendered once per table: sessions of one
+    wiring share their `RowTable`. Entry r * len(table) + row is f"{r:02d}," and
+    the row's `_event_suffix`, and entry (100 + r) * len(table) + row is the
+    unpadded f"{r}," and suffix of trial r < 100."""
+    suffixes = [_event_suffix(*row) for row in table.fields]
     ends = np.array([f"{r:02d},{s}" for r in range(100) for s in suffixes]
                     + [f"{r},{s}" for r in range(100) for s in suffixes], dtype=object)
     ends.flags.writeable = False

@@ -20,7 +20,8 @@ that the ideal bench's signatures are disjoint, so none is misread.
 Every law a reject-port click leads to comes from the encoder's own click
 branch: the receiver's lone photon, and the pair the sender makes by
 re-emitting a photon of the polarization her monitor detected
-(`EncodeBranches.lone_state`, `.resent_state`).
+(`EncodeBranches.lone_law`, `.resent_law`). Each branch carries its law, so
+the laws have one home; only `session.wiring` lays them out for the sampler.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping
 
@@ -193,12 +193,15 @@ class EncodeBranches:
     """Exact encoder outcome split: the pair on a silent monitor and, on a click,
     the receiver's lone photon and the pair the sender makes by re-emitting the
     polarization her monitor detected (both None for a message that never goes
-    wrong)."""
+    wrong), each with its analyzer law, a read-only mapping that sums to 1."""
 
     controlled_probability: float
     controlled_state: PureState
     lone_state: PureState | None
     resent_state: PureState | None
+    controlled_law: Mapping[DetectionPattern, float]
+    lone_law: Mapping[DetectionPattern, float] | None
+    resent_law: Mapping[DetectionPattern, float] | None
 
     @property
     def wrong_probability(self) -> float:
@@ -215,20 +218,12 @@ class CompiledBench:
     from, in ALPHABET order, and `analyzer` the analyzer's, in the order
     they act; `composed_analyzer` is those composed into the one element
     that every law, and `OpticalBench.analyze`, applies. `branches` holds
-    each message's encoder split, in ALPHABET order, and `p_controlled` its
-    controlled probability. Column t of `sums` and `codes` lays out analyzer
-    law t for sampling: its running sums over `patterns` codes without the
-    last, which are the boundaries `fock.sample_outcome` counts, then +inf,
-    and its pattern codes in order, then -1. `codes` is as deep as the widest law, and `sums`, which holds
-    only boundaries, one row less. The laws are first the controlled pair of
-    each message, at its ALPHABET code, then the receiver's lone photon after
-    a reject-port click, which `lone_table` indexes per message, then the
-    re-emitted pair, which `resent_table` indexes; each click state has a law
-    of its own. The extra last column, all +inf and -1, is a stopped pair:
-    index -1, as for a message that never goes wrong.
-    `decoded` maps each pattern to the message whose controlled law gives it
-    the unique largest positive probability, or else to SINGLE_PHOTON or
-    AMBIGUOUS. Every reader reads these fields and derives none of them again.
+    each message's encoder split with its laws, in ALPHABET order, and
+    `p_controlled` its controlled probability. `patterns` holds every pattern
+    a law yields, and `decoded` maps each to the message whose controlled law
+    gives it the unique largest positive probability, or else to
+    SINGLE_PHOTON or AMBIGUOUS. Every reader reads these fields and derives
+    none of them again.
     """
 
     encoders: tuple[tuple[ModeUnitary, ...], ...]
@@ -240,13 +235,9 @@ class CompiledBench:
     patterns: tuple[DetectionPattern, ...]  # every pattern a law yields, sorted
     outcomes: tuple[ClassifiedOutcome, ...]  # the distinct classifications
     decoded: np.ndarray  # int8, pattern code -> `outcomes` code, read-only
-    sums: np.ndarray  # float64, (widest law - 1) x (laws + 1), read-only
-    codes: np.ndarray  # int16, widest law x (laws + 1), read-only
-    lone_table: tuple[int, ...]
-    resent_table: tuple[int, ...]
 
 
-def _likeliest(laws: list[dict], pattern: DetectionPattern) -> ClassifiedOutcome:
+def _likeliest(laws: list[Mapping], pattern: DetectionPattern) -> ClassifiedOutcome:
     """The message whose controlled law (in ALPHABET order) gives `pattern` the
     unique largest positive probability, else SINGLE_PHOTON or AMBIGUOUS."""
     probs = [law.get(pattern, 0.0) for law in laws]
@@ -385,16 +376,29 @@ def _ideal_state(symbol) -> PureState:
     ])
 
 
-def _encode_branches(message: MessageSymbol, elements: tuple[ModeUnitary, ...]) -> EncodeBranches:
-    """Exact branch split of the encoder `elements` on a fresh source pair.
+def _encode_branches(message: MessageSymbol, elements: tuple[ModeUnitary, ...],
+                     analyzer: ModeUnitary) -> EncodeBranches:
+    """Exact branch split of the encoder `elements` on a fresh source pair, with
+    the law `analyzer` gives each state.
 
     The controlled branch is the transmitted pair after post-selecting on
     a silent monitor. On a monitor click the sender's photon is absorbed
     at her reject port and the receiver's is left alone; re-emitting her
     photon in the polarization that clicked makes the resent pair. An
     encoder that can click its monitor in more than one way has no one
-    resent pair, and raises ProtocolError.
+    resent pair, and raises ProtocolError. A law that does not sum to 1
+    within 1e-9 raises ValueError.
     """
+
+    def law(state: PureState | None) -> Mapping[DetectionPattern, float] | None:
+        if state is None:
+            return None
+        analyzed = _analyze(state, analyzer)
+        total = sum(analyzed.values())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"a law of {message} sums to {total}, not 1")
+        return MappingProxyType(analyzed)
+
     routed = _ideal_state(MessageSymbol.PSI_PLUS)
     for element in elements:
         routed = apply_element(routed, element)
@@ -414,9 +418,10 @@ def _encode_branches(message: MessageSymbol, elements: tuple[ModeUnitary, ...]) 
         resent = PureState(REGISTRY, {
             occ[:i] + (occ[i] + 1,) + occ[i + 1:]: amp for occ, amp in lone.amplitudes.items()
         })
-        return EncodeBranches(p_controlled, controlled, lone, resent)
+        return EncodeBranches(p_controlled, controlled, lone, resent,
+                              law(controlled), law(lone), law(resent))
     # never goes wrong: exactly 1, not the 1 within rounding the optics give
-    return EncodeBranches(1.0, controlled, None, None)
+    return EncodeBranches(1.0, controlled, None, None, law(controlled), None, None)
 
 
 def _analyze(state: PureState, analyzer: ModeUnitary) -> dict[DetectionPattern, float]:
@@ -441,31 +446,13 @@ def compile_optics(optics: Optics) -> CompiledBench:
     encoders = tuple(tuple(map(_element, specs)) for specs in optics.encoders)
     analyzer_elements = tuple(map(_element, optics.analyzer))
     analyzer = compose(analyzer_elements)
-    branches = tuple(map(_encode_branches, ALPHABET, encoders))
-    laws = [_analyze(b.controlled_state, analyzer) for b in branches]
-    signatures = {symbol: frozenset(law) for symbol, law in zip(ALPHABET, laws)}
-
-    def law_of(state: PureState | None) -> int:
-        if state is None:
-            return -1
-        laws.append(_analyze(state, analyzer))
-        return len(laws) - 1
-
-    lone_table = tuple(law_of(b.lone_state) for b in branches)
-    resent_table = tuple(law_of(b.resent_state) for b in branches)
+    branches = tuple(_encode_branches(m, e, analyzer) for m, e in zip(ALPHABET, encoders))
+    controlled = [b.controlled_law for b in branches]
+    signatures = {symbol: frozenset(law) for symbol, law in zip(ALPHABET, controlled)}
+    laws = [law for b in branches for law in (b.controlled_law, b.lone_law, b.resent_law)
+            if law is not None]
     patterns = tuple(sorted(set().union(*laws)))
-    code = {p: i for i, p in enumerate(patterns)}  # sorted, so each law keeps its order
-    width = max(map(len, laws))
-    sums, codes = [], []
-    for t, law in enumerate(laws):
-        keys = sorted(law)
-        running = list(accumulate(law[p] for p in keys))
-        total = running[-1] if keys else 0.0
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"law {t} sums to {total}, not 1")
-        sums.append(running[:-1] + [np.inf] * (width - len(keys)))
-        codes.append([code[p] for p in keys] + [-1] * (width - len(keys)))
-    classified = [_likeliest(laws[:len(ALPHABET)], p) for p in patterns]
+    classified = [_likeliest(controlled, p) for p in patterns]
     outcomes = tuple(dict.fromkeys(classified))
     decoded = [outcomes.index(c) for c in classified]
     return CompiledBench(
@@ -478,11 +465,6 @@ def compile_optics(optics: Optics) -> CompiledBench:
         patterns=patterns,
         outcomes=outcomes,
         decoded=_read_only(np.array(decoded, dtype=np.int8)),
-        # the last column: a stopped pair; a view of a read-only array is read-only
-        sums=_read_only(np.array([*sums, [np.inf] * (width - 1)])).T,
-        codes=_read_only(np.array([*codes, [-1] * width], dtype=np.int16)).T,
-        lone_table=lone_table,
-        resent_table=resent_table,
     )
 
 

@@ -19,17 +19,17 @@ the trial it concerns, at Note.delivered_at; one delay for all notes makes
 send order the delivery order.
 
 The kernel is columnar. A `Session` samples the bench's compiled laws
-(`OpticalBench.compiled`, computed once per distinct optics and laid out
-for sampling as the columns of `sums` and `codes`) and only wires in what
-its scenario does on a wrong branch; `Session.scenario_step` draws
-CHUNK_MESSAGES messages at a time. Each trial falls in a cell, 2 * message
-+ wrong branch. The wiring, memoized per compiled model and configuration
-(`wiring`), picks the compiled column of the law each cell draws from: its
-boundary rows hold each cell's running sums, and its `RowTable` names what
-each row code means: row cell * width + i is outcome i of the cell's law,
-with its message, branch, action, pattern, decoding and note. Sessions
-share it read-only, so a session costs only its draws and lookups. The
-kernel draws raw 64-bit words of the chunk's generator, never doubles: the
+(`OpticalBench.compiled`, computed once per distinct optics, each on its
+encoder branch) and only wires in what its scenario does on a wrong branch;
+`Session.scenario_step` draws CHUNK_MESSAGES messages at a time. Each trial
+falls in a cell, 2 * message + wrong branch. The wiring, memoized per
+compiled model and configuration (`wiring`), picks the law each cell draws
+from and lays it out for sampling: its boundary rows hold each cell's
+running sums, and its `RowTable` names what each row code means: row
+cell * width + i is outcome i of the cell's law, with its message, branch,
+action, pattern, decoding and note. Sessions share it read-only, so a
+session costs only its draws and lookups.
+The kernel draws raw 64-bit words of the chunk's generator, never doubles: the
 wiring holds each boundary, and each message's controlled probability, as
 the uint64 threshold (`fock.raw_thresholds`) that a word exceeds exactly when
 the double numpy's `random` makes of it reaches the boundary, so no draw
@@ -89,6 +89,7 @@ from collections import UserList
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from numbers import Integral
 from typing import Iterator, Sequence
 
@@ -470,35 +471,49 @@ def wiring(compiled: CompiledBench, scenario: Scenario, clone_policy: ClonePolic
            erase_notes: bool) -> tuple[np.ndarray, tuple[np.ndarray, ...], RowTable]:
     """What a session of this configuration samples from `compiled`: its
     controlled thresholds, its boundary rows and its `RowTable`, built once per
-    process and shared, read-only.
+    process and shared, read-only. It is the one place that lays the branch
+    laws out for the sampler.
 
     A trial falls in a cell, 2 * message + wrong branch, and the cell decides
-    the compiled law it draws from. Boundary row j holds, per cell, the raw-word
-    threshold (`fock.raw_thresholds`) of running sum j of that law, from those
-    columns of `compiled.sums`; the controlled thresholds are those of each
-    message's `compiled.p_controlled`, which a scenario-b branch draw exceeds to
-    go wrong. A boundary at or below 0 raises ValueError.
+    the law it draws from: the message's `controlled_law`, or on the wrong
+    branch the scenario's law, None for a stopped pair. Each cell's block of
+    rows is as wide as the widest of those laws: row cell * width + i is
+    outcome i of the cell's law, its patterns in sorted order, then padding.
+    Boundary row j holds, per cell, the raw-word threshold
+    (`fock.raw_thresholds`) of running sum j of that law, or 2^64 - 1 past its
+    last boundary; the controlled thresholds are those of each message's
+    `compiled.p_controlled`, which a scenario-b branch draw exceeds to go
+    wrong. A boundary at or below 0 raises ValueError.
     """
     # what a wrong branch does, per scenario: the receiver's law per message
-    # (-1: the pair is stopped), the action and the note
+    # (None: the pair is stopped), the action and the note
     send_as_is = clone_policy is ClonePolicy.SEND_AS_IS
-    wrong_law, wrong_action, wrong_note = {
-        Scenario.A: (compiled.lone_table, ScenarioAction.DISCARDED_BY_ALICE, NoteKind.REPEAT),
+    wrong_laws, wrong_action, wrong_note = {
+        Scenario.A: ([b.lone_law for b in compiled.branches], ScenarioAction.DISCARDED_BY_ALICE,
+                     NoteKind.REPEAT),
         # the re-emitted pair as the optics make it, or cloned to carry the intended message
-        Scenario.B: (compiled.resent_table if send_as_is else range(len(ALPHABET)),
+        Scenario.B: ([b.resent_law if send_as_is else b.controlled_law for b in compiled.branches],
                      ScenarioAction.CLONED_RESEND, NoteKind.CORRECT_TO if send_as_is else None),
-        Scenario.C: ((-1,) * len(ALPHABET), ScenarioAction.PAIR_STOPPED,
+        Scenario.C: ([None] * len(ALPHABET), ScenarioAction.PAIR_STOPPED,
                      NoteKind.ERASE if erase_notes else NoteKind.REPEAT),
     }[scenario]
-    law = [t for m, wrong in enumerate(wrong_law) for t in (m, wrong)]
-    bounds = raw_thresholds(compiled.sums[:, law])
+    laws = [law for b, wrong in zip(compiled.branches, wrong_laws)
+            for law in (b.controlled_law, wrong)]
+    width = max(len(law or ()) for law in laws)
+    code = {p: i for i, p in enumerate(compiled.patterns)}
+    sums, codes = [], []
+    for law in laws:
+        keys = sorted(law or ())
+        running = list(accumulate(law[p] for p in keys))[:-1]  # the last is no boundary
+        sums.append(running + [np.inf] * (width - 1 - len(running)))
+        codes.append([code[p] for p in keys] + [-1] * (width - len(keys)))
+    bounds = raw_thresholds(np.array(sums).T.copy())  # a copy, so each row is contiguous
     bounds.flags.writeable = False  # and so are the views of its rows
     controlled = raw_thresholds(compiled.p_controlled)
     controlled.flags.writeable = False
-    width = len(compiled.codes)
-    cell = np.arange(len(law), dtype=np.int8).repeat(width)
+    cell = np.arange(len(laws), dtype=np.int8).repeat(width)
     branch = cell & 1  # BRANCHES: 0 controlled, 1 wrong
-    pattern = compiled.codes[:, law].T.ravel()
+    pattern = np.array(codes, dtype=np.int16).ravel()
     table = RowTable(
         intended=cell >> 1,
         branch=branch,
@@ -526,9 +541,9 @@ class Session:
         self.config = config
         compiled = (bench or default_bench()).compiled
         self._p_controlled = compiled.p_controlled
-        self._width = np.int16(len(compiled.codes))
         self._controlled, self._bounds, self.table = wiring(
             compiled, config.scenario, config.clone_policy, config.erase_notes)
+        self._width = np.int16(len(self._bounds) + 1)
 
     def scenario_step(self, chunk: int, first: int) -> Trials:
         """Drive chunk `chunk`'s messages to delivery, numbering its trials from `first`."""

@@ -10,9 +10,9 @@ as is, which `run_verification` draws once through the session kernel
 (`hh_session`). branch_statistics counts its wrong-branch trials against the
 bench's HH wrong-branch probability. sampling_consistency holds each (branch,
 pattern) cell of HH in that session to its exact law (`hh_cell_law`): the
-branch's probability from `encode_branches`, times the pattern's from
-`analyze` of the controlled or the re-emitted pair, never the compiled
-columns the kernel draws from, so a kernel wired to the wrong law fails it.
+branch's probability from `encode_branches`, times the pattern's from that
+branch's law of the controlled or the re-emitted pair, never the boundary
+rows the kernel draws from, so a kernel wired to the wrong law fails it.
 Both share one rule, `consistent`: neither exact binomial tail of a count may
 lie below half its false-alarm rate. They split FALSE_ALARM evenly,
 sampling_consistency its half again over its cells, so a correct program
@@ -24,12 +24,12 @@ TAIL_BLOCK terms whose products and additions are the scalar loop's, in its
 order, so each tail is the scalar sum's bit for bit at ~0.05 ms raw for
 n = 100,000 (~0.3 ms one term at a time); `negbin_tails` is two of them.
 Both checks read the row counts the session already made for the report's
-tally (`Trials.row_counts`), so a session's rows are counted once. Likewise
-each call analyzes the laws its checks read once (`analyzed_laws`: each
-message's controlled pair and HH's re-emitted pair), and builds HH's cell law
-and the element suite once, and passes them down: exact_discrimination, the
-`--trials` minimum, sampling_consistency and the two element checks share
-them. Nothing is kept across calls.
+tally (`Trials.row_counts`), so a session's rows are counted once. The laws
+the checks read are the compiled branch laws (`EncodeBranches.controlled_law`,
+`.resent_law`), analyzed once per distinct optics; each call builds HH's
+cell law and the element suite once and passes them down: the `--trials`
+minimum, sampling_consistency and the two element checks share them.
+Nothing is kept across calls.
 """
 
 from __future__ import annotations
@@ -203,26 +203,6 @@ def _element_suite(bench) -> list:
     return list(distinct.values())
 
 
-@dataclass(frozen=True)
-class Laws:
-    """The analyzer laws the checks read, analyzed once per `run_verification`
-    call: each message's controlled pair, in ALPHABET order, and HH's
-    re-emitted pair, None for an HH that never goes wrong."""
-
-    controlled: tuple[dict[DetectionPattern, float], ...]
-    hh_resent: dict[DetectionPattern, float] | None
-
-
-def analyzed_laws(bench) -> Laws:
-    """`bench`'s `Laws`, each through `bench.analyze` once."""
-    resent = bench.encode_branches(MessageSymbol.HH).resent_state
-    return Laws(
-        tuple(bench.analyze(bench.encode_branches(symbol).controlled_state)
-              for symbol in ALPHABET),
-        None if resent is None else bench.analyze(resent),
-    )
-
-
 def check_unitarity(elements: list) -> CheckResult:
     worst_name, worst = max(
         ((e.name, unitarity_defect(e.matrix)) for e in elements),
@@ -235,28 +215,20 @@ def check_unitarity(elements: list) -> CheckResult:
     )
 
 
+def _coincidence(bench, alice: str, bob: str) -> float:
+    """P(one photon per analyzer arm) for a pair of these polarizations on alice and bob."""
+    pair = make_state(bench.registry, [ModeLabel(ALICE, alice), ModeLabel(BOB, bob)])
+    return sum(p for pattern, p in bench.analyze(pair).items()
+               if pattern.count("aH") + pattern.count("aV") == 1)
+
+
 def check_hom_dip(bench) -> CheckResult:
-    worst = 0.0
-    for pol in ("H", "V"):
-        pair = make_state(
-            bench.registry, [ModeLabel(ALICE, pol), ModeLabel(BOB, pol)]
-        )
-        dist = bench.analyze(pair)
-        coincidence = sum(
-            p for pattern, p in dist.items() if pattern.count("aH") + pattern.count("aV") == 1
-        )
-        worst = max(worst, coincidence)
+    worst = max(_coincidence(bench, pol, pol) for pol in "HV")
     return _check("hom_dip", worst < EXACT_TOL, f"coincidence prob = {worst:.2e}")
 
 
 def check_perpendicular_split(bench) -> CheckResult:
-    pair = make_state(bench.registry, [ModeLabel(ALICE, "H"), ModeLabel(BOB, "V")])
-    dist = bench.analyze(pair)
-    split = sum(
-        p
-        for pattern, p in dist.items()
-        if (pattern.count("aH") + pattern.count("aV")) == 1
-    )
+    split = _coincidence(bench, "H", "V")
     bunch = 1.0 - split
     err = max(abs(split - 0.5), abs(bunch - 0.5))
     return _check(
@@ -296,11 +268,11 @@ def check_signatures(bench) -> CheckResult:
     )
 
 
-def check_exact_discrimination(bench, laws: Laws) -> CheckResult:
-    for symbol, dist in zip(ALPHABET, laws.controlled):
+def check_exact_discrimination(bench) -> CheckResult:
+    for symbol in ALPHABET:
         good = sum(
             p
-            for pattern, p in dist.items()
+            for pattern, p in bench.encode_branches(symbol).controlled_law.items()
             if bench.classify(pattern).symbol is symbol
         )
         if abs(good - 1.0) > EXACT_TOL:
@@ -336,16 +308,15 @@ def hh_session(bench, seed: int, trials: int) -> Trials:
     return run_session(config, bench).trials
 
 
-def hh_cell_law(bench, laws: Laws) -> dict[tuple[Branch, DetectionPattern], float]:
+def hh_cell_law(bench) -> dict[tuple[Branch, DetectionPattern], float]:
     """P(branch, pattern) of one HH message of scenario b, sent as is, from the optics:
-    the branch's probability from `encode_branches`, times the pattern's from `laws`,
-    the analyzer's laws of the controlled pair and of the pair re-emitted on a click.
-    A message that never goes wrong has no re-emitted pair, so its wrong cells have
-    probability 0."""
+    the branch's probability from `encode_branches`, times the pattern's from its
+    branch laws, the analyzer's laws of the controlled pair and of the pair re-emitted
+    on a click. A message that never goes wrong has no re-emitted pair, so its wrong
+    cells have probability 0."""
     split = bench.encode_branches(MessageSymbol.HH)
-    branches = ((Branch.CONTROLLED, split.controlled_probability,
-                 laws.controlled[ALPHABET.index(MessageSymbol.HH)]),
-                (Branch.WRONG, split.wrong_probability, laws.hh_resent))
+    branches = ((Branch.CONTROLLED, split.controlled_probability, split.controlled_law),
+                (Branch.WRONG, split.wrong_probability, split.resent_law))
     return {(branch, pattern): p * q
             for branch, p, law in branches if law is not None
             for pattern, q in law.items()}
@@ -424,15 +395,13 @@ def run_verification(seed: int = 20_260_810, branch_trials: int = 100_000) -> li
     which each of their counts can fail (`band_minimum` of
     `statistical_counts`), raises InvalidConfigError before any check runs.
 
-    Each call analyzes the laws its checks read once (`analyzed_laws`), builds
-    HH's cell law from them once and the element suite once, and passes each
-    to the checks that read it; nothing is kept across calls, so every call
-    does the suite's whole work.
+    Each call builds HH's cell law once, from its compiled branch laws, and
+    the element suite once, and passes each to the checks that read it;
+    nothing is kept across calls, so every call does the suite's whole work.
     """
     check_seed(seed)
     bench = default_bench()
-    laws = analyzed_laws(bench)
-    cell_law = hh_cell_law(bench, laws)
+    cell_law = hh_cell_law(bench)
     minimum = band_minimum(statistical_counts(bench, cell_law))
     if branch_trials < minimum:
         raise InvalidConfigError(
@@ -447,7 +416,7 @@ def run_verification(seed: int = 20_260_810, branch_trials: int = 100_000) -> li
         check_hom_dip(bench),
         check_perpendicular_split(bench),
         check_signatures(bench),
-        check_exact_discrimination(bench, laws),
+        check_exact_discrimination(bench),
         check_phi_indistinguishable(bench),
         check_branch_probability(bench),
         check_branch_statistics(bench, drawn),

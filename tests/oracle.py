@@ -41,6 +41,24 @@ def one_photon_distribution(transfer, mode_in: int) -> dict[int, float]:
     return {k: float(abs(col[k]) ** 2) for k in range(len(col)) if abs(col[k]) ** 2 > 1e-20}
 
 
+def modes_of(occ) -> tuple[int, ...]:
+    """The modes an occupation's photons sit in, one entry per photon, in order."""
+    return tuple(i for i, n in enumerate(occ) for _ in range(n))
+
+
+def state_distribution(amplitudes, transfer) -> dict[tuple[int, ...], float]:
+    """Output distribution over sorted mode tuples of a one- or two-photon state,
+    given as occupation -> amplitude."""
+    if sum(next(iter(amplitudes))) == 1:
+        vector = np.zeros(transfer.shape[1], dtype=complex)
+        for occ, amp in amplitudes.items():
+            vector[modes_of(occ)[0]] = amp
+        out = transfer @ vector
+        return {(k,): float(abs(a) ** 2) for k, a in enumerate(out) if abs(a) > 1e-14}
+    terms = [(amp, *modes_of(occ)) for occ, amp in amplitudes.items()]
+    return superposed_two_photon_distribution(transfer, terms)
+
+
 def two_photon_amplitudes(transfer, mode_i: int, mode_j: int) -> dict[tuple[int, int], complex]:
     """Output amplitudes over unordered mode pairs (k <= l) for a†_i a†_j input.
 

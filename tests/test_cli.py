@@ -298,6 +298,22 @@ class TestSimulate:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "direct.csv", "direct.json", "link.csv", "r.json", "target.csv"]
 
+    def test_a_link_at_a_temporary_is_removed_not_followed(self, tmp_path):
+        # a symlink already at the report's temporary name: the run replaces the
+        # link, never writes through it
+        assert self._simulate(tmp_path, tmp_path / "direct.csv", out="direct.json") == 0
+        victim = tmp_path / "victim.txt"
+        victim.write_text("keep\n")
+        (tmp_path / "r.json.tmp").symlink_to(victim)
+        assert self._simulate(tmp_path, tmp_path / "e.csv") == 0
+        assert victim.read_text() == "keep\n"
+        report = tmp_path / "r.json"
+        assert report.is_file() and not report.is_symlink()
+        assert json.loads(report.read_text())["config"]["scenario"] == "b"
+        assert report.read_bytes() == (tmp_path / "direct.json").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "direct.csv", "direct.json", "e.csv", "r.json", "victim.txt"]
+
     def test_a_report_and_a_link_to_it_collide(self, tmp_path, capsys):
         (tmp_path / "link.csv").symlink_to(tmp_path / "r.json")
         assert self._simulate(tmp_path, tmp_path / "link.csv") == 1
@@ -446,12 +462,8 @@ class TestRepeatedCalls:
         env = {**os.environ, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
-    def test_the_suffix_memo_is_read_only(self):
+    def test_the_line_end_memo_is_read_only(self):
         table = session.Session(RunConfig(scenario=Scenario.A, n_messages=5, seed=0)).table
-        suffixes = cli._row_suffixes(table)
-        assert suffixes is cli._row_suffixes(table)
-        with pytest.raises(ValueError):
-            suffixes[0] = ""
         ends = cli._line_ends(table)
         assert ends is cli._line_ends(table)
         with pytest.raises(ValueError):
@@ -488,7 +500,7 @@ class TestVerify:
 
     def test_too_few_trials_exits_1_and_the_minimum_runs(self, capsys):
         bench = OpticalBench()
-        law = verify.hh_cell_law(bench, verify.analyzed_laws(bench))
+        law = verify.hh_cell_law(bench)
         minimum = verify.band_minimum(verify.statistical_counts(bench, law))
         assert run(["verify", "--trials", "1"]) == 1
         assert run(["verify", "--trials", str(minimum - 1)]) == 1

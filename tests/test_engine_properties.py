@@ -74,33 +74,17 @@ def states(draw):
         return make_state(REG, [LABELS[i] for i in terms[0][0]])
 
 
-def modes_of(occ) -> tuple[int, ...]:
-    return tuple(i for i, n in enumerate(occ) for _ in range(n))
-
-
 def max_amplitude_gap(a, b) -> float:
     keys = set(a.amplitudes) | set(b.amplitudes)
     return max(abs(a.amplitudes.get(k, 0j) - b.amplitudes.get(k, 0j)) for k in keys)
-
-
-def oracle_distribution(state, transfer) -> dict[tuple[int, ...], float]:
-    """Output distribution over sorted mode tuples by the dense reference path."""
-    if state.photon_number == 1:
-        vector = np.zeros(len(REG), dtype=complex)
-        for occ, amp in state.amplitudes.items():
-            vector[modes_of(occ)[0]] = amp
-        out = transfer @ vector
-        return {(k,): float(abs(out[k]) ** 2) for k in range(len(out))}
-    terms = [(amp, *modes_of(occ)) for occ, amp in state.amplitudes.items()]
-    return oracle.superposed_two_photon_distribution(transfer, terms)
 
 
 @settings(max_examples=100, deadline=None)
 @given(elements(), states())
 def test_distribution_matches_the_oracle(element, state):
     out = apply_element(state, element)
-    engine = {modes_of(occ): p for occ, p in outcome_distribution(out, LABELS).items()}
-    reference = oracle_distribution(state, oracle.compose([element], REG))
+    engine = {oracle.modes_of(occ): p for occ, p in outcome_distribution(out, LABELS).items()}
+    reference = oracle.state_distribution(state.amplitudes, oracle.compose([element], REG))
     for key in set(engine) | set(reference):
         assert engine.get(key, 0.0) == pytest.approx(reference.get(key, 0.0), abs=TOL)
 

@@ -253,8 +253,9 @@ def word(u):
 
 
 def stacked_column(probs):
-    """A law's thresholds as a column of a stack laid out like `CompiledBench.sums`:
-    its running sums without the last, then +inf down to a width wider than the law."""
+    """A law's thresholds as a cell's column of a stack laid out like the boundary rows
+    `session.wiring` builds: its running sums without the last, then +inf down to a
+    width wider than the law."""
     stack = np.full((len(probs) + 2, 3), np.inf)
     stack[: len(probs) - 1, 1] = np.cumsum(probs)[:-1]
     return raw_thresholds(stack[:, 1])
@@ -359,8 +360,8 @@ def test_sampler_counts_running_sums_as_a_binary_search_would(law, seed):
 @settings(max_examples=100, deadline=None)
 @given(stacked=st.lists(laws(), min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1))
 def test_stacked_tables_each_draw_their_own(stacked, seed):
-    # one column per law, laid out like `CompiledBench.sums`: its running sums
-    # without the last, then +inf down to the widest law's size, as thresholds
+    # one column per law, laid out like `session.wiring`'s boundary rows: its running
+    # sums without the last, then +inf down to the widest law's size, as thresholds
     width = max(map(len, stacked))
     stack = np.full((width, len(stacked)), np.inf)
     for j, law in enumerate(stacked):
@@ -383,7 +384,7 @@ def test_stacked_tables_each_draw_their_own(stacked, seed):
 @given(stacked=st.lists(laws(), min_size=1, max_size=5), padding=st.integers(0, 3),
        seed=st.integers(0, 2**32 - 1))
 def test_boundary_rows_added_in_place_match_the_running_sums(stacked, padding, seed):
-    # a stack laid out like `CompiledBench.sums`, `padding` rows wider than its
+    # a stack laid out like `session.wiring`'s boundary rows, `padding` rows wider than its
     # widest law; its boundary rows are the thresholds of all but its last row,
     # added per word into an int16 row code as the session kernel does
     width = max(map(len, stacked)) + padding

@@ -16,6 +16,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdcsim import session
-from sdcsim.cli import _event_lines, _line_ends, _row_suffixes, main
+from sdcsim.cli import _event_lines, _event_suffix, _line_ends, main
 from sdcsim.fock import branch_on_modes
 from sdcsim.protocol import (
     ALICE,
@@ -52,7 +53,6 @@ from sdcsim.session import (
     run_session,
 )
 from sdcsim.verify import (
-    analyzed_laws,
     binomial_tails,
     check_branch_statistics,
     check_sampling_consistency,
@@ -210,10 +210,20 @@ PINNED_KERNEL = {
 }
 
 
-def _law_codes(compiled, t):
-    """Compiled law t's pattern codes in draw order: one past each running sum below
-    +inf, so a stopped pair (t = -1) has the one code -1."""
-    return compiled.codes[: 1 + np.isfinite(compiled.sums[:, t]).sum(), t].tolist()
+def _law_codes(compiled, law):
+    """A branch law's pattern codes in draw order, its sorted patterns' codes; a
+    stopped pair (law None) has the one code -1."""
+    return [compiled.patterns.index(p) for p in sorted(law)] if law is not None else [-1]
+
+
+def _wrong_laws(compiled, config):
+    """Per message, the law its wrong branch draws from in `config`'s wiring."""
+    return [{
+        Scenario.A: split.lone_law,
+        Scenario.B: split.resent_law if config.clone_policy is ClonePolicy.SEND_AS_IS
+        else split.controlled_law,
+        Scenario.C: None,
+    }[config.scenario] for split in compiled.branches]
 
 
 @pytest.mark.parametrize("bench_name,make_bench", [("hh", _tilted_hh), ("psi-", _tilted_psi_minus)])
@@ -222,7 +232,8 @@ def test_kernel_columns_are_pinned_on_perturbed_benches(bench_name, make_bench):
     # narrow law's last running sum count would change these digests
     bench = make_bench()
     compiled = bench.compiled
-    widths = {len(_law_codes(compiled, t)) for t in range(compiled.sums.shape[1] - 1)}
+    widths = {len(law) for split in compiled.branches
+              for law in (split.controlled_law, split.lone_law, split.resent_law) if law}
     assert len(widths) > 1, widths
     for name, fields in PINNED_CONFIGS.items():
         for stream, messages in PINNED_STREAMS.items():
@@ -261,9 +272,10 @@ def test_the_top_uniform_draws_each_tables_last_outcome(make_bench, scenario, mo
     monkeypatch.setattr(session, "trial_rng", lambda seed, chunk: _TopUniforms(real(seed, chunk)))
     bench = make_bench()
     compiled = bench.compiled
-    trials = run_session(RunConfig(scenario, 2_000, 4), bench).trials
-    wrong_table = compiled.lone_table if scenario is Scenario.A else compiled.resent_table
-    drawn_from = [wrong_table[m] if b else m
+    config = RunConfig(scenario, 2_000, 4)
+    trials = run_session(config, bench).trials
+    wrong_laws = _wrong_laws(compiled, config)
+    drawn_from = [wrong_laws[m] if b else compiled.branches[m].controlled_law
                   for m, b in zip(trials.intended.tolist(), trials.branch.tolist())]
     assert trials.pattern.tolist() == [_law_codes(compiled, t)[-1] for t in drawn_from]
 
@@ -278,20 +290,16 @@ def _bench(name):
 
 def _drawable_rows(config, bench):
     """The rows a session can draw: row cell * width + i for each outcome i of the
-    table that cell, 2 * message + wrong branch, draws from (one row for a stopped pair)."""
+    branch law that cell, 2 * message + wrong branch, draws from (one row for a
+    stopped pair), where width is the widest of the wiring's laws."""
     compiled = bench.compiled
-    wrong_table = {
-        Scenario.A: compiled.lone_table,
-        Scenario.B: compiled.resent_table if config.clone_policy is ClonePolicy.SEND_AS_IS
-        else range(len(ALPHABET)),
-        Scenario.C: (-1,) * len(ALPHABET),
-    }[config.scenario]
-    width = len(compiled.codes)
+    laws = [law for split, wrong in zip(compiled.branches, _wrong_laws(compiled, config))
+            for law in (split.controlled_law, wrong)]
+    width = max(len(law or ()) for law in laws)
     rows = {}
-    for m, wrong in enumerate(wrong_table):
-        for branch, table in enumerate((m, wrong)):
-            for i, pattern in enumerate(_law_codes(compiled, table)):
-                rows[(2 * m + branch) * width + i] = (m, branch, pattern)
+    for cell, law in enumerate(laws):
+        for i, pattern in enumerate(_law_codes(compiled, law)):
+            rows[cell * width + i] = (cell >> 1, cell & 1, pattern)
     return rows
 
 
@@ -476,7 +484,7 @@ def test_streamed_log_runs_on_across_chunks(argv, fields, tmp_path, monkeypatch)
 def _line_table():
     """The line ends of a table whose rows send notes, and its 16 rows' suffixes."""
     table = Session(RunConfig(Scenario.C, 5, 0, erase_notes=True)).table
-    return _line_ends(table), _row_suffixes(table)
+    return _line_ends(table), np.array([_event_suffix(*row) for row in table.fields])
 
 
 def _lines(first, suffixes):
@@ -567,7 +575,7 @@ def test_branch_statistics_holds_no_intp_copy_of_its_rows():
 
     def both_checks():
         drawn = hh_session(bench, 5, trials)
-        law = hh_cell_law(bench, analyzed_laws(bench))
+        law = hh_cell_law(bench)
         return (check_branch_statistics(bench, drawn),
                 check_sampling_consistency(bench, drawn, law))
 
@@ -647,7 +655,7 @@ def test_any_block_size_draws_the_same_sessions(block, chunk, monkeypatch):
     draws = 30 * block
     wanted = _block_runs(n)
     bench = default_bench()
-    law = hh_cell_law(bench, analyzed_laws(bench))
+    law = hh_cell_law(bench)
     wanted_detail = check_sampling_consistency(bench, hh_session(bench, 6, draws), law).detail
     monkeypatch.setattr(session, "BLOCK", block)
     for run, want in zip(_block_runs(n), wanted):
@@ -792,11 +800,16 @@ def test_a_raw_words_uniform_is_what_random_draws(seed, chunk, other, size):
 
 
 def test_the_wiring_refuses_a_boundary_at_or_below_0():
+    # HH's controlled law with its first outcome at probability 0: its first running
+    # sum, a boundary, is 0
     compiled = OpticalBench().compiled
-    sums = compiled.sums.copy()
-    sums[0, ALPHABET.index(MessageSymbol.HH)] = 0.0
+    branches = list(compiled.branches)
+    hh = ALPHABET.index(MessageSymbol.HH)
+    first, *rest = sorted(branches[hh].controlled_law)
+    law = MappingProxyType({first: 0.0, **{p: 1.0 / len(rest) for p in rest}})
+    branches[hh] = dataclasses.replace(branches[hh], controlled_law=law)
     with pytest.raises(ValueError, match="must be > 0"):
-        session.wiring(dataclasses.replace(compiled, sums=sums), Scenario.A,
+        session.wiring(dataclasses.replace(compiled, branches=tuple(branches)), Scenario.A,
                        ClonePolicy.SEND_AS_IS, False)
 
 

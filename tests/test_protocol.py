@@ -5,13 +5,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
 from sdcsim.capacity import total_variation_distance
 from sdcsim.elements import beam_splitter, hwp, pbs, polarizer_monitor
-from sdcsim import protocol, verify
+from sdcsim import protocol, session, verify
 from sdcsim.fock import (
     ModeLabel,
     ModeUnitary,
@@ -20,6 +20,7 @@ from sdcsim.fock import (
     compose,
     make_state,
     outcome_distribution,
+    raw_thresholds,
     superpose,
 )
 from sdcsim.protocol import (
@@ -27,6 +28,7 @@ from sdcsim.protocol import (
     ALPHABET,
     BOB,
     MONITOR,
+    ClonePolicy,
     REFLECT_A,
     REFLECT_B,
     REGISTRY,
@@ -297,14 +299,34 @@ def as_values(elements):
     return [(e.name, e.matrix.tolist()) for e in elements]
 
 
-def law_column(compiled, t):
-    """Compiled law t's pattern codes and stored running sums, once its -1 and +inf
-    padding down to the widest law is checked off."""
-    codes, sums = compiled.codes[:, t].tolist(), compiled.sums[:, t].tolist()
-    n = codes.index(-1) if -1 in codes else len(codes)
-    assert codes[n:] == [-1] * (len(codes) - n)
-    assert sums[n - 1:] == [math.inf] * (len(sums) - n + 1)
-    return codes[:n], sums[:n - 1]
+# (scenario, clone policy, erase notes) of each wiring a RunConfig reaches
+WIRINGS = {
+    "a": (Scenario.A, ClonePolicy.SEND_AS_IS, False),
+    "b-send-as-is": (Scenario.B, ClonePolicy.SEND_AS_IS, False),
+    "b-clone-intended": (Scenario.B, ClonePolicy.CLONE_INTENDED, False),
+    "c": (Scenario.C, ClonePolicy.SEND_AS_IS, False),
+    "c-erase-notes": (Scenario.C, ClonePolicy.SEND_AS_IS, True),
+}
+
+
+def wired_law(compiled, wiring, cell):
+    """The pattern codes and boundary thresholds that `wiring` of `compiled` lays
+    out for cell `cell`, 2 * message + wrong branch, once its -1 and 2^64 - 1
+    padding down to the wiring's widest law is checked off."""
+    _, bounds, table = session.wiring(compiled, *WIRINGS[wiring])
+    width = len(bounds) + 1
+    codes = table.pattern[cell * width:(cell + 1) * width].tolist()
+    thresholds = [int(bound[cell]) for bound in bounds]
+    n = codes.index(-1) if -1 in codes else width
+    assert codes[n:] == [-1] * (width - n)
+    assert thresholds[n - 1:] == [2**64 - 1] * (width - n)
+    return codes[:n], thresholds[:n - 1]
+
+
+def sorted_thresholds(law):
+    """The raw-word thresholds of `law`'s running sums over its sorted patterns,
+    without the last."""
+    return raw_thresholds(np.cumsum([law[p] for p in sorted(law)])[:-1]).tolist()
 
 
 class TestCompiledBench:
@@ -322,11 +344,11 @@ class TestCompiledBench:
         # the bench reads its encoder splits from the compiled model, never reruns them
         for i, symbol in enumerate(ALPHABET):
             assert bench.encode_branches(symbol) is bench.compiled.branches[i]
-        assert verify.check_exact_discrimination(bench, verify.analyzed_laws(bench)).passed
+        assert verify.check_exact_discrimination(bench).passed
         assert verify.check_branch_probability(bench).passed
-        # verify's laws analyze each controlled pair and HH's re-emitted pair through
-        # `bench.analyze`, once each
-        assert compile_calls == {"encode_branches": 4, "analyze": 8 + len(ALPHABET) + 1}
+        assert verify.hh_cell_law(bench)
+        # verify reads each law from its compiled branch and never analyzes it again
+        assert compile_calls == {"encode_branches": 4, "analyze": 8}
 
     def test_fresh_benches_share_one_compiled_model(self, compile_calls):
         first = OpticalBench().compiled
@@ -373,7 +395,7 @@ class TestCompiledBench:
         compiled = OpticalBench().compiled
         arrays = [getattr(compiled, f.name) for f in dataclasses.fields(compiled)
                   if isinstance(getattr(compiled, f.name), np.ndarray)]
-        assert len(arrays) == 4  # p_controlled, decoded, sums, codes
+        assert len(arrays) == 2  # p_controlled, decoded
         for array in arrays:
             assert not array.flags.writeable
             assert array.base is None or not array.base.flags.writeable
@@ -382,9 +404,13 @@ class TestCompiledBench:
         table = OpticalBench().signature_table()
         with pytest.raises(TypeError):
             table[MessageSymbol.HH] = frozenset()
-        state = compiled.branches[ALPHABET.index(MessageSymbol.HH)].lone_state
+        split = compiled.branches[ALPHABET.index(MessageSymbol.HH)]
+        state = split.lone_state
         with pytest.raises(TypeError):
             state.amplitudes[next(iter(state.amplitudes))] = 0j
+        for law in (split.controlled_law, split.lone_law, split.resent_law):
+            with pytest.raises(TypeError):
+                law[next(iter(law))] = 0.0
 
     def test_expected_accounting_reuses_the_default_bench(self, compile_calls):
         expected_accounting(Scenario.A)
@@ -398,10 +424,12 @@ class TestCompiledBench:
         # the wrong branch leaves the complementary pair; the receiver keeps
         # its photon when the sender's is detected
         compiled = bench.compiled
-        codes, sums = law_column(compiled, compiled.lone_table[ALPHABET.index(symbol)])
         law = bench.analyze(bob_photon(bench, lone))
+        assert compiled.branches[ALPHABET.index(symbol)].lone_law == law
+        # scenario a lays it out for the message's wrong cell
+        codes, thresholds = wired_law(compiled, "a", 2 * ALPHABET.index(symbol) + 1)
         assert [compiled.patterns[c] for c in codes] == sorted(law)
-        assert sums == np.cumsum([law[p] for p in sorted(law)])[:-1].tolist()
+        assert thresholds == sorted_thresholds(law)
 
     def test_fresh_compile_branches_once_per_message(self, monkeypatch, fresh_compile_memo):
         calls = []
@@ -432,9 +460,13 @@ class TestCompiledBench:
                for p in ("aH:1,aV:1", "aH:1,bV:1", "aV:1,bH:1", "bH:1,bV:1")},
         }
         compiled = tilted.compiled
-        codes, sums = law_column(compiled, compiled.resent_table[ALPHABET.index(MessageSymbol.HH)])
+        resent = compiled.branches[ALPHABET.index(MessageSymbol.HH)].resent_law
+        assert resent == pytest.approx(law, abs=1e-12)
+        # scenario b, sent as is, lays it out for HH's wrong cell
+        hh_wrong = 2 * ALPHABET.index(MessageSymbol.HH) + 1
+        codes, thresholds = wired_law(compiled, "b-send-as-is", hh_wrong)
         assert [compiled.patterns[c] for c in codes] == sorted(law)
-        assert sums == pytest.approx(np.cumsum([law[p] for p in sorted(law)])[:-1], abs=1e-12)
+        assert thresholds == sorted_thresholds(resent)
         # the receiver decodes what the optics give him, not the ideal complement
         config = RunConfig(Scenario.B, 400, 3, messages=(MessageSymbol.HH,))
         trials = run_session(config, tilted).trials
@@ -452,39 +484,52 @@ class TestCompiledBench:
         assert fresh_compile_memo.cache_info().currsize == 0
 
     def test_bell_messages_have_no_lone_photon(self, bench):
-        lone = bench.compiled.lone_table
-        assert lone[ALPHABET.index(MessageSymbol.PSI_PLUS)] == -1
-        assert lone[ALPHABET.index(MessageSymbol.PSI_MINUS)] == -1
+        for symbol in (MessageSymbol.PSI_PLUS, MessageSymbol.PSI_MINUS):
+            split = bench.encode_branches(symbol)
+            assert split.lone_law is None and split.resent_law is None
 
 
 # The ideal bench's compiled model, as float.hex literals: any drift of one
-# ulp in a branch probability or a stored running sum fails here. Each law's
-# last running sum is not stored, so `sums` is one row shallower than
-# `codes`; compiling holds it to 1 within 1e-9. The last column is a stopped
-# pair.
+# ulp in a branch probability, a law or a boundary fails here. Each message's
+# laws, in ALPHABET order, are (controlled, lone, resent), each as its
+# (pattern, probability) pairs in pattern order, or None. Each wiring lays
+# out per cell, 2 * message + wrong branch, its law's pattern codes and its
+# boundary rows: row j holds running sum j of the cell's law, the last of
+# which is no boundary (compiling holds it to 1 within 1e-9), and "inf"
+# past a law's last boundary or for a stopped pair.
+HALF = "0x1.ffffffffffffep-2"
 PINNED_P_CONTROLLED = [
     "0x1.0000000000000p+0", "0x1.0000000000000p+0",
     "0x1.0000000000001p-1", "0x1.0000000000001p-1",
 ]
-PINNED_COLUMNS = [
-    ([3, 10], ["0x1.ffffffffffffep-2"]),
-    ([6, 9], ["0x1.ffffffffffffep-2"]),
-    ([4, 11], ["0x1.ffffffffffffep-2"]),
-    ([1, 7], ["0x1.ffffffffffffep-2"]),
-    ([0, 5], ["0x1.ffffffffffffep-2"]),
-    ([2, 8], ["0x1.ffffffffffffep-2"]),
-    ([1, 7], ["0x1.ffffffffffffep-2"]),
-    ([4, 11], ["0x1.ffffffffffffep-2"]),
-    ([-1, -1], ["inf"]),
+PINNED_LAWS = [
+    ([("bH:1,bV:1", HALF), ("aH:1,aV:1", HALF)], None, None),
+    ([("aV:1,bH:1", HALF), ("aH:1,bV:1", HALF)], None, None),
+    ([("bH:2", HALF), ("aH:2", HALF)], [("bV:1", HALF), ("aV:1", HALF)],
+     [("bV:2", HALF), ("aV:2", HALF)]),
+    ([("bV:2", HALF), ("aV:2", HALF)], [("bH:1", HALF), ("aH:1", HALF)],
+     [("bH:2", HALF), ("aH:2", HALF)]),
 ]
+PINNED_WIRED_CODES = {
+    "a": [[3, 10], [-1, -1], [6, 9], [-1, -1], [4, 11], [0, 5], [1, 7], [2, 8]],
+    "b-send-as-is": [[3, 10], [-1, -1], [6, 9], [-1, -1], [4, 11], [1, 7], [1, 7], [4, 11]],
+    "b-clone-intended": [[3, 10], [3, 10], [6, 9], [6, 9], [4, 11], [4, 11], [1, 7], [1, 7]],
+    "c": [[3, 10], [-1, -1], [6, 9], [-1, -1], [4, 11], [-1, -1], [1, 7], [-1, -1]],
+    "c-erase-notes": [[3, 10], [-1, -1], [6, 9], [-1, -1], [4, 11], [-1, -1], [1, 7], [-1, -1]],
+}
+PINNED_BOUNDARY_ROWS = {
+    "a": [[HALF, "inf", HALF, "inf", HALF, HALF, HALF, HALF]],
+    "b-send-as-is": [[HALF, "inf", HALF, "inf", HALF, HALF, HALF, HALF]],
+    "b-clone-intended": [[HALF] * 8],
+    "c": [[HALF, "inf"] * 4],
+    "c-erase-notes": [[HALF, "inf"] * 4],
+}
 PINNED_PATTERNS = [
     "bV:1", "bV:2", "bH:1", "bH:1,bV:1", "bH:2", "aV:1",
     "aV:1,bH:1", "aV:2", "aH:1", "aH:1,bV:1", "aH:1,aV:1", "aH:2",
 ]
 PINNED_OUTCOMES = ["single_photon", "vv", "psi+", "hh", "psi-"]
 PINNED_DECODED = [0, 1, 0, 2, 3, 0, 4, 1, 0, 4, 2, 3]
-PINNED_LONE_TABLE = (-1, -1, 4, 5)
-PINNED_RESENT_TABLE = (-1, -1, 6, 7)
 
 
 def test_ideal_compiled_model_is_pinned():
@@ -492,18 +537,23 @@ def test_ideal_compiled_model_is_pinned():
     assert [float(b.controlled_probability).hex() for b in compiled.branches] == (
         PINNED_P_CONTROLLED
     )
-    assert (compiled.sums.dtype, compiled.codes.dtype) == (np.float64, np.int16)
-    assert not compiled.sums.flags.writeable and not compiled.codes.flags.writeable
-    assert len(compiled.sums) == len(compiled.codes) - 1
     assert [
-        (codes.tolist(), [float(c).hex() for c in sums])
-        for codes, sums in zip(compiled.codes.T, compiled.sums.T)
-    ] == PINNED_COLUMNS
+        tuple(None if law is None else [(p.to_string(), q.hex()) for p, q in sorted(law.items())]
+              for law in (b.controlled_law, b.lone_law, b.resent_law))
+        for b in compiled.branches
+    ] == PINNED_LAWS
     assert [p.to_string() for p in compiled.patterns] == PINNED_PATTERNS
     assert [o.label for o in compiled.outcomes] == PINNED_OUTCOMES
     assert compiled.decoded.tolist() == PINNED_DECODED
-    assert compiled.lone_table == PINNED_LONE_TABLE
-    assert compiled.resent_table == PINNED_RESENT_TABLE
+    for name, wiring in WIRINGS.items():
+        _, bounds, table = session.wiring(compiled, *wiring)
+        assert table.pattern.dtype == np.int16
+        assert table.pattern.reshape(2 * len(ALPHABET), -1).tolist() == PINNED_WIRED_CODES[name]
+        assert all(bound.dtype == np.uint64 and not bound.flags.writeable for bound in bounds)
+        assert [bound.tolist() for bound in bounds] == [
+            raw_thresholds([float.fromhex(b) for b in row]).tolist()
+            for row in PINNED_BOUNDARY_ROWS[name]
+        ], name
 
 
 class TestMemoizedElements:
@@ -680,3 +730,49 @@ class TestDetectionPattern:
 
 def test_default_bench_is_shared():
     assert default_bench() is default_bench()
+
+
+ANY_PLATE = st.floats(-180.0, 180.0, allow_nan=False).map(lambda theta: ("hwp", theta))
+ANY_ENCODER = st.lists(st.one_of(ANY_PLATE, POLARIZERS), max_size=3).map(tuple)
+# plates and the beam splitter in any order, then both PBSs, so that every
+# photon reaches a detector
+ANY_ANALYZER = st.lists(st.one_of(ANY_PLATE, st.just(("bs",))), max_size=3).map(
+    lambda specs: (*specs, ("pbs", ALICE), ("pbs", BOB)))
+
+
+def oracle_law(state, transfer):
+    """The analyzer law of `state` by the dense reference path, keyed by pattern."""
+    detectors = [REGISTRY.index(mode) for mode in protocol.ANALYZER_DETECTORS]
+    law = {}
+    for modes, p in oracle.state_distribution(state.amplitudes, transfer).items():
+        assert set(modes) <= set(detectors), "oracle photon landed off-detector"
+        pattern = DetectionPattern(tuple(modes.count(i) for i in detectors))
+        law[pattern] = law.get(pattern, 0.0) + p
+    return law
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({}, optional={**{field: ANY_ENCODER for field in FIELDS},
+                                           "analyzer": ANY_ANALYZER}))
+def test_each_branch_law_is_the_law_of_its_state(fields):
+    """Every law a compiled branch carries is `analyze` of that branch's own
+    state, bit for bit, and the dense path's law of it to 1e-12."""
+    try:
+        bench = OpticalBench(Optics(**fields))
+    except ProtocolError:  # an encoder whose monitor always clicks, or clicks two ways
+        assume(False)
+    transfer = oracle.compose(list(bench.compiled.analyzer), REGISTRY)
+    for split in bench.compiled.branches:
+        for state, law in ((split.controlled_state, split.controlled_law),
+                           (split.lone_state, split.lone_law),
+                           (split.resent_state, split.resent_law)):
+            if state is None:
+                assert law is None
+                continue
+            with pytest.raises(TypeError):  # read-only
+                law[next(iter(law))] = 0.0
+            assert list(law.items()) == list(bench.analyze(state).items())
+            reference = oracle_law(state, transfer)
+            for pattern in law.keys() | reference.keys():
+                assert law.get(pattern, 0.0) == pytest.approx(reference.get(pattern, 0.0),
+                                                              abs=1e-12)

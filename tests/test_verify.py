@@ -15,17 +15,18 @@ from sdcsim.cli import EXIT_CONFIG, main
 from sdcsim.fock import ModeUnitary, apply_element, sample_outcome
 from sdcsim.protocol import (
     ALPHABET,
+    ClonePolicy,
     DetectionPattern,
     MessageSymbol,
     OpticalBench,
     Optics,
     Scenario,
+    default_bench,
 )
 from sdcsim.session import CHUNK_MESSAGES, InvalidConfigError, RunConfig, run_session
 from sdcsim.verify import (
     CHECK_ALARM,
     all_passed,
-    analyzed_laws,
     band_minimum,
     binomial_tails,
     check_branch_statistics,
@@ -39,11 +40,6 @@ from sdcsim.verify import (
     run_verification,
     statistical_counts,
 )
-
-
-def cell_law(bench):
-    """HH's cell law on `bench`, from its analyzed laws, as `run_verification` builds it."""
-    return hh_cell_law(bench, analyzed_laws(bench))
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +166,8 @@ def test_kernel_and_verify_draw_through_one_sampler(monkeypatch):
     # stored boundary gathered per trial
     assert [n for _, n in calls] == _blocks(CHUNK_MESSAGES) + _blocks(1)
     assert all(n <= session.BLOCK for _, n in calls)
-    assert all(len(bounds) == len(bench.compiled.sums) for bounds, _ in calls)
+    _, wired, _ = session.wiring(bench.compiled, Scenario.B, ClonePolicy.SEND_AS_IS, False)
+    assert all(len(bounds) == len(wired) for bounds, _ in calls)
     assert all(len(bound) == n for bounds, n in calls for bound in bounds)
     calls.clear()
     # every draw of the suite is the kernel's, a block of one of its sessions at a
@@ -192,15 +189,15 @@ def test_kernel_and_verify_draw_through_one_sampler(monkeypatch):
 
 
 def test_sampling_check_counts_only_the_hh_cells():
-    # a tilted psi- plate widens the compiled stack past HH's two patterns a branch:
+    # a tilted psi- plate widens the wiring's cells past HH's two patterns a branch:
     # HH's rows past them are -1 padding and name no cell, and no other message's
     # row is one
     bench = OpticalBench(Optics(psi_minus=(("hwp", 22.5),)))
-    assert len(bench.compiled.codes) > 2
     drawn = hh_session(bench, 3, 1_000)
     table = drawn.table
+    assert len(table) > 2 * 2 * len(ALPHABET)
     assert (table.pattern[table.intended == ALPHABET.index(MessageSymbol.HH)] == -1).any()
-    result = check_sampling_consistency(bench, drawn, cell_law(bench))
+    result = check_sampling_consistency(bench, drawn, hh_cell_law(bench))
     assert result.passed
     assert [part.split()[:2] for part in result.detail.split("; ")] == [
         ["controlled", "aH:2"], ["controlled", "bH:2"], ["wrong", "aV:2"], ["wrong", "bV:2"],
@@ -218,7 +215,7 @@ def test_statistical_checks_hold_on_correct_perturbed_benches(optics):
     bench = OpticalBench(optics)
     drawn = hh_session(bench, 3, 100_000)
     assert check_branch_statistics(bench, drawn).passed
-    assert check_sampling_consistency(bench, drawn, cell_law(bench)).passed
+    assert check_sampling_consistency(bench, drawn, hh_cell_law(bench)).passed
 
 
 def test_a_mis_wired_scenario_b_fails_verify(monkeypatch):
@@ -228,7 +225,9 @@ def test_a_mis_wired_scenario_b_fails_verify(monkeypatch):
 
     def mis_wired(compiled, scenario, clone_policy, erase_notes):
         if scenario is Scenario.B:
-            compiled = dataclasses.replace(compiled, resent_table=compiled.lone_table)
+            branches = tuple(dataclasses.replace(split, resent_law=split.lone_law)
+                             for split in compiled.branches)
+            compiled = dataclasses.replace(compiled, branches=branches)
         return wiring(compiled, scenario, clone_policy, erase_notes)
 
     monkeypatch.setattr(session, "wiring", mis_wired)
@@ -237,10 +236,10 @@ def test_a_mis_wired_scenario_b_fails_verify(monkeypatch):
 
 
 def test_each_law_is_analyzed_once_per_call(monkeypatch):
-    # each message's controlled pair and HH's re-emitted pair once, shared by
-    # exact_discrimination, the trials minimum and sampling_consistency, then the
-    # HOM dip's two pairs, the perpendicular pair and phi+ and phi-; no memo
-    # carries one call's laws into the next
+    # the HOM dip's two pairs, the perpendicular pair and phi+ and phi-, each once;
+    # exact_discrimination, the trials minimum and sampling_consistency read the
+    # compiled branch laws and analyze nothing; no memo carries one call's laws
+    # into the next
     analyze = OpticalBench.analyze
     states = []
 
@@ -249,11 +248,13 @@ def test_each_law_is_analyzed_once_per_call(monkeypatch):
         return analyze(bench, state)
 
     monkeypatch.setattr(OpticalBench, "analyze", counting)
+    branch_states = {id(state) for split in default_bench().compiled.branches
+                     for state in (split.controlled_state, split.lone_state, split.resent_state)}
     for _ in range(2):
         states.clear()
         assert all_passed(run_verification(branch_trials=5_000))
-        assert len(states) == len(ALPHABET) + 1 + 2 + 1 + 2
-        assert len({id(state) for state in states[:len(ALPHABET) + 1]}) == len(ALPHABET) + 1
+        assert len(states) == 2 + 1 + 2
+        assert not {id(state) for state in states} & branch_states
 
 
 @pytest.mark.parametrize("p", [0.5, 0.25, 0.01])
@@ -272,7 +273,7 @@ def test_band_minimum_is_the_first_size_a_count_can_leave(p):
 
 def test_band_minimum_of_the_suite():
     bench = OpticalBench()
-    counts = statistical_counts(bench, cell_law(bench))
+    counts = statistical_counts(bench, hh_cell_law(bench))
     assert len(counts) == 5  # HH's wrong branches, then its four cells
     assert band_minimum(counts) == 22
     assert band_minimum(counts[1:]) == 12  # the cells alone
@@ -363,7 +364,7 @@ def test_branch_statistics_counts_its_session_once(monkeypatch):
     bench = OpticalBench()
     drawn = hh_session(bench, 5, trials)
     assert check_branch_statistics(bench, drawn).passed
-    assert check_sampling_consistency(bench, drawn, cell_law(bench)).passed
+    assert check_sampling_consistency(bench, drawn, hh_cell_law(bench)).passed
     # one block-wise pass over the session's trials, shared by the tally and both checks
     assert calls == _blocks(trials)
 
@@ -397,7 +398,7 @@ def test_capacity_references_read_the_bench_they_check():
 
 def test_too_few_trials_for_the_band_is_an_invalid_configuration():
     bench = OpticalBench()
-    minimum = band_minimum(statistical_counts(bench, cell_law(bench)))
+    minimum = band_minimum(statistical_counts(bench, hh_cell_law(bench)))
     with pytest.raises(InvalidConfigError, match=f"below {minimum}"):
         run_verification(branch_trials=minimum - 1)
 
@@ -430,7 +431,7 @@ def test_a_misread_message_fails_exact_discrimination(monkeypatch):
         return outcome
 
     monkeypatch.setattr(bench, "classify", misread)
-    result = verify.check_exact_discrimination(bench, analyzed_laws(bench))
+    result = verify.check_exact_discrimination(bench)
     assert not result.passed
     assert result.detail == "hh decodes with prob 0.000000000000"
 
