@@ -76,13 +76,6 @@ class CapacityReport:
         return fields
 
 
-def _rounded_reference(effective_alphabet: float) -> RoundedReference:
-    rounded = round(effective_alphabet, 1)
-    if rounded <= 0.0:
-        rounded = effective_alphabet
-    return RoundedReference(rounded, math.log2(rounded))
-
-
 def capacity_from_counts(per_symbol: Mapping[str, tuple[float, float, float]]) -> CapacityReport:
     """Every capacity figure from each symbol's (delivered, repeats, cloned) counts.
 
@@ -108,6 +101,7 @@ def capacity_from_counts(per_symbol: Mapping[str, tuple[float, float, float]]) -
         raise ValueError("capacity is undefined without a delivered message")
     efficiency = delivered_total / pairs
     effective_alphabet = len(counts) * efficiency
+    rounded = round(effective_alphabet, 1) or effective_alphabet  # exact if it rounds to 0
     return CapacityReport(
         per_symbol_counts=counts,
         pairs_consumed=pairs,
@@ -116,7 +110,7 @@ def capacity_from_counts(per_symbol: Mapping[str, tuple[float, float, float]]) -
         effective_alphabet=effective_alphabet,
         bits_per_pair=math.log2(effective_alphabet),
         uncontrolled_fraction=uncontrolled / pairs,
-        rounded_reference=_rounded_reference(effective_alphabet),
+        rounded_reference=RoundedReference(rounded, math.log2(rounded)),
     )
 
 

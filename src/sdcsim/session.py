@@ -46,6 +46,13 @@ are built only when `SessionResult.notes` is read, are looked up by row.
 `Session.chunks()` numbers each chunk's trials on from the last's, so a
 session holds no cursor and can be iterated again.
 
+A short session pays mostly for what it does once per call, whatever its
+size: keying its generators, which the scheme fixes, then a few numpy calls
+per pass and its report. So the passes step through plain ranges of blocks,
+a listed stream's chunk is its cycle repeated (`_cycled`), and the rows are
+counted by one `bincount` per block, the first before the loop; a session of
+one chunk keeps that chunk's rows, uncopied.
+
 Randomness (RNG_SCHEME): chunk k of a session draws its uniform messages from
 stream 1 and its trials from stream 0, each a numpy Philox generator seeded
 with SeedSequence((seed, stream, k)), the counter-based keyed scheme of
@@ -64,11 +71,13 @@ Both streams of a chunk come from one generator per thread, which
 `_generator` re-keys for each (seed, stream, chunk) instead of building a new
 one, and a uniform chunk reads its messages from the raw stream. Each draws
 exactly what the scheme's fresh generator draws, so, like BLOCK, the reuse is
-no part of the scheme. That, and drawing raw words for uniforms, rest on four
+no part of the scheme. That, and drawing raw words for uniforms, rest on five
 numpy internals, each guarded by a test in tests/test_kernel.py:
   - SeedSequence hashes the tuple as its integers' 32-bit words, least
     significant first, 0 as one zero word
     (test_a_keyed_generator_draws_what_a_fresh_one_draws);
+  - SeedSequence.generate_state hashes its pool into the state words as
+    `_generator` does in ints (test_the_key_is_what_generate_state_makes);
   - a Philox state dict with counter 0 and an empty buffer starts the stream
     of its key, whatever was drawn before
     (test_re_keying_back_gives_the_first_stream_again);
@@ -165,8 +174,9 @@ class Note:
 
 
 def check_seed(seed: int) -> None:
-    """Raise InvalidConfigError unless `seed` is an unsigned 64-bit integer."""
-    if not isinstance(seed, Integral) or not 0 <= seed < 2**64:
+    """Raise InvalidConfigError unless `seed` is an unsigned 64-bit integer; a
+    bool is a flag, never a seed."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
         raise InvalidConfigError("seed must be an unsigned 64-bit integer")
 
 
@@ -198,7 +208,7 @@ class RunConfig:
                 raise InvalidConfigError(f"{name} must be {named}, not {value!r}")
         for name in ("n_messages", "seed", "classical_delay"):
             value = getattr(self, name)
-            if not isinstance(value, Integral):
+            if isinstance(value, bool) or not isinstance(value, Integral):  # a bool is a flag
                 raise InvalidConfigError(f"{name} must be an integer, not {value!r}")
             # a numpy integer becomes an int, so no sum with a trial number overflows
             object.__setattr__(self, name, int(value))
@@ -245,8 +255,11 @@ _DELIVERING = [ACTIONS.index(ScenarioAction.SENT), ACTIONS.index(ScenarioAction.
 
 
 _THREAD = threading.local()  # `rng`: each thread's one generator, made on its first key
-_ZEROS = np.zeros(4, dtype=np.uint64)  # a fresh Philox's counter, and its unread buffer
-_ZEROS.flags.writeable = False
+_ZEROS = (0, 0, 0, 0)  # a fresh Philox's counter, and its unread buffer
+# h_0, ..., h_4 of SeedSequence.generate_state: h_0 = 0x8B51F9DD, each next one
+# that times 0x58F38DED, mod 2^32
+_STATE_HASH = tuple(accumulate([0x58F38DED] * 4, lambda h, m: h * m & 0xFFFFFFFF,
+                               initial=0x8B51F9DD))
 
 
 def _words(n: int) -> list[int]:
@@ -262,12 +275,20 @@ def _generator(seed: int, stream: int, chunk: int) -> np.random.Generator:
     """The calling thread's generator, keyed to draw exactly what
     Generator(Philox(SeedSequence((seed, stream, chunk)))) draws.
 
-    SeedSequence takes the tuple as these words; Philox keys itself with its
-    first four output words read as two little-endian uint64s, and starts at
-    counter 0 with an empty buffer.
+    SeedSequence takes the tuple as these words and mixes them into its pool.
+    Its `generate_state(4)` makes state word i of pool word w as x ^ (x >> 16),
+    x = (w ^ h_i) * h_(i+1) mod 2^32 (`_STATE_HASH`), which is done here in
+    ints: numpy does it in uint32 scalars under an errstate context, and a
+    keying took 8.9 us that way against 6.6 us here (one CPU of a 2-vCPU
+    x86-64 VM). Philox keys itself with those four words read as two
+    little-endian uint64s, and starts at counter 0 with an empty buffer.
     """
     words = np.array(_words(seed) + _words(stream) + _words(chunk), dtype=np.uint32)
-    key = np.random.SeedSequence(words).generate_state(4).astype("<u4", copy=False).view("<u8")
+    state = []
+    for i, word in enumerate(np.random.SeedSequence(words).pool.tolist()):
+        word = (word ^ _STATE_HASH[i]) * _STATE_HASH[i + 1] & 0xFFFFFFFF
+        state.append(word ^ word >> 16)
+    key = (state[0] | state[1] << 32, state[2] | state[3] << 32)
     try:
         rng = _THREAD.rng
     except AttributeError:  # made here, not on import, which then loads no numpy.random
@@ -284,11 +305,6 @@ def trial_rng(seed: int, chunk: int) -> np.random.Generator:
     keyed call on the same thread.
     """
     return _generator(seed, _STREAM_TRIAL, chunk)
-
-
-def _blocks(size: int) -> Iterator[slice]:
-    """Consecutive slices of at most BLOCK items, in order, that cover `size` items."""
-    return (slice(start, start + BLOCK) for start in range(0, size, BLOCK))
 
 
 def _chunk_count(config: RunConfig) -> int:
@@ -314,7 +330,8 @@ def _chunk_messages(config: RunConfig, chunk: int) -> np.ndarray:
 def _cycled(cycle: np.ndarray, start: int, size: int) -> np.ndarray:
     """Items start, ..., start + size - 1 of `cycle` repeated without end."""
     offset = start % len(cycle)
-    return np.tile(cycle, -(-(offset + size) // len(cycle)))[offset:offset + size]
+    laps = -(-(offset + size) // len(cycle))
+    return cycle.reshape(1, -1).repeat(laps, axis=0).ravel()[offset:offset + size]
 
 
 def intended_stream(config: RunConfig) -> list[MessageSymbol]:
@@ -442,14 +459,13 @@ class Trials:
     def row_counts(self) -> np.ndarray:
         """Trial counts per row of the table, read-only: counted on first use, a
         block at a time, so that no intp copy of every row code is made, and kept."""
-        return self._row_counts
-
-    @cached_property
-    def _row_counts(self) -> np.ndarray:
-        counts = np.zeros(len(self.table), dtype=np.intp)
-        for block in _blocks(len(self.row)):
-            counts += np.bincount(self.row[block], minlength=len(self.table))
-        counts.flags.writeable = False
+        counts = vars(self).get("_row_counts")
+        if counts is None:
+            counts = np.bincount(self.row[:BLOCK], minlength=len(self.table))
+            for start in range(BLOCK, len(self.row), BLOCK):
+                counts += np.bincount(self.row[start:start + BLOCK], minlength=len(self.table))
+            counts.flags.writeable = False
+            object.__setattr__(self, "_row_counts", counts)
         return counts
 
     def tally(self) -> np.ndarray:
@@ -543,7 +559,7 @@ class Session:
         self._p_controlled = compiled.p_controlled
         self._controlled, self._bounds, self.table = wiring(
             compiled, config.scenario, config.clone_policy, config.erase_notes)
-        self._width = np.int16(len(self._bounds) + 1)
+        self._width = len(self._bounds) + 1  # an int, which keeps the rows int16
 
     def scenario_step(self, chunk: int, first: int) -> Trials:
         """Drive chunk `chunk`'s messages to delivery, numbering its trials from `first`."""
@@ -553,24 +569,25 @@ class Session:
         # pass 1: each block of messages' branches, into its trials' cells
         if self.config.scenario is Scenario.B:  # one pair per message
             cell = 2 * messages.astype(np.int16)
-            for block in _blocks(len(cell)):
-                controlled = self._controlled.take(messages[block])
-                cell[block] += words(len(controlled)) > controlled  # the wrong branch
+            for start in range(0, len(cell), BLOCK):
+                controlled = self._controlled.take(messages[start:start + BLOCK])
+                cell[start:start + BLOCK] += words(len(controlled)) > controlled  # wrong branch
         else:  # retry on fresh pairs until the controlled branch
             pieces = []
-            for block in _blocks(len(messages)):
-                attempts = rng.geometric(self._p_controlled.take(messages[block]))
-                controlled = 2 * messages[block].astype(np.int16)
-                piece = np.repeat(controlled + 1, attempts)  # every attempt wrong ...
+            for start in range(0, len(messages), BLOCK):
+                block = messages[start:start + BLOCK]
+                attempts = rng.geometric(self._p_controlled.take(block))
+                controlled = 2 * block.astype(np.int16)
+                piece = (controlled + 1).repeat(attempts)  # every attempt wrong ...
                 piece[attempts.cumsum() - 1] = controlled  # ... but each message's last
                 pieces.append(piece)
             cell = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
             del pieces  # so that pass 2 holds one copy of the cells
         row = cell * self._width  # the cell's first row, then the drawn index
-        for block in _blocks(len(cell)):  # pass 2, after every branch is drawn
-            cells = cell[block]  # `take` gathers by it twice as fast as indexing does
-            sample_outcome((bound.take(cells) for bound in self._bounds),
-                           words(len(cells)), out=row[block])
+        for start in range(0, len(cell), BLOCK):  # pass 2, after every branch is drawn
+            cells = cell[start:start + BLOCK]  # `take` gathers by it twice as fast as indexing does
+            sample_outcome([bound.take(cells) for bound in self._bounds],
+                           words(len(cells)), out=row[start:start + BLOCK])
         row.flags.writeable = False
         return Trials(row, first, self.table)
 
@@ -622,10 +639,10 @@ def run_session(config: RunConfig, bench: OpticalBench | None = None) -> Session
     Unlike `simulate`'s chunk-by-chunk log, it keeps every trial's int16 row
     code, so its memory grows with the session: about 4 bytes a trial at peak,
     2 for the chunks' rows plus 2 for the copy `Trials.concat` joins them into,
-    and 2 held after (tracemalloc, scenario a, 8 chunks: 4.1 and 2.0).
+    and 2 held after (tracemalloc, 8 chunks, scenarios a and b alike: 4.1 and
+    2.0). A session of one chunk is that chunk's trials, with no copy.
     """
-    chunks = list(Session(config, bench).chunks())
-    trials = Trials.concat(chunks)
+    trials = Trials.concat(list(Session(config, bench).chunks()))
     notes = _LazyList(build=lambda: trials.notes(config.classical_delay))
     return SessionResult(config, notes, build_report(trials.tally()), trials)
 

@@ -1,10 +1,11 @@
 """The benchmark recorder's bookkeeping: its layer keys, its line counts, its run
-order and its whole-process runs."""
+order, its whole-process runs and its in-process A/B."""
 
 import importlib.util
 import json
 import os
 import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -123,3 +124,59 @@ def test_a_whole_process_run_is_its_own_child_pinned_to_one_cpu(tmp_path, monkey
     monkeypatch.setattr(bench_record.os, "sched_setaffinity", lambda pid, cpus: pinned.append(cpus))
     child.kwargs["preexec_fn"]()  # the child's hook, run here with the pinning faked
     assert pinned == [{min(os.sched_getaffinity(0))}]
+
+
+def test_an_in_process_a_a_run_gates_both_trees_and_puts_the_callers_modules_back():
+    import sdcsim
+
+    modules = {name: module for name, module in sys.modules.items()
+               if name.split(".", 1)[0] in bench_record.AB_MODULES}
+    path, affinity = list(sys.path), os.sched_getaffinity(0)
+    result = bench_record.ab("sweep_short", {"a": ".", "b": "."}, seed=3, rounds=3, smoke=True)
+    # the caller's own program, module for module, its path and its CPUs
+    assert sys.modules["sdcsim"] is sdcsim
+    assert {name: module for name, module in sys.modules.items()
+            if name.split(".", 1)[0] in bench_record.AB_MODULES} == modules
+    assert sys.path == path and os.sched_getaffinity(0) == affinity
+    a, b = result["trees"]["a"], result["trees"]["b"]
+    # each tree imported its own copy, and every operation of both passed the gate
+    assert a["sdcsim"] != b["sdcsim"] and sdcsim.__file__ not in (a["sdcsim"], b["sdcsim"])
+    assert result["digests_equal"] and a["digest"] == b["digest"]
+    operations = result["operations"]
+    assert operations == 16  # the smoke-sized sweep
+    for tree in (a, b):
+        assert tree["failed"] == 0 and tree["failures"] == []
+        assert tree["attempted"] >= (1 + result["rounds"]) * operations
+        assert len(tree["pass_s"]["runs"]) == result["rounds"]
+        assert tree["pass_s"]["q1"] <= tree["pass_s"]["median"] <= tree["pass_s"]["q3"]
+    assert len(result["ratio"]["runs"]) == result["rounds"]
+    assert 0 <= result["wins"] <= result["rounds"]
+
+
+def test_an_a_b_takes_two_trees():
+    with pytest.raises(ValueError, match="two trees"):
+        bench_record.ab("sweep_short", {"a": "."}, rounds=1, smoke=True)
+
+
+@pytest.mark.parametrize("equal, failed, code", [(True, 0, 0), (False, 0, 1), (True, 2, 1)],
+                         ids=["ok", "digests-differ", "gate-failed"])
+def test_the_a_b_command_runs_each_seed_and_exits_1_on_a_difference(tmp_path, monkeypatch,
+                                                                    equal, failed, code):
+    calls = []
+
+    def ab(workload, trees, seed):
+        calls.append((workload, trees, seed))
+        tree = {"failed": failed, "attempted": 4, "digest": "d" * 16,
+                "pass_s": {"median": 1.0, "q1": 1.0, "q3": 1.0}}
+        return {"workload": workload, "seed": seed, "rounds": 1, "operations": 4,
+                "trees": {"a": tree, "b": tree}, "digests_equal": equal, "wins": 1,
+                "ratio": {"median": 0.9, "q1": 0.9, "q3": 0.9}}
+
+    monkeypatch.setattr(bench_record, "ab", ab)
+    out = tmp_path / "ab.json"
+    argv = ["--ab", "sweep_short", "--tree", "a=HEAD", "--tree", "b=.", "--out", str(out)]
+    assert bench_record.main(argv) == code
+    assert calls == [("sweep_short", {"a": "HEAD", "b": "."}, s) for s in bench_record.SEEDS]
+    assert [r["seed"] for r in json.loads(out.read_text())] == list(bench_record.SEEDS)
+    with pytest.raises(SystemExit):
+        bench_record.main(["--ab", "sweep_short", "--tree", "a=HEAD"])

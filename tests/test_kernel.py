@@ -333,6 +333,26 @@ def test_tally_counts_each_message_and_action(bench_name, config, n, seed):
     assert np.array_equal(tally, expected.reshape(len(ALPHABET), len(ACTIONS)))
 
 
+BLOCK_EDGES = (1, session.BLOCK - 1, session.BLOCK, session.BLOCK + 1, 2 * session.BLOCK + 3)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+@pytest.mark.parametrize("config", list(PINNED_CONFIGS))
+def test_row_counts_and_tally_are_the_plain_counts_at_block_edges(config, n):
+    # rows counted one block at a time, the first block before the loop, against
+    # one bincount of every row and a loop over each trial's message and action
+    table = Session(RunConfig(n_messages=1, seed=0, **PINNED_CONFIGS[config])).table
+    row = np.random.default_rng(n).integers(0, len(table), n).astype(np.int16)
+    trials = Trials(row, 0, table)
+    counts = trials.row_counts()
+    assert counts.dtype == np.intp and not counts.flags.writeable
+    assert np.array_equal(counts, np.bincount(row.astype(np.intp), minlength=len(table)))
+    looped = np.zeros((len(ALPHABET), len(ACTIONS)), dtype=np.int64)
+    for r in row.tolist():
+        looped[table.intended[r], table.action[r]] += 1
+    assert np.array_equal(trials.tally(), looped)
+
+
 def test_trials_keep_one_int16_row_per_trial():
     trials = run_session(RunConfig(Scenario.A, 70_000, 31)).trials
     assert trials.row.dtype == np.int16
@@ -410,12 +430,32 @@ def test_receiver_views_are_the_per_trial_loops(bench_name):
 @pytest.mark.parametrize("length", range(1, 8))
 def test_cycled_messages_match_the_modulo_form(length):
     cycle = np.arange(length, dtype=np.int8)
-    for start in (0, 5, 65_536):
-        for size in (1, 17, 65_536):
+    chunk = session.CHUNK_MESSAGES
+    # starts on and off a lap of the cycle, each side of a chunk boundary; sizes
+    # that end short of a lap, on it and past it
+    for start in (0, 5, length - 1, length, chunk - 1, chunk, 3 * chunk + 2):
+        for size in (1, length, length + 1, 17, chunk):
             cycled = _cycled(cycle, start, size)
             expected = cycle[np.arange(start, start + size) % length]
             assert cycled.dtype == expected.dtype
             assert np.array_equal(cycled, expected), (start, size)
+    # the chunks of a listed stream, one after another, are the cycle repeated
+    stream = np.concatenate([_cycled(cycle, k * chunk, chunk) for k in range(3)])
+    assert np.array_equal(stream, cycle[np.arange(3 * chunk) % length])
+
+
+@pytest.mark.parametrize("n", [session.CHUNK_MESSAGES, session.CHUNK_MESSAGES + 1])
+@pytest.mark.parametrize("stream", list(PINNED_STREAMS))
+@pytest.mark.parametrize("config", list(PINNED_CONFIGS))
+def test_a_session_at_the_chunk_edge_is_its_chunks(config, stream, n):
+    config = RunConfig(n_messages=n, seed=23, messages=PINNED_STREAMS[stream],
+                       **PINNED_CONFIGS[config])
+    chunks = list(Session(config).chunks())
+    assert len(chunks) == 1 + (n > session.CHUNK_MESSAGES)
+    trials = run_session(config).trials
+    assert trials.first == 0 and trials.row.dtype == np.int16
+    assert np.array_equal(trials.row, np.concatenate([c.row for c in chunks]))
+    assert [c.first for c in chunks] == [0, *([len(chunks[0])] if len(chunks) > 1 else [])]
 
 
 def _log_rows(trials):
@@ -704,9 +744,10 @@ def test_a_changed_encoder_gets_its_own_wiring():
 # Each chunk re-keys the thread's one generator instead of building one, and
 # draws its uniforms as raw words. These properties name the numpy internals
 # that equality rests on, so that a numpy release that changes one fails here,
-# not only in the pins: how SeedSequence assembles its words from the tuple, the
-# Philox state dict, Lemire's method over buffered bytes for uniform messages,
-# and the double `random` makes of each raw word.
+# not only in the pins: how SeedSequence assembles its words from the tuple, how
+# its generate_state hashes the pool into the key, the Philox state dict,
+# Lemire's method over buffered bytes for uniform messages, and the double
+# `random` makes of each raw word.
 EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
 EDGE_CHUNKS = (0, 1, 2**32 - 1, 2**32, 2**32 + 7, 2**64)
 KEYS = st.tuples(st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1),
@@ -740,6 +781,18 @@ def _assert_same_draws(got, want):
 def test_a_keyed_generator_draws_what_a_fresh_one_draws(key):
     want = _draws(_fresh(*key))
     _assert_same_draws(_draws(session._generator(*key)), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=KEYS)
+@example(key=(0, 0, 0))
+@example(key=(2**64 - 1, 1, 2**64))
+def test_the_key_is_what_generate_state_makes(key):
+    # `_generator` hashes SeedSequence's pool into the key in Python ints, as
+    # generate_state does in uint32 scalars
+    want = np.random.SeedSequence(key).generate_state(2, np.uint64).tolist()
+    got = session._generator(*key).bit_generator.state["state"]["key"]
+    assert [int(word) for word in got] == want
 
 
 @settings(max_examples=100, deadline=None)

@@ -80,6 +80,9 @@ class TestRunConfig:
     @pytest.mark.parametrize("field,value", [
         ("n_messages", 2.5), ("n_messages", 10.0), ("n_messages", "10"), ("seed", 2.5),
         ("seed", 1.0), ("seed", "1"), ("classical_delay", 1.5), ("classical_delay", None),
+        # a bool is an Integral, but a flag, not a count: True must not run one message
+        ("n_messages", True), ("seed", False), ("seed", True), ("classical_delay", True),
+        ("seed", np.bool_(True)),
     ])
     def test_non_integral_sizes_seeds_and_delays_rejected(self, field, value):
         fields = dict(scenario=Scenario.B, n_messages=10, seed=1, classical_delay=0)

@@ -23,7 +23,8 @@ from sdcsim.protocol import (
     Scenario,
     default_bench,
 )
-from sdcsim.session import CHUNK_MESSAGES, InvalidConfigError, RunConfig, run_session
+from sdcsim.session import (CHUNK_MESSAGES, InvalidConfigError, RunConfig, check_seed,
+                            run_session)
 from sdcsim.verify import (
     CHECK_ALARM,
     all_passed,
@@ -412,6 +413,17 @@ def test_bad_seed_is_rejected_before_any_check_runs(seed, monkeypatch):
     with contextlib.redirect_stderr(io.StringIO()) as err:
         assert main(["verify", "--seed", str(seed)]) == EXIT_CONFIG
     assert "seed must be an unsigned 64-bit integer" in err.getvalue()
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [True, False, np.bool_(True)])
+def test_a_bool_seed_is_rejected_before_any_check_runs(seed, monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "check_unitarity", lambda elements: calls.append(elements))
+    with pytest.raises(InvalidConfigError, match="seed must be an unsigned 64-bit integer"):
+        run_verification(seed=seed, branch_trials=5_000)
+    with pytest.raises(InvalidConfigError, match="seed must be an unsigned 64-bit integer"):
+        check_seed(seed)
     assert calls == []
 
 

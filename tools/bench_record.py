@@ -23,12 +23,30 @@ workload the median and quartiles of each end-to-end metric over the runs of
 each seed, with the digests and operation counts; the traced run's
 per-layer values, keyed by the layers L0-L4 of the ROADMAP's aim 1; and the
 median and quartiles of the whole-process `simulate` runs.
+
+    python3 tools/bench_record.py --ab sweep_short --tree parent=HEAD~1 --tree change=.
+
+With `--ab WORKLOAD` the two trees run that workload in one process instead,
+at each of the seeds, AB_ROUNDS rounds each, pinned to one CPU, so that no
+per-process spread falls between them. Each
+tree's `src/sdcsim` is imported with a fresh set of `sdcsim*` (and `run`,
+`gate`, `spans`) entries in `sys.modules`, and each tree's own
+`perfbench/run.py` workload class and `Runner` drive it; the entries of the
+tree that runs are put back in `sys.modules` before each of its passes. A round
+is one pass over every operation of the workload per tree, the trees in
+opposite order from round to round, and a pass's time is the sum of its
+operations' raw run times. Every operation is gated, and the trees must give
+equal digests, or the command exits 1. It prints, per seed, each tree's median
+and quartiles of the pass times, the median and quartiles of the per-round
+ratios (second tree over first) and the rounds the second tree won, and writes
+them as JSON to `--out` if given.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import importlib.util
 import io
 import json
 import os
@@ -45,6 +63,10 @@ SEEDS = (1, 7777)  # perfbench's default and held-out workload seeds
 RUNS = 5  # runs per tree, workload and seed: 10 pairs per workload over the two seeds
 SIMULATE = ("simulate", "--scenario", "a", "--n", "1000000")  # the whole-process run
 SIMULATE_RUNS = 3  # whole-process runs per tree
+AB_ROUNDS = 60  # rounds of an in-process A/B
+# the modules that each tree of an in-process A/B imports for itself: its
+# program, and its perfbench modules, which import one another by these names
+AB_MODULES = ("sdcsim", "run", "gate", "spans")
 
 # traced span metrics by layer, matched on the metric name's prefix
 LAYERS = {
@@ -219,16 +241,133 @@ def record(trees: dict[str, str]) -> dict:
     return {"environment": environment, "seeds": SEEDS, "runs_per_seed": RUNS, "trees": out}
 
 
+def _is_tree_module(name: str) -> bool:
+    return name.split(".", 1)[0] in AB_MODULES
+
+
+def _tree_modules() -> dict:
+    return {name: module for name, module in sys.modules.items() if _is_tree_module(name)}
+
+
+def _use_modules(modules: dict) -> None:
+    """Make `modules` the only `AB_MODULES` entries of `sys.modules`."""
+    for name in [name for name in sys.modules if _is_tree_module(name)]:
+        del sys.modules[name]
+    sys.modules.update(modules)
+
+
+def _load_tree(copy: Path, label: str, workload: str, seed: int, smoke: bool):
+    """Import the tree in `copy` afresh and build its `Runner` over `workload`;
+    return the runner and the tree's modules."""
+    _use_modules({})
+    path = list(sys.path)
+    sys.path.insert(0, str(copy / "perfbench"))  # run.py imports gate and spans by name
+    try:
+        spec = importlib.util.spec_from_file_location("run", copy / "perfbench" / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        sys.modules["run"] = run
+        spec.loader.exec_module(run)
+        sdcsim = run.import_program()  # refuses any sdcsim outside the tree's src/
+        runner = run.Runner(run.WORKLOADS[workload](sdcsim, seed, smoke))
+    finally:
+        sys.path[:] = path
+    print(f"{label}: sdcsim from {Path(sdcsim.__file__).parent}", file=sys.stderr, flush=True)
+    return runner, _tree_modules()
+
+
+def ab(workload: str, trees: dict[str, str], seed: int = SEEDS[0], rounds: int = AB_ROUNDS,
+       smoke: bool = False) -> dict:
+    """Run `workload` on two trees in this process, alternating; see the module doc."""
+    if len(trees) != 2:
+        raise ValueError(f"an A/B takes two trees, not {len(trees)}")
+    saved_modules, saved_path = _tree_modules(), list(sys.path)
+    affinity = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(affinity)})
+    loaded = {}
+    try:
+        with tempfile.TemporaryDirectory(prefix="bench-ab-") as scratch:
+            commits = {}
+            for label, rev in trees.items():
+                copy = Path(scratch) / label
+                copy.mkdir()
+                commits[label] = _copy_tree(rev, copy)
+                loaded[label] = _load_tree(copy, label, workload, seed, smoke)
+            for runner, modules in loaded.values():  # warm-up: lazy set-up and caches
+                _use_modules(modules)
+                for i in range(len(runner.w.ops)):
+                    runner.op(i)
+            passes = {label: [] for label in trees}
+            order = list(loaded.items())
+            for n in range(rounds):
+                for label, (runner, modules) in _turn(order, n):
+                    _use_modules(modules)
+                    passes[label].append(sum(runner.op(i).elapsed
+                                             for i in range(len(runner.w.ops))))
+            for runner, modules in loaded.values():
+                _use_modules(modules)
+                runner.w.close()
+    finally:
+        _use_modules(saved_modules)
+        sys.path[:] = saved_path
+        os.sched_setaffinity(0, affinity)
+    (first, (runner_a, _)), (second, (runner_b, _)) = loaded.items()
+    ratios = [b / a for a, b in zip(passes[first], passes[second])]
+    return {
+        "workload": workload, "seed": seed, "rounds": rounds, "smoke": smoke,
+        "operations": len(runner_a.w.ops),
+        "trees": {label: {"rev": trees[label], "commit": commits[label],
+                          "sdcsim": modules["sdcsim"].__file__,
+                          "digest": runner.digest(), "attempted": runner.attempted,
+                          "failed": runner.failed, "failures": runner.failures,
+                          "pass_s": _summary(passes[label])}
+                  for label, (runner, modules) in loaded.items()},
+        "ratio": _summary(ratios),
+        "wins": sum(ratio < 1.0 for ratio in ratios),
+        "digests_equal": runner_a.digest() == runner_b.digest(),
+    }
+
+
+def _print_ab(result: dict) -> None:
+    print(f"{result['workload']} seed {result['seed']}: {result['rounds']} rounds of "
+          f"{result['operations']} operations")
+    for label, tree in result["trees"].items():
+        s = tree["pass_s"]
+        print(f"  {label:<8} median {s['median'] * 1e3:9.3f} ms  q1 {s['q1'] * 1e3:9.3f}  "
+              f"q3 {s['q3'] * 1e3:9.3f}  failed {tree['failed']}/{tree['attempted']}  "
+              f"digest {tree['digest'][:16]}")
+    second = list(result["trees"])[1]
+    r = result["ratio"]
+    print(f"  ratio    median {r['median']:.4f}  q1 {r['q1']:.4f}  q3 {r['q3']:.4f}  "
+          f"{second} won {result['wins']} of {result['rounds']}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--out", type=Path, help="the output file (required without --ab)")
     parser.add_argument("--tree", action="append", required=True, metavar="LABEL=REV",
                         help="a tree to record (repeatable)")
+    parser.add_argument("--ab", metavar="WORKLOAD",
+                        help="run WORKLOAD on two trees in one process, alternating")
     args = parser.parse_args(argv)
     if not all("=" in tree for tree in args.tree):
         parser.error("--tree takes LABEL=REV")
-    result = record(dict(tree.split("=", 1) for tree in args.tree))
-    args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    trees = dict(tree.split("=", 1) for tree in args.tree)
+    if args.ab is None:
+        if args.out is None:
+            parser.error("--out is required without --ab")
+        result = record(trees)
+    else:
+        if len(trees) != 2:
+            parser.error("--ab takes two --tree")
+        result = [ab(args.ab, trees, seed) for seed in SEEDS]
+        for by_seed in result:
+            _print_ab(by_seed)
+    if args.out:
+        args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    if args.ab and not all(by_seed["digests_equal"] and not any(
+            tree["failed"] for tree in by_seed["trees"].values()) for by_seed in result):
+        print("the trees' outputs differ or failed the gate", file=sys.stderr)
+        return 1
     return 0
 
 
