@@ -25,24 +25,29 @@ encoder branch) and only wires in what its scenario does on a wrong branch;
 falls in a cell, 2 * message + wrong branch. The wiring, memoized per
 compiled model and configuration (`wiring`), picks the law each cell draws
 from and lays it out for sampling: its boundary rows hold each cell's
-running sums, and its `RowTable` names what each row code means: row
-cell * width + i is outcome i of the cell's law, with its message, branch,
-action, pattern, decoding and note. Sessions share it read-only, so a
-session costs only its draws and lookups.
+running sums (in scenario b, those of the message's joint law), and its
+`RowTable` names what each row code means: row cell * width + i is outcome
+i of the cell's law, with its message, branch, action, pattern, decoding
+and note. Sessions share it read-only, so a session costs only its draws
+and lookups.
 The kernel draws raw 64-bit words of the chunk's generator, never doubles: the
 wiring holds each boundary, and each message's controlled probability, as
 the uint64 threshold (`fock.raw_thresholds`) that a word exceeds exactly when
 the double numpy's `random` makes of it reaches the boundary, so no draw
 builds a double and every draw is the one `random` would make. A chunk
-draws in two passes over blocks of at most BLOCK items, so that its only
-arrays as long as the chunk are its int8 messages and its int16 cells and
-row codes: pass 1 goes over blocks of messages and draws each block's
-branches into its trials' cells; pass 2 goes over blocks of trials, starts
-each trial's row code at its cell's first row and adds, in one
-`sample_outcome` call per block, each boundary row gathered by cell. It
-keeps that one row code per trial (`Trials.row`). Every other column, the
-report's tally, the receiver's reconstruction and the `Note` objects, which
-are built only when `SessionResult.notes` is read, are looked up by row.
+draws over blocks of at most BLOCK items, so that its only arrays as long
+as the chunk are its int8 messages, its int16 row codes and, in scenarios a
+and c, its int16 cells. A scenario-b chunk draws in one pass over blocks of
+messages: each message's one word goes wrong when it exceeds the message's
+controlled threshold, and the same word is then counted, in one
+`sample_outcome` call per block, against each boundary row gathered by its
+cell. A chunk of scenarios a and c draws in two passes: pass 1 goes over
+blocks of messages and draws each block's retries into its trials' cells;
+pass 2 goes over blocks of trials and draws each trial's word the same way.
+The chunk keeps one row code per trial (`Trials.row`), its cell's first
+row plus the drawn index. Every other column, the report's tally, the
+receiver's reconstruction and the `Note` objects, which are built only when
+`SessionResult.notes` is read, are looked up by row.
 `Session.chunks()` numbers each chunk's trials on from the last's, so a
 session holds no cursor and can be iterated again.
 
@@ -56,16 +61,18 @@ one chunk keeps that chunk's rows, uncopied.
 Randomness (RNG_SCHEME): chunk k of a session draws its uniform messages from
 stream 1 and its trials from stream 0, each a numpy Philox generator seeded
 with SeedSequence((seed, stream, k)), the counter-based keyed scheme of
-Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11). A chunk's
-trial stream draws, per message, its wrong-branch retries as
-geometric(p_controlled) - 1 (scenarios a, c) or one uniform for its branch
-(b), then one uniform per trial for the receiver's detector pattern; each
-uniform is random()'s, drawn as the raw word it is made of. Pass 1
-makes every branch draw of a chunk before pass 2 makes any pattern draw, and
-a generator draws in sequence, so the blocks draw the same stream as one
-call per chunk would: BLOCK is no part of the scheme. Chunks are
-independent, so sessions are reproducible and chunks could be drawn in
-parallel.
+Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11). In
+scenario b a chunk's trial stream draws one uniform per message, its one
+trial: the message's branch is wrong when the uniform reaches p_controlled,
+and its detector pattern is the outcome whose running sum in the message's
+joint (branch, pattern) law first exceeds the uniform. In scenarios a and c
+it draws, per message, its wrong-branch retries as geometric(p_controlled) -
+1, then one uniform per trial for the receiver's detector pattern; pass 1
+makes every retry draw of a chunk before pass 2 makes any pattern draw. Each
+uniform is random()'s, drawn as the raw word it is made of. A generator
+draws in sequence, so the blocks draw the same stream as one call per chunk
+would: BLOCK is no part of the scheme. Chunks are independent, so sessions
+are reproducible and chunks could be drawn in parallel.
 
 Both streams of a chunk come from one generator per thread, which
 `_generator` re-keys for each (seed, stream, chunk) instead of building a new
@@ -123,7 +130,7 @@ from .protocol import (
 )
 
 CHUNK_MESSAGES = 1 << 16
-# Messages or trials per step of a chunk's two passes: 8,192 8-byte temporaries
+# Messages or trials per step of a chunk's passes: 8,192 8-byte temporaries
 # are 64 KB, below glibc's 128 KB mmap threshold (so no step maps and
 # first-touches fresh pages) and small enough to stay in cache
 BLOCK = 1 << 13
@@ -134,7 +141,9 @@ _STREAM_MESSAGES = 1
 RNG_SCHEME = (
     f"philox4x64 per chunk of {CHUNK_MESSAGES} messages, seeded "
     f"SeedSequence((seed, stream, chunk)); stream {_STREAM_TRIAL} trials, "
-    f"stream {_STREAM_MESSAGES} uniform messages"
+    f"stream {_STREAM_MESSAGES} uniform messages; scenario b draws one uniform per "
+    f"message for its branch and pattern from their joint law, a and c its "
+    f"retries by geometric, then one uniform per trial for its pattern"
 )
 
 
@@ -498,8 +507,13 @@ def wiring(compiled: CompiledBench, scenario: Scenario, clone_policy: ClonePolic
     Boundary row j holds, per cell, the raw-word threshold
     (`fock.raw_thresholds`) of running sum j of that law, or 2^64 - 1 past its
     last boundary; the controlled thresholds are those of each message's
-    `compiled.p_controlled`, which a scenario-b branch draw exceeds to go
-    wrong. A boundary at or below 0 raises ValueError.
+    `compiled.p_controlled`, which a scenario-b word exceeds to go wrong. That
+    word then draws the pattern too, so in scenario b running sum j is the
+    message's joint law's: p * S_j in the controlled cell and p + (1 - p) * S_j
+    in the wrong one, where p is p_controlled and S_j the branch law's running
+    sum. A message with p = 1 keeps its wrong cell's boundaries at 2^64 - 1;
+    padding is added after scaling, as 0 * inf is NaN. A boundary at or below
+    0 raises ValueError.
     """
     # what a wrong branch does, per scenario: the receiver's law per message
     # (None: the pair is stopped), the action and the note
@@ -518,9 +532,12 @@ def wiring(compiled: CompiledBench, scenario: Scenario, clone_policy: ClonePolic
     width = max(len(law or ()) for law in laws)
     code = {p: i for i, p in enumerate(compiled.patterns)}
     sums, codes = [], []
-    for law in laws:
+    for cell, law in enumerate(laws):
         keys = sorted(law or ())
-        running = list(accumulate(law[p] for p in keys))[:-1]  # the last is no boundary
+        running = list(accumulate(law[key] for key in keys))[:-1]  # the last is no boundary
+        if scenario is Scenario.B:  # one word draws branch and pattern: the joint law's sums
+            p = float(compiled.p_controlled[cell >> 1])
+            running = [p + (1.0 - p) * s if cell & 1 else p * s for s in running]
         sums.append(running + [np.inf] * (width - 1 - len(running)))
         codes.append([code[p] for p in keys] + [-1] * (width - len(keys)))
     bounds = raw_thresholds(np.array(sums).T.copy())  # a copy, so each row is contiguous
@@ -566,13 +583,16 @@ class Session:
         messages = _chunk_messages(self.config, chunk)
         rng = trial_rng(self.config.seed, chunk)
         words = rng.bit_generator.random_raw  # what rng.random makes its doubles from
-        # pass 1: each block of messages' branches, into its trials' cells
-        if self.config.scenario is Scenario.B:  # one pair per message
-            cell = 2 * messages.astype(np.int16)
-            for start in range(0, len(cell), BLOCK):
-                controlled = self._controlled.take(messages[start:start + BLOCK])
-                cell[start:start + BLOCK] += words(len(controlled)) > controlled  # wrong branch
+        if self.config.scenario is Scenario.B:  # one pair per message, drawn from one word
+            row = np.empty(len(messages), dtype=np.int16)
+            for start in range(0, len(row), BLOCK):
+                block = messages[start:start + BLOCK]
+                word = words(len(block))
+                cells = 2 * block.astype(np.int16)
+                cells += word > self._controlled.take(block)  # wrong branch
+                self._draw(cells, word, row[start:start + BLOCK])
         else:  # retry on fresh pairs until the controlled branch
+            # pass 1: each block of messages' retries, into its trials' cells
             pieces = []
             for start in range(0, len(messages), BLOCK):
                 block = messages[start:start + BLOCK]
@@ -583,13 +603,19 @@ class Session:
                 pieces.append(piece)
             cell = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
             del pieces  # so that pass 2 holds one copy of the cells
-        row = cell * self._width  # the cell's first row, then the drawn index
-        for start in range(0, len(cell), BLOCK):  # pass 2, after every branch is drawn
-            cells = cell[start:start + BLOCK]  # `take` gathers by it twice as fast as indexing does
-            sample_outcome([bound.take(cells) for bound in self._bounds],
-                           words(len(cells)), out=row[start:start + BLOCK])
+            row = np.empty_like(cell)
+            for start in range(0, len(cell), BLOCK):  # pass 2, after every branch is drawn
+                cells = cell[start:start + BLOCK]
+                self._draw(cells, words(len(cells)), row[start:start + BLOCK])
         row.flags.writeable = False
         return Trials(row, first, self.table)
+
+    def _draw(self, cells: np.ndarray, word: np.ndarray, row: np.ndarray) -> None:
+        """Each trial's row code into `row`: its cell's first row plus the outcome
+        its raw word draws from the boundary rows, gathered by cell."""
+        np.multiply(cells, self._width, out=row)
+        # `take` gathers by the cells twice as fast as indexing does
+        sample_outcome([bound.take(cells) for bound in self._bounds], word, out=row)
 
     def chunks(self) -> Iterator[Trials]:
         """Every chunk of the session, in order, its trials numbered on from the last's."""
@@ -639,7 +665,7 @@ def run_session(config: RunConfig, bench: OpticalBench | None = None) -> Session
     Unlike `simulate`'s chunk-by-chunk log, it keeps every trial's int16 row
     code, so its memory grows with the session: about 4 bytes a trial at peak,
     2 for the chunks' rows plus 2 for the copy `Trials.concat` joins them into,
-    and 2 held after (tracemalloc, 8 chunks, scenarios a and b alike: 4.1 and
+    and 2 held after (tracemalloc, 8 chunks, scenarios a and b alike: 4.0 and
     2.0). A session of one chunk is that chunk's trials, with no copy.
     """
     trials = Trials.concat(list(Session(config, bench).chunks()))

@@ -7,12 +7,17 @@ ordered mode pairs. Anything the sparse polynomial engine computes can be
 cross-checked against this path.
 
 It also keeps `verify.binomial_tails`' scalar form: the tail summed one term
-per loop step, which the block sum must reproduce bit for bit.
+per loop step, which the block sum must reproduce bit for bit, and a
+scenario-b session drawn one raw word at a time from the branch laws, which
+the session kernel must reproduce row for row.
 """
 
 import math
+from itertools import accumulate
 
 import numpy as np
+
+from sdcsim.protocol import ALPHABET, ClonePolicy
 
 
 def full_transfer_matrix(element, registry) -> np.ndarray:
@@ -132,3 +137,54 @@ def binomial_tails(k: int, n: int, p: float) -> tuple[float, float]:
     upper, _ = outward_sum(first, *rest)
     tails = min(1.0, 1.0 - upper + first), upper
     return tails[::-1] if mirrored else tails
+
+
+def _fresh(seed: int, stream: int, chunk: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream, chunk))))
+
+
+def scenario_b_rows(config, bench, chunk_messages: int) -> list[int]:
+    """The row code of each trial of the scenario-b session `config` on `bench`,
+    drawn one message and one raw word at a time.
+
+    It follows the scheme `session.RNG_SCHEME` states, not the kernel: chunk k
+    of `chunk_messages` messages draws its uniform messages as
+    `integers(0, 4, size, dtype=int8)` of a fresh
+    Generator(Philox(SeedSequence((seed, 1, k)))), and one raw word per
+    message from a fresh one keyed (seed, 0, k). A word's uniform is
+    u = (raw >> 11) * 2^-53, the double `random` makes of it. The message goes
+    wrong when u >= p, its controlled probability; its pattern is the first,
+    in sorted order, whose running sum in the message's joint law exceeds u,
+    else the last: p * S_j on the controlled branch and p + (1 - p) * S_j on
+    the wrong one, where S_j accumulate the branch law's probabilities in
+    sorted order, as the compiled laws are summed. Every law and p come from
+    `bench.encode_branches`, never from the session's wiring. The row is
+    cell * width + the pattern's index, cell = 2 * message + wrong branch and
+    width the most patterns of any law the session draws from.
+    """
+    splits = [bench.encode_branches(symbol) for symbol in ALPHABET]
+    send_as_is = config.clone_policy is ClonePolicy.SEND_AS_IS
+    wrong_laws = [split.resent_law if send_as_is else split.controlled_law for split in splits]
+    width = max(len(law or ()) for split, wrong in zip(splits, wrong_laws)
+                for law in (split.controlled_law, wrong))
+    rows = []
+    for chunk, start in enumerate(range(0, config.n_messages, chunk_messages)):
+        size = min(chunk_messages, config.n_messages - start)
+        if config.messages == "uniform":
+            codes = _fresh(config.seed, 1, chunk).integers(0, 4, size, dtype=np.int8).tolist()
+        else:
+            listed = [ALPHABET.index(m) for m in config.messages]
+            codes = [listed[(start + i) % len(listed)] for i in range(size)]
+        words = _fresh(config.seed, 0, chunk).bit_generator.random_raw(size).tolist()
+        for code, raw in zip(codes, words):
+            split = splits[code]
+            p = split.controlled_probability
+            u = (raw >> 11) * 2.0**-53
+            wrong = u >= p
+            law = wrong_laws[code] if wrong else split.controlled_law
+            index = 0
+            if law is not None:
+                running = list(accumulate(law[pattern] for pattern in sorted(law)))[:-1]
+                index = sum(u >= (p + (1.0 - p) * s if wrong else p * s) for s in running)
+            rows.append((2 * code + wrong) * width + index)
+    return rows

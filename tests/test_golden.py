@@ -24,32 +24,32 @@ SIMULATE = {
 
 PINNED = {
     "a": {
-        "report.json": "453e4a9ddadfc20e3172845c7f3d50180e79afef98a135d74d529e095bb95c2e",
+        "report.json": "cf31048a2b4de03ebd135ffdd2191a10effccec4de2648035503221a5d65a0de",
         "events.csv": "cfbbbdbcd8f05b6e944bc5cae96f228ab47ce1a685941ce7b5e24659fbd4ad06",
-        "stdout": "453e4a9ddadfc20e3172845c7f3d50180e79afef98a135d74d529e095bb95c2e",
+        "stdout": "cf31048a2b4de03ebd135ffdd2191a10effccec4de2648035503221a5d65a0de",
     },
     "b-send-as-is": {
-        "report.json": "cd20ca3ef913a6bdd5dbfd45a68e1d8864ce1021aa92f8926fe2114b4d47df6a",
-        "events.csv": "723f12411ab4bad41f9a639775bb7c7b5606fa9f06e2c13eccff739d7462b779",
-        "stdout": "cd20ca3ef913a6bdd5dbfd45a68e1d8864ce1021aa92f8926fe2114b4d47df6a",
+        "report.json": "c05cefd4c4d08144dc7fd41ecff362b3ecc0fb25af3e35a70fadc8e477ef2b47",
+        "events.csv": "29ce7d8b65d1f05cf394a039519335ee6acae82fd36eb7d03f793b55d246cc01",
+        "stdout": "c05cefd4c4d08144dc7fd41ecff362b3ecc0fb25af3e35a70fadc8e477ef2b47",
     },
     "c-erase-notes": {
-        "report.json": "e7cc0f506b8f1411a44219aba9933911e2cfe1b3eb52c932e821a8623ef6d2b3",
+        "report.json": "6e6c48cf1c39a14fc0ea3de12356d9a602d52bdd2f225f6ddefc849475b9148a",
         "events.csv": "7b36fd3625be298c567c7fca2bd2c567d727914fe88e2c01f2d2863636d14403",
-        "stdout": "e7cc0f506b8f1411a44219aba9933911e2cfe1b3eb52c932e821a8623ef6d2b3",
+        "stdout": "6e6c48cf1c39a14fc0ea3de12356d9a602d52bdd2f225f6ddefc849475b9148a",
     },
     "b-clone-intended": {
-        "report.json": "7e48a9df2b0c8a369143e63eb86ebbae3d907ef4b6ddf6c97a50a34a8a7989cd",
-        "events.csv": "36094be11ce38a4e84dd2d2c5bb8ee3815912837a518f219339aa1d1e854271c",
-        "stdout": "7e48a9df2b0c8a369143e63eb86ebbae3d907ef4b6ddf6c97a50a34a8a7989cd",
+        "report.json": "5f4359ef5c90f0cd8aa5e06fd47489ce5080dfa88c1912064ebfa9f1545550f1",
+        "events.csv": "f42f0d233e2ac94b0aabb2a1d54818aa9fb77aeb41b041e7a65cdd98e2d97abe",
+        "stdout": "5f4359ef5c90f0cd8aa5e06fd47489ce5080dfa88c1912064ebfa9f1545550f1",
     },
     "a-message-list": {
-        "report.json": "f42bceeadf73e696ea7e83b8c26dfcafc672a5f6241e3e44b6f4052caa46821b",
+        "report.json": "24cdf9a15e301e0c9de9ef5663ce3fdc7638a5fdfaed259a9c5e0c0bdf777e3f",
         "events.csv": "8d9edb90a3a32c691baf305f3695206668b5729e65b74ec1f9e99556306613f4",
-        "stdout": "f42bceeadf73e696ea7e83b8c26dfcafc672a5f6241e3e44b6f4052caa46821b",
+        "stdout": "24cdf9a15e301e0c9de9ef5663ce3fdc7638a5fdfaed259a9c5e0c0bdf777e3f",
     },
     "verify": {
-        "stdout": "9820e3d8ec20c444e75afd48e74e3b7a58db4065b9f9527389392e7e815f2b83",
+        "stdout": "b5a7bfe820e56ddd4a81ee4e5c85cd9933aded3dae632a599c4668e6823760f7",
     },
     "signatures": {
         "stdout": "db5c039c02a3ee1e77ecae7c9b72dbebca0ea4b5b19d426a960292af7e0105cf",

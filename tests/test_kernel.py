@@ -23,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from sdcsim import session
 from sdcsim.cli import _event_lines, _event_suffix, _line_ends, main
 from sdcsim.fock import branch_on_modes
@@ -34,6 +35,7 @@ from sdcsim.protocol import (
     MessageSymbol,
     OpticalBench,
     Optics,
+    ProtocolError,
     Scenario,
     Verdict,
     default_bench,
@@ -172,13 +174,13 @@ PINNED_KERNEL = {
     ("hh", "a", "list"):
         ("a141214026b4383a73b2b75f3150378afa2197f2dc3989082a6e00a9486a05f1", 110295),
     ("hh", "b-send-as-is", "uniform"):
-        ("9cc6dfe1f1c80819ab981ce21ada6a0a23adb9286759d614b9b73ce3fd3054df", 70000),
+        ("1c3d82cd796c21575ba3bc849ce936adfbc2b7d5e05d31a98af9ee5d4d861a7e", 70000),
     ("hh", "b-send-as-is", "list"):
-        ("4755f1f217eb4493554bc3223b16d0458ea84220ac1a28016927991693599f6c", 70000),
+        ("fa590874d097f66ffd7ee7f836562b4a939d5bba48a89e90bb057c1143cd86c6", 70000),
     ("hh", "b-clone-intended", "uniform"):
-        ("64958ad06472d062465af15360449ff9acd1161f7b360ecf1e38392587d32ab6", 70000),
+        ("9cfb9fa1ec24dd94265dcd92bc517e81c172fdab42c376f6b940441c2caea6d5", 70000),
     ("hh", "b-clone-intended", "list"):
-        ("213b8c2b0aa78c1137d7b6f93a24907e75f059b4ff011476559bef0ba60afaf6", 70000),
+        ("cbf95d2c14512ad601c699daef25cd2ee8caebd28cb43f84790904bea691fb2d", 70000),
     ("hh", "c", "uniform"):
         ("fede6e90503a8128e21cea31a79c167da97bbd674c7327f7962e0ee09caf0cb7", 105189),
     ("hh", "c", "list"):
@@ -192,13 +194,13 @@ PINNED_KERNEL = {
     ("psi-", "a", "list"):
         ("7dc947650afdd2fbe63fdd12051e4c85b25f177b51d2f96adfe51a5da26214e5", 110295),
     ("psi-", "b-send-as-is", "uniform"):
-        ("95c885f3ed9ec19eb67a84ba4b0117556575dc91c964996bf5c174c5e093ef8b", 70000),
+        ("51f4d91791d6bb66350706f1d5451c9ae55d1c9fc01f3cc270205917cefe1fb1", 70000),
     ("psi-", "b-send-as-is", "list"):
-        ("0cac45c9ff39ff21903e564b8faa27f0c5fcde319e0e0b6028bebe56b1b7f15b", 70000),
+        ("d1a3c883c8d620999ebe5454d30a0a707f37bd97938784aa951ed0df50225771", 70000),
     ("psi-", "b-clone-intended", "uniform"):
-        ("9ec5c140b12c05c5de314407a2a81751c0f0324ce061cf824416eef368510235", 70000),
+        ("22acaeb76408de8d733172f32a701427d52d006796fbf42dd6c8b0ca88ef0f3f", 70000),
     ("psi-", "b-clone-intended", "list"):
-        ("e02b243bcae3c8989a1badb776cc3ab78c27d825a1e8a073aa80503ececc6dac", 70000),
+        ("c54f3585f60dc3989090011ad1918c7081112c630c506a6a820b3c25b0863deb", 70000),
     ("psi-", "c", "uniform"):
         ("2ed9d7dc948be79c41e8453327c7678e287838cb5bc8e1eda15eb2d9cd71c183", 105189),
     ("psi-", "c", "list"):
@@ -278,6 +280,58 @@ def test_the_top_uniform_draws_each_tables_last_outcome(make_bench, scenario, mo
     drawn_from = [wrong_laws[m] if b else compiled.branches[m].controlled_law
                   for m, b in zip(trials.intended.tolist(), trials.branch.tolist())]
     assert trials.pattern.tolist() == [_law_codes(compiled, t)[-1] for t in drawn_from]
+
+
+# any plates and polarizers in front of a message's photon
+ANY_ENCODER = st.lists(
+    st.floats(-180.0, 180.0, allow_nan=False).map(lambda theta: ("hwp", theta))
+    | st.sampled_from([("polarizer", "H"), ("polarizer", "V")]),
+    max_size=3).map(tuple)
+ANY_OPTICS = st.fixed_dictionaries(
+    {}, optional={field: ANY_ENCODER for field in ("psi_plus", "psi_minus", "hh", "vv")}
+).map(lambda fields: Optics(**fields))
+ANY_STREAM = st.just("uniform") | st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(optics=ANY_OPTICS, clone_policy=st.sampled_from(list(ClonePolicy)), messages=ANY_STREAM,
+       n=st.integers(1, 300), seed=st.integers(0, 2**64 - 1),
+       block=st.sampled_from([None, 1, 7, 64]), chunk=st.sampled_from([None, 50]))
+@example(optics=TILTED_HH, clone_policy=ClonePolicy.SEND_AS_IS, messages="uniform", n=300,
+         seed=31, block=7, chunk=None)
+# three chunks, each ending on a short block
+@example(optics=TILTED_HH, clone_policy=ClonePolicy.CLONE_INTENDED,
+         messages=PINNED_STREAMS["list"], n=130, seed=77, block=16, chunk=50)
+def test_scenario_b_draws_what_the_per_trial_reference_draws(optics, clone_policy, messages, n,
+                                                             seed, block, chunk):
+    try:
+        bench = OpticalBench(optics)
+    except ProtocolError:  # an encoder whose monitor always clicks, or clicks two ways
+        return
+    config = RunConfig(Scenario.B, n, seed, messages=messages, clone_policy=clone_policy)
+    with pytest.MonkeyPatch.context() as patch:
+        if block:
+            patch.setattr(session, "BLOCK", block)
+        if chunk:
+            patch.setattr(session, "CHUNK_MESSAGES", chunk)
+        got = run_session(config, bench).trials.row.tolist()
+        want = oracle.scenario_b_rows(config, bench, session.CHUNK_MESSAGES)
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [1, session.BLOCK + 3, session.CHUNK_MESSAGES])
+@pytest.mark.parametrize("stream", list(PINNED_STREAMS))
+def test_a_scenario_b_chunk_draws_one_raw_word_per_message(stream, n, monkeypatch):
+    keyed = []
+    real = session.trial_rng
+    monkeypatch.setattr(session, "trial_rng", lambda seed, chunk: keyed.append(real(seed, chunk))
+                        or keyed[-1])
+    run = Session(RunConfig(Scenario.B, n, 8, messages=PINNED_STREAMS[stream]))
+    assert len(run.scenario_step(0, 0)) == n
+    (rng,) = keyed
+    # the words after the chunk's: its generator stands exactly n words in
+    fresh = _fresh(8, session._STREAM_TRIAL, 0).bit_generator.random_raw(n + 5)
+    assert rng.bit_generator.random_raw(5).tolist() == fresh[n:].tolist()
 
 
 BENCHES = {"ideal": OpticalBench, "hh": _tilted_hh, "psi-": _tilted_psi_minus}
@@ -600,7 +654,7 @@ def test_simulate_holds_a_few_bytes_a_trial(tmp_path):
 
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_a_full_chunk_holds_no_chunk_sized_float_temporary(scenario):
-    # its int8 messages, int16 cells and rows and one block's temporaries: a
+    # its int8 messages, int16 rows (and cells, in a and c) and one block's temporaries: a
     # float64 or intp array per trial would add 8 bytes a trial
     run = Session(RunConfig(scenario, session.CHUNK_MESSAGES, 5))
     peak, trials = _traced_peak(lambda: run.scenario_step(0, 0))
@@ -632,11 +686,11 @@ def test_branch_statistics_holds_no_intp_copy_of_its_rows():
 SHORT_SIZES = (1, 7, 40)
 PINNED_SHORT_SESSIONS = {
     "a": "daa471aa9644ad127071fe5ab6853dfbc19cb784fa40a0b299dc834f64579a6d",
-    "b-send-as-is": "0b85428da15ed5bb2c704656063c6fa0ab2d5f3c475ad40420acebbf8013cb0f",
-    "b-clone-intended": "f4a8d95925f3ab531f1f4e4581f1cd5cda6c402ce2860878c61a07afc5cebe0e",
+    "b-send-as-is": "66ac257c3d5e61eef17412618eb9511525d4fa7a7249c3ce87df9a136ac9b118",
+    "b-clone-intended": "151b401fa6bdaa1552ed03e8d030f85bf96f4d06a8916d871f0a30afc5b302c9",
     "c-erase-notes": "9120d98a94cac61be1dde6d74c6644b0d9295ea5bee02b2095f20d74a74da231",
     "c": "9aa72f48a05810353fa9e460d6d1a6ac7c49f8db6294c263a9b4ddbe25e9b7c2",
-    "b-list-two-chunks": "e416e9977183a09f3fb8177777bfa13197f0d8e0466d2fd8bdf1e2edd5701987",
+    "b-list-two-chunks": "063d6c227fae0c13746dd381e7ce68e831e6292fab2bfdb8f8e32d7ad39f3f19",
 }
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -329,6 +329,44 @@ def sorted_thresholds(law):
     return raw_thresholds(np.cumsum([law[p] for p in sorted(law)])[:-1]).tolist()
 
 
+def drawn_law(compiled, wiring, cell):
+    """Per pattern of cell `cell`'s law, the share of all raw words that draw it,
+    read from `wiring`'s thresholds alone: a word of the cell draws outcome i
+    when it exceeds i of the cell's thresholds. In scenarios a and c every word
+    is the cell's; in scenario b, where one word also draws the branch, only
+    the words on the cell's side of the message's controlled threshold are."""
+    controlled, _, _ = session.wiring(compiled, *WIRINGS[wiring])
+    codes, thresholds = wired_law(compiled, wiring, cell)
+    low, high = -1, 2**64 - 1  # the cell's words are those above low, up to high
+    if WIRINGS[wiring][0] is Scenario.B:
+        split = int(controlled[cell >> 1])
+        low, high = (split, high) if cell & 1 else (low, split)
+    edges = [low, *(min(max(t, low), high) for t in thresholds), high]
+    return {compiled.patterns[c]: (b - a) / 2**64 for c, a, b in zip(codes, edges, edges[1:])}
+
+
+def assert_b_draws_each_joint_law(compiled):
+    """Each scenario-b wiring draws each message's joint (branch, pattern) law to
+    1e-12 of the optics': p times its controlled law on the controlled branch,
+    1 - p times the wrong branch's law on the other. A message that never goes
+    wrong (p = 1) keeps its wrong cell's boundaries at 2^64 - 1."""
+    for wiring in ("b-send-as-is", "b-clone-intended"):
+        _, bounds, _ = session.wiring(compiled, *WIRINGS[wiring])
+        for m, split in enumerate(compiled.branches):
+            p = split.controlled_probability
+            wrong = split.resent_law if wiring == "b-send-as-is" else split.controlled_law
+            if p == 1.0:
+                assert all(int(bound[2 * m + 1]) == 2**64 - 1 for bound in bounds), (wiring, m)
+            for cell, weight, law in ((2 * m, p, split.controlled_law), (2 * m + 1, 1.0 - p, wrong)):
+                if law is None:  # no resent pair: the message never goes wrong
+                    assert weight <= 1e-12, (wiring, cell)
+                    continue
+                drawn = drawn_law(compiled, wiring, cell)
+                assert drawn.keys() == law.keys(), (wiring, cell)
+                for pattern, q in law.items():
+                    assert abs(drawn[pattern] - weight * q) <= 1e-12, (wiring, cell, pattern)
+
+
 class TestCompiledBench:
     def test_fresh_bench_compiles_once(self, compile_calls):
         bench = OpticalBench()
@@ -367,6 +405,8 @@ class TestCompiledBench:
         assert as_values([plate]) == as_values([hwp(REGISTRY, 22.5, ALICE)])
         assert tilted.compiled is not ideal
         assert tilted.compiled.signatures[symbol] != ideal.signatures[symbol]
+        # scenario b lays out the tilted message's own joint law, not the ideal one's
+        assert_b_draws_each_joint_law(tilted.compiled)
         assert OpticalBench().compiled is ideal
         test_ideal_compiled_model_is_pinned()
 
@@ -462,11 +502,15 @@ class TestCompiledBench:
         compiled = tilted.compiled
         resent = compiled.branches[ALPHABET.index(MessageSymbol.HH)].resent_law
         assert resent == pytest.approx(law, abs=1e-12)
-        # scenario b, sent as is, lays it out for HH's wrong cell
+        # scenario b, sent as is, lays it out for HH's wrong cell, as its share of
+        # HH's joint law: the words past HH's controlled threshold
         hh_wrong = 2 * ALPHABET.index(MessageSymbol.HH) + 1
-        codes, thresholds = wired_law(compiled, "b-send-as-is", hh_wrong)
+        codes, _ = wired_law(compiled, "b-send-as-is", hh_wrong)
         assert [compiled.patterns[c] for c in codes] == sorted(law)
-        assert thresholds == sorted_thresholds(resent)
+        p_wrong = compiled.branches[ALPHABET.index(MessageSymbol.HH)].wrong_probability
+        assert 0.0 < p_wrong < 1.0
+        drawn = drawn_law(compiled, "b-send-as-is", hh_wrong)
+        assert drawn == {p: pytest.approx(p_wrong * q, abs=1e-12) for p, q in law.items()}
         # the receiver decodes what the optics give him, not the ideal complement
         config = RunConfig(Scenario.B, 400, 3, messages=(MessageSymbol.HH,))
         trials = run_session(config, tilted).trials
@@ -494,9 +538,11 @@ class TestCompiledBench:
 # laws, in ALPHABET order, are (controlled, lone, resent), each as its
 # (pattern, probability) pairs in pattern order, or None. Each wiring lays
 # out per cell, 2 * message + wrong branch, its law's pattern codes and its
-# boundary rows: row j holds running sum j of the cell's law, the last of
-# which is no boundary (compiling holds it to 1 within 1e-9), and "inf"
-# past a law's last boundary or for a stopped pair.
+# boundary rows. In scenarios a and c row j holds running sum j of the cell's
+# law, the last of which is no boundary (compiling holds it to 1 within
+# 1e-9), and "inf" past a law's last boundary or for a stopped pair. Scenario
+# b's rows hold each message's joint law instead, which
+# `assert_b_draws_each_joint_law` holds to the optics on this bench and others.
 HALF = "0x1.ffffffffffffep-2"
 PINNED_P_CONTROLLED = [
     "0x1.0000000000000p+0", "0x1.0000000000000p+0",
@@ -519,8 +565,6 @@ PINNED_WIRED_CODES = {
 }
 PINNED_BOUNDARY_ROWS = {
     "a": [[HALF, "inf", HALF, "inf", HALF, HALF, HALF, HALF]],
-    "b-send-as-is": [[HALF, "inf", HALF, "inf", HALF, HALF, HALF, HALF]],
-    "b-clone-intended": [[HALF] * 8],
     "c": [[HALF, "inf"] * 4],
     "c-erase-notes": [[HALF, "inf"] * 4],
 }
@@ -550,10 +594,12 @@ def test_ideal_compiled_model_is_pinned():
         assert table.pattern.dtype == np.int16
         assert table.pattern.reshape(2 * len(ALPHABET), -1).tolist() == PINNED_WIRED_CODES[name]
         assert all(bound.dtype == np.uint64 and not bound.flags.writeable for bound in bounds)
-        assert [bound.tolist() for bound in bounds] == [
-            raw_thresholds([float.fromhex(b) for b in row]).tolist()
-            for row in PINNED_BOUNDARY_ROWS[name]
-        ], name
+        if name in PINNED_BOUNDARY_ROWS:
+            assert [bound.tolist() for bound in bounds] == [
+                raw_thresholds([float.fromhex(b) for b in row]).tolist()
+                for row in PINNED_BOUNDARY_ROWS[name]
+            ], name
+    assert_b_draws_each_joint_law(compiled)
 
 
 class TestMemoizedElements:
@@ -776,3 +822,17 @@ def test_each_branch_law_is_the_law_of_its_state(fields):
             for pattern in law.keys() | reference.keys():
                 assert law.get(pattern, 0.0) == pytest.approx(reference.get(pattern, 0.0),
                                                               abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fixed_dictionaries({}, optional={field: ANY_ENCODER for field in FIELDS}))
+@example({"hh": (("hwp", 22.5), ("polarizer", "H"))})  # HH's resent pair has 6 patterns
+@example({"psi_minus": (("hwp", 22.5),)})  # a wider controlled law, p = 1
+@example({"hh": ()})  # HH sent as psi+, p = 1: its clone-intended wrong cell is never drawn
+@example({"analyzer": (("bs",), ("hwp", 22.5), ("pbs", ALICE), ("pbs", BOB))})
+def test_scenario_b_lays_out_each_messages_joint_law(fields):
+    try:
+        bench = OpticalBench(Optics(**fields))
+    except ProtocolError:  # an encoder whose monitor always clicks, or clicks two ways
+        assume(False)
+    assert_b_draws_each_joint_law(bench.compiled)
