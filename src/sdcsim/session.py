@@ -52,16 +52,20 @@ receiver's reconstruction and the `Note` objects, which are built only when
 session holds no cursor and can be iterated again.
 
 A short session pays mostly for what it does once per call, whatever its
-size: keying its generators, which the scheme fixes, then a few numpy calls
-per pass and its report. So the passes step through plain ranges of blocks,
-a listed stream's chunk is its cycle repeated (`_cycled`), and the rows are
-counted by one `bincount` per block, the first before the loop; a session of
-one chunk keeps that chunk's rows, uncopied.
+size: keying its generators, a few numpy calls per pass and its report. So
+the passes step through plain ranges of blocks, a listed stream's chunk is
+its cycle repeated (`_cycled`), and the rows are counted by one `bincount`
+per block, the first before the loop; a session of one chunk keeps that
+chunk's rows, uncopied.
 
 Randomness (RNG_SCHEME): chunk k of a session draws its uniform messages from
-stream 1 and its trials from stream 0, each a numpy Philox generator seeded
-with SeedSequence((seed, stream, k)), the counter-based keyed scheme of
-Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11). In
+stream 1 and its trials from stream 0, each the numpy Philox generator
+Philox(key=seed, counter=(0, 0, k, stream)), the counter-based keyed scheme
+of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11). The
+seed is the key, and each (stream, chunk) owns the segment of its stream
+that starts at its counter: a chunk steps only counter word 0, one step per
+four words, and would carry into word 1 only after 2^66 words. Each chunk's
+index is one counter word, so a session holds fewer than 2^64 messages. In
 scenario b a chunk's trial stream draws one uniform per message, its one
 trial: the message's branch is wrong when the uniform reaches p_controlled,
 and its detector pattern is the outcome whose running sum in the message's
@@ -75,19 +79,17 @@ would: BLOCK is no part of the scheme. Chunks are independent, so sessions
 are reproducible and chunks could be drawn in parallel.
 
 Both streams of a chunk come from one generator per thread, which
-`_generator` re-keys for each (seed, stream, chunk) instead of building a new
-one, and a uniform chunk reads its messages from the raw stream. Each draws
-exactly what the scheme's fresh generator draws, so, like BLOCK, the reuse is
-no part of the scheme. That, and drawing raw words for uniforms, rest on five
-numpy internals, each guarded by a test in tests/test_kernel.py:
-  - SeedSequence hashes the tuple as its integers' 32-bit words, least
-    significant first, 0 as one zero word
-    (test_a_keyed_generator_draws_what_a_fresh_one_draws);
-  - SeedSequence.generate_state hashes its pool into the state words as
-    `_generator` does in ints (test_the_key_is_what_generate_state_makes);
-  - a Philox state dict with counter 0 and an empty buffer starts the stream
-    of its key, whatever was drawn before
-    (test_re_keying_back_gives_the_first_stream_again);
+`_generator` re-keys for each (seed, stream, chunk) by setting its state
+instead of building a new one, and a uniform chunk reads its messages from
+the raw stream. Each draws exactly what the scheme's fresh generator draws,
+so, like BLOCK, the reuse is no part of the scheme. That, and drawing raw
+words for uniforms, rest on three numpy internals, each guarded by a test in
+tests/test_kernel.py:
+  - a Philox state dict with key (seed, 0), counter (0, 0, chunk, stream)
+    and an empty buffer starts the stream the public constructor starts,
+    whatever was drawn before (test_a_keyed_generator_draws_what_a_fresh_one_draws,
+    test_re_keying_back_gives_the_first_stream_again), and a chunk's draws
+    leave counter words 1 to 3 as they were (test_a_chunk_keeps_its_counter_words);
   - integers(0, 4, dtype=int8) draws each message by Lemire's method from
     one byte of the buffered stream, read little-endian, which over 4 values
     is the byte's top two bits (test_uniform_messages_are_what_integers_draws);
@@ -139,8 +141,8 @@ _STREAM_TRIAL = 0
 _STREAM_MESSAGES = 1
 
 RNG_SCHEME = (
-    f"philox4x64 per chunk of {CHUNK_MESSAGES} messages, seeded "
-    f"SeedSequence((seed, stream, chunk)); stream {_STREAM_TRIAL} trials, "
+    f"philox4x64 per chunk of {CHUNK_MESSAGES} messages, keyed (seed, 0) from "
+    f"counter (0, 0, chunk, stream); stream {_STREAM_TRIAL} trials, "
     f"stream {_STREAM_MESSAGES} uniform messages; scenario b draws one uniform per "
     f"message for its branch and pattern from their joint law, a and c its "
     f"retries by geometric, then one uniform per trial for its pattern"
@@ -221,8 +223,8 @@ class RunConfig:
                 raise InvalidConfigError(f"{name} must be an integer, not {value!r}")
             # a numpy integer becomes an int, so no sum with a trial number overflows
             object.__setattr__(self, name, int(value))
-        if self.n_messages < 1:
-            raise InvalidConfigError("n_messages must be >= 1")
+        if not 1 <= self.n_messages < 2**64:  # so that each chunk's index keys a counter word
+            raise InvalidConfigError("n_messages must be >= 1 and below 2^64")
         check_seed(self.seed)
         if self.classical_delay < 0:
             raise InvalidConfigError("classical delay must be >= 0")
@@ -264,46 +266,20 @@ _DELIVERING = [ACTIONS.index(ScenarioAction.SENT), ACTIONS.index(ScenarioAction.
 
 
 _THREAD = threading.local()  # `rng`: each thread's one generator, made on its first key
-_ZEROS = (0, 0, 0, 0)  # a fresh Philox's counter, and its unread buffer
-# h_0, ..., h_4 of SeedSequence.generate_state: h_0 = 0x8B51F9DD, each next one
-# that times 0x58F38DED, mod 2^32
-_STATE_HASH = tuple(accumulate([0x58F38DED] * 4, lambda h, m: h * m & 0xFFFFFFFF,
-                               initial=0x8B51F9DD))
-
-
-def _words(n: int) -> list[int]:
-    """n's 32-bit words, least significant first; 0 is one zero word."""
-    words = [n & 0xFFFFFFFF]
-    while n >> 32:
-        n >>= 32
-        words.append(n & 0xFFFFFFFF)
-    return words
 
 
 def _generator(seed: int, stream: int, chunk: int) -> np.random.Generator:
     """The calling thread's generator, keyed to draw exactly what
-    Generator(Philox(SeedSequence((seed, stream, chunk)))) draws.
-
-    SeedSequence takes the tuple as these words and mixes them into its pool.
-    Its `generate_state(4)` makes state word i of pool word w as x ^ (x >> 16),
-    x = (w ^ h_i) * h_(i+1) mod 2^32 (`_STATE_HASH`), which is done here in
-    ints: numpy does it in uint32 scalars under an errstate context, and a
-    keying took 8.9 us that way against 6.6 us here (one CPU of a 2-vCPU
-    x86-64 VM). Philox keys itself with those four words read as two
-    little-endian uint64s, and starts at counter 0 with an empty buffer.
+    Generator(Philox(key=seed, counter=(0, 0, chunk, stream))) draws: key
+    words (seed, 0), those counter words and an empty buffer, set in place.
     """
-    words = np.array(_words(seed) + _words(stream) + _words(chunk), dtype=np.uint32)
-    state = []
-    for i, word in enumerate(np.random.SeedSequence(words).pool.tolist()):
-        word = (word ^ _STATE_HASH[i]) * _STATE_HASH[i + 1] & 0xFFFFFFFF
-        state.append(word ^ word >> 16)
-    key = (state[0] | state[1] << 32, state[2] | state[3] << 32)
     try:
         rng = _THREAD.rng
     except AttributeError:  # made here, not on import, which then loads no numpy.random
         rng = _THREAD.rng = np.random.Generator(np.random.Philox(0))
-    rng.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
-                               "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": (0, 0, chunk, stream), "key": (seed, 0)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return rng
 
 

@@ -140,7 +140,7 @@ def binomial_tails(k: int, n: int, p: float) -> tuple[float, float]:
 
 
 def _fresh(seed: int, stream: int, chunk: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream, chunk))))
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, chunk, stream]))
 
 
 def scenario_b_rows(config, bench, chunk_messages: int) -> list[int]:
@@ -150,8 +150,8 @@ def scenario_b_rows(config, bench, chunk_messages: int) -> list[int]:
     It follows the scheme `session.RNG_SCHEME` states, not the kernel: chunk k
     of `chunk_messages` messages draws its uniform messages as
     `integers(0, 4, size, dtype=int8)` of a fresh
-    Generator(Philox(SeedSequence((seed, 1, k)))), and one raw word per
-    message from a fresh one keyed (seed, 0, k). A word's uniform is
+    Generator(Philox(key=seed, counter=(0, 0, k, 1))), and one raw word per
+    message from a fresh one at counter (0, 0, k, 0). A word's uniform is
     u = (raw >> 11) * 2^-53, the double `random` makes of it. The message goes
     wrong when u >= p, its controlled probability; its pattern is the first,
     in sorted order, whose running sum in the message's joint law exceeds u,

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import sdcsim
@@ -194,6 +195,13 @@ class TestSimulate:
         )
         assert code == 1
         assert "invalid configuration" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n", ["18446744073709551616", "99999999999999999999999"])
+    def test_a_size_the_keying_cannot_count_exits_1_before_writing(self, tmp_path, capsys, n):
+        out = ["--out", str(tmp_path / "r.json"), "--log", str(tmp_path / "l.csv")]
+        assert run(["simulate", "--scenario", "a", "--n", n, *out]) == 1
+        assert "n_messages must be >= 1 and below 2^64" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_flag_exits_1(self, capsys):
@@ -459,6 +467,17 @@ class TestRepeatedCalls:
     def test_importing_builds_no_parser(self):
         src = os.path.dirname(os.path.dirname(sdcsim.__file__))
         code = "import sdcsim, sdcsim.cli; assert sdcsim.cli._parser.cache_info().currsize == 0"
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="numpy 1.x imports numpy.random with numpy")
+    def test_importing_loads_no_numpy_random(self):
+        # numpy 2 loads numpy.random on first use; the session kernel makes its
+        # generator on its first key, so importing leaves the ~25 ms import to
+        # the first session
+        src = os.path.dirname(os.path.dirname(sdcsim.__file__))
+        code = "import sys, sdcsim, sdcsim.cli; assert 'numpy.random' not in sys.modules"
         env = {**os.environ, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 

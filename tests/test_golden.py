@@ -24,32 +24,32 @@ SIMULATE = {
 
 PINNED = {
     "a": {
-        "report.json": "cf31048a2b4de03ebd135ffdd2191a10effccec4de2648035503221a5d65a0de",
-        "events.csv": "cfbbbdbcd8f05b6e944bc5cae96f228ab47ce1a685941ce7b5e24659fbd4ad06",
-        "stdout": "cf31048a2b4de03ebd135ffdd2191a10effccec4de2648035503221a5d65a0de",
+        "report.json": "b4fbbdc71e5daa940e1fb9bf54e1bf090986ddcf8f64034caa56fdf96ddb1bb4",
+        "events.csv": "f0bbaa9d6943ca84684fb545d95d5b55abbca3fe52761fcff1f44ee5beb82591",
+        "stdout": "b4fbbdc71e5daa940e1fb9bf54e1bf090986ddcf8f64034caa56fdf96ddb1bb4",
     },
     "b-send-as-is": {
-        "report.json": "c05cefd4c4d08144dc7fd41ecff362b3ecc0fb25af3e35a70fadc8e477ef2b47",
-        "events.csv": "29ce7d8b65d1f05cf394a039519335ee6acae82fd36eb7d03f793b55d246cc01",
-        "stdout": "c05cefd4c4d08144dc7fd41ecff362b3ecc0fb25af3e35a70fadc8e477ef2b47",
+        "report.json": "ec9e21602c3971ecc387b18812f7953746ff3299c144b2f5265d41fe96a8c9be",
+        "events.csv": "6167feb4f91e7a8e9e7670c5018c8c68fde1c647479a9412d22a407c6004325c",
+        "stdout": "ec9e21602c3971ecc387b18812f7953746ff3299c144b2f5265d41fe96a8c9be",
     },
     "c-erase-notes": {
-        "report.json": "6e6c48cf1c39a14fc0ea3de12356d9a602d52bdd2f225f6ddefc849475b9148a",
-        "events.csv": "7b36fd3625be298c567c7fca2bd2c567d727914fe88e2c01f2d2863636d14403",
-        "stdout": "6e6c48cf1c39a14fc0ea3de12356d9a602d52bdd2f225f6ddefc849475b9148a",
+        "report.json": "65a0eeb433823a9c64418f4c3bcd7e784462e2bdc1157dc6cf9b02f5665b35f2",
+        "events.csv": "592301ff6e88e8e2d72955280b554ca40f3161a3d83e8e2b68be21fb9c304d58",
+        "stdout": "65a0eeb433823a9c64418f4c3bcd7e784462e2bdc1157dc6cf9b02f5665b35f2",
     },
     "b-clone-intended": {
-        "report.json": "5f4359ef5c90f0cd8aa5e06fd47489ce5080dfa88c1912064ebfa9f1545550f1",
-        "events.csv": "f42f0d233e2ac94b0aabb2a1d54818aa9fb77aeb41b041e7a65cdd98e2d97abe",
-        "stdout": "5f4359ef5c90f0cd8aa5e06fd47489ce5080dfa88c1912064ebfa9f1545550f1",
+        "report.json": "03f320de5c05ebac198791f2bfeef7512b43838f9492ce83c15b49cf8fe8bbf5",
+        "events.csv": "d6ee2623a83ae42206e3b5c9060edfa8d97eeadd0e0b04df18aabd807a126317",
+        "stdout": "03f320de5c05ebac198791f2bfeef7512b43838f9492ce83c15b49cf8fe8bbf5",
     },
     "a-message-list": {
-        "report.json": "24cdf9a15e301e0c9de9ef5663ce3fdc7638a5fdfaed259a9c5e0c0bdf777e3f",
-        "events.csv": "8d9edb90a3a32c691baf305f3695206668b5729e65b74ec1f9e99556306613f4",
-        "stdout": "24cdf9a15e301e0c9de9ef5663ce3fdc7638a5fdfaed259a9c5e0c0bdf777e3f",
+        "report.json": "48c5a3271cdcfaed73dfd2debb5c5275fa8a7105de9d9bd986d5a09e3ef9f638",
+        "events.csv": "d38fbc83aef44b50d3f944e3e37204ecdfbfa74dd37b1c7e5ebdf3bfa0e43eae",
+        "stdout": "48c5a3271cdcfaed73dfd2debb5c5275fa8a7105de9d9bd986d5a09e3ef9f638",
     },
     "verify": {
-        "stdout": "b5a7bfe820e56ddd4a81ee4e5c85cd9933aded3dae632a599c4668e6823760f7",
+        "stdout": "3ecc5960f0fb0d8e39cfd267061a5ce12cbe951448437d8a2b725b78db3b957e",
     },
     "signatures": {
         "stdout": "db5c039c02a3ee1e77ecae7c9b72dbebca0ea4b5b19d426a960292af7e0105cf",

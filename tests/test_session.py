@@ -77,6 +77,14 @@ class TestRunConfig:
         with pytest.raises(InvalidConfigError):
             RunConfig(Scenario.A, 10, 0, classical_delay=-1)
 
+    def test_a_size_the_keying_cannot_count_is_rejected(self):
+        # each chunk's index is one 64-bit counter word of its generator, so a
+        # session holds fewer than 2^64 messages; this one is built, never run
+        assert RunConfig(Scenario.A, 2**64 - 1, 0).n_messages == 2**64 - 1
+        for n in (2**64, 10**23):
+            with pytest.raises(InvalidConfigError, match="below 2"):
+                RunConfig(Scenario.A, n, 0)
+
     @pytest.mark.parametrize("field,value", [
         ("n_messages", 2.5), ("n_messages", 10.0), ("n_messages", "10"), ("seed", 2.5),
         ("seed", 1.0), ("seed", "1"), ("classical_delay", 1.5), ("classical_delay", None),
