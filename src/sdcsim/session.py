@@ -31,19 +31,22 @@ i of the cell's law, with its message, branch, action, pattern, decoding
 and note. Sessions share it read-only, so a session costs only its draws
 and lookups.
 The kernel draws raw 64-bit words of the chunk's generator, never doubles: the
-wiring holds each boundary, and each message's controlled probability, as
-the uint64 threshold (`fock.raw_thresholds`) that a word exceeds exactly when
-the double numpy's `random` makes of it reaches the boundary, so no draw
-builds a double and every draw is the one `random` would make. A chunk
-draws over blocks of at most BLOCK items, so that its only arrays as long
-as the chunk are its int8 messages, its int16 row codes and, in scenarios a
-and c, its int16 cells. A scenario-b chunk draws in one pass over blocks of
-messages: each message's one word goes wrong when it exceeds the message's
-controlled threshold, and the same word is then counted, in one
-`sample_outcome` call per block, against each boundary row gathered by its
-cell. A chunk of scenarios a and c draws in two passes: pass 1 goes over
-blocks of messages and draws each block's retries into its trials' cells;
-pass 2 goes over blocks of trials and draws each trial's word the same way.
+wiring holds each boundary, each message's controlled probability and each
+of its retry sums as a threshold on the word (`fock.raw_thresholds`,
+`_retry_thresholds`) that it passes exactly when the double numpy's `random`
+makes of it passes the boundary, so no draw builds a double and every draw
+is the one `random` would make. A chunk draws over blocks of at most BLOCK
+items, so that its only arrays as long as the chunk are its int8 messages,
+its int16 row codes and, in scenarios a and c, its int16 cells. A
+scenario-b chunk draws in one pass over blocks of messages: each message's
+one word goes wrong when it exceeds the message's controlled threshold, and
+the same word is then counted, in one `sample_outcome` call per block,
+against each boundary row gathered by its cell. A chunk of scenarios a and
+c draws in two passes: pass 1 goes over blocks of messages, counts the
+retry thresholds below each message's one word in one `searchsorted` per
+block, looks up the attempts that count makes for its message, and lays
+them out as its trials' cells; pass 2 goes over blocks of trials and draws
+each trial's word the same way as b.
 The chunk keeps one row code per trial (`Trials.row`), its cell's first
 row plus the drawn index. Every other column, the report's tally, the
 receiver's reconstruction and the `Note` objects, which are built only when
@@ -70,13 +73,20 @@ scenario b a chunk's trial stream draws one uniform per message, its one
 trial: the message's branch is wrong when the uniform reaches p_controlled,
 and its detector pattern is the outcome whose running sum in the message's
 joint (branch, pattern) law first exceeds the uniform. In scenarios a and c
-it draws, per message, its wrong-branch retries as geometric(p_controlled) -
-1, then one uniform per trial for the receiver's detector pattern; pass 1
-makes every retry draw of a chunk before pass 2 makes any pattern draw. Each
-uniform is random()'s, drawn as the raw word it is made of. A generator
-draws in sequence, so the blocks draw the same stream as one call per chunk
-would: BLOCK is no part of the scheme. Chunks are independent, so sessions
-are reproducible and chunks could be drawn in parallel.
+it draws one uniform per message, whose wrong-branch retries are the number
+of running sums of the geometric law at p_controlled that the uniform
+exceeds, the sums built as numpy's geometric search builds them (S_1 = p,
+prod *= 1 - p, S += prod), so that for p >= 1/3 they are the retries
+geometric(p) - 1 draws; the sums stop where one stops growing, where that
+search would never end, and a p whose sums need more than MAX_RETRIES of
+them is refused (`_retry_thresholds`). Then it draws one uniform per trial
+for the receiver's detector pattern; pass 1 makes every retry draw of a
+chunk before pass 2 makes any pattern draw. Each uniform is random()'s,
+drawn as the raw word it is made of, and every draw counts the thresholds
+its word exceeds. A generator draws in sequence, so the blocks draw the
+same stream as one call per chunk would: BLOCK is no part of the scheme.
+Chunks are independent, so sessions are reproducible and chunks could be
+drawn in parallel.
 
 Both streams of a chunk come from one generator per thread, which
 `_generator` re-keys for each (seed, stream, chunk) by setting its state
@@ -94,8 +104,8 @@ tests/test_kernel.py:
     one byte of the buffered stream, read little-endian, which over 4 values
     is the byte's top two bits (test_uniform_messages_are_what_integers_draws);
   - random() makes each double of one raw word of the stream, the word
-    random_raw() returns, as (raw >> 11) * 2^-53, and geometric() reads the
-    same words (test_a_raw_words_uniform_is_what_random_draws).
+    random_raw() returns, as (raw >> 11) * 2^-53
+    (test_a_raw_words_uniform_is_what_random_draws).
 `scenario_step` keys and draws all of a chunk in one call, so nothing holds
 the generator across a yield of `Session.chunks()`.
 """
@@ -103,6 +113,7 @@ the generator across a yield of `Session.chunks()`.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from collections import UserList
 from dataclasses import dataclass
 from enum import Enum
@@ -128,6 +139,7 @@ from .protocol import (
     Owner,
     Scenario,
     Verdict,
+    _read_only,
     default_bench,
 )
 
@@ -139,13 +151,17 @@ BLOCK = 1 << 13
 
 _STREAM_TRIAL = 0
 _STREAM_MESSAGES = 1
+# The most retries one message's word can draw in scenarios a and c: a
+# p_controlled whose running sums need more thresholds, one below about 0.008,
+# is refused
+MAX_RETRIES = 1 << 12
 
 RNG_SCHEME = (
-    f"philox4x64 per chunk of {CHUNK_MESSAGES} messages, keyed (seed, 0) from "
-    f"counter (0, 0, chunk, stream); stream {_STREAM_TRIAL} trials, "
-    f"stream {_STREAM_MESSAGES} uniform messages; scenario b draws one uniform per "
-    f"message for its branch and pattern from their joint law, a and c its "
-    f"retries by geometric, then one uniform per trial for its pattern"
+    f"philox4x64 per chunk of {CHUNK_MESSAGES} messages, keyed (seed, 0) from counter (0, 0, "
+    f"chunk, stream); stream {_STREAM_TRIAL} trials, stream {_STREAM_MESSAGES} uniform messages; "
+    f"scenario b draws one uniform per message for its branch and pattern from their joint law, "
+    f"a and c one for its retries, the geometric running sums it exceeds up to the first that "
+    f"stops growing (at most {MAX_RETRIES}), then one uniform per trial for its pattern"
 )
 
 
@@ -467,13 +483,36 @@ class Trials:
         ]
 
 
+def _retry_thresholds(p: float) -> list[int]:
+    """The raw-word retry thresholds of a message that gets through with
+    probability p: a word's uniform, (raw >> 11) * 2^-53, exceeds running sum
+    S_k of the geometric law, built as numpy's search builds it (S_1 = p,
+    prod *= q, S += prod), exactly when raw >> 11 >= c_k = floor(S_k * 2^53) + 1,
+    that is when the word exceeds c_k * 2^11 - 1.
+
+    They stop before the first c_k above 2^53 - 1, which no word reaches, or
+    after the last sum that grows, so a word above the last draws that many
+    retries where the search would never end. More than MAX_RETRIES raises
+    InvalidConfigError.
+    """
+    steps, total, prod, q, last = [], p, p, 1.0 - p, 0.0
+    while total > last and (step := int(total * 2.0**53) + 1) < 2**53:
+        if len(steps) == MAX_RETRIES:
+            raise InvalidConfigError(f"p_controlled {p} needs over {MAX_RETRIES} retry thresholds")
+        steps.append((step << 11) - 1)
+        prod *= q
+        last, total = total, total + prod
+    return steps
+
+
 @lru_cache(maxsize=256)
 def wiring(compiled: CompiledBench, scenario: Scenario, clone_policy: ClonePolicy,
-           erase_notes: bool) -> tuple[np.ndarray, tuple[np.ndarray, ...], RowTable]:
+           erase_notes: bool) -> tuple[np.ndarray, tuple[np.ndarray, ...],
+                                       tuple[np.ndarray, ...], RowTable]:
     """What a session of this configuration samples from `compiled`: its
-    controlled thresholds, its boundary rows and its `RowTable`, built once per
-    process and shared, read-only. It is the one place that lays the branch
-    laws out for the sampler.
+    controlled thresholds, its retries, its boundary rows and its `RowTable`,
+    built once per process and shared, read-only. It is the one place that
+    lays the branch laws out for the sampler.
 
     A trial falls in a cell, 2 * message + wrong branch, and the cell decides
     the law it draws from: the message's `controlled_law`, or on the wrong
@@ -490,6 +529,12 @@ def wiring(compiled: CompiledBench, scenario: Scenario, clone_policy: ClonePolic
     sum. A message with p = 1 keeps its wrong cell's boundaries at 2^64 - 1;
     padding is added after scaling, as 0 * inf is NaN. A boundary at or below
     0 raises ValueError.
+
+    The retries are (thresholds, attempts, rows): every message's
+    `_retry_thresholds` in scenarios a and c (scenario b never retries), each
+    value once, as one sorted uint64 array; and one row per message of the
+    attempts a word of it makes that exceeds j of those thresholds, 1 plus
+    the number of its own among them, at index rows[m] + j of `attempts`.
     """
     # what a wrong branch does, per scenario: the receiver's law per message
     # (None: the pair is stopped), the action and the note
@@ -516,10 +561,16 @@ def wiring(compiled: CompiledBench, scenario: Scenario, clone_policy: ClonePolic
             running = [p + (1.0 - p) * s if cell & 1 else p * s for s in running]
         sums.append(running + [np.inf] * (width - 1 - len(running)))
         codes.append([code[p] for p in keys] + [-1] * (width - len(keys)))
-    bounds = raw_thresholds(np.array(sums).T.copy())  # a copy, so each row is contiguous
-    bounds.flags.writeable = False  # and so are the views of its rows
-    controlled = raw_thresholds(compiled.p_controlled)
-    controlled.flags.writeable = False
+    # copied, so that each row is contiguous; read-only, and so are the views of its rows
+    bounds = _read_only(raw_thresholds(np.array(sums).T.copy()))
+    controlled = _read_only(raw_thresholds(compiled.p_controlled))
+    steps = [[] if scenario is Scenario.B else _retry_thresholds(p)
+             for p in compiled.p_controlled.tolist()]
+    thresholds = sorted({t for row in steps for t in row})
+    # column j of row m: a word of message m above the first j thresholds (j = 0: none)
+    attempts = [1 + bisect_right(row, t) for row in steps for t in (-1, *thresholds)]
+    retries = (_read_only(np.array(thresholds, dtype=np.uint64)), _read_only(np.array(attempts)),
+               _read_only(np.arange(0, len(attempts), len(thresholds) + 1)))
     cell = np.arange(len(laws), dtype=np.int8).repeat(width)
     branch = cell & 1  # BRANCHES: 0 controlled, 1 wrong
     pattern = np.array(codes, dtype=np.int16).ravel()
@@ -533,7 +584,7 @@ def wiring(compiled: CompiledBench, scenario: Scenario, clone_policy: ClonePolic
         patterns=(*compiled.patterns, None),
         outcomes=(*compiled.outcomes, None),
     )
-    return controlled, tuple(bounds), table
+    return controlled, retries, tuple(bounds), table
 
 
 class Session:
@@ -549,9 +600,8 @@ class Session:
     def __init__(self, config: RunConfig, bench: OpticalBench | None = None):
         self.config = config
         compiled = (bench or default_bench()).compiled
-        self._p_controlled = compiled.p_controlled
-        self._controlled, self._bounds, self.table = wiring(
-            compiled, config.scenario, config.clone_policy, config.erase_notes)
+        self._controlled, (self._retries, self._attempts, self._rows), self._bounds, self.table = (
+            wiring(compiled, config.scenario, config.clone_policy, config.erase_notes))
         self._width = len(self._bounds) + 1  # an int, which keeps the rows int16
 
     def scenario_step(self, chunk: int, first: int) -> Trials:
@@ -568,11 +618,12 @@ class Session:
                 cells += word > self._controlled.take(block)  # wrong branch
                 self._draw(cells, word, row[start:start + BLOCK])
         else:  # retry on fresh pairs until the controlled branch
-            # pass 1: each block of messages' retries, into its trials' cells
+            # pass 1: each block of messages' attempts, one word each, into its trials' cells
             pieces = []
             for start in range(0, len(messages), BLOCK):
                 block = messages[start:start + BLOCK]
-                attempts = rng.geometric(self._p_controlled.take(block))
+                exceeded = self._retries.searchsorted(words(len(block)))  # thresholds below each
+                attempts = self._attempts.take(exceeded + self._rows.take(block))
                 controlled = 2 * block.astype(np.int16)
                 piece = (controlled + 1).repeat(attempts)  # every attempt wrong ...
                 piece[attempts.cumsum() - 1] = controlled  # ... but each message's last

@@ -7,9 +7,10 @@ ordered mode pairs. Anything the sparse polynomial engine computes can be
 cross-checked against this path.
 
 It also keeps `verify.binomial_tails`' scalar form: the tail summed one term
-per loop step, which the block sum must reproduce bit for bit, and a
-scenario-b session drawn one raw word at a time from the branch laws, which
-the session kernel must reproduce row for row.
+per loop step, which the block sum must reproduce bit for bit, and sessions
+drawn one raw word at a time from the branch laws, which the session kernel
+must reproduce trial for trial: scenario b's, and scenarios a and c's with
+their retries searched one running sum at a time.
 """
 
 import math
@@ -17,7 +18,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from sdcsim.protocol import ALPHABET, ClonePolicy
+from sdcsim.protocol import ALPHABET, Branch, ClonePolicy, Scenario
+from sdcsim.session import NoteKind, ScenarioAction
 
 
 def full_transfer_matrix(element, registry) -> np.ndarray:
@@ -143,6 +145,30 @@ def _fresh(seed: int, stream: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, chunk, stream]))
 
 
+def _uniform(raw: int) -> float:
+    """The double `random` makes of a raw word."""
+    return (raw >> 11) * 2.0**-53
+
+
+def _chunk_codes(config, chunk: int, start: int, chunk_messages: int) -> list[int]:
+    """The ALPHABET codes of chunk `chunk`, from message `start` on: uniform
+    ones as `integers(0, 4, size, dtype=int8)` of a fresh
+    Generator(Philox(key=seed, counter=(0, 0, chunk, 1))), listed ones cycled."""
+    size = min(chunk_messages, config.n_messages - start)
+    if config.messages == "uniform":
+        return _fresh(config.seed, 1, chunk).integers(0, 4, size, dtype=np.int8).tolist()
+    listed = [ALPHABET.index(m) for m in config.messages]
+    return [listed[(start + i) % len(listed)] for i in range(size)]
+
+
+def _pattern_index(law, u: float) -> int:
+    """The index, in sorted order, of the first pattern of `law` whose running
+    sum exceeds u, else the last's: the running sums accumulate the law's
+    probabilities in sorted order, as `session.wiring` does."""
+    running = list(accumulate(law[pattern] for pattern in sorted(law)))[:-1]
+    return sum(u >= s for s in running)
+
+
 def scenario_b_rows(config, bench, chunk_messages: int) -> list[int]:
     """The row code of each trial of the scenario-b session `config` on `bench`,
     drawn one message and one raw word at a time.
@@ -169,17 +195,12 @@ def scenario_b_rows(config, bench, chunk_messages: int) -> list[int]:
                 for law in (split.controlled_law, wrong))
     rows = []
     for chunk, start in enumerate(range(0, config.n_messages, chunk_messages)):
-        size = min(chunk_messages, config.n_messages - start)
-        if config.messages == "uniform":
-            codes = _fresh(config.seed, 1, chunk).integers(0, 4, size, dtype=np.int8).tolist()
-        else:
-            listed = [ALPHABET.index(m) for m in config.messages]
-            codes = [listed[(start + i) % len(listed)] for i in range(size)]
-        words = _fresh(config.seed, 0, chunk).bit_generator.random_raw(size).tolist()
+        codes = _chunk_codes(config, chunk, start, chunk_messages)
+        words = _fresh(config.seed, 0, chunk).bit_generator.random_raw(len(codes)).tolist()
         for code, raw in zip(codes, words):
             split = splits[code]
             p = split.controlled_probability
-            u = (raw >> 11) * 2.0**-53
+            u = _uniform(raw)
             wrong = u >= p
             law = wrong_laws[code] if wrong else split.controlled_law
             index = 0
@@ -188,3 +209,61 @@ def scenario_b_rows(config, bench, chunk_messages: int) -> list[int]:
                 index = sum(u >= (p + (1.0 - p) * s if wrong else p * s) for s in running)
             rows.append((2 * code + wrong) * width + index)
     return rows
+
+
+def retries(u: float, p: float, stop: float = math.inf) -> int:
+    """The retries a message that gets through with probability p draws at the
+    uniform u, at most `stop`: the running sums of the geometric law that u
+    exceeds, S_1 = p, prod *= 1 - p, S += prod, as numpy's geometric search
+    builds them, searched one at a time. Where a sum stops growing the search
+    stops, where numpy's would never end."""
+    count, total, prod = 0, p, p
+    while u > total and count < stop:
+        count += 1
+        prod *= 1.0 - p
+        if total + prod == total:
+            break
+        total += prod
+    return count
+
+
+def scenario_ac_trials(config, bench, chunk_messages: int) -> list[tuple]:
+    """Each trial of the scenario-a or -c session `config` on `bench`, drawn
+    one message and one trial at a time, as its (trial, intended symbol,
+    branch, action, pattern, classified outcome, note kind), None where there
+    is none.
+
+    It follows `session.RNG_SCHEME`, not the kernel: chunk k of
+    `chunk_messages` messages draws its messages as `scenario_b_rows` does, and
+    from a fresh Generator(Philox(key=seed, counter=(0, 0, k, 0))) first one
+    raw word per message, whose uniform u draws `retries(u, p)` wrong-branch
+    trials before the message's controlled one, then one raw word per trial,
+    in trial order, for its pattern by `_pattern_index`. A wrong trial in
+    scenario a draws from the receiver's lone photon and sends a Repeat note;
+    in scenario c the pair is stopped, with no pattern, and the note is an
+    Erase under `erase_notes`, else a Repeat. Every law and p come from
+    `bench.encode_branches`, never from the session's wiring.
+    """
+    splits = [bench.encode_branches(symbol) for symbol in ALPHABET]
+    lone = config.scenario is Scenario.A
+    wrong = ((ScenarioAction.DISCARDED_BY_ALICE, NoteKind.REPEAT) if lone else
+             (ScenarioAction.PAIR_STOPPED,
+              NoteKind.ERASE if config.erase_notes else NoteKind.REPEAT))
+    trials = []
+    for chunk, start in enumerate(range(0, config.n_messages, chunk_messages)):
+        codes = _chunk_codes(config, chunk, start, chunk_messages)
+        words = _fresh(config.seed, 0, chunk).bit_generator
+        attempts = []  # (message code, wrong branch), every retry before any pattern
+        for code in codes:
+            count = retries(_uniform(int(words.random_raw())), splits[code].controlled_probability)
+            attempts += [(code, True)] * count + [(code, False)]
+        for code, is_wrong in attempts:
+            u = _uniform(int(words.random_raw()))
+            split = splits[code]
+            law = (split.lone_law if lone else None) if is_wrong else split.controlled_law
+            pattern = None if law is None else sorted(law)[_pattern_index(law, u)]
+            action, note = wrong if is_wrong else (ScenarioAction.SENT, None)
+            trials.append((len(trials), ALPHABET[code], Branch.WRONG if is_wrong else
+                           Branch.CONTROLLED, action, pattern,
+                           None if pattern is None else bench.classify(pattern), note))
+    return trials

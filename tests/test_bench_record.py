@@ -4,6 +4,7 @@ order, its whole-process runs and its in-process A/B."""
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -126,9 +127,19 @@ def test_a_whole_process_run_is_its_own_child_pinned_to_one_cpu(tmp_path, monkey
     assert pinned == [{min(os.sched_getaffinity(0))}]
 
 
-def test_an_in_process_a_a_run_gates_both_trees_and_puts_the_callers_modules_back():
+def _copy_program(rev, dest):
+    """The program and its benchmark, copied without git, so that an A/B runs
+    in a copy that is no git work tree too."""
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "BENCHMARK.json", dest)
+    return rev
+
+
+def test_an_in_process_a_a_run_gates_both_trees_and_puts_the_callers_modules_back(monkeypatch):
     import sdcsim
 
+    monkeypatch.setattr(bench_record, "_copy_tree", _copy_program)
     modules = {name: module for name, module in sys.modules.items()
                if name.split(".", 1)[0] in bench_record.AB_MODULES}
     path, affinity = list(sys.path), os.sched_getaffinity(0)

@@ -24,29 +24,29 @@ SIMULATE = {
 
 PINNED = {
     "a": {
-        "report.json": "b4fbbdc71e5daa940e1fb9bf54e1bf090986ddcf8f64034caa56fdf96ddb1bb4",
+        "report.json": "8f91b9437c5685df9b1b8fa2767af5afd5cceb06571cbf91a79900becf3b0039",
         "events.csv": "f0bbaa9d6943ca84684fb545d95d5b55abbca3fe52761fcff1f44ee5beb82591",
-        "stdout": "b4fbbdc71e5daa940e1fb9bf54e1bf090986ddcf8f64034caa56fdf96ddb1bb4",
+        "stdout": "8f91b9437c5685df9b1b8fa2767af5afd5cceb06571cbf91a79900becf3b0039",
     },
     "b-send-as-is": {
-        "report.json": "ec9e21602c3971ecc387b18812f7953746ff3299c144b2f5265d41fe96a8c9be",
+        "report.json": "1d1a30c20cd1a51843336f03f3e3fe049581370be4e6ff2c7a144271d4ebdc0f",
         "events.csv": "6167feb4f91e7a8e9e7670c5018c8c68fde1c647479a9412d22a407c6004325c",
-        "stdout": "ec9e21602c3971ecc387b18812f7953746ff3299c144b2f5265d41fe96a8c9be",
+        "stdout": "1d1a30c20cd1a51843336f03f3e3fe049581370be4e6ff2c7a144271d4ebdc0f",
     },
     "c-erase-notes": {
-        "report.json": "65a0eeb433823a9c64418f4c3bcd7e784462e2bdc1157dc6cf9b02f5665b35f2",
+        "report.json": "e30cce24528ba62acc06db144dc94d3d31d3e5b94cec3d242f193e473ca1c254",
         "events.csv": "592301ff6e88e8e2d72955280b554ca40f3161a3d83e8e2b68be21fb9c304d58",
-        "stdout": "65a0eeb433823a9c64418f4c3bcd7e784462e2bdc1157dc6cf9b02f5665b35f2",
+        "stdout": "e30cce24528ba62acc06db144dc94d3d31d3e5b94cec3d242f193e473ca1c254",
     },
     "b-clone-intended": {
-        "report.json": "03f320de5c05ebac198791f2bfeef7512b43838f9492ce83c15b49cf8fe8bbf5",
+        "report.json": "f6b825d9ba5f49c598dbb998a866cdf7ec1ee2c6e5494b42e75e1c840574832b",
         "events.csv": "d6ee2623a83ae42206e3b5c9060edfa8d97eeadd0e0b04df18aabd807a126317",
-        "stdout": "03f320de5c05ebac198791f2bfeef7512b43838f9492ce83c15b49cf8fe8bbf5",
+        "stdout": "f6b825d9ba5f49c598dbb998a866cdf7ec1ee2c6e5494b42e75e1c840574832b",
     },
     "a-message-list": {
-        "report.json": "48c5a3271cdcfaed73dfd2debb5c5275fa8a7105de9d9bd986d5a09e3ef9f638",
+        "report.json": "e1c5776cd430fc0ec1aca028e0c3bfb9fba39baaf82c304fa6542d516c382add",
         "events.csv": "d38fbc83aef44b50d3f944e3e37204ecdfbfa74dd37b1c7e5ebdf3bfa0e43eae",
-        "stdout": "48c5a3271cdcfaed73dfd2debb5c5275fa8a7105de9d9bd986d5a09e3ef9f638",
+        "stdout": "e1c5776cd430fc0ec1aca028e0c3bfb9fba39baaf82c304fa6542d516c382add",
     },
     "verify": {
         "stdout": "3ecc5960f0fb0d8e39cfd267061a5ce12cbe951448437d8a2b725b78db3b957e",

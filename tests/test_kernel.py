@@ -16,7 +16,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,6 +44,7 @@ from sdcsim.session import (
     ACTIONS,
     BRANCHES,
     NOTE_KINDS,
+    InvalidConfigError,
     NoteKind,
     RunConfig,
     ScenarioAction,
@@ -254,24 +255,31 @@ class _TopUniforms:
     """A trial stream whose every raw word is all ones, whose uniform is the
     largest float below 1."""
 
-    def __init__(self, rng):
-        self._rng = rng
+    def __init__(self):
         self.bit_generator = self
-
-    def geometric(self, p):
-        return self._rng.geometric(p)
 
     def random_raw(self, size):
         return np.full(size, np.iinfo(np.uint64).max, dtype=np.uint64)
 
 
-@pytest.mark.parametrize("make_bench", [_tilted_hh, _tilted_psi_minus])
+TOP = 1.0 - 2.0**-53
+# psi+ sent through a plate and a polarizer gets through with p = 1/2 - 2^-54,
+# whose running sums stop growing below the top uniform
+STALLING_PSI_PLUS = Optics(psi_plus=(("hwp", 142.5078125), ("polarizer", "H")))
+
+
+def _stalling_psi_plus():
+    return OpticalBench(STALLING_PSI_PLUS)
+
+
+@pytest.mark.parametrize("make_bench", [_tilted_hh, _tilted_psi_minus, _stalling_psi_plus])
 @pytest.mark.parametrize("scenario", [Scenario.A, Scenario.B])
 def test_the_top_uniform_draws_each_tables_last_outcome(make_bench, scenario, monkeypatch):
     # the laws' last running sums lie below that uniform, so a stacked draw
-    # that counted a narrow law's last sum would land in the padding
-    real = session.trial_rng
-    monkeypatch.setattr(session, "trial_rng", lambda seed, chunk: _TopUniforms(real(seed, chunk)))
+    # that counted a narrow law's last sum would land in the padding; in
+    # scenario a each message draws every retry threshold its running sums
+    # give, up to the last that grows
+    monkeypatch.setattr(session, "trial_rng", lambda seed, chunk: _TopUniforms())
     bench = make_bench()
     compiled = bench.compiled
     config = RunConfig(scenario, 2_000, 4)
@@ -280,6 +288,12 @@ def test_the_top_uniform_draws_each_tables_last_outcome(make_bench, scenario, mo
     drawn_from = [wrong_laws[m] if b else compiled.branches[m].controlled_law
                   for m, b in zip(trials.intended.tolist(), trials.branch.tolist())]
     assert trials.pattern.tolist() == [_law_codes(compiled, t)[-1] for t in drawn_from]
+    if scenario is Scenario.A:
+        sent = Counter(trials.intended[trials.branch == 0].tolist())
+        retried = Counter(trials.intended[trials.branch == 1].tolist())
+        most = [oracle.retries(TOP, split.controlled_probability) for split in compiled.branches]
+        assert retried == Counter({m: k * most[m] for m, k in sent.items()})
+        assert max(most) > 50
 
 
 # any plates and polarizers in front of a message's photon
@@ -317,6 +331,123 @@ def test_scenario_b_draws_what_the_per_trial_reference_draws(optics, clone_polic
         got = run_session(config, bench).trials.row.tolist()
         want = oracle.scenario_b_rows(config, bench, session.CHUNK_MESSAGES)
     assert got == want
+
+
+def _columns(trials):
+    """Each trial as (trial, intended symbol, branch, action, pattern, outcome,
+    note kind), looked up from its column codes, None where there is none."""
+    table = trials.table
+    return list(zip(trials.trial.tolist(),
+                    (ALPHABET[i] for i in trials.intended.tolist()),
+                    (BRANCHES[b] for b in trials.branch.tolist()),
+                    (ACTIONS[a] for a in trials.action.tolist()),
+                    (table.patterns[p] for p in trials.pattern.tolist()),
+                    (table.outcomes[d] for d in trials.decoded.tolist()),
+                    (NOTE_KINDS[k] for k in trials.note.tolist())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(optics=ANY_OPTICS, name=st.sampled_from(["a", "c", "c-erase-notes"]), messages=ANY_STREAM,
+       n=st.integers(1, 300), seed=st.integers(0, 2**64 - 1),
+       block=st.sampled_from([None, 1, 7, 64]), chunk=st.sampled_from([None, 50]))
+# three chunks, each ending on a short block, the last of one message
+@example(optics=TILTED_HH, name="c-erase-notes", messages=PINNED_STREAMS["list"], n=101,
+         seed=77, block=16, chunk=50)
+@example(optics=STALLING_PSI_PLUS, name="a", messages="uniform", n=300, seed=31, block=None,
+         chunk=None)
+def test_scenarios_a_and_c_draw_what_the_per_trial_reference_draws(optics, name, messages, n,
+                                                                   seed, block, chunk):
+    try:
+        bench = OpticalBench(optics)
+    except ProtocolError:  # an encoder whose monitor always clicks, or clicks two ways
+        return
+    config = RunConfig(n_messages=n, seed=seed, messages=messages, **PINNED_CONFIGS[name])
+    with pytest.MonkeyPatch.context() as patch:
+        if block:
+            patch.setattr(session, "BLOCK", block)
+        if chunk:
+            patch.setattr(session, "CHUNK_MESSAGES", chunk)
+        got = _columns(run_session(config, bench).trials)
+        want = oracle.scenario_ac_trials(config, bench, session.CHUNK_MESSAGES)
+    assert got == want
+
+
+BELL_STREAM = (MessageSymbol.PSI_PLUS, MessageSymbol.PSI_MINUS)
+
+
+@pytest.mark.parametrize("name", ["a", "c"])
+def test_each_message_draws_its_retries_then_its_controlled_trial(name):
+    # exact, with no statistics: a message's trials are its wrong-branch
+    # retries and then one controlled trial, so a session's controlled trials
+    # are its messages, each the last of its own, and a Bell message, which
+    # always gets through, draws one trial and never a wrong one
+    for n in (1, 4, 40):
+        for seed in range(8):
+            for messages in (BELL_STREAM, (MessageSymbol.HH,)):
+                config = RunConfig(n_messages=n, seed=seed, messages=messages,
+                                   **PINNED_CONFIGS[name])
+                trials = run_session(config).trials
+                ends = np.flatnonzero(trials.branch == 0)
+                assert len(ends) == n and ends[-1] == len(trials) - 1, config
+                attempts = np.diff(ends, prepend=-1)
+                assert np.array_equal(trials.intended, trials.intended[ends].repeat(attempts))
+                assert [ALPHABET[i] for i in trials.intended[ends].tolist()] == [
+                    messages[i % len(messages)] for i in range(n)]
+                if messages == BELL_STREAM:
+                    assert len(trials) == n and not trials.branch.any(), config
+
+
+def test_philox_words_are_the_published_known_answer():
+    # Random123's known-answer vector for philox4x64_10 at counter 0 and key 0:
+    # numpy's Philox steps its counter before each block, so a counter of all
+    # 2^64 - 1 gives counter 0's block
+    words = np.random.Philox(key=0, counter=[2**64 - 1] * 4).random_raw(4)
+    assert [f"{w:016x}" for w in words.tolist()] == [
+        "16554d9eca36314c", "db20fe9d672d0fdc", "d7e772cee186176b", "7e68b68aec7ba23b"]
+
+
+def _with_p_controlled(p: float, symbol=MessageSymbol.HH) -> SimpleNamespace:
+    """A bench whose compiled model is the ideal one with `symbol`'s controlled
+    probability set to p."""
+    compiled = OpticalBench().compiled
+    p_controlled = compiled.p_controlled.copy()
+    p_controlled[ALPHABET.index(symbol)] = p
+    return SimpleNamespace(compiled=dataclasses.replace(compiled, p_controlled=p_controlled))
+
+
+@pytest.mark.parametrize("p", [0.5, 0.4, 1 / 3 + 1e-12, 0.9])
+def test_the_wirings_retries_are_what_geometric_draws(p, monkeypatch):
+    # from p = 1/3 up, numpy's geometric searches the running sums the retry
+    # keys hold, one raw word per draw
+    n = 200_000
+    monkeypatch.setattr(session, "CHUNK_MESSAGES", n)
+    config = RunConfig(Scenario.A, n, 41, messages=(MessageSymbol.HH,))
+    trials = Session(config, _with_p_controlled(p)).scenario_step(0, 0)
+    attempts = np.diff(np.flatnonzero(trials.branch == 0), prepend=-1)
+    assert np.array_equal(attempts, _fresh(41, session._STREAM_TRIAL, 0).geometric(p, n))
+
+
+def test_a_p_controlled_past_the_retry_bound_is_refused_in_a_and_c():
+    hh = ALPHABET.index(MessageSymbol.HH)
+    refused = []
+    for p in (0.01, 0.005):  # 3,267 retry thresholds, and more than the bound
+        bench = _with_p_controlled(p)
+        most = oracle.retries(TOP, p, stop=session.MAX_RETRIES + 1)
+        refused.append(most > session.MAX_RETRIES)
+        Session(RunConfig(Scenario.B, 5, 1), bench)  # scenario b never retries
+        for scenario in (Scenario.A, Scenario.C):
+            if refused[-1]:
+                with pytest.raises(InvalidConfigError, match="retry thresholds"):
+                    Session(RunConfig(scenario, 5, 1), bench)
+                continue
+            _, (thresholds, attempts, rows), _, _ = session.wiring(
+                bench.compiled, scenario, ClonePolicy.SEND_AS_IS, False)
+            width = len(thresholds) + 1
+            assert rows.tolist() == [m * width for m in range(len(ALPHABET))]
+            # a word below every threshold makes one attempt, one above them all 1 + most
+            row = attempts[rows[hh]:rows[hh] + width]
+            assert row[0] == 1 and row[-1] == 1 + most and (np.diff(row) >= 0).all()
+    assert refused == [False, True]
 
 
 @pytest.mark.parametrize("n", [1, session.BLOCK + 3, session.CHUNK_MESSAGES])
@@ -772,13 +903,15 @@ def test_equal_optics_share_one_read_only_wiring(name):
     first, second = Session(config, OpticalBench()), Session(config, OpticalBench())
     assert second.table is first.table
     assert all(a is b for a, b in zip(second._bounds, first._bounds))
+    assert second._retries is first._retries and second._attempts is first._attempts
     assert first._bounds  # the ideal bench's laws have outcomes to draw between
     table = first.table
-    for array in (*first._bounds, table.intended, table.branch, table.action, table.pattern,
-                  table.decoded, table.note, table.tally_fold):
+    for array in (*first._bounds, first._retries, first._attempts, first._rows, table.intended,
+                  table.branch, table.action, table.pattern, table.decoded, table.note,
+                  table.tally_fold):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            array[0] = array[0]
+            array[:1] = array[:1]
 
 
 def test_a_changed_encoder_gets_its_own_wiring():
@@ -815,10 +948,9 @@ def _fresh(seed, stream, chunk):
 
 
 def _draws(rng):
-    """A fixed run of draws: uniforms, geometric retries at p 1, 1/2 and 0.75, then
-    one more uniform, which reads where the run left the stream."""
-    p = np.array([1.0, 0.5, 0.75] * 7)
-    return rng.random(9), rng.geometric(p), rng.geometric(0.5, 3), rng.random()
+    """A fixed run of draws: uniforms, raw words, then one more uniform, which
+    reads where the run left the stream."""
+    return rng.random(9), rng.bit_generator.random_raw(21), rng.random()
 
 
 def _assert_same_draws(got, want):
@@ -862,8 +994,8 @@ def test_a_chunk_keeps_its_counter_words(seed, chunk, scenario):
     assert carry == 0 and words == [chunk, session._STREAM_TRIAL]
     if scenario is Scenario.B:  # one word per message
         assert steps == -(-len(trials) // 4)
-    else:  # one word per retry draw and one per trial
-        assert steps >= -(-len(trials) // 4)
+    else:  # one word per message for its retries and one per trial
+        assert steps == -(-(len(messages) + len(trials)) // 4)
 
 
 @settings(max_examples=100, deadline=None)
@@ -911,18 +1043,18 @@ def _uniforms(raw):
 @example(seed=2**64 - 1, chunk=2**48 - 1, other=(1, 1, 1), size=3)
 def test_a_raw_words_uniform_is_what_random_draws(seed, chunk, other, size):
     # the kernel compares raw words where `random` would compare their doubles,
-    # (raw >> 11) * 2^-53; each draws one word of the stream, so retries drawn by
-    # `geometric` leave the words where they leave the doubles
+    # (raw >> 11) * 2^-53; each draws one word of the stream, so the two mixed
+    # leave the stream where either alone would
     for n in (1, 5, session.BLOCK + 3):
         want = session.trial_rng(seed, chunk).random(n)
         got = _uniforms(session.trial_rng(seed, chunk).bit_generator.random_raw(n))
         assert np.array_equal(got, want), n
     fresh = _fresh(seed, session._STREAM_TRIAL, chunk)
-    want = fresh.random(size), fresh.geometric(0.5, size), fresh.random(2 * size + 1)
+    want = fresh.random(size), fresh.random(size), fresh.random(2 * size + 1)
     # a re-keyed generator after another key drew a part of its buffer
-    session._generator(*other).geometric(0.5, size)
+    session._generator(*other).random(size)
     rng = session.trial_rng(seed, chunk)
-    got = (_uniforms(rng.bit_generator.random_raw(size)), rng.geometric(0.5, size),
+    got = (_uniforms(rng.bit_generator.random_raw(size)), rng.random(size),
            _uniforms(rng.bit_generator.random_raw(2 * size + 1)))
     _assert_same_draws(got, want)
 

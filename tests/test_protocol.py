@@ -313,7 +313,7 @@ def wired_law(compiled, wiring, cell):
     """The pattern codes and boundary thresholds that `wiring` of `compiled` lays
     out for cell `cell`, 2 * message + wrong branch, once its -1 and 2^64 - 1
     padding down to the wiring's widest law is checked off."""
-    _, bounds, table = session.wiring(compiled, *WIRINGS[wiring])
+    _, _, bounds, table = session.wiring(compiled, *WIRINGS[wiring])
     width = len(bounds) + 1
     codes = table.pattern[cell * width:(cell + 1) * width].tolist()
     thresholds = [int(bound[cell]) for bound in bounds]
@@ -335,7 +335,7 @@ def drawn_law(compiled, wiring, cell):
     when it exceeds i of the cell's thresholds. In scenarios a and c every word
     is the cell's; in scenario b, where one word also draws the branch, only
     the words on the cell's side of the message's controlled threshold are."""
-    controlled, _, _ = session.wiring(compiled, *WIRINGS[wiring])
+    controlled, _, _, _ = session.wiring(compiled, *WIRINGS[wiring])
     codes, thresholds = wired_law(compiled, wiring, cell)
     low, high = -1, 2**64 - 1  # the cell's words are those above low, up to high
     if WIRINGS[wiring][0] is Scenario.B:
@@ -351,7 +351,7 @@ def assert_b_draws_each_joint_law(compiled):
     1 - p times the wrong branch's law on the other. A message that never goes
     wrong (p = 1) keeps its wrong cell's boundaries at 2^64 - 1."""
     for wiring in ("b-send-as-is", "b-clone-intended"):
-        _, bounds, _ = session.wiring(compiled, *WIRINGS[wiring])
+        _, _, bounds, _ = session.wiring(compiled, *WIRINGS[wiring])
         for m, split in enumerate(compiled.branches):
             p = split.controlled_probability
             wrong = split.resent_law if wiring == "b-send-as-is" else split.controlled_law
@@ -590,7 +590,7 @@ def test_ideal_compiled_model_is_pinned():
     assert [o.label for o in compiled.outcomes] == PINNED_OUTCOMES
     assert compiled.decoded.tolist() == PINNED_DECODED
     for name, wiring in WIRINGS.items():
-        _, bounds, table = session.wiring(compiled, *wiring)
+        _, _, bounds, table = session.wiring(compiled, *wiring)
         assert table.pattern.dtype == np.int16
         assert table.pattern.reshape(2 * len(ALPHABET), -1).tolist() == PINNED_WIRED_CODES[name]
         assert all(bound.dtype == np.uint64 and not bound.flags.writeable for bound in bounds)

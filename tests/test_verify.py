@@ -167,7 +167,7 @@ def test_kernel_and_verify_draw_through_one_sampler(monkeypatch):
     # stored boundary gathered per trial
     assert [n for _, n in calls] == _blocks(CHUNK_MESSAGES) + _blocks(1)
     assert all(n <= session.BLOCK for _, n in calls)
-    _, wired, _ = session.wiring(bench.compiled, Scenario.B, ClonePolicy.SEND_AS_IS, False)
+    _, _, wired, _ = session.wiring(bench.compiled, Scenario.B, ClonePolicy.SEND_AS_IS, False)
     assert all(len(bounds) == len(wired) for bounds, _ in calls)
     assert all(len(bound) == n for bounds, n in calls for bound in bounds)
     calls.clear()
