@@ -1,10 +1,16 @@
-"""Exact few-photon Fock states on labeled optical modes.
+"""Exact one- and two-photon Fock states on labeled optical modes.
 
-States are sparse maps from occupation vectors to complex amplitudes, which
-is exact and cheap for the one- and two-photon circuits simulated here.
-Linear elements act by substituting creation operators, a†_j -> sum_k U_kj a†_k,
-so photon number is conserved and interference (e.g. the Hong-Ou-Mandel dip)
-comes out of the amplitude algebra with no approximation.
+A state of k photons (k <= 2, or 0 for the vacuum a detection leaves) is one
+symmetric tensor T over the registry's modes, |psi> = (k!)^-1/2 sum T_i..
+a†_i.. |0>: a photon is a vector v, a pair a symmetric matrix A. Its norm is
+the tensor's Frobenius norm. A linear element whose single-photon transfer
+matrix on the whole registry is U maps v to U v and A to U A U^T (Kok et
+al., Rev. Mod. Phys. 79, 135 (2007)), so photon number is conserved and
+interference (e.g. the Hong-Ou-Mandel dip) comes out of the matrix product
+with no approximation. Detection reads |T|^2: a pair's photons land in modes
+i != j with probability 2|A_ij|^2 and both in mode i with |A_ii|^2. An
+outcome or branch below PROBABILITY_FLOOR is dropped, once per law; no state
+is ever pruned.
 
 All objects are immutable values; every operation returns a new state.
 `compose` folds a sequence of elements into one element that evolves a state
@@ -16,6 +22,8 @@ the words.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -23,10 +31,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-AMPLITUDE_PRUNE = 1e-14
+# the least probability an outcome or a branch keeps: (1e-14)^2, far below any the optics give
+PROBABILITY_FLOOR = 1e-28
 UNITARY_TOL = 1e-12
 
 Occupation = tuple[int, ...]
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class RegistryError(ValueError):
@@ -106,78 +116,66 @@ class ModeRegistry:
         return f"ModeRegistry({', '.join(map(str, self._labels))})"
 
 
-def _sqrt_factorial(occ: Occupation) -> float:
-    if max(occ) < 2:
-        return 1.0
-    out = 1.0
-    for n in occ:
-        if n > 1:
-            out *= math.sqrt(math.factorial(n))
-    return out
-
-
 class PureState:
-    """Normalized pure state as a sparse amplitude map over occupation vectors.
+    """Normalized pure state of 0, 1 or 2 photons as one read-only symmetric tensor.
 
-    Every basis state carries the same total photon number; amplitudes with
-    magnitude below ``AMPLITUDE_PRUNE`` are dropped at construction. The map
-    is read-only, since memoized states are shared by every bench.
+    `tensor` has one axis per photon, each over the registry's modes (see the
+    module docstring), so its rank is the photon number. `amplitudes` is a
+    derived, read-only view of its nonzero Fock-basis coefficients,
+    occupation -> amplitude. States are shared by every bench of one optics,
+    so nothing of one can be written.
     """
 
-    __slots__ = ("registry", "amplitudes", "photon_number")
+    __slots__ = ("registry", "tensor")
 
-    def __init__(self, registry: ModeRegistry, amplitudes: Mapping[Occupation, complex]):
-        pruned: dict[Occupation, complex] = {}
-        numbers = set()
+    def __init__(self, registry: ModeRegistry, tensor):
+        tensor = np.array(tensor, dtype=complex)
         size = len(registry)
-        for occ, amp in amplitudes.items():
-            if abs(amp) < AMPLITUDE_PRUNE:
-                continue
-            if len(occ) != size:
-                raise RegistryError(f"occupation length {len(occ)} != registry size {size}")
-            if min(occ) < 0:
-                raise ValueError("negative occupation number")
-            numbers.add(sum(occ))
-            pruned[occ] = complex(amp)
-        if not pruned:
-            raise ValueError("state has no amplitude left after pruning")
-        if len(numbers) > 1:
-            raise ValueError(f"mixed photon numbers in one state: {sorted(numbers)}")
+        if tensor.ndim > 2 or tensor.shape != (size,) * tensor.ndim:
+            raise RegistryError(f"shape {tensor.shape}: no state of <= 2 photons on {size} modes")
+        tensor.flags.writeable = False
         object.__setattr__(self, "registry", registry)
-        object.__setattr__(self, "amplitudes", MappingProxyType(pruned))
-        object.__setattr__(self, "photon_number", numbers.pop())
+        object.__setattr__(self, "tensor", tensor)
 
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")
 
     @property
+    def photon_number(self) -> int:
+        return self.tensor.ndim
+
+    @property
+    def amplitudes(self) -> Mapping[Occupation, complex]:
+        """Each occupation's amplitude: T at its modes, times sqrt(2) for a pair in two modes."""
+        size, tensor = len(self.registry), self.tensor
+        return MappingProxyType({
+            tuple(modes.count(i) for i in range(size)):
+                complex(tensor[tuple(modes)]) / (_INV_SQRT2 if len(set(modes)) == 2 else 1.0)
+            for modes in np.argwhere(tensor).tolist() if modes == sorted(modes)  # each once
+        })
+
+    @property
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return float(np.linalg.norm(self.tensor))
 
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other>."""
         if self.registry != other.registry:
             raise RegistryError("overlap between states on different registries")
-        mine = self.amplitudes
-        return sum(
-            mine[occ].conjugate() * amp
-            for occ, amp in other.amplitudes.items()
-            if occ in mine
-        )
+        if self.photon_number != other.photon_number:
+            return 0j
+        return complex(np.vdot(self.tensor, other.tensor))
 
     def fidelity(self, other: "PureState") -> float:
         """|<self|other>|^2 — phase-insensitive state comparison."""
         return abs(self.overlap(other)) ** 2
 
     def __repr__(self):
-        terms = []
-        for occ in sorted(self.amplitudes):
-            amp = self.amplitudes[occ]
-            ket = ",".join(
-                f"{label}:{n}" for label, n in zip(self.registry.labels, occ) if n
-            )
-            terms.append(f"({amp:.4g})|{ket or 'vac'}>")
-        return " + ".join(terms)
+        labels = self.registry.labels
+        return " + ".join(
+            f"({amp:.4g})|{','.join(f'{m}:{n}' for m, n in zip(labels, occ) if n) or 'vac'}>"
+            for occ, amp in sorted(self.amplitudes.items())
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +185,8 @@ class ModeUnitary:
     ``matrix[k, j]`` is the amplitude for a photon entering target mode j to
     leave in target mode k; modes outside ``target_modes`` are untouched.
     Validated once at construction; ``indices`` holds the registry index of
-    each target mode and ``columns[j]`` the ``(registry index, amplitude)``
-    pairs of column j's nonzero entries, in row order.
+    each target mode and ``transfer`` the matrix embedded in the identity on
+    the whole registry, read-only.
     """
 
     registry: ModeRegistry
@@ -196,7 +194,7 @@ class ModeUnitary:
     matrix: np.ndarray
     name: str = ""
     indices: tuple[int, ...] = field(init=False, repr=False)
-    columns: tuple[tuple[tuple[int, complex], ...], ...] = field(init=False, repr=False)
+    transfer: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.target_modes)) != len(self.target_modes):
@@ -213,11 +211,10 @@ class ModeUnitary:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "indices", indices)
-        columns = tuple(
-            tuple((i, complex(u)) for i, u in zip(indices, mat[:, col].tolist()) if u != 0)
-            for col in range(n)
-        )
-        object.__setattr__(self, "columns", columns)
+        transfer = np.eye(len(self.registry), dtype=complex)
+        transfer[np.ix_(indices, indices)] = mat
+        transfer.flags.writeable = False
+        object.__setattr__(self, "transfer", transfer)
 
     def dagger(self) -> "ModeUnitary":
         return ModeUnitary(
@@ -256,66 +253,46 @@ def unitarity_defect(matrix: np.ndarray) -> float:
 
 
 def make_state(registry: ModeRegistry, creation_list: Sequence[ModeLabel]) -> PureState:
-    """Normalized Fock state with one photon created per listed mode.
+    """Normalized Fock state with one photon created per listed mode, at most two.
 
-    Repeated labels stack photons in one mode; the bosonic 1/sqrt(n!) factors
-    are absorbed so the returned basis amplitude is exactly 1.
+    Repeated labels stack photons in one mode, and the Fock-basis amplitude
+    is exactly 1: a pair in modes i != j is the matrix (e_i e_j^T + e_j e_i^T)/sqrt(2),
+    both in mode i is e_i e_i^T.
     """
-    occ = [0] * len(registry)
-    for label in creation_list:
-        occ[registry.index(label)] += 1
-    return PureState(registry, {tuple(occ): 1.0})
+    modes = [registry.index(label) for label in creation_list]
+    if len(modes) > 2:
+        raise ValueError(f"a state holds at most two photons, not {len(modes)}")
+    tensor = np.zeros((len(registry),) * len(modes), dtype=complex)
+    for order in itertools.permutations(modes):
+        tensor[order] = _INV_SQRT2 if len(set(modes)) == 2 else 1.0
+    return PureState(registry, tensor)
 
 
 def superpose(terms: Sequence[tuple[complex, PureState]]) -> PureState:
-    """Normalized linear combination of states on one registry."""
+    """Normalized linear combination of states of one photon number on one registry."""
     if not terms:
         raise ValueError("superpose needs at least one term")
-    registry = terms[0][1].registry
-    combined: dict[Occupation, complex] = {}
-    for coeff, state in terms:
-        if state.registry != registry:
-            raise RegistryError("superpose across different registries")
-        for occ, amp in state.amplitudes.items():
-            combined[occ] = combined.get(occ, 0j) + coeff * amp
-    norm = math.sqrt(sum(abs(a) ** 2 for a in combined.values()))
+    registry, numbers = terms[0][1].registry, {state.photon_number for _, state in terms}
+    if any(state.registry != registry for _, state in terms):
+        raise RegistryError("superpose across different registries")
+    if len(numbers) > 1:
+        raise ValueError(f"mixed photon numbers in one state: {sorted(numbers)}")
+    combined = sum(coeff * state.tensor for coeff, state in terms)
+    norm = np.linalg.norm(combined)
     if norm <= 1e-12:
         raise ValueError("superposition cancels to the zero vector")
-    return PureState(registry, {occ: a / norm for occ, a in combined.items()})
+    return PureState(registry, combined / norm)
 
 
 def apply_element(state: PureState, element: ModeUnitary) -> PureState:
-    """Evolve a state through one linear element.
-
-    Each creation operator on a target mode is replaced by the corresponding
-    column combination of output creation operators; the amplitude map is then
-    recombined over the Fock basis. Norm is preserved by unitarity.
-    """
+    """Evolve a state through one linear element: its transfer matrix U acts on
+    every photon's axis, v -> U v and A -> U A U^T. Norm is preserved by unitarity."""
     if element.registry != state.registry:
         raise RegistryError("element built for a different registry")
-    idxs, columns = element.indices, element.columns
-    out: dict[Occupation, complex] = {}
-    for occ, amp in state.amplitudes.items():
-        coeff = amp / _sqrt_factorial(occ)
-        base = list(occ)
-        counts = []
-        for i in idxs:
-            counts.append(base[i])
-            base[i] = 0
-        poly: dict[Occupation, complex] = {tuple(base): coeff}
-        for column, count in zip(columns, counts):
-            for _ in range(count):
-                grown: dict[Occupation, complex] = {}
-                for mono, c in poly.items():
-                    for i_out, u in column:
-                        lifted = list(mono)
-                        lifted[i_out] += 1
-                        key = tuple(lifted)
-                        grown[key] = grown.get(key, 0j) + c * u
-                poly = grown
-        for mono, c in poly.items():
-            out[mono] = out.get(mono, 0j) + c * _sqrt_factorial(mono)
-    return PureState(state.registry, out)
+    u, tensor = element.transfer, state.tensor
+    if tensor.ndim:
+        tensor = u @ tensor @ u.T if tensor.ndim == 2 else u @ tensor
+    return PureState(state.registry, tensor)
 
 
 def outcome_distribution(
@@ -323,22 +300,32 @@ def outcome_distribution(
 ) -> dict[Occupation, float]:
     """Exact photon-count distribution over number-resolving detectors.
 
-    Keys are count tuples aligned with ``detector_modes``. The detectors must
-    cover every mode the state has photons in, so probabilities sum to 1.
+    Keys are count tuples aligned with ``detector_modes``; a count below
+    PROBABILITY_FLOOR is dropped. The detectors must cover every mode the
+    state has photons in, so probabilities sum to 1.
     """
-    registry = state.registry
-    det_idx = [registry.index(m) for m in detector_modes]
-    det_set = frozenset(det_idx)
+    registry, k = state.registry, state.photon_number
+    detected = [registry.index(m) for m in detector_modes]
+    probability = block = np.abs(state.tensor) ** 2
+    for axis in range(k):  # the entries with every photon on a detector
+        block = block.take(detected, axis=axis)
+    if k:  # a mode's photon density is its row of |T|^2
+        density = probability.reshape(len(registry), -1).sum(axis=1)
+        for i in np.flatnonzero(density >= PROBABILITY_FLOOR).tolist():
+            if i not in detected:
+                raise CoverageError(f"photon support on undetected mode {registry.labels[i]}")
     dist: dict[Occupation, float] = {}
-    for occ, amp in state.amplitudes.items():
-        for i, n in enumerate(occ):
-            if n and i not in det_set:
-                raise CoverageError(
-                    f"photon support on undetected mode {registry.labels[i]}"
-                )
-        pattern = tuple(occ[i] for i in det_idx)
-        dist[pattern] = dist.get(pattern, 0.0) + abs(amp) ** 2
-    return dist
+    for counts, p in zip(_counts(len(detected), k), block.ravel().tolist()):
+        dist[counts] = dist.get(counts, 0.0) + p
+    return {counts: p for counts, p in dist.items() if p >= PROBABILITY_FLOOR}
+
+
+@functools.lru_cache(maxsize=None)
+def _counts(detectors: int, photons: int) -> tuple[Occupation, ...]:
+    """The detector counts each entry of a detected block of `photons` axes reads as,
+    in row-major order: one count per axis, at that axis's index."""
+    cells = itertools.product(range(detectors), repeat=photons)
+    return tuple(tuple(cell.count(d) for d in range(detectors)) for cell in cells)
 
 
 def raw_thresholds(bounds) -> np.ndarray:
@@ -384,26 +371,27 @@ def branch_on_modes(
 ) -> dict[Occupation, tuple[float, PureState]]:
     """All photodetection branches for measuring a subset of modes.
 
-    Returns ``counts -> (probability, post-detection state)`` where the
-    detected photons are absorbed (measured modes zeroed) and the remaining
-    state renormalized. Measuring every photon leaves the vacuum.
+    Returns ``counts -> (probability, post-detection state)``, a branch below
+    PROBABILITY_FLOOR dropped, where the detected photons are absorbed and the
+    rest renormalized. A photon detected in mode m leaves v[m] of a lone photon
+    v and sqrt(2) A[m] of a pair A; a pair detected in modes m != n leaves
+    sqrt(2) A[m, n], both in mode m A[m, m]. What is left is kept off the
+    measured modes. Measuring every photon leaves the vacuum.
     """
-    registry = state.registry
-    idxs = [registry.index(m) for m in modes]
-    groups: dict[Occupation, dict[Occupation, complex]] = {}
-    for occ, amp in state.amplitudes.items():
-        key = tuple(occ[i] for i in idxs)
-        groups.setdefault(key, {})[occ] = amp
+    registry, tensor = state.registry, state.tensor
+    measured = [registry.index(m) for m in modes]
+    kept = np.ones(len(registry))
+    kept[measured] = 0.0
     branches: dict[Occupation, tuple[float, PureState]] = {}
-    for key, sub in groups.items():
-        prob = sum(abs(a) ** 2 for a in sub.values())
-        norm = math.sqrt(prob)
-        collapsed: dict[Occupation, complex] = {}
-        for occ, amp in sub.items():
-            cleared = list(occ)
-            for i in idxs:
-                cleared[i] = 0
-            collapsed[tuple(cleared)] = amp / norm
-        branches[key] = (prob, PureState(registry, collapsed))
+    for clicks in itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(measured, n) for n in range(tensor.ndim + 1)
+    ):
+        sqrt2 = tensor.ndim == 2 and 0 < len(clicks) == len(set(clicks))
+        left = tensor[clicks] / (_INV_SQRT2 if sqrt2 else 1.0)
+        for axis in range(left.ndim):  # nothing left on a measured mode, along each axis
+            left = left * kept.reshape((-1,) + (1,) * axis)
+        prob = float(np.linalg.norm(left)) ** 2
+        if prob >= PROBABILITY_FLOOR:
+            counts = tuple(clicks.count(m) for m in measured)
+            branches[counts] = (prob, PureState(registry, left / math.sqrt(prob)))
     return branches
-

@@ -414,10 +414,9 @@ def _encode_branches(message: MessageSymbol, elements: tuple[ModeUnitary, ...],
         ((clicks, (_, lone)),) = branches.items()
         (clicked,) = (m for m, n in zip(MONITOR_MODES, clicks) if n)
         i = REGISTRY.index(ModeLabel(ALICE, clicked.pol))
-        # her path is empty after the click, so the new photon adds no bosonic factor
-        resent = PureState(REGISTRY, {
-            occ[:i] + (occ[i] + 1,) + occ[i + 1:]: amp for occ, amp in lone.amplitudes.items()
-        })
+        # her path is empty after the click, so the pair (e_i v^T + v e_i^T)/sqrt(2) is normalized
+        e, v = np.eye(len(REGISTRY))[i], lone.tensor
+        resent = PureState(REGISTRY, (np.outer(e, v) + np.outer(v, e)) * _INV_SQRT2)
         return EncodeBranches(p_controlled, controlled, lone, resent,
                               law(controlled), law(lone), law(resent))
     # never goes wrong: exactly 1, not the 1 within rounding the optics give

@@ -16,7 +16,9 @@ rows the kernel draws from, so a kernel wired to the wrong law fails it.
 Both share one rule, `consistent`: neither exact binomial tail of a count may
 lie below half its false-alarm rate. They split FALSE_ALARM evenly,
 sampling_consistency its half again over its cells, so a correct program
-fails the suite at most 1e-6 of the time, at any seed.
+fails the suite at most 1e-6 of the time, at any seed. support is exact: it
+holds every row of one scenario-a session to the optics, and seed_determinism
+draws that session again and compares.
 
 Those checks cost their draws, not their tails, and the session's draws are
 made once for both. `binomial_tails` sums a tail in numpy blocks of
@@ -56,7 +58,8 @@ from .protocol import (
     Scenario,
     default_bench,
 )
-from .session import BRANCHES, InvalidConfigError, RunConfig, Trials, check_seed, run_session
+from .session import (ACTIONS, BRANCHES, InvalidConfigError, RunConfig, ScenarioAction,
+                      SessionResult, Trials, check_seed, intended_stream, run_session)
 
 EXACT_TOL = 1e-12
 FALSE_ALARM = 1e-6
@@ -378,10 +381,38 @@ def check_capacity_references(bench) -> CheckResult:
     )
 
 
-def check_seed_determinism(bench, seed: int) -> CheckResult:
-    config = RunConfig(scenario=Scenario.A, n_messages=200, seed=seed)
-    first = run_session(config, bench)
-    second = run_session(config, bench)
+def scenario_a_session(bench, seed: int) -> SessionResult:
+    """200 uniform messages of scenario a: the session support and seed_determinism read."""
+    return run_session(RunConfig(scenario=Scenario.A, n_messages=200, seed=seed), bench)
+
+
+def check_support(bench, drawn: SessionResult) -> CheckResult:
+    """Exact: every row the scenario-a session `drawn` holds is possible, and each
+    message is sent as often as the intended stream holds it.
+
+    A row's probability is its branch's, from `encode_branches`, times its pattern's
+    in that branch's law: the controlled pair's, or on the wrong branch the
+    receiver's lone photon's. No probability comes from the wiring.
+    """
+    trials, splits = drawn.trials, [bench.encode_branches(symbol) for symbol in ALPHABET]
+    rows = np.flatnonzero(trials.row_counts()).tolist()
+    failures = []
+    for message, branch, _, pattern, _, _ in (trials.table.fields[row] for row in rows):
+        split = splits[ALPHABET.index(message)]
+        p, law = ((split.wrong_probability, split.lone_law) if branch is Branch.WRONG
+                  else (split.controlled_probability, split.controlled_law))
+        if not p * (law or {}).get(pattern, 0.0) > 0.0:
+            failures.append(f"impossible row {message.value} {branch.value} {pattern}")
+    stream = intended_stream(drawn.config)
+    sent = trials.tally()[:, ACTIONS.index(ScenarioAction.SENT)].tolist()
+    failures += [f"{m.value} sent {n} of {stream.count(m)}"
+                 for m, n in zip(ALPHABET, sent) if n != stream.count(m)]
+    return _check("support", not failures, "; ".join(failures)
+                  or f"{len(rows)} distinct rows, each possible; each message sent as intended")
+
+
+def check_seed_determinism(bench, first: SessionResult) -> CheckResult:
+    second = run_session(first.config, bench)
     same = np.array_equal(first.trials.row, second.trials.row) and first.report == second.report
     return _check("seed_determinism", same, f"{len(first.trials)} trials reproduced")
 
@@ -395,8 +426,9 @@ def run_verification(seed: int = 20_260_810, branch_trials: int = 100_000) -> li
     which each of their counts can fail (`band_minimum` of
     `statistical_counts`), raises InvalidConfigError before any check runs.
 
-    Each call builds HH's cell law once, from its compiled branch laws, and
-    the element suite once, and passes each to the checks that read it;
+    Each call builds HH's cell law once, from its compiled branch laws, the
+    element suite once, and draws the scenario-a session of support and
+    seed_determinism once, and passes each to the checks that read it;
     nothing is kept across calls, so every call does the suite's whole work.
     """
     check_seed(seed)
@@ -409,6 +441,7 @@ def run_verification(seed: int = 20_260_810, branch_trials: int = 100_000) -> li
             f"statistical check can fail at a false-alarm rate of {FALSE_ALARM:g}"
         )
     drawn = hh_session(bench, seed, branch_trials)
+    retried = scenario_a_session(bench, seed)
     elements = _element_suite(bench)
     return [
         check_unitarity(elements),
@@ -422,7 +455,8 @@ def run_verification(seed: int = 20_260_810, branch_trials: int = 100_000) -> li
         check_branch_statistics(bench, drawn),
         check_sampling_consistency(bench, drawn, cell_law),
         check_capacity_references(bench),
-        check_seed_determinism(bench, seed),
+        check_support(bench, retried),
+        check_seed_determinism(bench, retried),
     ]
 
 

@@ -2,9 +2,10 @@
 
 Kept independent of the package's state engine: elements become dense
 single-photon transfer matrices over the full mode list, compositions are
-plain matrix products, and two-photon outputs are expanded term by term over
-ordered mode pairs. Anything the sparse polynomial engine computes can be
-cross-checked against this path.
+plain matrix products, and each two-photon output amplitude is a permanent of
+a 2x2 submatrix of the transfer matrix (Scheel, quant-ph/0406127), where the
+engine contracts a pair's matrix as U A U^T. Anything the engine computes can
+be cross-checked against this path.
 
 It also keeps `verify.binomial_tails`' scalar form: the tail summed one term
 per loop step, which the block sum must reproduce bit for bit, and sessions
@@ -14,7 +15,7 @@ their retries searched one running sum at a time.
 """
 
 import math
-from itertools import accumulate
+from itertools import accumulate, permutations
 
 import numpy as np
 
@@ -66,27 +67,30 @@ def state_distribution(amplitudes, transfer) -> dict[tuple[int, ...], float]:
     return superposed_two_photon_distribution(transfer, terms)
 
 
+def permanent(matrix) -> complex:
+    """The permanent of a square matrix: its determinant's sum without the signs."""
+    n = len(matrix)
+    return sum(math.prod(matrix[r][c] for r, c in enumerate(columns))
+               for columns in permutations(range(n)))
+
+
 def two_photon_amplitudes(transfer, mode_i: int, mode_j: int) -> dict[tuple[int, int], complex]:
     """Output amplitudes over unordered mode pairs (k <= l) for a†_i a†_j input.
 
-    Input and output kets are Fock-normalized, so a doubly occupied mode picks
-    up the usual sqrt(2) factors.
+    Each is the permanent of the transfer matrix's submatrix over output rows
+    (k, l) and input columns (i, j), divided by the square roots of both
+    occupations' factorials: sqrt(2) for a doubly occupied mode on either side
+    (Scheel, quant-ph/0406127).
     """
     n = transfer.shape[0]
-    coeff: dict[tuple[int, int], complex] = {}
-    for k in range(n):
-        for l in range(n):
-            c = transfer[k, mode_i] * transfer[l, mode_j]
-            if c == 0:
-                continue
-            key = (k, l) if k <= l else (l, k)
-            coeff[key] = coeff.get(key, 0j) + c
     norm_in = math.sqrt(2.0) if mode_i == mode_j else 1.0
     amps = {}
-    for (k, l), c in coeff.items():
-        amp = c * (math.sqrt(2.0) if k == l else 1.0) / norm_in
-        if abs(amp) > 1e-14:
-            amps[(k, l)] = amp
+    for k in range(n):
+        for l in range(k, n):
+            sub = transfer[np.ix_([k, l], [mode_i, mode_j])]
+            amp = permanent(sub) / (norm_in * (math.sqrt(2.0) if k == l else 1.0))
+            if abs(amp) > 1e-14:
+                amps[(k, l)] = amp
     return amps
 
 

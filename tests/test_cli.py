@@ -40,11 +40,13 @@ class TestSignatures:
         assert run(["signatures", "--state", "PhiPlus", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["state"] == "phi+"
+        # a quarter each, 1/4 - 2^-53 after the splitter's rounded 1/sqrt(2) entries
+        quarter = float.fromhex("0x1.ffffffffffffcp-3")
         assert payload["distribution"] == {
-            "aH:2": 0.25,
-            "aV:2": 0.25,
-            "bH:2": 0.25,
-            "bV:2": 0.25,
+            "aH:2": quarter,
+            "aV:2": quarter,
+            "bH:2": quarter,
+            "bV:2": quarter,
         }
 
     @pytest.mark.parametrize(

@@ -133,17 +133,39 @@ class TestSuperpose:
 
 class TestPureState:
     def test_mixed_photon_number_rejected(self, reg):
-        with pytest.raises(ValueError):
-            PureState(reg, {(1, 0, 0, 0): INV_SQRT2, (1, 1, 0, 0): INV_SQRT2})
+        from sdcsim.fock import superpose
 
-    def test_prunes_tiny_amplitudes(self, reg):
-        state = PureState(reg, {(1, 0, 0, 0): 1.0, (0, 1, 0, 0): 1e-15})
-        assert len(state.amplitudes) == 1
+        one = make_state(reg, [ModeLabel("a", "H")])
+        two = make_state(reg, [ModeLabel("a", "H"), ModeLabel("a", "V")])
+        with pytest.raises(ValueError, match="mixed photon numbers"):
+            superpose([(INV_SQRT2, one), (INV_SQRT2, two)])
+
+    def test_a_pair_is_a_symmetric_matrix(self, reg):
+        # |1_aH 1_bV>: A = (e_aH e_bV^T + e_bV e_aH^T) / sqrt(2), read back as amplitude 1
+        tensor = np.zeros((4, 4))
+        tensor[0, 3] = tensor[3, 0] = INV_SQRT2
+        state = PureState(reg, tensor)
+        assert state.photon_number == 2
+        assert state.fidelity(make_state(reg, [ModeLabel("a", "H"), ModeLabel("b", "V")])) == (
+            pytest.approx(1.0, abs=1e-15))
+        assert dict(state.amplitudes) == {(1, 0, 0, 1): pytest.approx(1.0, abs=1e-15)}
+        assert make_state(reg, []).photon_number == 0
+
+    def test_a_tensor_that_fits_no_registry_or_more_photons_is_refused(self, reg):
+        for shape in ((3,), (4, 3), (4, 4, 4)):
+            with pytest.raises(RegistryError):
+                PureState(reg, np.ones(shape))
+        with pytest.raises(ValueError, match="at most two photons"):
+            make_state(reg, [ModeLabel("a", "H")] * 3)
 
     def test_immutable(self, reg):
         state = make_state(reg, [ModeLabel("a", "H")])
         with pytest.raises(AttributeError):
             state.photon_number = 3
+        with pytest.raises(ValueError, match="read-only"):
+            state.tensor[0] = 0.0
+        with pytest.raises(TypeError):
+            state.amplitudes[(1, 0, 0, 0)] = 0j
 
 
 class TestModeUnitary:

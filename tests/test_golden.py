@@ -49,10 +49,10 @@ PINNED = {
         "stdout": "e1c5776cd430fc0ec1aca028e0c3bfb9fba39baaf82c304fa6542d516c382add",
     },
     "verify": {
-        "stdout": "3ecc5960f0fb0d8e39cfd267061a5ce12cbe951448437d8a2b725b78db3b957e",
+        "stdout": "5791984c56d20c84a4a16d47a535025fedbee03142969d3197ac613a233f1b7c",
     },
     "signatures": {
-        "stdout": "db5c039c02a3ee1e77ecae7c9b72dbebca0ea4b5b19d426a960292af7e0105cf",
+        "stdout": "143150d2e49ad949e669f3e2291b56b98f569df650a26192309bd0723198c29f",
     },
 }
 

@@ -543,7 +543,10 @@ class TestCompiledBench:
 # 1e-9), and "inf" past a law's last boundary or for a stopped pair. Scenario
 # b's rows hold each message's joint law instead, which
 # `assert_b_draws_each_joint_law` holds to the optics on this bench and others.
-HALF = "0x1.ffffffffffffep-2"
+# the splitter's 1/sqrt(2) entries round below it, once per photon: a lone
+# photon's even split reads 1/2 - 2^-53, a pair's 1/2 - 2^-52
+HALF = "0x1.ffffffffffffcp-2"
+LONE_HALF = "0x1.ffffffffffffep-2"
 PINNED_P_CONTROLLED = [
     "0x1.0000000000000p+0", "0x1.0000000000000p+0",
     "0x1.0000000000001p-1", "0x1.0000000000001p-1",
@@ -551,9 +554,9 @@ PINNED_P_CONTROLLED = [
 PINNED_LAWS = [
     ([("bH:1,bV:1", HALF), ("aH:1,aV:1", HALF)], None, None),
     ([("aV:1,bH:1", HALF), ("aH:1,bV:1", HALF)], None, None),
-    ([("bH:2", HALF), ("aH:2", HALF)], [("bV:1", HALF), ("aV:1", HALF)],
+    ([("bH:2", HALF), ("aH:2", HALF)], [("bV:1", LONE_HALF), ("aV:1", LONE_HALF)],
      [("bV:2", HALF), ("aV:2", HALF)]),
-    ([("bV:2", HALF), ("aV:2", HALF)], [("bH:1", HALF), ("aH:1", HALF)],
+    ([("bV:2", HALF), ("aV:2", HALF)], [("bH:1", LONE_HALF), ("aH:1", LONE_HALF)],
      [("bH:2", HALF), ("aH:2", HALF)]),
 ]
 PINNED_WIRED_CODES = {
@@ -564,7 +567,7 @@ PINNED_WIRED_CODES = {
     "c-erase-notes": [[3, 10], [-1, -1], [6, 9], [-1, -1], [4, 11], [-1, -1], [1, 7], [-1, -1]],
 }
 PINNED_BOUNDARY_ROWS = {
-    "a": [[HALF, "inf", HALF, "inf", HALF, HALF, HALF, HALF]],
+    "a": [[HALF, "inf", HALF, "inf", HALF, LONE_HALF, HALF, LONE_HALF]],
     "c": [[HALF, "inf"] * 4],
     "c-erase-notes": [[HALF, "inf"] * 4],
 }
@@ -786,11 +789,12 @@ ANY_ANALYZER = st.lists(st.one_of(ANY_PLATE, st.just(("bs",))), max_size=3).map(
     lambda specs: (*specs, ("pbs", ALICE), ("pbs", BOB)))
 
 
-def oracle_law(state, transfer):
-    """The analyzer law of `state` by the dense reference path, keyed by pattern."""
+def oracle_law(amplitudes, transfer):
+    """The analyzer law of the state with these Fock-basis `amplitudes` by the dense
+    reference path, keyed by pattern."""
     detectors = [REGISTRY.index(mode) for mode in protocol.ANALYZER_DETECTORS]
     law = {}
-    for modes, p in oracle.state_distribution(state.amplitudes, transfer).items():
+    for modes, p in oracle.state_distribution(amplitudes, transfer).items():
         assert set(modes) <= set(detectors), "oracle photon landed off-detector"
         pattern = DetectionPattern(tuple(modes.count(i) for i in detectors))
         law[pattern] = law.get(pattern, 0.0) + p
@@ -818,10 +822,32 @@ def test_each_branch_law_is_the_law_of_its_state(fields):
             with pytest.raises(TypeError):  # read-only
                 law[next(iter(law))] = 0.0
             assert list(law.items()) == list(bench.analyze(state).items())
-            reference = oracle_law(state, transfer)
+            reference = oracle_law(state.amplitudes, transfer)
             for pattern in law.keys() | reference.keys():
                 assert law.get(pattern, 0.0) == pytest.approx(reference.get(pattern, 0.0),
                                                               abs=1e-12)
+
+
+def test_a_tiny_plate_keeps_what_it_leaks():
+    """A psi- plate turned by 1e-6 degrees leaks 3.05e-16 into each of four
+    patterns of its controlled law. That is far above PROBABILITY_FLOOR, the one
+    place a count is dropped, so the law keeps them: its support and values are
+    the dense reference path's over the encoder and the analyzer, fed the source
+    pair's Fock amplitudes written out by hand."""
+    compiled = OpticalBench(Optics(psi_minus=(("hwp", 1e-6),))).compiled
+    message = ALPHABET.index(MessageSymbol.PSI_MINUS)
+    law = compiled.branches[message].controlled_law
+    transfer = oracle.compose([*compiled.encoders[message], *compiled.analyzer], REGISTRY)
+    occupation = {}
+    for alice, bob in ("HV", "VH"):
+        occ = [0] * len(REGISTRY)
+        occ[REGISTRY.index(ModeLabel(ALICE, alice))] = occ[REGISTRY.index(ModeLabel(BOB, bob))] = 1
+        occupation[tuple(occ)] = INV_SQRT2
+    reference = oracle_law(occupation, transfer)
+    assert law.keys() == reference.keys()
+    assert all(law[p] == pytest.approx(reference[p], abs=1e-12) for p in law)
+    leaked = sorted(p for p in law.values() if p < 1e-12)
+    assert len(leaked) == 4 and leaked == pytest.approx([3.05e-16] * 4, rel=1e-2)
 
 
 @settings(max_examples=40, deadline=None)

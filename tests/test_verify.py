@@ -60,7 +60,8 @@ def test_check_names_are_stable(results):
     assert "hom_dip" in names
     assert "phi_pair_indistinguishable" in names
     assert "capacity_references" in names
-    assert len(names) == len(set(names))
+    assert names[-2:] == ["support", "seed_determinism"]
+    assert len(names) == len(set(names)) == 13
 
 
 def test_injected_non_unitary_fails_loudly(monkeypatch):
@@ -187,6 +188,25 @@ def test_kernel_and_verify_draw_through_one_sampler(monkeypatch):
     assert [n for _, n in calls] == (_blocks(CHUNK_MESSAGES) + _blocks(1)
                                      + _blocks(len(sessions[1].trials))
                                      + _blocks(len(sessions[2].trials)))
+
+
+def test_support_refuses_a_row_the_optics_cannot_give():
+    bench = default_bench()
+    drawn = verify.scenario_a_session(bench, 3)
+    assert verify.check_support(bench, drawn).passed
+    table, row = drawn.trials.table, drawn.trials.row
+    width = len(table) // (2 * len(ALPHABET))
+    # a psi+ pair never goes wrong, so its wrong cell's first row has probability 0
+    psi_plus_wrong = (2 * ALPHABET.index(MessageSymbol.PSI_PLUS) + 1) * width
+    forged = session.Trials(np.append(row, np.int16(psi_plus_wrong)), 0, table)
+    result = verify.check_support(bench, dataclasses.replace(drawn, trials=forged))
+    assert not result.passed
+    assert result.detail == "impossible row psi+ wrong None"
+    # every row possible, but the stream's last message never sent
+    short = dataclasses.replace(drawn, trials=session.Trials(row[:-1], 0, table))
+    last = table.fields[row[-1]][0]
+    result = verify.check_support(bench, short)
+    assert not result.passed and f"{last.value} sent " in result.detail
 
 
 def test_sampling_check_counts_only_the_hh_cells():
