@@ -13,6 +13,13 @@ side: the exact value and a coarse display-rounded reference (effective
 alphabet rounded to one decimal before taking the log), since rounding
 2/3 -> 0.67 -> 2.7 shifts the uniform four-message capacity from 1.4150 to
 1.4330 bits and the exact number should never silently absorb that.
+
+The records are slotted dataclasses, not frozen ones. A frozen dataclass's
+`__init__` sets each field through `object.__setattr__`, which made building
+a report's six records most of what a short session's report cost. Freezing
+bought little: it was shallow (`per_symbol_counts` is a plain dict), and no
+report is cached, shared between calls or hashed. `dataclasses.replace` and
+`dataclasses.asdict` take them as before.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .protocol import ALPHABET, MessageSymbol, OpticalBench, Scenario, default_b
 DENSE_CODING_BITS = math.log2(3)  # three distinguishable messages per pair
 IDEAL_BITS = math.log2(4)
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SymbolCounts:
     """One symbol's counts: integers in a session's report, expected shares of
     one delivered message in `expected_accounting`'s."""
@@ -37,13 +44,13 @@ class SymbolCounts:
     uncontrolled_fraction: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RoundedReference:
     effective_alphabet: float
     bits_per_pair: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CapacityReport:
     """A session's counts, or their expectation per delivered message
     (`expected_accounting`), with the figures `capacity_from_counts` derives."""
@@ -68,12 +75,18 @@ class CapacityReport:
     def to_dict(self) -> dict:
         """The report as nested dicts of its fields, as `dataclasses.asdict` gives
         it, built without its recursive deep copy: every leaf is a str or number."""
-        fields = dict(vars(self))
+        fields = _fields(self)
         fields["per_symbol_counts"] = {
-            name: dict(vars(counts)) for name, counts in self.per_symbol_counts.items()
+            name: _fields(counts) for name, counts in self.per_symbol_counts.items()
         }
-        fields["rounded_reference"] = dict(vars(self.rounded_reference))
+        fields["rounded_reference"] = _fields(self.rounded_reference)
         return fields
+
+
+def _fields(record) -> dict:
+    """A slotted record's fields by name, in field order: it has no `vars()`, and
+    its `__slots__` are its field names."""
+    return {name: getattr(record, name) for name in record.__slots__}
 
 
 def capacity_from_counts(per_symbol: Mapping[str, tuple[float, float, float]]) -> CapacityReport:

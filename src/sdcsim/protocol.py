@@ -237,12 +237,18 @@ class CompiledBench:
     decoded: np.ndarray  # int8, pattern code -> `outcomes` code, read-only
 
 
+# Probabilities within this of the largest tie with it: two laws that give a
+# pattern one exact value can compute it a few ulp apart
+TIE_TOLERANCE = 1e-12
+
+
 def _likeliest(laws: list[Mapping], pattern: DetectionPattern) -> ClassifiedOutcome:
     """The message whose controlled law (in ALPHABET order) gives `pattern` the
-    unique largest positive probability, else SINGLE_PHOTON or AMBIGUOUS."""
+    unique largest positive probability, else SINGLE_PHOTON or AMBIGUOUS. A
+    probability within TIE_TOLERANCE of the largest ties with it."""
     probs = [law.get(pattern, 0.0) for law in laws]
     best = max(probs, default=0.0)
-    if best > 0.0 and probs.count(best) == 1:
+    if best > 0.0 and sum(p >= best - TIE_TOLERANCE for p in probs) == 1:
         return ClassifiedOutcome.decoded(ALPHABET[probs.index(best)])
     return ClassifiedOutcome(Verdict.SINGLE_PHOTON if pattern.total == 1 else Verdict.AMBIGUOUS)
 

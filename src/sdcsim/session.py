@@ -59,7 +59,9 @@ size: keying its generators, a few numpy calls per pass and its report. So
 the passes step through plain ranges of blocks, a listed stream's chunk is
 its cycle repeated (`_cycled`), and the rows are counted by one `bincount`
 per block, the first before the loop; a session of one chunk keeps that
-chunk's rows, uncopied.
+chunk's rows, uncopied. Its report's records (`capacity.SymbolCounts`,
+`RoundedReference`, `CapacityReport`) and its `SessionResult` are slotted,
+not frozen, dataclasses, which cost a plain object's construction each.
 
 Randomness (RNG_SCHEME): chunk k of a session draws its uniform messages from
 stream 1 and its trials from stream 0, each the numpy Philox generator
@@ -670,7 +672,7 @@ class _LazyList(UserList):
         return self._build()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SessionResult:
     config: RunConfig
     notes: Sequence[Note]  # sent notes in send order, which is also delivery order

@@ -65,6 +65,25 @@ class TestCapacityFromCounts:
         assert list(report.to_dict()) == list(as_dict)
         assert report.to_dict() is not report.to_dict()
 
+    def test_the_records_stay_dataclasses(self):
+        # callers copy a report or a session's result with one field changed
+        result = run_session(RunConfig(Scenario.B, 21, 3))
+        for report in (result.report, expected_accounting(Scenario.A)):
+            assert dataclasses.is_dataclass(report)
+            changed = dataclasses.replace(report, messages_delivered=29)
+            assert changed.messages_delivered == 29
+            assert changed.pairs_consumed == report.pairs_consumed
+            assert dataclasses.asdict(changed)["messages_delivered"] == 29
+            assert dataclasses.asdict(report)["rounded_reference"] == dataclasses.asdict(
+                report.rounded_reference
+            )
+        assert result.report.to_dict() == dataclasses.asdict(result.report)
+        fewer = dataclasses.replace(result, notes=result.notes[:-1])
+        assert list(fewer.notes) == list(result.notes)[:-1]
+        assert (fewer.config, fewer.report, fewer.trials) == (
+            result.config, result.report, result.trials
+        )
+
     def test_to_dict_states_each_figure_once(self):
         observed = run_session(RunConfig(Scenario.C, 300, 5)).report
         # the expected report has the observed one's shape, field by field

@@ -276,6 +276,21 @@ class TestSignaturesAndClassify:
             assert patched.classify(DetectionPattern.of(aH=2)).symbol is MessageSymbol.HH
             assert patched.classify(DetectionPattern.of(aH=1, bV=1)).symbol is MessageSymbol.PSI_MINUS
 
+    def test_probabilities_a_few_ulp_apart_tie(self):
+        # a tilted analyzer plate gives aH:1,aV:1 a quarter under both hh and vv;
+        # the plate's cos and sin round apart, so the two quarters differ
+        tilted = OpticalBench(
+            Optics(analyzer=(("bs",), ("hwp", 22.5), ("pbs", ALICE), ("pbs", BOB)))
+        )
+        pattern = DetectionPattern.of(aH=1, aV=1)
+        laws = [tilted.analyze(tilted.encode_branches(s).controlled_state) for s in ALPHABET]
+        hh, vv = (law[pattern] for law in laws[2:])
+        assert hh != vv and abs(hh - vv) < protocol.TIE_TOLERANCE
+        assert max(law.get(pattern, 0.0) for law in laws) == max(hh, vv)
+        assert tilted.classify(pattern).verdict is Verdict.AMBIGUOUS
+        # the ideal bench has no near tie: its decoded table stays as pinned
+        assert OpticalBench().compiled.decoded.tolist() == PINNED_DECODED
+
 
 @pytest.fixture
 def compile_calls(monkeypatch, fresh_compile_memo):

@@ -1,8 +1,11 @@
 import contextlib
 import dataclasses
+import inspect
 import io
 import math
+from bisect import bisect_left
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,6 +301,54 @@ def test_band_minimum_of_the_suite():
     assert len(counts) == 5  # HH's wrong branches, then its four cells
     assert band_minimum(counts) == 22
     assert band_minimum(counts[1:]) == 12  # the cells alone
+
+
+def _acceptance_band(n, p, alpha):
+    """The fewest and the most of `n` counts that `consistent` accepts at p, each
+    found by bisection on its side of the mean."""
+    mean = round(n * p)
+    fewest = bisect_left(range(mean + 1), True, key=lambda k: consistent(k, n, p, alpha))
+    rejected = bisect_left(range(mean, n + 1), True,
+                           key=lambda k: not consistent(k, n, p, alpha))
+    return fewest, mean + rejected - 1
+
+
+def _detected(n, p, band, power=0.99):
+    """The probability above p at which a count of `n` leaves `band` with `power`."""
+    fewest, most = band
+    low, high = p, 1.0
+    for _ in range(32):
+        mid = (low + high) / 2
+        leaves = binomial_tails(fewest - 1, n, mid)[0] + binomial_tails(most + 1, n, mid)[1]
+        low, high = (mid, high) if leaves < power else (low, mid)
+    return high
+
+
+def test_readme_states_the_suites_bands_and_power():
+    # the README's paragraph on `verify`, recomputed at the default trials from
+    # the suite's counts and alarm split: the branch check, then one cell
+    n = inspect.signature(run_verification).parameters["branch_trials"].default
+    assert n == 100_000
+    bench = OpticalBench()
+    (branch_p, branch_alpha), (cell_p, cell_alpha), *_ = statistical_counts(
+        bench, hh_cell_law(bench)
+    )
+    figures = []
+    for p, alpha in ((branch_p, branch_alpha), (cell_p, cell_alpha)):
+        fewest, most = _acceptance_band(n, p, alpha)
+        sigmas = (most - n * p) / math.sqrt(n * p * (1 - p))
+        # the first probability of four decimals detected with at least that power
+        detected = math.ceil(_detected(n, p, (fewest, most)) * 10_000) / 10_000
+        figures.append((f"{fewest:,} to {most:,}", f"±{sigmas:.2f}σ", f"{detected:.4f}"))
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = " ".join(readme.split())
+    (branch_band, branch_width, branch_power), (cell_band, cell_width, cell_power) = figures
+    assert (
+        f"the branch check accepts {branch_band} wrong branches (about {branch_width}), and "
+        f"it detects a wrong-branch probability of {branch_power} instead of 1/2 with power "
+        f"0.99; each cell accepts {cell_band} (about {cell_width}), and detects a cell "
+        f"probability of {cell_power} instead of 1/4 with power 0.99."
+    ) in readme
 
 
 @pytest.mark.parametrize("p", [0.5, 1 / 3, 1 / 100, 99 / 100])
