@@ -13,6 +13,9 @@ outcome or branch below PROBABILITY_FLOOR is dropped, once per law; no state
 is ever pruned.
 
 All objects are immutable values; every operation returns a new state.
+An element measures its unitarity defect once, when it is validated, and
+keeps it (`ModeUnitary.defect`); `apply_element` takes the tensor its product
+makes as the new state's own, with no copy.
 `compose` folds a sequence of elements into one element that evolves a state
 like the sequence does. `sample_outcome` is the one sampling rule: it counts
 the outcome thresholds (`raw_thresholds`, a law's boundaries as uint64) below each
@@ -137,6 +140,17 @@ class PureState:
         object.__setattr__(self, "registry", registry)
         object.__setattr__(self, "tensor", tensor)
 
+    @classmethod
+    def _adopt(cls, registry: ModeRegistry, tensor: np.ndarray) -> "PureState":
+        """The state of `tensor`, a complex array of a valid shape that no caller
+        holds a writable reference to, taken as is: no copy and no check, the
+        array set read-only."""
+        tensor.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "registry", registry)
+        object.__setattr__(state, "tensor", tensor)
+        return state
+
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")
 
@@ -184,15 +198,17 @@ class ModeUnitary:
 
     ``matrix[k, j]`` is the amplitude for a photon entering target mode j to
     leave in target mode k; modes outside ``target_modes`` are untouched.
-    Validated once at construction; ``indices`` holds the registry index of
-    each target mode and ``transfer`` the matrix embedded in the identity on
-    the whole registry, read-only.
+    Validated once at construction; ``defect`` keeps the unitarity defect
+    that validation measured (`unitarity_defect` of ``matrix``), ``indices``
+    holds the registry index of each target mode and ``transfer`` the matrix
+    embedded in the identity on the whole registry, read-only.
     """
 
     registry: ModeRegistry
     target_modes: tuple[ModeLabel, ...]
     matrix: np.ndarray
     name: str = ""
+    defect: float = field(init=False, repr=False)
     indices: tuple[int, ...] = field(init=False, repr=False)
     transfer: np.ndarray = field(init=False, repr=False)
 
@@ -204,12 +220,12 @@ class ModeUnitary:
         n = len(self.target_modes)
         if mat.shape != (n, n):
             raise ValueError(f"matrix shape {mat.shape} does not match {n} target modes")
-        if unitarity_defect(mat) > UNITARY_TOL:
-            raise NonUnitaryError(
-                f"{self.name or 'element'}: ||U†U - I||_inf = {unitarity_defect(mat):.3e}"
-            )
+        defect = unitarity_defect(mat)
+        if defect > UNITARY_TOL:
+            raise NonUnitaryError(f"{self.name or 'element'}: ||U†U - I||_inf = {defect:.3e}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "defect", defect)
         object.__setattr__(self, "indices", indices)
         transfer = np.eye(len(self.registry), dtype=complex)
         transfer[np.ix_(indices, indices)] = mat
@@ -286,13 +302,15 @@ def superpose(terms: Sequence[tuple[complex, PureState]]) -> PureState:
 
 def apply_element(state: PureState, element: ModeUnitary) -> PureState:
     """Evolve a state through one linear element: its transfer matrix U acts on
-    every photon's axis, v -> U v and A -> U A U^T. Norm is preserved by unitarity."""
-    if element.registry != state.registry:
+    every photon's axis, v -> U v and A -> U A U^T. Norm is preserved by unitarity.
+    The new state owns the fresh product (the vacuum shares its read-only tensor)."""
+    registry = state.registry
+    if element.registry is not registry and element.registry != registry:
         raise RegistryError("element built for a different registry")
     u, tensor = element.transfer, state.tensor
     if tensor.ndim:
         tensor = u @ tensor @ u.T if tensor.ndim == 2 else u @ tensor
-    return PureState(state.registry, tensor)
+    return PureState._adopt(registry, tensor)
 
 
 def outcome_distribution(

@@ -616,7 +616,7 @@ class Session:
             for start in range(0, len(row), BLOCK):
                 block = messages[start:start + BLOCK]
                 word = words(len(block))
-                cells = 2 * block.astype(np.int16)
+                cells = np.left_shift(block, 1, dtype=np.int16)  # 2 * message
                 cells += word > self._controlled.take(block)  # wrong branch
                 self._draw(cells, word, row[start:start + BLOCK])
         else:  # retry on fresh pairs until the controlled branch
@@ -626,7 +626,7 @@ class Session:
                 block = messages[start:start + BLOCK]
                 exceeded = self._retries.searchsorted(words(len(block)))  # thresholds below each
                 attempts = self._attempts.take(exceeded + self._rows.take(block))
-                controlled = 2 * block.astype(np.int16)
+                controlled = np.left_shift(block, 1, dtype=np.int16)  # 2 * message
                 piece = (controlled + 1).repeat(attempts)  # every attempt wrong ...
                 piece[attempts.cumsum() - 1] = controlled  # ... but each message's last
                 pieces.append(piece)

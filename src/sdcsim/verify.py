@@ -21,17 +21,20 @@ holds every row of one scenario-a session to the optics, and seed_determinism
 draws that session again and compares.
 
 Those checks cost their draws, not their tails, and the session's draws are
-made once for both. `binomial_tails` sums a tail in numpy blocks of
-TAIL_BLOCK terms whose products and additions are the scalar loop's, in its
-order, so each tail is the scalar sum's bit for bit at ~0.05 ms raw for
-n = 100,000 (~0.3 ms one term at a time); `negbin_tails` is two of them.
+made once for both. `binomial_tails` sums a tail in numpy blocks, the first
+sized to the terms the tail needs (64 + 10 sigma), whose products and
+additions are the scalar loop's, in its order, so each tail is the scalar
+sum's bit for bit at ~0.025 ms raw for n = 100,000 (~0.3 ms one term at a
+time); `negbin_tails` is two of them.
 Both checks read the row counts the session already made for the report's
 tally (`Trials.row_counts`), so a session's rows are counted once. The laws
 the checks read are the compiled branch laws (`EncodeBranches.controlled_law`,
 `.resent_law`), analyzed once per distinct optics; each call builds HH's
 cell law and the element suite once and passes them down: the `--trials`
 minimum, sampling_consistency and the two element checks share them.
-Nothing is kept across calls.
+Nothing is kept across calls but what each element keeps of itself: the
+unitarity defect its constructor measured once, when it validated it, which
+element_unitarity reports.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 from . import capacity
 from .elements import hwp
 # sample_outcome is not called here; perfbench's `fock.sample_outcome` span looks it up here
-from .fock import ModeLabel, apply_element, make_state, sample_outcome, unitarity_defect
+from .fock import ModeLabel, apply_element, make_state, sample_outcome
 from .protocol import (
     ALICE,
     ALPHABET,
@@ -77,9 +80,8 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
-# Terms per block of a tail's sum. Measured at n = 100,000 (~1,400 terms, one
-# block): ~0.05 ms raw per tail, against ~0.3 ms for one term per loop step; a
-# 1,024 block takes two steps there, a 4,096 one fills twice the terms it needs.
+# Terms per block of a tail's sum after its first, which `_outward_sum` sizes to
+# the tail (64 + 10 sigma terms), so that no real tail needs a second block.
 TAIL_BLOCK = 2048
 
 
@@ -88,9 +90,9 @@ def binomial_tails(k: int, n: int, p: float) -> tuple[float, float]:
 
     The tail on k's side of the mean is summed outward from k, each term from the last by
     their ratio, until the terms stop mattering; the other side is its complement. The sum
-    runs in numpy blocks of TAIL_BLOCK terms (`_outward_sum`), which make the scalar
-    loop's products and additions in its order, so each tail is the scalar sum's bit for
-    bit, at ~0.05 ms raw for n = 100,000.
+    runs in numpy blocks (`_outward_sum`), which make the scalar loop's products and
+    additions in its order, so each tail is the scalar sum's bit for bit, at ~0.025 ms
+    raw for n = 100,000.
     """
     if k < 0 or k > n:
         return (0.0, 1.0) if k < 0 else (1.0, 0.0)
@@ -117,11 +119,15 @@ def _outward_sum(first: float, k: int, n: int, odds: float) -> tuple[float, int]
     while `term > upper * 1e-17 and j < n`, a block at a time: `multiply.accumulate` and
     `add.accumulate` (`cumprod`, `cumsum`) are sequential left folds, seeded with the
     running term and sum, so each product and each addition is the loop's, in its order
-    (`np.sum`, which adds pairwise, would not be).
+    (`np.sum`, which adds pairwise, would not be). The first block holds 64 + 10 sigma
+    terms, sigma^2 = n * odds / (1 + odds)^2 = n p (1 - p): a tail that starts at or past
+    the mean stops within about 9 sigma of it, or a few dozen terms where sigma is small,
+    so one block sums it. Any later block holds TAIL_BLOCK terms.
     """
     upper, term, j = first, first, k
+    size = 64 + int(10.0 * math.sqrt(n * odds) / (1.0 + odds))
     while term > upper * 1e-17 and j < n:
-        size = min(TAIL_BLOCK, n - j)
+        size = min(size, n - j)
         terms = np.empty(size + 1)  # the running term, then this block's
         terms[0] = term
         # each ratio (n - j) * odds / (j + 1), its integers exact as floats below 2^53
@@ -136,7 +142,7 @@ def _outward_sum(first: float, k: int, n: int, odds: float) -> tuple[float, int]
         stop = int(np.argmin(terms > sums * 1e-17))
         if stop:
             return float(sums[stop]), j + stop
-        term, upper, j = terms[-1], float(sums[-1]), j + size
+        term, upper, j, size = terms[-1], float(sums[-1]), j + size, TAIL_BLOCK
     return upper, j
 
 
@@ -207,10 +213,9 @@ def _element_suite(bench) -> list:
 
 
 def check_unitarity(elements: list) -> CheckResult:
-    worst_name, worst = max(
-        ((e.name, unitarity_defect(e.matrix)) for e in elements),
-        key=lambda kv: kv[1],
-    )
+    """The largest unitarity defect among `elements`: each one's `defect`, which its
+    constructor measured on the same read-only matrix, so it is not measured again."""
+    worst_name, worst = max(((e.name, e.defect) for e in elements), key=lambda kv: kv[1])
     return _check(
         "element_unitarity",
         worst < EXACT_TOL,
@@ -429,7 +434,8 @@ def run_verification(seed: int = 20_260_810, branch_trials: int = 100_000) -> li
     Each call builds HH's cell law once, from its compiled branch laws, the
     element suite once, and draws the scenario-a session of support and
     seed_determinism once, and passes each to the checks that read it;
-    nothing is kept across calls, so every call does the suite's whole work.
+    nothing is kept across calls but each element's own defect, measured when
+    it was validated, so every call does the rest of the suite's work.
     """
     check_seed(seed)
     bench = default_bench()

@@ -11,7 +11,8 @@ It also keeps `verify.binomial_tails`' scalar form: the tail summed one term
 per loop step, which the block sum must reproduce bit for bit, and sessions
 drawn one raw word at a time from the branch laws, which the session kernel
 must reproduce trial for trial: scenario b's, and scenarios a and c's with
-their retries searched one running sum at a time.
+their retries searched one running sum at a time. The raw words themselves
+have a reference too, philox4x64-10 in plain Python integers (`philox_words`).
 """
 
 import math
@@ -110,12 +111,13 @@ def superposed_two_photon_distribution(transfer, terms) -> dict[tuple[int, int],
     return {pair: float(abs(a) ** 2) for pair, a in amps.items() if abs(a) > 1e-14}
 
 
-def tail_start(k: int, n: int, p: float) -> tuple[float, int, int, float]:
+def tail_start(k: int, n: int, p: float, mirror: bool = True) -> tuple[float, int, int, float]:
     """Where the tail on k's side of Bin(n, p)'s mean starts, for 0 <= k <= n and
     0 < p < 1: (P(X = k), k, n, p / (1 - p)), with k and p mirrored into
     n - X ~ Bin(n, 1 - p) when k lies below the mean and 1 - p does not round to 1,
-    so that it sums upward."""
-    if k < n * p and 1.0 - p < 1.0:
+    so that it sums upward. Without `mirror`, where the sum upward from k starts,
+    on either side of the mean."""
+    if mirror and k < n * p and 1.0 - p < 1.0:
         k, p = n - k, 1.0 - p
     log_choose = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
     first = math.exp(log_choose + k * math.log(p) + (n - k) * math.log1p(-p))
@@ -143,6 +145,36 @@ def binomial_tails(k: int, n: int, p: float) -> tuple[float, float]:
     upper, _ = outward_sum(first, *rest)
     tails = min(1.0, 1.0 - upper + first), upper
     return tails[::-1] if mirrored else tails
+
+
+# philox4x64's multipliers, and its key increments, the fractions of the golden
+# ratio and of sqrt(3) - 1 (Salmon et al., "Parallel random numbers: as easy as
+# 1, 2, 3", SC'11)
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_WORD = 2**64 - 1
+
+
+def philox4x64_10(counter, key) -> tuple[int, int, int, int]:
+    """The block of four 64-bit words philox4x64 makes of a counter of four words
+    and a key of two in 10 rounds: each round multiplies counter words 0 and 2 by
+    PHILOX_M, crosses the halves of the products with words 1 and 3 and the key,
+    and the key steps by PHILOX_W before every round but the first."""
+    (c0, c1, c2, c3), (k0, k1) = counter, key
+    for round_ in range(10):
+        if round_:
+            k0, k1 = (k0 + PHILOX_W[0]) & _WORD, (k1 + PHILOX_W[1]) & _WORD
+        p0, p1 = PHILOX_M[0] * c0, PHILOX_M[1] * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _WORD, (p0 >> 64) ^ c3 ^ k1, p0 & _WORD
+    return c0, c1, c2, c3
+
+
+def philox_words(seed: int, chunk: int, stream: int, count: int) -> list[int]:
+    """The first `count` raw words of chunk `chunk`'s stream `stream`: word j is item
+    j mod 4 of the block for counter (1 + j // 4, 0, chunk, stream) under key
+    (seed, 0), since the generator steps counter word 0 before each block."""
+    return [philox4x64_10((1 + j // 4, 0, chunk, stream), (seed, 0))[j % 4]
+            for j in range(count)]
 
 
 def _fresh(seed: int, stream: int, chunk: int) -> np.random.Generator:

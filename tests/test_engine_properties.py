@@ -27,6 +27,7 @@ from sdcsim.fock import (
     make_state,
     outcome_distribution,
     superpose,
+    unitarity_defect,
 )
 from sdcsim.protocol import (
     ALICE,
@@ -37,6 +38,7 @@ from sdcsim.protocol import (
     Optics,
     ProtocolError,
     ReferenceState,
+    _element,
 )
 
 TOL = 1e-12
@@ -169,6 +171,22 @@ TILTED_ANALYZER = (("hwp", 67.5), ("hwp", 22.5), ("bs",))
 ANALYZER_SPECS = st.one_of(
     st.just(("bs",)), st.integers(0, 7).map(lambda k: ("hwp", 22.5 * k))
 )
+
+
+ELEMENT_SPECS = st.one_of(ENCODER_SPECS, ANALYZER_SPECS, st.just(("hwp", 22.5)),
+                          st.sampled_from([("pbs", ALICE), ("pbs", BOB)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ELEMENT_SPECS, min_size=1, max_size=5))
+def test_every_element_keeps_the_defect_of_its_matrix(specs):
+    """The defect an element keeps from its validation is `unitarity_defect` of its
+    matrix, bit for bit: each element an optics record compiles, its dagger, and
+    the composition of them all."""
+    built = [_element(spec) for spec in specs]
+    composed = compose(tuple(built))
+    for element in (*built, *(e.dagger() for e in built), composed, composed.dagger()):
+        assert element.defect == unitarity_defect(element.matrix)
 
 
 def bell_identification(analyzer) -> float:

@@ -177,6 +177,15 @@ class TestModeUnitary:
                 np.array([[1.0, 0.1], [0.0, 1.0]]),
             )
 
+    def test_a_matrix_1e9_off_unitary_is_refused_with_its_defect(self, reg):
+        # (1 + 1e-9)^2 - 1 = 2e-9 in U†U's corner, far past UNITARY_TOL
+        off = np.diag([1.0 + 1e-9, 1.0])
+        targets = (ModeLabel("a", "H"), ModeLabel("a", "V"))
+        for name, shown in (("plate", "plate"), ("", "element")):
+            with pytest.raises(NonUnitaryError) as refused:
+                ModeUnitary(reg, targets, off, name=name)
+            assert str(refused.value) == f"{shown}: ||U†U - I||_inf = 2.000e-09"
+
     def test_rejects_duplicate_targets(self, reg):
         with pytest.raises(RegistryError):
             ModeUnitary(reg, (ModeLabel("a", "H"), ModeLabel("a", "H")), np.eye(2))
@@ -186,6 +195,27 @@ class TestModeUnitary:
 
 
 class TestApplyElement:
+    def test_an_evolved_state_owns_a_read_only_tensor(self, reg, bs):
+        for photons in ([], [ModeLabel("a", "H")], [ModeLabel("a", "H"), ModeLabel("b", "H")]):
+            state = make_state(reg, photons)
+            out = apply_element(state, bs)
+            assert out.photon_number == len(photons)
+            held = out.tensor  # nor does any array its buffer comes from
+            while held is not None:
+                assert not held.flags.writeable
+                held = held.base
+            with pytest.raises(ValueError, match="read-only"):
+                out.tensor[...] = 0.0
+
+    def test_a_state_built_from_a_callers_array_copies_it(self, reg):
+        vector = np.zeros(len(reg), dtype=complex)
+        vector[0] = 1.0
+        state = PureState(reg, vector)
+        assert vector.flags.writeable and not state.tensor.flags.writeable
+        assert not np.shares_memory(vector, state.tensor)
+        vector[0] = 0.0
+        assert state.tensor[0] == 1.0
+
     def test_identity_matrix_is_noop(self, reg):
         ident = ModeUnitary(reg, tuple(reg.labels), np.eye(4))
         state = make_state(reg, [ModeLabel("a", "H"), ModeLabel("b", "V")])

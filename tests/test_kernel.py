@@ -397,13 +397,24 @@ def test_each_message_draws_its_retries_then_its_controlled_trial(name):
                     assert len(trials) == n and not trials.branch.any(), config
 
 
+PHILOX_KNOWN_ANSWER = [  # Random123's vector for philox4x64_10 at counter 0 and key 0
+    "16554d9eca36314c", "db20fe9d672d0fdc", "d7e772cee186176b", "7e68b68aec7ba23b"]
+
+
 def test_philox_words_are_the_published_known_answer():
-    # Random123's known-answer vector for philox4x64_10 at counter 0 and key 0:
     # numpy's Philox steps its counter before each block, so a counter of all
     # 2^64 - 1 gives counter 0's block
     words = np.random.Philox(key=0, counter=[2**64 - 1] * 4).random_raw(4)
-    assert [f"{w:016x}" for w in words.tolist()] == [
-        "16554d9eca36314c", "db20fe9d672d0fdc", "d7e772cee186176b", "7e68b68aec7ba23b"]
+    assert [f"{w:016x}" for w in words.tolist()] == PHILOX_KNOWN_ANSWER
+    assert [f"{w:016x}" for w in oracle.philox4x64_10((0, 0, 0, 0), (0, 0))] == PHILOX_KNOWN_ANSWER
+
+
+@pytest.mark.parametrize("seed, chunk, stream", [(1, 0, 0), (7777, 3, 1),
+                                                 (2**64 - 1, 2**48 - 1, 0)])
+def test_the_kernels_words_are_the_reference_philox_words(seed, chunk, stream):
+    # nine words run over three blocks, the third begun
+    words = session._generator(seed, stream, chunk).bit_generator.random_raw(9)
+    assert words.tolist() == oracle.philox_words(seed, chunk, stream, 9)
 
 
 def _with_p_controlled(p: float, symbol=MessageSymbol.HH) -> SimpleNamespace:

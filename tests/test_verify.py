@@ -124,23 +124,22 @@ def test_unequal_elements_that_share_a_name_are_each_checked(monkeypatch):
     vv = encoders[ALPHABET.index(MessageSymbol.VV)][0]
     assert hh.name == vv.name == "HWP(45,alice)"
     assert not np.array_equal(hh.matrix, vv.matrix)
-    measured, applied = [], []
-
-    def defect(matrix):
-        measured.append(matrix)
-        return 0.0
+    applied = []
 
     def spied(state, element):
         applied.append(element)
         return apply_element(state, element)
 
-    monkeypatch.setattr(verify, "unitarity_defect", defect)
     monkeypatch.setattr(verify, "apply_element", spied)
     elements = verify._element_suite(bench)
-    assert verify.check_unitarity(elements).passed
+    # element_unitarity reports the largest defect each element kept, over this suite
+    worst = max(elements, key=lambda e: e.defect)
+    unitarity = verify.check_unitarity(elements)
+    assert unitarity.passed
+    assert unitarity.detail == f"max ||U†U-I|| = {worst.defect:.2e} ({worst.name})"
     assert verify.check_composition(bench, elements).passed
     for plate in (hh, vv):
-        assert any(matrix is plate.matrix for matrix in measured)
+        assert any(element is plate for element in elements)
         assert any(element is plate for element in applied)
 
 
@@ -397,29 +396,33 @@ def tail_cases(draw):
 @example((49984, 100_000, 0.5))  # `verify`'s three tails at its default size
 @example((49950, 100_000, 0.4999999999999999))
 @example((50050, 100_000, 0.4999999999999999))
-# summing block - 1, block, block + 1 and 2 * block + 1 terms at TAIL_BLOCK = 2,048
-@example((125_367, 250_734, 0.5))
-@example((125_493, 250_986, 0.5))
-@example((125_612, 251_224, 0.5))
-@example((550_159, 1_100_000, 0.5))
+# summed upward from below the mean, sized - 1, sized, sized + 1 and
+# sized + TAIL_BLOCK + 1 terms, where the first block is sized = 64 + 10 sigma = 5,064
+@example((498_939, 1_000_000, 0.5))
+@example((498_938, 1_000_000, 0.5))
+@example((498_937, 1_000_000, 0.5))
+@example((496_888, 1_000_000, 0.5))
 @example((6_861, 10_000, 0.5))  # a subnormal first term: the sum stops where it underflows
 @example((8, 10, 0.9))  # the sum runs to j = n
 def test_block_sum_is_the_scalar_sum_bit_for_bit(case):
     """Past the stop rule no term moves a sum by half an ulp, so the tails alone
-    cannot see where the sum stopped; the stop, what a tail costs, is held too."""
+    cannot see where the sum stopped; the stop, what a tail costs, is held too.
+    A tail starts at or past the mean, where its first block holds every term it
+    needs, so the sum upward from k on k's own side is held as well: from below
+    the mean it runs through it, into the blocks after the first."""
     k, n, p = case
     assert binomial_tails(k, n, p) == oracle.binomial_tails(k, n, p)
     if 0 < p < 1:
-        start = oracle.tail_start(k, n, p)
-        assert verify._outward_sum(*start) == oracle.outward_sum(*start)
+        for start in {oracle.tail_start(k, n, p), oracle.tail_start(k, n, p, mirror=False)}:
+            assert verify._outward_sum(*start) == oracle.outward_sum(*start)
 
 
 def test_the_block_edge_examples_sum_what_they_name():
-    block = verify.TAIL_BLOCK
-    examples = {block - 1: (125_367, 250_734), block: (125_493, 250_986),
-                block + 1: (125_612, 251_224), 2 * block + 1: (550_159, 1_100_000)}
-    for terms, (k, n) in examples.items():
-        first, k, n, odds = oracle.tail_start(k, n, 0.5)
+    n, sized, block = 1_000_000, 64 + 10 * 500, verify.TAIL_BLOCK  # sigma = 500 at p = 1/2
+    examples = {sized - 1: 498_939, sized: 498_938, sized + 1: 498_937,
+                sized + block + 1: 496_888}
+    for terms, k in examples.items():
+        first, k, n, odds = oracle.tail_start(k, n, 0.5, mirror=False)
         assert oracle.outward_sum(first, k, n, odds)[1] - k == terms
 
 
